@@ -1,15 +1,17 @@
 """Command-line entry point: synth, prepare, train, gridsearch, backtest, baseline.
 
-Every command takes ``--config PATH`` (flat ``key = value`` INI with one
-section per concern), ``--seed N`` and an output directory; explicit flags
-override config values which override built-in defaults. All artifacts are
-machine-readable (CSV/JSON) with a short human summary on stdout. Exit codes:
-0 success, 2 usage error, 1 runtime error.
+Every command takes an output directory. ``synth``, ``prepare``, ``train``
+and ``gridsearch`` read ``--config PATH`` (flat ``key = value`` INI with one
+section per concern), where explicit flags override config values which
+override built-in defaults; ``synth``, ``train`` and ``gridsearch`` take
+``--seed N``. All artifacts are machine-readable (CSV/JSON) with a short human
+summary on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import configparser
 import json
 import sys
@@ -117,7 +119,6 @@ def _load_universe(data_dir: Path) -> tuple[dict[str, QuoteSeries], list[Path]]:
     quotes = {}
     for p in quote_paths:
         series = load_quotes(p)
-        series.validate()
         quotes[series.stockname] = series
     return quotes, label_paths
 
@@ -544,10 +545,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
 
 
 def _test_slice(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
-    idx = next((i for i, d in enumerate(series.dates) if d >= split_date), None)
-    if idx is None:
-        return None
-    sliced = QuoteSeries(stockname=series.stockname, bars=series.bars[idx:])
+    sliced = series[bisect.bisect_left(series.dates, split_date) :]
     return sliced if len(sliced) >= 2 * pipeline.CP_LAG_DAYS + 1 else None
 
 
@@ -623,7 +621,6 @@ def _split_date_for_backtest(args, prepared: Path | None, quotes) -> Date:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
-    _load_config(args.config)
     data_dir = Path(args.data)
     prepared = Path(args.prepared) if args.prepared else None
     out_dir = Path(args.out)
@@ -729,7 +726,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    _load_config(args.config)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -755,9 +751,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="INI config file")
-    p.add_argument("--seed", type=int, default=None)
+def _add_common(p: argparse.ArgumentParser, *, config: bool = True, seed: bool = True) -> None:
+    if config:
+        p.add_argument("--config", default=None, help="INI config file")
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--out", required=True, help="output directory")
 
 
@@ -798,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("prepare", help="build train/test datasets from data files")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--data", required=True, help="directory with quotes_*/labels_* CSVs")
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
@@ -835,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("backtest", help="run the two-stage simulation on the test span")
-    _add_common(p)
+    _add_common(p, config=False, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--prepared", default=None)
     p.add_argument("--models", default=None)
@@ -856,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("baseline", help="profit of the expert labels themselves")
-    _add_common(p)
+    _add_common(p, config=False, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)

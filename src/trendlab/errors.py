@@ -41,6 +41,10 @@ class ShapeError(TrendlabError):
     """Model input does not match the expected shape or target domain."""
 
 
+class ModelFormatError(TrendlabError):
+    """A model document is not a well-formed model of a supported version."""
+
+
 class SingleClassError(TrendlabError):
     """A metric that needs both classes was given only one."""
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError, ParseError, TooShortError, ZeroVolumeError
-from .labels import ExpertWindow, TriggerSeries
+from .labels import ExpertWindow, TriggerSeries, _ols
 from .market_data import TREND, QuoteSeries
 
 CP_CONTEXT = 5
@@ -34,72 +34,14 @@ TOF_FEATURE_NAMES: tuple[str, ...] = ("reg_close", "close_r2", "reg_vol", "vol_r
 FRACTIONS: tuple[int, ...] = (5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 
-@dataclass(frozen=True)
-class CpRow:
-    """One changepoint training row (22 features, optional binary target)."""
-
-    close_back: tuple[float, ...]
-    close_fwd: tuple[float, ...]
-    vol_back: tuple[float, ...]
-    vol_fwd: tuple[float, ...]
-    high: float
-    low: float
-    new_trigger: int | None = None
-
-    def vector(self) -> np.ndarray:
-        return np.array(
-            self.close_back + self.close_fwd + self.vol_back + self.vol_fwd + (self.high, self.low),
-            dtype=np.float64,
-        )
-
-
-def cp_features(series: QuoteSeries, t: int, log_mode: bool = False) -> CpRow | None:
-    """Build the 22 ratio features for row ``t``; None when +/-5 rows are missing."""
-    n = len(series)
-    if t < CP_CONTEXT or t > n - CP_CONTEXT - 1:
-        return None
-    closes = series.closes
-    volumes = series.volumes
-    bar = series.bars[t]
-
-    if volumes[t] <= 0.0:
-        raise ZeroVolumeError(f"zero volume at row {t} makes volume ratios undefined")
-    ks = range(1, CP_CONTEXT + 1)
-    if log_mode and any(
-        volumes[t + off] <= 0.0 for k in ks for off in (-k, k)
-    ):
-        raise ZeroVolumeError(f"zero volume near row {t} makes log ratios undefined")
-
-    close_back = tuple(closes[t - k] / closes[t] for k in ks)
-    close_fwd = tuple(closes[t + k] / closes[t] for k in ks)
-    vol_back = tuple(volumes[t - k] / volumes[t] for k in ks)
-    vol_fwd = tuple(volumes[t + k] / volumes[t] for k in ks)
-    high = bar.high / bar.close
-    low = bar.low / bar.close
-    if log_mode:
-        close_back = tuple(np.log(close_back))
-        close_fwd = tuple(np.log(close_fwd))
-        vol_back = tuple(np.log(vol_back))
-        vol_fwd = tuple(np.log(vol_fwd))
-        high = float(np.log(high))
-        low = float(np.log(low))
-    return CpRow(
-        close_back=close_back,
-        close_fwd=close_fwd,
-        vol_back=vol_back,
-        vol_fwd=vol_fwd,
-        high=high,
-        low=low,
-    )
-
-
 def cp_feature_matrix(
     series: QuoteSeries, log_mode: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``cp_features`` for every row with full context.
+    """The 22 ratio features of every row with +/-5 rows of context.
 
     Returns ``(ts, X)`` where ``ts`` are row indices into the series and ``X``
-    has one 22-feature row per entry of ``ts``.
+    has one 22-feature row per entry of ``ts``. Raw mode needs a positive
+    volume on every row of ``ts``, log mode on every row of the series.
     """
     n = len(series)
     if n < 2 * CP_CONTEXT + 1:
@@ -157,21 +99,6 @@ class TofRow:
             [self.reg_close, self.close_r2, self.reg_vol, self.vol_r2, float(self.len_trend)],
             dtype=np.float64,
         )
-
-
-def _ols(y: np.ndarray) -> tuple[float, float]:
-    """Slope and R2 of y against 0..n-1; R2 is 0 when y has no variance."""
-    n = len(y)
-    x = np.arange(n, dtype=np.float64)
-    xc = x - x.mean()
-    ym = y.mean()
-    sstot = float(np.dot(y - ym, y - ym))
-    if sstot == 0.0:
-        return 0.0, 0.0
-    slope = float(np.dot(xc, y - ym) / np.dot(xc, xc))
-    resid = y - (ym + slope * xc)
-    r2 = 1.0 - float(np.dot(resid, resid)) / sstot
-    return slope, min(1.0, max(0.0, r2))
 
 
 def tof_features(

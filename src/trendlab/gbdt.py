@@ -18,8 +18,9 @@ Determinism: ties between equal-gain splits resolve to the lowest feature
 index, then the lowest threshold; the per-tree row subsample is drawn from a
 generator seeded by (seed, tree index); the parallel split search reduces
 results in feature order, so any thread count gives identical models.
-Missing feature values are never produced by this pipeline; at prediction
-time NaN routes down the left branch.
+Missing feature values are never produced by this pipeline and ``fit``
+rejects non-finite features; at prediction time NaN routes down the left
+branch.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SingleClassWarning
+from .errors import ModelFormatError, ShapeError, SingleClassWarning
 
 
 @dataclass(frozen=True)
@@ -255,6 +256,8 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
     params = params or GbdtParams()
     params.validate()
     Xa = _check_matrix(X)
+    if not np.isfinite(Xa).all():
+        raise ShapeError("feature matrix contains NaN or infinite values")
     ya = np.asarray(y)
     if ya.ndim != 1 or len(ya) != len(Xa):
         raise ShapeError(f"targets of length {ya.shape} do not match {len(Xa)} rows")
@@ -358,14 +361,24 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict) -> TreeNode:
+def _finite(value: object) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite value {number!r}")
+    return number
+
+
+def _node_from_dict(d: dict, n_features: int) -> TreeNode:
     if "leaf" in d:
-        return TreeNode(value=float(d["leaf"]))
+        return TreeNode(value=_finite(d["leaf"]))
+    feature = int(d["feature"])
+    if not 0 <= feature < n_features:
+        raise ModelFormatError(f"split on feature {feature} of a {n_features}-feature model")
     return TreeNode(
-        feature=int(d["feature"]),
+        feature=feature,
         threshold=float(d["threshold"]),
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
+        left=_node_from_dict(d["left"], n_features),
+        right=_node_from_dict(d["right"], n_features),
     )
 
 
@@ -385,17 +398,27 @@ def model_to_dict(model: GbdtModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> GbdtModel:
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a {FORMAT_NAME} document")
-    params = GbdtParams(**doc["params"])
-    names = doc.get("feature_names")
-    return GbdtModel(
-        params=params,
-        n_features=int(doc["n_features"]),
-        trees=[_node_from_dict(t) for t in doc["trees"]],
-        base_logit=float(doc["base_logit"]),
-        feature_names=tuple(names) if names else None,
-    )
+    """Rebuild a model; raise ``ModelFormatError`` on a malformed or foreign document."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+        raise ModelFormatError(f"not a {FORMAT_NAME} document")
+    if doc.get("version") != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported {FORMAT_NAME} version {doc.get('version')!r}")
+    try:
+        n_features = int(doc["n_features"])
+        names = doc.get("feature_names")
+        if names and len(names) != n_features:
+            raise ValueError(f"{len(names)} feature names for {n_features} features")
+        params = GbdtParams(**doc["params"])
+        params.validate()
+        return GbdtModel(
+            params=params,
+            n_features=n_features,
+            trees=[_node_from_dict(t, n_features) for t in doc["trees"]],
+            base_logit=_finite(doc["base_logit"]),
+            feature_names=tuple(names) if names else None,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed {FORMAT_NAME} document: {exc!r}") from None
 
 
 def save_model(model: GbdtModel, path: str | Path) -> None:

@@ -57,15 +57,24 @@ class TriggerSeries:
         return [self.value(d) for d in dates]
 
 
-def log_close_slope(quotes: QuoteSeries, i0: int, i1: int) -> float:
-    """OLS slope of log close over rows i0..i1 inclusive (0.0 for a single row)."""
-    n = i1 - i0 + 1
-    if n < 2:
-        return 0.0
-    y = np.log(quotes.closes[i0 : i1 + 1])
+def _ols(y: np.ndarray) -> tuple[float, float]:
+    """Slope and R2 of y against 0..n-1; both are 0 when y has no variance."""
+    n = len(y)
     x = np.arange(n, dtype=np.float64)
     xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    ym = y.mean()
+    sstot = float(np.dot(y - ym, y - ym))
+    if sstot == 0.0:
+        return 0.0, 0.0
+    slope = float(np.dot(xc, y - ym) / np.dot(xc, xc))
+    resid = y - (ym + slope * xc)
+    r2 = 1.0 - float(np.dot(resid, resid)) / sstot
+    return slope, min(1.0, max(0.0, r2))
+
+
+def log_close_slope(quotes: QuoteSeries, i0: int, i1: int) -> float:
+    """OLS slope of log close over rows i0..i1 inclusive (0.0 for a single row)."""
+    return _ols(np.log(quotes.closes[i0 : i1 + 1]))[0]
 
 
 def _trend_direction(quotes: QuoteSeries, i0: int, i1: int) -> int:

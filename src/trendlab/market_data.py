@@ -12,7 +12,7 @@ a plain decimal point:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -28,55 +28,68 @@ from .errors import (
 
 QUOTE_COLUMNS = ("date", "open", "high", "low", "close", "volume", "stockname")
 LABEL_COLUMNS = ("date", "stockname", "id_select", "type", "username")
-LABEL_QUOTE_COLUMNS = ("open", "high", "low", "close", "volume")
+OHLCV_COLUMNS = ("open", "high", "low", "close", "volume")
 
 TREND = "Trend"
 FLAT = "Flat"
 
 
-@dataclass(frozen=True)
-class QuoteBar:
-    """One daily OHLCV bar."""
-
-    date: Date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def validate(self) -> None:
-        if min(self.open, self.high, self.low, self.close) <= 0.0:
-            raise InvariantError(f"non-positive price on {self.date}")
-        if self.volume < 0.0:
-            raise InvariantError(f"negative volume on {self.date}")
-        if self.low > min(self.open, self.close) or max(self.open, self.close) > self.high:
-            raise InvariantError(
-                f"OHLC ordering violated on {self.date}: "
-                f"open={self.open} high={self.high} low={self.low} close={self.close}"
-            )
-
-
-@dataclass
 class QuoteSeries:
-    """Date-sorted bars for one stock, with cached column arrays."""
+    """Date-sorted daily quotes of one stock, stored as read-only columns.
 
-    stockname: str
-    bars: list[QuoteBar]
-    _index: dict[Date, int] = field(init=False, repr=False, default_factory=dict)
+    The dates and the five float64 columns of ``OHLCV_COLUMNS`` are fixed at
+    construction: ``dates`` and ``column`` hand out the stored objects without
+    copying, and ``series[i:j]`` is a series whose columns are views of this
+    one's. Construction does not validate the quotes; ``validate`` does.
+    """
 
-    def __post_init__(self) -> None:
-        self._index = {bar.date: i for i, bar in enumerate(self.bars)}
+    __slots__ = ("stockname", "_dates", "_columns", "_index")
+
+    def __init__(
+        self,
+        stockname: str,
+        dates: Sequence[Date],
+        open: Sequence[float],
+        high: Sequence[float],
+        low: Sequence[float],
+        close: Sequence[float],
+        volume: Sequence[float],
+    ) -> None:
+        columns = {}
+        for name, values in zip(OHLCV_COLUMNS, (open, high, low, close, volume)):
+            array = np.array(values, dtype=np.float64)
+            array.flags.writeable = False
+            columns[name] = array
+        self._init(stockname, tuple(dates), columns)
+
+    def _init(self, stockname: str, dates: tuple[Date, ...], columns: dict) -> None:
+        if any(col.shape != (len(dates),) for col in columns.values()):
+            raise InvariantError(f"{stockname}: quote columns disagree in length")
+        self.stockname = stockname
+        self._dates = dates
+        self._columns = columns
+        self._index = {d: i for i, d in enumerate(dates)}
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self._dates)
+
+    def __getitem__(self, rows: slice) -> "QuoteSeries":
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError("a QuoteSeries is indexed by a contiguous slice only")
+        view = object.__new__(QuoteSeries)
+        view._init(
+            self.stockname,
+            self._dates[rows],
+            {name: col[rows] for name, col in self._columns.items()},
+        )
+        return view
 
     @property
-    def dates(self) -> list[Date]:
-        return [bar.date for bar in self.bars]
+    def dates(self) -> tuple[Date, ...]:
+        return self._dates
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(bar, name) for bar in self.bars], dtype=np.float64)
+        return self._columns[name]
 
     @property
     def closes(self) -> np.ndarray:
@@ -96,13 +109,33 @@ class QuoteSeries:
         return d in self._index
 
     def validate(self) -> None:
-        for bar in self.bars:
-            bar.validate()
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise DuplicateDateError(
-                    f"{self.stockname}: dates not strictly increasing at {cur.date}"
-                )
+        """Check every row, then the date order; the first bad row is reported."""
+        columns = [self._columns[name] for name in OHLCV_COLUMNS]
+        o, h, lo, c, v = columns
+        finite = np.logical_and.reduce([np.isfinite(col) for col in columns])
+        nonpositive = np.minimum(np.minimum(o, h), np.minimum(lo, c)) <= 0.0
+        misordered = (lo > np.minimum(o, c)) | (np.maximum(o, c) > h)
+        bad = np.flatnonzero(~finite | nonpositive | (v < 0.0) | misordered)
+        if bad.size:
+            i = int(bad[0])
+            d = self._dates[i]
+            if not finite[i]:
+                raise InvariantError(f"{self.stockname}: non-finite quote on {d}")
+            if nonpositive[i]:
+                raise InvariantError(f"non-positive price on {d}")
+            if v[i] < 0.0:
+                raise InvariantError(f"negative volume on {d}")
+            raise InvariantError(
+                f"OHLC ordering violated on {d}: "
+                f"open={float(o[i])} high={float(h[i])} low={float(lo[i])} close={float(c[i])}"
+            )
+        days = np.array(self._dates, dtype="datetime64[D]")
+        unordered = np.flatnonzero(days[1:] <= days[:-1])
+        if unordered.size:
+            raise DuplicateDateError(
+                f"{self.stockname}: dates not strictly increasing at "
+                f"{self._dates[int(unordered[0]) + 1]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -151,7 +184,8 @@ def load_quotes(path: str | Path, schema: Mapping[str, str] | None = None) -> Qu
     if schema:
         colmap.update(schema)
     reader, handle = _reader(path, [colmap[c] for c in QUOTE_COLUMNS])
-    bars: list[QuoteBar] = []
+    dates: list[Date] = []
+    columns: list[list[float]] = [[] for _ in OHLCV_COLUMNS]
     stockname: str | None = None
     try:
         for line, row in enumerate(reader, start=2):
@@ -160,25 +194,26 @@ def load_quotes(path: str | Path, schema: Mapping[str, str] | None = None) -> Qu
                 stockname = name
             elif name != stockname:
                 raise InvariantError(f"{path}:{line}: mixed stocknames {stockname!r}/{name!r}")
-            bar = QuoteBar(
-                date=_parse_date(row[colmap["date"]], path, line),
-                open=_parse_float(row[colmap["open"]], path, line, "open"),
-                high=_parse_float(row[colmap["high"]], path, line, "high"),
-                low=_parse_float(row[colmap["low"]], path, line, "low"),
-                close=_parse_float(row[colmap["close"]], path, line, "close"),
-                volume=_parse_float(row[colmap["volume"]], path, line, "volume"),
-            )
-            bar.validate()
-            bars.append(bar)
+            dates.append(_parse_date(row[colmap["date"]], path, line))
+            for values, c in zip(columns, OHLCV_COLUMNS):
+                values.append(_parse_float(row[colmap[c]], path, line, c))
     finally:
         handle.close()
     if stockname is None:
         raise ParseError(f"{path}: no data rows")
-    bars.sort(key=lambda b: b.date)
-    for prev, cur in zip(bars, bars[1:]):
-        if cur.date == prev.date:
-            raise DuplicateDateError(f"{path}: two rows for {cur.date}")
-    return QuoteSeries(stockname=stockname, bars=bars)
+    series = QuoteSeries(stockname, dates, *columns)
+    try:
+        series.validate()
+    except DuplicateDateError:
+        # every row is valid but the file is not in date order: sort it
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        for prev, cur in zip(order, order[1:]):
+            if dates[cur] == dates[prev]:
+                raise DuplicateDateError(f"{path}: two rows for {dates[cur]}") from None
+        series = QuoteSeries(
+            stockname, [dates[i] for i in order], *(series.column(c)[order] for c in OHLCV_COLUMNS)
+        )
+    return series
 
 
 def _format_number(value: float) -> str:
@@ -194,17 +229,10 @@ def save_quotes(series: QuoteSeries, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(QUOTE_COLUMNS)
-        for bar in series.bars:
+        columns = [series.column(c).tolist() for c in OHLCV_COLUMNS]
+        for d, o, h, lo, c, v in zip(series.dates, *columns):
             writer.writerow(
-                [
-                    bar.date.isoformat(),
-                    repr(bar.open),
-                    repr(bar.high),
-                    repr(bar.low),
-                    repr(bar.close),
-                    _format_number(bar.volume),
-                    series.stockname,
-                ]
+                [d.isoformat(), repr(o), repr(h), repr(lo), repr(c), _format_number(v), series.stockname]
             )
 
 
@@ -232,7 +260,7 @@ def load_label_file(path: str | Path) -> LabelFile:
     """Parse one label file; each file must carry a single (stockname, expert)."""
     path = Path(path)
     reader, handle = _reader(path, LABEL_COLUMNS)
-    has_quotes = all(c in (reader.fieldnames or ()) for c in LABEL_QUOTE_COLUMNS)
+    has_quotes = all(c in (reader.fieldnames or ()) for c in OHLCV_COLUMNS)
     rows: list[ExpertLabelRow] = []
     quotes: dict[tuple[Date, str], tuple[float, float, float, float, float]] = {}
     stockname: str | None = None
@@ -263,7 +291,7 @@ def load_label_file(path: str | Path) -> LabelFile:
             )
             if has_quotes:
                 quotes[(d, name)] = tuple(
-                    _parse_float(row[c], path, line, c) for c in LABEL_QUOTE_COLUMNS
+                    _parse_float(row[c], path, line, c) for c in OHLCV_COLUMNS
                 )
     finally:
         handle.close()
@@ -298,14 +326,9 @@ def merge_label_files(
     """
     registry: dict[tuple[Date, str], tuple[float, float, float, float, float]] = {}
     for series in quotes or ():
-        for bar in series.bars:
-            registry[(bar.date, series.stockname)] = (
-                bar.open,
-                bar.high,
-                bar.low,
-                bar.close,
-                bar.volume,
-            )
+        columns = [series.column(c).tolist() for c in OHLCV_COLUMNS]
+        for d, bar in zip(series.dates, zip(*columns)):
+            registry[(d, series.stockname)] = bar
 
     merged: list[ExpertLabelRow] = []
     seen: set[ExpertLabelRow] = set()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyInputError
 from .labels import ExpertWindow
-from .market_data import FLAT, TREND, ExpertLabelRow, QuoteBar, QuoteSeries
+from .market_data import FLAT, TREND, ExpertLabelRow, QuoteSeries
 
 SUBSTEPS = 8
 VOLUME_NOISE = 0.2
@@ -178,7 +178,7 @@ def gen_series(
 
     n_days = sum(r.length for r in regimes)
     dates = business_dates(start_date, n_days)
-    bars: list[QuoteBar] = []
+    opens, highs, lows, closes, volumes = [], [], [], [], []
     windows: list[ExpertWindow] = []
     log_close = math.log(start_price)
     row = 0
@@ -189,19 +189,12 @@ def gen_series(
         paths = log_close + np.cumsum(incs.reshape(-1)).reshape(r.length, SUBSTEPS)
         vol_noise = rng.normal(0.0, VOLUME_NOISE, size=r.length)
         log_vol = math.log(r.volume_level) + r.volume_trend * np.arange(r.length) + vol_noise
-        volumes = np.maximum(1.0, np.round(np.exp(log_vol)))
-        for i in range(r.length):
-            day = np.exp(paths[i])
-            bars.append(
-                QuoteBar(
-                    date=dates[row + i],
-                    open=float(day[0]),
-                    high=float(day.max()),
-                    low=float(day.min()),
-                    close=float(day[-1]),
-                    volume=float(volumes[i]),
-                )
-            )
+        volumes.append(np.maximum(1.0, np.round(np.exp(log_vol))))
+        days = np.exp(paths)
+        opens.append(days[:, 0])
+        highs.append(days.max(axis=1))
+        lows.append(days.min(axis=1))
+        closes.append(days[:, -1])
         log_close = float(paths[-1, -1])
         windows.append(
             ExpertWindow(
@@ -214,7 +207,8 @@ def gen_series(
             )
         )
         row += r.length
-    return QuoteSeries(stockname=stockname, bars=bars), windows
+    columns = (np.concatenate(c) for c in (opens, highs, lows, closes, volumes))
+    return QuoteSeries(stockname, dates, *columns), windows
 
 
 @dataclass(frozen=True)

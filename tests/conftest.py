@@ -6,7 +6,7 @@ from datetime import date as Date
 
 import numpy as np
 
-from trendlab.market_data import ExpertLabelRow, QuoteBar, QuoteSeries
+from trendlab.market_data import ExpertLabelRow, QuoteSeries
 from trendlab.synth import business_dates
 
 
@@ -21,19 +21,15 @@ def make_series(
     closes = np.asarray(closes, dtype=np.float64)
     if volumes is None:
         volumes = np.full(len(closes), 1000.0)
-    dates = business_dates(start, len(closes))
-    bars = [
-        QuoteBar(
-            date=dates[i],
-            open=float(closes[i]),
-            high=float(closes[i] * (1 + spread)),
-            low=float(closes[i] * (1 - spread)),
-            close=float(closes[i]),
-            volume=float(volumes[i]),
-        )
-        for i in range(len(closes))
-    ]
-    return QuoteSeries(stockname=stockname, bars=bars)
+    return QuoteSeries(
+        stockname,
+        business_dates(start, len(closes)),
+        open=closes,
+        high=closes * (1 + spread),
+        low=closes * (1 - spread),
+        close=closes,
+        volume=volumes,
+    )
 
 
 def label_rows(series: QuoteSeries, id_selects, tendencies, expert: str = "A"):
@@ -41,13 +37,13 @@ def label_rows(series: QuoteSeries, id_selects, tendencies, expert: str = "A"):
     assert len(id_selects) == len(series) == len(tendencies)
     return [
         ExpertLabelRow(
-            date=bar.date,
+            date=d,
             stockname=series.stockname,
             id_select=int(id_selects[i]),
             tendency=tendencies[i],
             expert=expert,
         )
-        for i, bar in enumerate(series.bars)
+        for i, d in enumerate(series.dates)
     ]
 
 

@@ -25,7 +25,6 @@ from trendlab.labels import (
     split_by_date,
     trigger_correction,
 )
-from trendlab.market_data import QuoteSeries
 from trendlab.pipeline import (
     PipelineConfig,
     StockStats,
@@ -296,7 +295,7 @@ def test_criterion_8_pipeline_oracle_and_no_look_ahead():
     rng = np.random.default_rng(301)
     for d in rng.integers(20, len(series) - 1, size=20):
         d = int(d)
-        truncated = QuoteSeries(stockname=series.stockname, bars=series.bars[: d + 1])
+        truncated = series[: d + 1]
         windows_t = clip_windows_to_span(windows, truncated, end_date=truncated.dates[-1])
         trace_t, _ = run_pipeline(
             truncated,

@@ -204,6 +204,38 @@ def test_backtest_missing_model_names_path(workdir, tmp_path, capsys):
     assert str(missing) in err
 
 
+def test_backtest_rejects_corrupted_model_file(workdir, tmp_path, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    doc = json.loads((workdir / "models" / "cp_model.json").read_text())
+    doc["trees"][0]["feature"] = len(CP_FEATURE_NAMES)
+    (models / "cp_model.json").write_text(json.dumps(doc))
+    (models / "tof_model.json").write_text((workdir / "models" / "tof_model.json").read_text())
+    code = main(
+        ["backtest", "--data", str(workdir / "data"), "--models", str(models),
+         "-o", str(tmp_path / "r")]
+    )
+    assert code == 1
+    assert "feature 22" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["prepare", "--seed", "1"], 2),
+        (["backtest", "--seed", "1"], 2),
+        (["backtest", "--config", "run.ini"], 2),
+        (["baseline", "--seed", "1"], 2),
+        (["baseline", "--config", "run.ini"], 2),
+        (["prepare"], 0),
+        (["baseline"], 0),
+    ],
+)
+def test_commands_reject_options_they_do_not_read(workdir, tmp_path, argv, code):
+    data = str(workdir / "data")
+    assert main([*argv, "--data", data, "-o", str(tmp_path / "out")]) == code
+
+
 def test_backtest_oracle_profit_matches_ledger(tmp_path):
     from datetime import date as Date
 
@@ -233,9 +265,7 @@ def test_backtest_oracle_profit_matches_ledger(tmp_path):
     for stock, entry in truth["stocks"].items():
         series = load_quotes(data / f"quotes_{stock}.csv")
         idx = next(i for i, d in enumerate(series.dates) if d >= Date(2011, 6, 1))
-        from trendlab.market_data import QuoteSeries
-
-        sliced = QuoteSeries(stockname=stock, bars=series.bars[idx:])
+        sliced = series[idx:]
         windows = [
             ExpertWindow(
                 stockname=stock, expert="truth",

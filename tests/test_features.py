@@ -16,7 +16,6 @@ from trendlab.features import (
     augment_fractions,
     build_tof_dataset,
     cp_feature_matrix,
-    cp_features,
     read_feature_csv,
     tof_features,
     write_feature_csv,
@@ -25,31 +24,53 @@ from trendlab.labels import extract_windows
 from trendlab.market_data import TREND
 
 
+def _cp_row(series, t, log_mode):
+    """Per-row reference for one row of ``cp_feature_matrix``, written out longhand."""
+    closes, volumes = series.closes, series.volumes
+    ks = range(1, 6)
+    raw = (
+        [closes[t - k] / closes[t] for k in ks]
+        + [closes[t + k] / closes[t] for k in ks]
+        + [volumes[t - k] / volumes[t] for k in ks]
+        + [volumes[t + k] / volumes[t] for k in ks]
+        + [series.column("high")[t] / closes[t], series.column("low")[t] / closes[t]]
+    )
+    return np.log(raw) if log_mode else np.array(raw)
+
+
+def _cp_rows(series, log_mode):
+    """Feature rows of ``cp_feature_matrix`` keyed by series row."""
+    ts, X = cp_feature_matrix(series, log_mode=log_mode)
+    return dict(zip(ts.tolist(), X))
+
+
 def test_cp_features_constant_series():
     series = make_series([100.0] * 11, volumes=[500.0] * 11)
-    log_row = cp_features(series, 5, log_mode=True)
-    assert np.allclose(log_row.vector()[:20], 0.0)
-    assert log_row.high == pytest.approx(math.log(1.01))
-    raw_row = cp_features(series, 5, log_mode=False)
-    assert np.allclose(raw_row.vector()[:20], 1.0)
+    log_row = _cp_rows(series, log_mode=True)[5]
+    assert np.allclose(log_row[:20], 0.0)
+    assert log_row[CP_FEATURE_NAMES.index("high")] == pytest.approx(math.log(1.01))
+    raw_row = _cp_rows(series, log_mode=False)[5]
+    assert np.allclose(raw_row[:20], 1.0)
 
 
 def test_cp_features_arithmetic():
     closes = [95.0, 96, 97, 98, 95, 100, 101, 102, 103, 104, 105]
     series = make_series(closes, volumes=[1000.0] * 11)
-    raw = cp_features(series, 5, log_mode=False)
-    assert raw.close_back[0] == pytest.approx(95.0 / 100.0)
-    log = cp_features(series, 5, log_mode=True)
-    assert log.close_back[0] == pytest.approx(math.log(0.95), abs=1e-12)
-    assert log.close_back[0] == pytest.approx(-0.0513, abs=1e-4)
+    back_1 = CP_FEATURE_NAMES.index("close_back_1")
+    raw = _cp_rows(series, log_mode=False)[5]
+    assert raw[back_1] == pytest.approx(95.0 / 100.0)
+    log = _cp_rows(series, log_mode=True)[5]
+    assert log[back_1] == pytest.approx(math.log(0.95), abs=1e-12)
+    assert log[back_1] == pytest.approx(-0.0513, abs=1e-4)
 
 
 def test_cp_features_skips_rows_without_context():
-    series = make_series([100.0] * 12)
-    assert cp_features(series, 4) is None
-    assert cp_features(series, 7) is None
-    assert cp_features(series, 5) is not None
-    assert cp_features(series, 6) is not None
+    ts, X = cp_feature_matrix(make_series([100.0] * 12))
+    assert ts.tolist() == [5, 6]
+    assert X.shape == (2, len(CP_FEATURE_NAMES))
+    ts, X = cp_feature_matrix(make_series([100.0] * 10))
+    assert ts.size == 0
+    assert X.shape == (0, len(CP_FEATURE_NAMES))
 
 
 def test_cp_features_zero_volume_errors():
@@ -57,12 +78,12 @@ def test_cp_features_zero_volume_errors():
     volumes[3] = 0.0
     series = make_series([100.0] * 11, volumes=volumes)
     with pytest.raises(ZeroVolumeError):
-        cp_features(series, 5, log_mode=True)
+        cp_feature_matrix(series, log_mode=True)
     # raw mode only needs the centre volume to be positive
-    assert cp_features(series, 5, log_mode=False) is not None
+    assert 5 in _cp_rows(series, log_mode=False)
     centre_zero = make_series([100.0] * 11, volumes=[100.0] * 5 + [0.0] + [100.0] * 5)
     with pytest.raises(ZeroVolumeError):
-        cp_features(centre_zero, 5, log_mode=False)
+        cp_feature_matrix(centre_zero, log_mode=False)
 
 
 def test_cp_log_equals_log_of_raw():
@@ -70,22 +91,20 @@ def test_cp_log_equals_log_of_raw():
     closes = 50 * np.exp(np.cumsum(rng.normal(0, 0.02, 40)))
     volumes = np.exp(rng.normal(8, 0.5, 40))
     series = make_series(closes, volumes=volumes)
+    raw_rows = _cp_rows(series, log_mode=False)
+    log_rows = _cp_rows(series, log_mode=True)
     for t in (5, 17, 34):
-        raw = cp_features(series, t, log_mode=False).vector()
-        log = cp_features(series, t, log_mode=True).vector()
-        assert np.allclose(log, np.log(raw), rtol=0, atol=1e-14)
+        assert np.allclose(log_rows[t], np.log(raw_rows[t]), rtol=0, atol=1e-14)
 
 
 def test_cp_features_scale_invariance():
     rng = np.random.default_rng(9)
     closes = 50 * np.exp(np.cumsum(rng.normal(0, 0.02, 30)))
     volumes = np.exp(rng.normal(8, 0.5, 30))
-    base = make_series(closes, volumes=volumes)
-    scaled = make_series(closes * 7.5, volumes=volumes * 3.0)
+    base = _cp_rows(make_series(closes, volumes=volumes), log_mode=False)
+    scaled = _cp_rows(make_series(closes * 7.5, volumes=volumes * 3.0), log_mode=False)
     for t in (5, 12, 24):
-        a = cp_features(base, t, log_mode=False).vector()
-        b = cp_features(scaled, t, log_mode=False).vector()
-        assert np.allclose(a, b, rtol=1e-12)
+        assert np.allclose(base[t], scaled[t], rtol=1e-12)
 
 
 def test_cp_feature_matrix_matches_per_row():
@@ -97,8 +116,7 @@ def test_cp_feature_matrix_matches_per_row():
         ts, X = cp_feature_matrix(series, log_mode=log_mode)
         assert list(ts) == list(range(5, 20))
         for i, t in enumerate(ts):
-            row = cp_features(series, int(t), log_mode=log_mode)
-            assert np.array_equal(X[i], row.vector())
+            assert np.array_equal(X[i], _cp_row(series, int(t), log_mode))
 
 
 def test_tof_features_exact_line():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trendlab import gbdt
-from trendlab.errors import ShapeError, SingleClassWarning
+from trendlab.errors import ModelFormatError, ShapeError, SingleClassWarning
 from trendlab.gbdt import (
     GbdtModel,
     GbdtParams,
@@ -309,8 +309,63 @@ def test_serialization_round_trip_exact(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["missing_branch"] == "left"
     assert doc["format"] == "trendlab.gbdt"
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError):
         model_from_dict({"format": "other"})
+
+
+def _corrupt(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+def test_model_from_dict_rejects_malformed_documents():
+    X = np.random.default_rng(11).normal(size=(80, 3))
+    model = fit(X, (X[:, 0] > 0).astype(int), GbdtParams(n_estimators=2, max_depth=2))
+    doc = model_to_dict(model)
+    assert model_to_dict(model_from_dict(doc)) == doc
+
+    def bad_feature(d):
+        d["trees"][0]["feature"] = 3
+
+    def negative_feature(d):
+        d["trees"][1]["feature"] = -1
+
+    def no_right_child(d):
+        del d["trees"][0]["right"]
+
+    def wrong_version(d):
+        d["version"] = 99
+
+    def no_base_logit(d):
+        del d["base_logit"]
+
+    def unknown_param(d):
+        d["params"]["depth"] = 3
+
+    def invalid_param(d):
+        d["params"]["learning_rate"] = -0.1
+
+    def nan_leaf(d):
+        d["trees"][0]["left"] = {"leaf": float("nan")}
+
+    def too_few_names(d):
+        d["feature_names"] = ["a", "b"]
+
+    for edit in (bad_feature, negative_feature, no_right_child, wrong_version, no_base_logit,
+                 unknown_param, invalid_param, nan_leaf, too_few_names):
+        with pytest.raises(ModelFormatError):
+            model_from_dict(_corrupt(doc, edit))
+
+
+def test_fit_rejects_non_finite_features():
+    X = np.random.default_rng(12).normal(size=(20, 2))
+    y = (X[:, 0] > 0).astype(int)
+    for bad in (np.nan, np.inf, -np.inf):
+        Xb = X.copy()
+        Xb[7, 1] = bad
+        with pytest.raises(ShapeError):
+            fit(Xb, y, GbdtParams(n_estimators=1))
 
 
 def test_missing_values_route_left():

@@ -27,10 +27,10 @@ def test_extract_windows_splits_on_id_select_change():
     rows = segment_labels(series, [(3, TREND), (2, TREND)])
     windows = extract_windows(rows, series)
     assert len(windows) == 2
-    assert windows[0].start_date == series.bars[0].date
-    assert windows[0].end_date == series.bars[2].date
-    assert windows[1].start_date == series.bars[3].date
-    assert windows[1].end_date == series.bars[4].date
+    assert windows[0].start_date == series.dates[0]
+    assert windows[0].end_date == series.dates[2]
+    assert windows[1].start_date == series.dates[3]
+    assert windows[1].end_date == series.dates[4]
 
 
 def test_extract_windows_single_window():

@@ -16,8 +16,8 @@ from trendlab.errors import (
     ParseError,
 )
 from trendlab.market_data import (
+    OHLCV_COLUMNS,
     ExpertLabelRow,
-    QuoteBar,
     load_label_file,
     load_quotes,
     merge_label_files,
@@ -37,10 +37,9 @@ def write(path: Path, text: str) -> Path:
 def test_load_quotes_parses_fields(tmp_path):
     p = write(tmp_path / "q.csv", QUOTE_HEADER + "2014-10-14,10.0,12.0,9.0,11.0,1000,ACME\n")
     series = load_quotes(p)
-    bar = series.bars[0]
     assert series.stockname == "ACME"
-    assert (bar.open, bar.high, bar.low, bar.close, bar.volume) == (10.0, 12.0, 9.0, 11.0, 1000.0)
-    assert bar.date == Date(2014, 10, 14)
+    assert [float(series.column(c)[0]) for c in OHLCV_COLUMNS] == [10.0, 12.0, 9.0, 11.0, 1000.0]
+    assert series.dates == (Date(2014, 10, 14),)
 
 
 def test_load_quotes_rejects_inverted_high_low(tmp_path):
@@ -74,7 +73,7 @@ def test_load_quotes_sorts_and_rejects_bad_cells(tmp_path):
         + "2014-10-14,10.0,12.0,9.0,11.0,1000,ACME\n",
     )
     series = load_quotes(p)
-    assert [b.date.day for b in series.bars] == [14, 15]
+    assert [d.day for d in series.dates] == [14, 15]
 
     bad = write(tmp_path / "bad.csv", QUOTE_HEADER + "2014-10-14,ten,12.0,9.0,11.0,1000,ACME\n")
     with pytest.raises(ParseError):
@@ -93,7 +92,7 @@ def test_load_quotes_with_schema_mapping(tmp_path):
     }
     series = load_quotes(p, schema=schema)
     assert series.stockname == "ACME"
-    assert series.bars[0].close == 11.0
+    assert series.closes[0] == 11.0
 
 
 def test_quotes_round_trip_is_lossless(tmp_path):
@@ -104,8 +103,38 @@ def test_quotes_round_trip_is_lossless(tmp_path):
     save_quotes(series, out)
     loaded = load_quotes(out)
     assert loaded.stockname == series.stockname
-    for a, b in zip(series.bars, loaded.bars):
-        assert a == b
+    assert loaded.dates == series.dates
+    for c in OHLCV_COLUMNS:
+        assert np.array_equal(loaded.column(c), series.column(c))
+
+
+def test_quotes_save_load_save_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(4)
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=40)))
+    volumes = np.round(np.exp(rng.normal(8, 0.5, size=40)))
+    volumes[3] = 1234.5  # a non-integral volume keeps its decimals
+    first = tmp_path / "first.csv"
+    second = tmp_path / "second.csv"
+    save_quotes(make_series(closes, volumes=volumes), first)
+    save_quotes(load_quotes(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_slice_shares_memory_and_columns_are_read_only():
+    series = make_series(np.linspace(10.0, 20.0, 30))
+    part = series[10:20]
+    assert len(part) == 10
+    assert part.dates == series.dates[10:20]
+    assert part.index_of(series.dates[10]) == 0
+    for c in OHLCV_COLUMNS:
+        assert np.shares_memory(part.column(c), series.column(c))
+        assert np.array_equal(part.column(c), series.column(c)[10:20])
+        assert not series.column(c).flags.writeable
+        assert not part.column(c).flags.writeable
+    with pytest.raises(ValueError):
+        series.closes[0] = 1.0
+    assert series.column("close") is series.column("close")
+    assert series.dates is series.dates
 
 
 def test_label_round_trip_and_na_mapping(tmp_path):
@@ -202,7 +231,33 @@ def test_merge_retained_rows_unique_per_date_stock_expert(tmp_path):
     assert len(keys) == len(set(keys))
 
 
-def test_quote_bar_validate_catches_negative_volume():
-    bar = QuoteBar(Date(2014, 10, 14), 10.0, 12.0, 9.0, 11.0, -1.0)
-    with pytest.raises(InvariantError):
-        bar.validate()
+def test_validate_catches_negative_volume():
+    series = make_series([11.0, 11.0], volumes=[1000.0, -1.0])
+    with pytest.raises(InvariantError, match="negative volume"):
+        series.validate()
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ["2014-10-15,10.0,12.0,9.0,nan,1000,ACME\n", "2014-10-15,10.0,12.0,9.0,11.0,inf,ACME\n"],
+    ids=["nan_close", "inf_volume"],
+)
+def test_load_quotes_rejects_non_finite_quotes(tmp_path, bad_row):
+    p = write(
+        tmp_path / "q.csv",
+        QUOTE_HEADER + "2014-10-14,10.0,12.0,9.0,11.0,1000,ACME\n" + bad_row,
+    )
+    with pytest.raises(InvariantError, match="ACME: non-finite quote on 2014-10-15"):
+        load_quotes(p)
+
+
+def test_load_quotes_reports_first_bad_row_in_file_order(tmp_path):
+    p = write(
+        tmp_path / "q.csv",
+        QUOTE_HEADER
+        + "2014-10-16,10.0,12.0,9.0,11.0,-5,ACME\n"
+        + "2014-10-14,10.0,9.0,12.0,11.0,1000,ACME\n"
+        + "2014-10-16,10.0,12.0,9.0,11.0,1000,ACME\n",
+    )
+    with pytest.raises(InvariantError, match="negative volume on 2014-10-16"):
+        load_quotes(p)

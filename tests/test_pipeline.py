@@ -168,10 +168,8 @@ def test_no_look_ahead_replay_truncation():
     tof = oracle_tof_scorer(windows, series)
     full_trace, _ = run_pipeline(series, cp, tof, cfg)
     rng = np.random.default_rng(3)
-    from trendlab.market_data import QuoteSeries
-
     for d in rng.integers(20, len(series) - 1, size=8):
-        truncated = QuoteSeries(stockname=series.stockname, bars=series.bars[: int(d) + 1])
+        truncated = series[: int(d) + 1]
         windows_t = clip_windows_to_span(windows, truncated, end_date=truncated.dates[-1])
         trace_t, _ = run_pipeline(
             truncated, oracle_cp_scorer(windows_t, truncated),
