@@ -611,30 +611,30 @@ def _baseline_reports(
     return out
 
 
-def _split_date_for_backtest(args, prepared: Path | None, quotes) -> Date:
-    if args.split_date is not None:
-        return args.split_date
-    if prepared is not None and (prepared / "prep_report.json").exists():
-        doc = json.loads((prepared / "prep_report.json").read_text(encoding="utf-8"))
-        return Date.fromisoformat(doc["split_date"])
-    return _default_split_date(quotes, 0.7)
-
-
 def cmd_backtest(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     prepared = Path(args.prepared) if args.prepared else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    quotes, label_paths = _load_universe(data_dir)
+    quotes, _ = _load_universe(data_dir)
     truth = _truth_windows(data_dir)
-    split_date = _split_date_for_backtest(args, prepared, quotes)
 
+    prep_path = prepared / "prep_report.json" if prepared is not None else None
+    prep_report = (
+        json.loads(prep_path.read_text(encoding="utf-8"))
+        if prep_path is not None and prep_path.exists()
+        else None
+    )
+    split_date = args.split_date
+    if split_date is None:
+        split_date = (
+            Date.fromisoformat(prep_report["split_date"])
+            if prep_report is not None
+            else _default_split_date(quotes, 0.7)
+        )
     log_mode = args.log_mode
-    if log_mode is None and prepared is not None and (prepared / "prep_report.json").exists():
-        doc = json.loads((prepared / "prep_report.json").read_text(encoding="utf-8"))
-        log_mode = bool(doc["log_mode"])
     if log_mode is None:
-        log_mode = True
+        log_mode = bool(prep_report["log_mode"]) if prep_report is not None else True
 
     thresholds = [float(x) for x in str(args.cp_threshold).split(",")]
     tof_threshold = args.tof_threshold
@@ -714,14 +714,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
                     idx = [i for i, p in enumerate(fractions) if p == frac]
                     acc = float(np.mean(pred[idx] == y[idx]))
                     f.write(f"{frac},{len(idx)},{repr(acc)}\n")
-
-    baseline = _baseline_reports(
-        quotes, label_paths, truth, split_date, _experts_list(args.experts)
-    )
-    _write_json(
-        {"split_date": split_date.isoformat(), "experts": baseline},
-        out_dir / "baseline_report.json",
-    )
     return 0
 
 
@@ -838,7 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prepared", default=None)
     p.add_argument("--models", default=None)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
     p.add_argument(
         "--cp-threshold", dest="cp_threshold", default="0.5",

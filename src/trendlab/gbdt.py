@@ -312,17 +312,8 @@ def predict_proba(model: GbdtModel, X: object) -> np.ndarray:
 
 
 def predict_row_proba(model: GbdtModel, row: Sequence[float]) -> float:
-    """Single-row probability without array plumbing (used by the simulator)."""
-    if len(row) != model.n_features:
-        raise ShapeError(f"model expects {model.n_features} features, got {len(row)}")
-    margin = model.base_logit
-    for tree in model.trees:
-        node = tree
-        while not node.is_leaf:
-            v = row[node.feature]
-            node = node.left if (v < node.threshold or math.isnan(v)) else node.right
-        margin += node.value
-    return float(_sigmoid(np.array([margin]))[0])
+    """Probability for a single row: ``predict_proba`` on a one-row matrix."""
+    return float(predict_proba(model, [row])[0])
 
 
 def predict(model: GbdtModel, X: object, threshold: float = 0.5) -> np.ndarray:

@@ -1,14 +1,18 @@
-"""Day-by-day two-stage simulation and profit accounting.
+"""Two-stage simulation and profit accounting: score first, then walk.
 
-The walk mirrors how the signals would be available in real time: the
-changepoint features for day t need five future bars, so a positive
-changepoint decision for day t becomes actionable only on day t+5. From the
-day the window prefix reaches ``min_window_days``, the trend/flat model is
-asked about the prefix every day; its first positive answer opens a position
-at that day's close, with the direction latched from the sign of the
-prefix's close-slope feature. A position closes when the trend/flat answer
-flips back to flat (unless ``hold_until_changepoint``), when the next
-changepoint signal becomes actionable, or at the end of the series.
+Signals become available as they would in real time: the changepoint
+features for row t need five future bars, so a positive changepoint answer
+for row t acts on day t+5 and starts a window at row t. With the threshold
+fixed, these answers fix every window, and so every prefix the trend/flat
+model is asked about. ``run_pipeline`` therefore scores every changepoint
+row in one call, then the trend/flat prefix of every day from its window's
+first possible entry day (``PipelineConfig.entry_lag``) on in one call, and
+only then walks the days. The first positive trend/flat answer in a window
+opens a position at that day's close, with the direction latched from the
+sign of the prefix's close-slope feature. A position closes when the
+trend/flat answer flips back to flat (unless ``hold_until_changepoint``),
+when the next changepoint signal acts, or at the end of the series. No
+answer used on day d reads a bar after day d.
 """
 
 from __future__ import annotations
@@ -18,22 +22,26 @@ import csv
 import json
 from dataclasses import dataclass, field
 from datetime import date as Date
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import gbdt
-from .errors import ConfigError, EmptyInputError, SeriesTooShortError
-from .features import TofRow, cp_feature_matrix, tof_features
+from .errors import ConfigError, EmptyInputError, SeriesTooShortError, ShapeError
+from .features import TOF_FEATURE_NAMES, cp_feature_matrix, tof_features
 from .labels import ExpertWindow
 from .market_data import TREND, QuoteSeries
 
 BUSINESS_DAYS_PER_YEAR = 250
 CP_LAG_DAYS = 5
 
-CpScorer = Callable[[int, np.ndarray], float]
-TofScorer = Callable[[int, int, TofRow], float]
+# Batch scorers: one probability per row. ``score(ts, X)`` gets the cp rows'
+# series indices; ``score(starts, days, X)`` gets each trend/flat prefix's window
+# start and last day.
+CpScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
+TofScorer = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -43,22 +51,17 @@ class PipelineConfig:
     min_window_days: int = 6
     log_mode: bool = True
     hold_until_changepoint: bool = False
-    cp_lag_days: int = CP_LAG_DAYS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cp_threshold < 1.0 or not 0.0 < self.tof_threshold < 1.0:
             raise ConfigError("thresholds must lie strictly inside (0, 1)")
         if self.min_window_days < 2:
             raise ConfigError("min_window_days must be >= 2")
-        if self.cp_lag_days != CP_LAG_DAYS:
-            raise ConfigError(
-                f"cp_lag_days is fixed at {CP_LAG_DAYS} by the +/-5-day feature window"
-            )
 
     @property
     def entry_lag(self) -> int:
         """Rows between a window start and its first possible entry day."""
-        return max(self.cp_lag_days, self.min_window_days - 1)
+        return max(CP_LAG_DAYS, self.min_window_days - 1)
 
 
 @dataclass(frozen=True)
@@ -268,38 +271,33 @@ def save_report(report: BacktestReport, path: str | Path, per_stock: Sequence[St
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
 
 
-def _as_cp_scorer(cp_model: gbdt.GbdtModel | CpScorer) -> CpScorer:
-    if isinstance(cp_model, gbdt.GbdtModel):
-        return lambda t, row: gbdt.predict_row_proba(cp_model, row)
-    return cp_model
-
-
-def _as_tof_scorer(tof_model: gbdt.GbdtModel | TofScorer) -> TofScorer:
-    if isinstance(tof_model, gbdt.GbdtModel):
-        return lambda start, t, row: gbdt.predict_row_proba(tof_model, row.vector())
-    return tof_model
+def _score(
+    model: gbdt.GbdtModel | CpScorer | TofScorer, X: np.ndarray, *keys: np.ndarray
+) -> list[float]:
+    """One stage's probabilities for every row of ``X``, in one call."""
+    if isinstance(model, gbdt.GbdtModel):
+        probas = gbdt.predict_proba(model, X)
+    else:
+        probas = np.asarray(model(*keys, X), dtype=np.float64)
+    if probas.shape != (len(X),):
+        raise ShapeError(f"scorer returned shape {probas.shape} for {len(X)} rows")
+    return probas.tolist()
 
 
 def oracle_cp_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> CpScorer:
     """Fires with probability 1 exactly on the true window start rows."""
-    starts = {quotes.index_of(w.start_date) for w in windows}
-    return lambda t, row: 1.0 if t in starts else 0.0
+    fires = np.zeros(len(quotes))
+    fires[[quotes.index_of(w.start_date) for w in windows]] = 1.0
+    return lambda ts, X: fires[ts]
 
 
 def oracle_tof_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> TofScorer:
     """Answers 1 iff the window containing the prefix start is a trend."""
-    bounds = [
-        (quotes.index_of(w.start_date), quotes.index_of(w.end_date), w.tendency == TREND)
-        for w in windows
-    ]
-
-    def score(start: int, t: int, row: TofRow) -> float:
-        for lo, hi, is_trend in bounds:
-            if lo <= start <= hi:
-                return 1.0 if is_trend else 0.0
-        return 0.0
-
-    return score
+    is_trend = np.zeros(len(quotes))
+    for w in reversed(windows):  # the first window that holds a row decides it
+        lo, hi = quotes.index_of(w.start_date), quotes.index_of(w.end_date)
+        is_trend[lo : hi + 1] = 1.0 if w.tendency == TREND else 0.0
+    return lambda starts, days, X: is_trend[starts]
 
 
 def run_pipeline(
@@ -308,7 +306,7 @@ def run_pipeline(
     tof_model: gbdt.GbdtModel | TofScorer,
     cfg: PipelineConfig | None = None,
 ) -> tuple[SignalTrace, StockStats]:
-    """Walk the series in order and trade on the two-stage signals."""
+    """Score both stages over the series, then walk the days in order and trade."""
     cfg = cfg or PipelineConfig()
     n = len(series)
     if n < 2 * CP_LAG_DAYS + 1:
@@ -317,19 +315,36 @@ def run_pipeline(
     closes = series.closes
     volumes = series.volumes
     dates = series.dates
-    cp_score = _as_cp_scorer(cp_model)
-    tof_score = _as_tof_scorer(tof_model)
 
+    # 1. Changepoint stage: the answer about row t becomes actionable on day t + CP_LAG_DAYS.
     ts, cp_X = cp_feature_matrix(series, log_mode=cfg.log_mode)
-    if isinstance(cp_model, gbdt.GbdtModel) and len(ts):
-        probas = gbdt.predict_proba(cp_model, cp_X)
-        cp_proba_by_t = {int(t): float(probas[i]) for i, t in enumerate(ts)}
-    else:
-        cp_proba_by_t = {int(t): cp_score(int(t), cp_X[i]) for i, t in enumerate(ts)}
+    cp_proba: list[float | None] = [None] * n
+    for t, proba in zip(ts.tolist(), _score(cp_model, cp_X, ts)):
+        cp_proba[t + CP_LAG_DAYS] = proba
+    cp_signal = [int(p is not None and p >= cfg.cp_threshold) for p in cp_proba]
 
+    # 2. Trend/flat stage: each day's window, then every prefix the walk asks about.
+    window_id = list(accumulate(cp_signal))  # 0 until the first changepoint acts
+    fired = [d for d in range(n) if cp_signal[d]]
+    window_start = [fired[w - 1] - CP_LAG_DAYS if w else None for w in window_id]
+    days = [d for d, s in enumerate(window_start) if s is not None and d - s >= cfg.entry_lag]
+    starts = [window_start[d] for d in days]
+    tof_rows = [
+        tof_features(closes[s : d + 1], volumes[s : d + 1], log_mode=cfg.log_mode)
+        for s, d in zip(starts, days)
+    ]
+    tof_X = np.array([r.vector() for r in tof_rows]).reshape(-1, len(TOF_FEATURE_NAMES))
+    tof_probas = _score(
+        tof_model, tof_X, np.array(starts, dtype=np.int64), np.array(days, dtype=np.int64)
+    )
+    tof_proba: list[float | None] = [None] * n
+    tof_direction = [0] * n
+    for d, proba, tof_row in zip(days, tof_probas, tof_rows):
+        tof_proba[d] = proba
+        tof_direction[d] = tof_row.direction_hint
+
+    # 3. The position state machine over the per-day answers.
     trace = SignalTrace(stockname=series.stockname)
-    window_start: int | None = None
-    window_id = 0
     window_had_position = False
     entry_row: int | None = None
     entry_direction = 0
@@ -355,56 +370,43 @@ def run_pipeline(
         entry_direction = 0
 
     for d in range(n):
-        row = TraceRow(date=dates[d])
         opened_today = False
         closed_today = False
+        if cp_signal[d]:
+            if entry_row is not None:
+                close_position(d, "changepoint")
+                closed_today = True
+            window_had_position = False
 
-        t = d - cfg.cp_lag_days
-        if t in cp_proba_by_t:
-            proba = cp_proba_by_t[t]
-            row.cp_proba = proba
-            if proba >= cfg.cp_threshold:
-                row.cp_signal = 1
-                if entry_row is not None:
-                    close_position(d, "changepoint")
-                    closed_today = True
-                window_id += 1
-                window_start = t
-                window_had_position = False
+        proba = tof_proba[d]
+        tof_signal = None if proba is None else int(proba >= cfg.tof_threshold)
+        if tof_signal == 1 and entry_row is None and not window_had_position:
+            entry_row = d
+            entry_direction = tof_direction[d]
+            window_had_position = True
+            opened_today = True
+        elif tof_signal == 0 and entry_row is not None and not cfg.hold_until_changepoint:
+            close_position(d, "tof_flat")
+            closed_today = True
 
-        if window_start is not None:
-            row.window_id = window_id
-            if d - window_start + 1 >= cfg.min_window_days:
-                tof_row = tof_features(
-                    closes[window_start : d + 1],
-                    volumes[window_start : d + 1],
-                    log_mode=cfg.log_mode,
-                )
-                proba = tof_score(window_start, d, tof_row)
-                signal = int(proba >= cfg.tof_threshold)
-                row.tof_proba = proba
-                row.tof_signal = signal
-                if signal == 1 and entry_row is None and not window_had_position:
-                    entry_row = d
-                    entry_direction = tof_row.direction_hint
-                    window_had_position = True
-                    opened_today = True
-                elif signal == 0 and entry_row is not None and not cfg.hold_until_changepoint:
-                    close_position(d, "tof_flat")
-                    closed_today = True
-
-        row.direction = entry_direction
-        if opened_today and closed_today:
-            row.position_state = "exit_enter"
-        elif opened_today:
-            row.position_state = "enter"
+        if opened_today:
+            state = "exit_enter" if closed_today else "enter"
         elif closed_today:
-            row.position_state = "exit"
-        elif entry_row is not None:
-            row.position_state = "in"
+            state = "exit"
         else:
-            row.position_state = "flat"
-        trace.rows.append(row)
+            state = "flat" if entry_row is None else "in"
+        trace.rows.append(
+            TraceRow(
+                date=dates[d],
+                cp_proba=cp_proba[d],
+                cp_signal=cp_signal[d],
+                window_id=window_id[d] or None,
+                tof_proba=proba,
+                tof_signal=tof_signal,
+                direction=entry_direction,
+                position_state=state,
+            )
+        )
 
     if entry_row is not None:
         close_position(n - 1, "series_end")

@@ -26,6 +26,7 @@ from trendlab.labels import (
     trigger_correction,
 )
 from trendlab.pipeline import (
+    CP_LAG_DAYS,
     PipelineConfig,
     StockStats,
     aggregate,
@@ -303,7 +304,7 @@ def test_criterion_8_pipeline_oracle_and_no_look_ahead():
             oracle_tof_scorer(windows_t, truncated),
             cfg,
         )
-        horizon = d - cfg.cp_lag_days
+        horizon = d - CP_LAG_DAYS
         for full_row, cut_row in zip(trace.rows[: horizon + 1], trace_t.rows[: horizon + 1]):
             assert (full_row.cp_proba, full_row.cp_signal) == (cut_row.cp_proba, cut_row.cp_signal)
             assert (full_row.tof_proba, full_row.tof_signal) == (cut_row.tof_proba, cut_row.tof_signal)
@@ -370,6 +371,7 @@ def test_criterion_10_end_to_end_sanity(tmp_path):
         ["backtest", "--data", str(data), "--prepared", str(prep),
          "--models", str(models), "-o", str(reports)]
     ) == 0
+    assert main(["baseline", "--data", str(data), "-o", str(reports)]) == 0
     report = json.loads((reports / "backtest_report_t0.50.json").read_text())
     baseline = json.loads((reports / "baseline_report.json").read_text())
     never_trade = 0.0

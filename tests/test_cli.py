@@ -187,7 +187,7 @@ def test_backtest_outputs_and_threshold_sweep(workdir, tmp_path):
                 row["Profit_lng"] + row["Profit_sht"], abs=1e-12
             )
     assert (out / "fraction_accuracy.csv").exists()
-    assert (out / "baseline_report.json").exists()
+    assert not (out / "baseline_report.json").exists()  # the baseline command writes it
     traces = list(out.glob("trace_*_t0.50.csv"))
     assert len(traces) == 2
 
@@ -229,6 +229,7 @@ def test_backtest_rejects_corrupted_model_file(workdir, tmp_path, capsys):
         (["baseline", "--config", "run.ini"], 2),
         (["prepare"], 0),
         (["baseline"], 0),
+        (["backtest", "--experts", "D"], 2),
     ],
 )
 def test_commands_reject_options_they_do_not_read(workdir, tmp_path, argv, code):

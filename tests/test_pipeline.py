@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from datetime import date as Date
 
 import numpy as np
 import pytest
 
 from conftest import make_series
-from trendlab.errors import EmptyInputError, SeriesTooShortError
-from trendlab.labels import ExpertWindow
+from reference_pipeline import (
+    reference_run_pipeline,
+    row_oracle_cp_scorer,
+    row_oracle_tof_scorer,
+)
+from trendlab import gbdt
+from trendlab.errors import EmptyInputError, SeriesTooShortError, ShapeError
+from trendlab.features import build_cp_dataset, build_tof_dataset
+from trendlab.labels import ExpertWindow, new_trigger
 from trendlab.market_data import FLAT, TREND
 from trendlab.pipeline import (
     BUSINESS_DAYS_PER_YEAR,
+    CP_LAG_DAYS,
     PipelineConfig,
     Position,
     StockStats,
@@ -24,7 +33,7 @@ from trendlab.pipeline import (
     run_pipeline,
     trend_profit,
 )
-from trendlab.synth import RegimeSpec, gen_series, lagged_regime_ledger
+from trendlab.synth import RegimeSpec, SamplerConfig, gen_series, lagged_regime_ledger
 
 
 def test_trend_profit_formulas():
@@ -105,12 +114,14 @@ def test_stock_stats_additivity():
 def test_run_pipeline_too_short():
     series = make_series(100 + np.arange(10.0))
     with pytest.raises(SeriesTooShortError):
-        run_pipeline(series, lambda t, row: 0.0, lambda s, t, row: 0.0)
+        run_pipeline(series, lambda ts, X: np.zeros(len(ts)), lambda s, d, X: np.zeros(len(d)))
 
 
 def test_run_pipeline_never_firing_cp_means_no_positions():
     series = make_series(100 + np.arange(60.0))
-    trace, stats = run_pipeline(series, lambda t, row: 0.0, lambda s, t, row: 1.0)
+    trace, stats = run_pipeline(
+        series, lambda ts, X: np.zeros(len(ts)), lambda s, d, X: np.ones(len(d))
+    )
     assert stats.times_in == 0
     assert stats.profit == 0.0
     assert stats.days_in == 0
@@ -119,7 +130,9 @@ def test_run_pipeline_never_firing_cp_means_no_positions():
 
 def test_run_pipeline_always_cp_flat_tof_means_no_positions():
     series = make_series(100 + np.arange(60.0))
-    trace, stats = run_pipeline(series, lambda t, row: 1.0, lambda s, t, row: 0.0)
+    trace, stats = run_pipeline(
+        series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d))
+    )
     assert stats.times_in == 0
     assert any(r.cp_signal == 1 for r in trace.rows)
     assert all((r.tof_signal in (None, 0)) for r in trace.rows)
@@ -175,7 +188,7 @@ def test_no_look_ahead_replay_truncation():
             truncated, oracle_cp_scorer(windows_t, truncated),
             oracle_tof_scorer(windows_t, truncated), cfg,
         )
-        horizon = int(d) - cfg.cp_lag_days
+        horizon = int(d) - CP_LAG_DAYS
         for full_row, cut_row in zip(full_trace.rows[: horizon + 1], trace_t.rows[: horizon + 1]):
             assert full_row.date == cut_row.date
             assert full_row.cp_proba == cut_row.cp_proba
@@ -184,17 +197,143 @@ def test_no_look_ahead_replay_truncation():
             assert full_row.tof_signal == cut_row.tof_signal
 
 
+SMALL_UNIVERSE = SamplerConfig(
+    n_days=350, trend_length=(40, 90), flat_length=(20, 60),
+    drift_range=(0.002, 0.005), volatility_range=(0.004, 0.01),
+)
+
+
+@pytest.fixture(scope="module")
+def trained_models():
+    """Small cp/tof models per feature space, trained on one synth series."""
+    train_series, train_windows = gen_series(
+        SamplerConfig(n_days=1500, trend_length=(40, 90), flat_length=(20, 60)),
+        seed=[17, 0], stockname="TRN",
+    )
+    models = {}
+    for log_mode in (True, False):
+        cp_ds = build_cp_dataset(train_series, new_trigger(train_windows), log_mode=log_mode)
+        balance = float((cp_ds.y == 0).sum() / (cp_ds.y == 1).sum())
+        cp = gbdt.fit(cp_ds.X, cp_ds.y, gbdt.GbdtParams(
+            n_estimators=10, max_depth=3, scale_pos_weight=balance))
+        tof_ds = build_tof_dataset(train_windows, train_series, log_mode=log_mode)
+        tof = gbdt.fit(tof_ds.X, tof_ds.y, gbdt.GbdtParams(n_estimators=10, max_depth=3))
+        models[log_mode] = (cp, tof)
+    return models
+
+
+def _assert_same_run(got, want):
+    (trace, stats), (ref_trace, ref_stats) = got, want
+    assert trace.stockname == ref_trace.stockname
+    # repr also tells a numpy scalar from a float, which the trace CSV would show
+    assert [repr(astuple(r)) for r in trace.rows] == [repr(astuple(r)) for r in ref_trace.rows]
+    assert trace.positions == ref_trace.positions
+    assert stats == ref_stats
+
+
+@pytest.mark.parametrize("log_mode", [True, False])
+@pytest.mark.parametrize("hold", [False, True])
+@pytest.mark.parametrize("min_window_days", [6, 9])
+def test_batch_pipeline_matches_per_row_reference(trained_models, log_mode, hold, min_window_days):
+    series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 1], stockname="TST")
+    cp_model, tof_model = trained_models[log_mode]
+    probas = np.random.default_rng(5).choice([0.2, 0.6, 0.9], size=len(series), p=[0.9, 0.07, 0.03])
+
+    def row_tof(start, t, row):
+        return min(1.0, abs(row.reg_close) * 200.0) if (t - start) % 7 else 0.25
+
+    def batch_tof(starts, days, X):
+        return np.where((days - starts) % 7 != 0, np.minimum(1.0, np.abs(X[:, 0]) * 200.0), 0.25)
+
+    scorer_pairs = {
+        "models": ((cp_model, tof_model), (cp_model, tof_model)),
+        "oracles": (
+            (oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)),
+            (row_oracle_cp_scorer(windows, series), row_oracle_tof_scorer(windows, series)),
+        ),
+        "callables": ((lambda ts, X: probas[ts], batch_tof), (lambda t, row: float(probas[t]), row_tof)),
+    }
+    exits = set()
+    for name, ((cp, tof), (row_cp, row_tof_scorer)) in scorer_pairs.items():
+        for threshold in (0.3, 0.5, 0.8):
+            cfg = PipelineConfig(
+                cp_threshold=threshold, log_mode=log_mode,
+                hold_until_changepoint=hold, min_window_days=min_window_days,
+            )
+            got = run_pipeline(series, cp, tof, cfg)
+            _assert_same_run(got, reference_run_pipeline(series, row_cp, row_tof_scorer, cfg))
+            exits |= {p.exit_reason for p in got[0].positions}
+    # the comparison covered the changepoint exit and, unless holding, the trend/flat exit
+    assert "changepoint" in exits
+    assert ("tof_flat" in exits) != hold
+
+
+def test_no_look_ahead_replay_trained_models(trained_models):
+    series, _ = gen_series(SMALL_UNIVERSE, seed=[17, 2], stockname="TST")
+    cp_model, tof_model = trained_models[True]
+    cfg = PipelineConfig(log_mode=True)
+    full_trace, _ = run_pipeline(series, cp_model, tof_model, cfg)
+    assert full_trace.positions
+    fields = ("date", "cp_proba", "cp_signal", "window_id", "tof_proba", "tof_signal")
+    rng = np.random.default_rng(8)
+    for d in rng.integers(20, len(series) - 1, size=15):
+        d = int(d)
+        trace_t, _ = run_pipeline(series[: d + 1], cp_model, tof_model, cfg)
+        for full_row, cut_row in zip(full_trace.rows[: d + 1], trace_t.rows, strict=True):
+            assert [getattr(full_row, f) for f in fields] == [getattr(cut_row, f) for f in fields]
+        entered = [(p.entry_row, p.direction) for p in full_trace.positions if p.entry_row <= d]
+        assert [(p.entry_row, p.direction) for p in trace_t.positions] == entered
+
+
+def test_each_stage_is_scored_in_one_call(trained_models, monkeypatch):
+    series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 3], stockname="TST")
+    cp, tof = oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)
+    calls = {"cp": 0, "tof": 0}
+
+    def counting_cp(ts, X):
+        calls["cp"] += 1
+        return cp(ts, X)
+
+    def counting_tof(starts, days, X):
+        calls["tof"] += 1
+        return tof(starts, days, X)
+
+    trace, _ = run_pipeline(series, counting_cp, counting_tof)
+    assert calls == {"cp": 1, "tof": 1}
+    assert trace.positions
+
+    predict_proba = gbdt.predict_proba
+    rows = []
+
+    def counting_predict_proba(model, X):
+        rows.append(len(X))
+        return predict_proba(model, X)
+
+    monkeypatch.setattr(gbdt, "predict_proba", counting_predict_proba)
+    trace, _ = run_pipeline(series, *trained_models[True])
+    assert len(rows) == 2
+    assert rows[1] == sum(r.tof_proba is not None for r in trace.rows)
+
+
+def test_scorer_must_return_one_probability_per_row():
+    series = make_series(100 + np.arange(60.0))
+    with pytest.raises(ShapeError):
+        run_pipeline(series, lambda ts, X: 0.0, lambda s, d, X: np.zeros(len(d)))
+    with pytest.raises(ShapeError):
+        run_pipeline(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d) + 1))
+
+
 def test_monotone_gating_higher_threshold_positions_subset():
     rng = np.random.default_rng(4)
     closes = 100 * np.exp(np.cumsum(rng.normal(0.001, 0.01, 300)))
     series = make_series(closes)
     probas = rng.choice([0.3, 0.7, 0.97], size=300, p=[0.7, 0.2, 0.1])
 
-    def cp(t, row):
-        return float(probas[t])
+    def cp(ts, X):
+        return probas[ts]
 
-    def tof(start, t, row):
-        return 1.0  # invariant to the window start: gating is the only difference
+    def tof(starts, days, X):
+        return np.ones(len(days))  # invariant to the window start: gating is the only difference
 
     entries = {}
     for threshold in (0.5, 0.95):
@@ -208,12 +347,10 @@ def test_monotone_gating_higher_threshold_positions_subset():
 def test_hold_until_changepoint_ignores_tof_flips():
     series, windows = _oracle_universe(seed=51)
     cp = oracle_cp_scorer(windows, series)
-    flip_state = {"calls": 0}
 
-    def flaky_tof(start, t, row):
+    def flaky_tof(starts, days, X):
         # says trend at first, then flips to flat forever within each window
-        flip_state["calls"] += 1
-        return 1.0 if t - start <= 8 else 0.0
+        return np.where(days - starts <= 8, 1.0, 0.0)
 
     closing = PipelineConfig(log_mode=True, hold_until_changepoint=False)
     trace_close, stats_close = run_pipeline(series, cp, flaky_tof, closing)
