@@ -34,9 +34,9 @@ from .features import (
     write_feature_csv,
 )
 from .labels import (
+    ExpertWindow,
     count_contradictions,
     extract_windows,
-    group_rows,
     new_trigger,
     split_by_date,
     trigger_correction,
@@ -130,8 +130,6 @@ def _default_split_date(quotes: dict[str, QuoteSeries], frac: float) -> Date:
 
 
 def _truth_windows(data_dir: Path) -> dict[str, list]:
-    from .labels import ExpertWindow
-
     truth_path = data_dir / "truth.json"
     if not truth_path.exists():
         return {}
@@ -150,6 +148,20 @@ def _truth_windows(data_dir: Path) -> dict[str, list]:
             for w in entry["windows"]
         ]
     return out
+
+
+def _window_streams(
+    quotes: dict[str, QuoteSeries], label_paths: list[Path], experts: list[str] | None
+) -> dict[str, dict[str, list[ExpertWindow]]]:
+    """Each labelled stock's window stream per expert, both sorted by name."""
+    labels = merge_label_files(label_paths, quotes=quotes.values())
+    streams: dict[str, dict[str, list[ExpertWindow]]] = {}
+    for stock, expert in sorted(labels):
+        if experts is None or expert in experts:
+            streams.setdefault(stock, {})[expert] = extract_windows(
+                labels[(stock, expert)], quotes[stock]
+            )
+    return streams
 
 
 # --- synth ------------------------------------------------------------------
@@ -264,11 +276,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     quotes, label_paths = _load_universe(data_dir)
     if not label_paths:
         raise FileNotFoundError(f"no labels_*.csv files in {data_dir}")
-    rows = merge_label_files(label_paths, quotes=quotes.values())
-    buckets = group_rows(rows)
-    if experts is not None:
-        buckets = {k: v for k, v in buckets.items() if k[1] in experts}
-    if not buckets:
+    streams = _window_streams(quotes, label_paths, experts)
+    if not streams:
         raise TrendlabError("no label rows left after the expert filter")
 
     split_date = args.split_date
@@ -278,12 +287,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
     cp_parts: list[FeatureDataset] = []
     tof_parts: list[FeatureDataset] = []
-    for stock in sorted({k[0] for k in buckets}):
+    for stock, by_expert in streams.items():
         series = quotes[stock]
-        expert_names = sorted({k[1] for k in buckets if k[0] == stock})
-        window_streams = [
-            extract_windows(buckets[(stock, e)], series) for e in expert_names
-        ]
+        window_streams = list(by_expert.values())
         if averaging:
             window_streams = [voted_windows(window_streams, series)]
         for windows in window_streams:
@@ -331,7 +337,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         "log_mode": log_mode,
         "averaging": averaging,
         "trigger_correction": correction,
-        "experts": sorted({k[1] for k in buckets}),
+        "experts": sorted({e for by_expert in streams.values() for e in by_expert}),
         "cp": {
             "n_train": cp_split.n_train,
             "n_test": cp_split.n_test,
@@ -556,10 +562,7 @@ def _baseline_reports(
     split_date: Date,
     experts: list[str] | None,
 ) -> dict:
-    rows = merge_label_files(label_paths, quotes=quotes.values()) if label_paths else []
-    buckets = group_rows(rows)
-    if experts is not None:
-        buckets = {k: v for k, v in buckets.items() if k[1] in experts}
+    streams = _window_streams(quotes, label_paths, experts)
 
     def report_for(window_map: dict[str, list]) -> dict | None:
         stats = []
@@ -582,26 +585,20 @@ def _baseline_reports(
         return pipeline.aggregate(stats, num_datapoints=datapoints).to_dict()
 
     out: dict[str, dict] = {}
-    expert_names = sorted({k[1] for k in buckets})
+    expert_names = sorted({e for by_expert in streams.values() for e in by_expert})
     for expert in expert_names:
-        window_map = {}
-        for (stock, e), bucket in buckets.items():
-            if e == expert:
-                window_map[stock] = extract_windows(bucket, quotes[stock])
-        rep = report_for(window_map)
+        rep = report_for(
+            {stock: by_expert[expert] for stock, by_expert in streams.items() if expert in by_expert}
+        )
         if rep is not None:
             out[expert] = rep
     if len(expert_names) > 1:
-        voted_map = {}
-        for stock in sorted({k[0] for k in buckets}):
-            streams = [
-                extract_windows(buckets[(stock, e)], quotes[stock])
-                for e in expert_names
-                if (stock, e) in buckets
-            ]
-            if streams:
-                voted_map[stock] = voted_windows(streams, quotes[stock])
-        rep = report_for(voted_map)
+        rep = report_for(
+            {
+                stock: voted_windows(list(by_expert.values()), quotes[stock])
+                for stock, by_expert in streams.items()
+            }
+        )
         if rep is not None:
             out["Average"] = rep
     if truth:

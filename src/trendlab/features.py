@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError, ParseError, TooShortError, ZeroVolumeError
-from .labels import ExpertWindow, TriggerSeries, _ols
+from .labels import ExpertWindow, TriggerSeries, _ols, _row_keys
 from .market_data import TREND, QuoteSeries
 
 CP_CONTEXT = 5
@@ -199,15 +199,8 @@ class FeatureDataset:
 
     def deduplicate(self) -> "FeatureDataset":
         """Drop rows whose (feature vector, target) already occurred."""
-        Xc = np.ascontiguousarray(self.X)
-        seen: set[bytes] = set()
-        keep: list[int] = []
-        for i in range(len(self)):
-            key = Xc[i].tobytes() + bytes([int(self.y[i])])
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        return self.take(np.asarray(keep, dtype=np.int64))
+        _, first = np.unique(_row_keys(self.X, self.y), return_index=True)
+        return self.take(np.sort(first))
 
 
 def build_cp_dataset(
@@ -260,10 +253,14 @@ def write_feature_csv(X: np.ndarray, y: np.ndarray, names: Sequence[str], path: 
     """Bare interchange format: the named feature columns plus ``target``."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(names) + ["target"])
-        for i in range(len(X)):
-            writer.writerow([repr(float(v)) for v in X[i]] + [int(y[i])])
+        csv.writer(handle).writerow(list(names) + ["target"])
+        # numbers need no CSV quoting: join each row as csv.writer would
+        handle.writelines(
+            ",".join(map(repr, row)) + f",{target}\r\n"
+            for row, target in zip(
+                np.asarray(X, dtype=np.float64).tolist(), np.asarray(y, dtype=np.int64).tolist()
+            )
+        )
 
 
 def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date as Date
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateSplitError, EmptyInputError, InvariantError
-from .market_data import FLAT, TREND, ExpertLabelRow, QuoteSeries
+from .market_data import FLAT, TREND, LabelSeries, QuoteSeries, _days
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class TriggerSeries:
             raise InvariantError(f"{d} outside labeled span")
         return int(d in self.trigger_dates)
 
-    def dense(self, dates: Sequence[Date]) -> list[int]:
-        return [self.value(d) for d in dates]
-
 
 def _ols(y: np.ndarray) -> tuple[float, float]:
     """Slope and R2 of y against 0..n-1; both are 0 when y has no variance."""
@@ -81,46 +78,36 @@ def _trend_direction(quotes: QuoteSeries, i0: int, i1: int) -> int:
     return 1 if log_close_slope(quotes, i0, i1) >= 0.0 else -1
 
 
-def extract_windows(rows: Sequence[ExpertLabelRow], quotes: QuoteSeries) -> list[ExpertWindow]:
-    """Segment one expert's rows for one stock into windows.
+def _runs(breaks: np.ndarray) -> list[tuple[int, int]]:
+    """First and last index of each run of a sequence; ``breaks[i]`` starts one at i + 1."""
+    firsts = np.append(0, np.flatnonzero(breaks) + 1)
+    lasts = np.append(firsts[1:] - 1, len(breaks))
+    return list(zip(firsts.tolist(), lasts.tolist()))
+
+
+def extract_windows(labels: LabelSeries, quotes: QuoteSeries) -> list[ExpertWindow]:
+    """Segment one expert's labels of one stock into windows.
 
     A new window starts wherever ``id_select`` changes, not merely where the
     tendency changes, so back-to-back trends with opposite directions stay
     distinct windows.
     """
-    if not rows:
+    if not len(labels):
         raise EmptyInputError("no label rows")
-    rows = sorted(rows, key=lambda r: r.date)
-    stockname = rows[0].stockname
-    expert = rows[0].expert
-    for row in rows:
-        if row.stockname != stockname or row.expert != expert:
-            raise InvariantError("rows mix (stockname, expert) pairs")
-        quotes.index_of(row.date)
-
+    rows = [quotes.index_of(d) for d in labels.dates]
     windows: list[ExpertWindow] = []
-    run_start = 0
-    for i in range(1, len(rows) + 1):
-        if i == len(rows) or rows[i].id_select != rows[run_start].id_select:
-            first, last = rows[run_start], rows[i - 1]
-            tendency = first.tendency
-            if tendency == TREND:
-                direction = _trend_direction(
-                    quotes, quotes.index_of(first.date), quotes.index_of(last.date)
-                )
-            else:
-                direction = 0
-            windows.append(
-                ExpertWindow(
-                    stockname=stockname,
-                    expert=expert,
-                    start_date=first.date,
-                    end_date=last.date,
-                    tendency=tendency,
-                    direction=direction,
-                )
+    for first, last in _runs(np.diff(labels.id_select) != 0):
+        trend = bool(labels.trend[first])
+        windows.append(
+            ExpertWindow(
+                stockname=labels.stockname,
+                expert=labels.expert,
+                start_date=labels.dates[first],
+                end_date=labels.dates[last],
+                tendency=TREND if trend else FLAT,
+                direction=_trend_direction(quotes, rows[first], rows[last]) if trend else 0,
             )
-            run_start = i
+        )
     return windows
 
 
@@ -148,61 +135,46 @@ def vote_experts(codes: Sequence[int]) -> int:
     return int(math.copysign(math.floor(abs(mean) + 0.5), mean))
 
 
-def per_date_direction_codes(
-    windows: Sequence[ExpertWindow], quotes: QuoteSeries
-) -> dict[Date, int]:
-    """Expand one expert's windows into a per-quote-date direction code map."""
-    codes: dict[Date, int] = {}
-    dates = quotes.dates
-    for w in windows:
-        for i in range(quotes.index_of(w.start_date), quotes.index_of(w.end_date) + 1):
-            codes[dates[i]] = w.direction
-    return codes
-
-
 def voted_windows(
     window_lists: Sequence[Sequence[ExpertWindow]], quotes: QuoteSeries
 ) -> list[ExpertWindow]:
     """Combine several experts into one "voted" stream of windows.
 
-    Every date labeled by at least one expert gets the rounded average of the
-    available direction codes; the voted stream is then re-segmented at every
-    change of the voted code (and at coverage gaps).
+    Every quote row labeled by at least one expert gets the rounded average
+    of the available direction codes (as ``vote_experts``); the voted stream
+    is then re-segmented at every change of the voted code and at coverage
+    gaps.
     """
     if not window_lists:
         raise EmptyInputError("no experts to vote")
     stockname = window_lists[0][0].stockname
-    per_expert = [per_date_direction_codes(ws, quotes) for ws in window_lists]
-    covered = sorted(set().union(*[set(codes) for codes in per_expert]))
-    if not covered:
+    n = len(quotes)
+    codes = np.zeros((len(window_lists), n), dtype=np.int64)
+    covered = np.zeros((len(window_lists), n), dtype=bool)
+    for e, windows in enumerate(window_lists):
+        for w in windows:
+            i0, i1 = quotes.index_of(w.start_date), quotes.index_of(w.end_date)
+            codes[e, i0 : i1 + 1] = w.direction
+            covered[e, i0 : i1 + 1] = True
+    n_votes = covered.sum(axis=0)
+    rows = np.flatnonzero(n_votes)
+    if not rows.size:
         raise EmptyInputError("experts labeled no dates")
+    mean = codes.sum(axis=0)[rows] / n_votes[rows]
+    voted = np.copysign(np.floor(np.abs(mean) + 0.5), mean).astype(np.int64)
 
-    voted: list[tuple[Date, int]] = []
-    for d in covered:
-        codes = [m[d] for m in per_expert if d in m]
-        voted.append((d, vote_experts(codes)))
-
-    windows: list[ExpertWindow] = []
-    run_start = 0
-    for i in range(1, len(voted) + 1):
-        boundary = i == len(voted)
-        if not boundary:
-            gap = quotes.index_of(voted[i][0]) != quotes.index_of(voted[i - 1][0]) + 1
-            boundary = gap or voted[i][1] != voted[run_start][1]
-        if boundary:
-            code = voted[run_start][1]
-            windows.append(
-                ExpertWindow(
-                    stockname=stockname,
-                    expert="voted",
-                    start_date=voted[run_start][0],
-                    end_date=voted[i - 1][0],
-                    tendency=FLAT if code == 0 else TREND,
-                    direction=code,
-                )
-            )
-            run_start = i
-    return windows
+    dates = quotes.dates
+    return [
+        ExpertWindow(
+            stockname=stockname,
+            expert="voted",
+            start_date=dates[rows[first]],
+            end_date=dates[rows[last]],
+            tendency=FLAT if voted[first] == 0 else TREND,
+            direction=int(voted[first]),
+        )
+        for first, last in _runs((np.diff(rows) != 1) | (np.diff(voted) != 0))
+    ]
 
 
 CORRECTION_RADIUS = 5
@@ -267,26 +239,30 @@ class ContradictionStats:
         return f"{grouped}/ {self.pct_of_positives:.0f}%"
 
 
+def _row_keys(X: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """One opaque scalar per row of ``X`` holding its exact bytes (and its target's)."""
+    parts = [np.ascontiguousarray(X).view(np.uint8)]
+    if y is not None:
+        parts.append(np.ascontiguousarray(y, dtype=np.int64).reshape(-1, 1).view(np.uint8))
+    raw = np.ascontiguousarray(np.concatenate(parts, axis=1))
+    return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
+
+
 def count_contradictions(X: np.ndarray, y: Sequence[int]) -> ContradictionStats:
     """Count rows that share a feature vector with a row of the opposite target."""
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(y) != len(X):
         raise InvariantError("feature matrix and targets disagree")
-    groups: dict[bytes, list[int]] = {}
-    for i in range(len(X)):
-        groups.setdefault(X[i].tobytes(), []).append(i)
-    n_contradicting = 0
-    contradicting_positives = 0
-    for idx in groups.values():
-        targets = {int(y[i]) for i in idx}
-        if len(targets) > 1:
-            n_contradicting += len(idx)
-            contradicting_positives += int(sum(y[i] for i in idx))
+    _, group = np.unique(_row_keys(X), return_inverse=True)
+    _, first = np.unique(_row_keys(X, y), return_index=True)
+    n_targets = np.bincount(group[first], minlength=len(X))
+    contradicting = n_targets[group] > 1
     n_pos = int((y == 1).sum())
+    contradicting_positives = int(y[contradicting].sum())
     pct = 100.0 * contradicting_positives / n_pos if n_pos else 0.0
     return ContradictionStats(
-        n_contradicting_rows=n_contradicting,
+        n_contradicting_rows=int(contradicting.sum()),
         pct_of_positives=pct,
         n_rows=len(X),
         n_positive_rows=n_pos,
@@ -325,9 +301,9 @@ def split_by_date(
     """Partition row indices by date and report the train-side class balance."""
     if len(dates) != len(targets):
         raise InvariantError("dates and targets disagree in length")
-    dates_arr = list(dates)
-    train_idx = np.array([i for i, d in enumerate(dates_arr) if d < split_date], dtype=np.int64)
-    test_idx = np.array([i for i, d in enumerate(dates_arr) if d >= split_date], dtype=np.int64)
+    train = _days(dates) < split_date.toordinal()
+    train_idx = np.flatnonzero(train)
+    test_idx = np.flatnonzero(~train)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DegenerateSplitError(
             f"split at {split_date} leaves train={train_idx.size} test={test_idx.size}"
@@ -346,15 +322,3 @@ def split_by_date(
         train_positives=pos,
         train_balance=balance,
     )
-
-
-def group_rows(
-    rows: Iterable[ExpertLabelRow],
-) -> dict[tuple[str, str], list[ExpertLabelRow]]:
-    """Bucket merged label rows by (stockname, expert), each bucket date-sorted."""
-    buckets: dict[tuple[str, str], list[ExpertLabelRow]] = {}
-    for row in rows:
-        buckets.setdefault((row.stockname, row.expert), []).append(row)
-    for bucket in buckets.values():
-        bucket.sort(key=lambda r: r.date)
-    return buckets

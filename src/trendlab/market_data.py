@@ -12,10 +12,9 @@ a plain decimal point:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +31,11 @@ OHLCV_COLUMNS = ("open", "high", "low", "close", "volume")
 
 TREND = "Trend"
 FLAT = "Flat"
+
+
+def _days(dates: Sequence[Date]) -> np.ndarray:
+    """Day numbers of dates (their ordinals), for vectorised order tests."""
+    return np.fromiter(map(Date.toordinal, dates), np.int64, len(dates))
 
 
 class QuoteSeries:
@@ -105,9 +109,6 @@ class QuoteSeries:
         except KeyError:
             raise InvariantError(f"{self.stockname}: no quote for {d}") from None
 
-    def has_date(self, d: Date) -> bool:
-        return d in self._index
-
     def validate(self) -> None:
         """Check every row, then the date order; the first bad row is reported."""
         columns = [self._columns[name] for name in OHLCV_COLUMNS]
@@ -129,7 +130,7 @@ class QuoteSeries:
                 f"OHLC ordering violated on {d}: "
                 f"open={float(o[i])} high={float(h[i])} low={float(lo[i])} close={float(c[i])}"
             )
-        days = np.array(self._dates, dtype="datetime64[D]")
+        days = _days(self._dates)
         unordered = np.flatnonzero(days[1:] <= days[:-1])
         if unordered.size:
             raise DuplicateDateError(
@@ -138,15 +139,40 @@ class QuoteSeries:
             )
 
 
-@dataclass(frozen=True)
-class ExpertLabelRow:
-    """One per-day expert label; N/A tendencies are mapped to Flat at load."""
+class LabelSeries:
+    """One expert's labels of one stock, stored as read-only columns.
 
-    date: Date
-    stockname: str
-    id_select: int
-    tendency: str
-    expert: str
+    ``dates`` is a tuple of strictly increasing dates; ``id_select`` (int64)
+    and ``trend`` (bool, false for Flat) are read-only arrays with one entry
+    per date. A window is a run of equal ``id_select``. N/A labels are
+    loaded as Flat.
+    """
+
+    __slots__ = ("stockname", "expert", "dates", "id_select", "trend")
+
+    def __init__(
+        self,
+        stockname: str,
+        expert: str,
+        dates: Sequence[Date],
+        id_select: Sequence[int],
+        trend: Sequence[bool],
+    ) -> None:
+        self.stockname = stockname
+        self.expert = expert
+        self.dates = tuple(dates)
+        self.id_select = np.array(id_select, dtype=np.int64)
+        self.trend = np.array(trend, dtype=bool)
+        for column in (self.id_select, self.trend):
+            column.flags.writeable = False
+            if column.shape != (len(self.dates),):
+                raise InvariantError(f"{stockname}/{expert}: label columns disagree in length")
+        days = _days(self.dates)
+        if np.any(days[1:] <= days[:-1]):
+            raise InvariantError(f"{stockname}/{expert}: label dates not strictly increasing")
+
+    def __len__(self) -> int:
+        return len(self.dates)
 
 
 def _parse_date(raw: str, path: Path, line: int) -> Date:
@@ -163,42 +189,44 @@ def _parse_float(raw: str, path: Path, line: int, col: str) -> float:
         raise ParseError(f"{path}:{line}: bad {col} value {raw!r}") from None
 
 
-def _reader(path: Path, required: Sequence[str]) -> tuple[csv.DictReader, object]:
-    handle = path.open(newline="", encoding="utf-8")
-    reader = csv.DictReader(handle)
-    missing = [c for c in required if reader.fieldnames is None or c not in reader.fieldnames]
-    if missing:
-        handle.close()
-        raise ParseError(f"{path}: missing columns {missing}")
-    return reader, handle
+def _read_rows(path: Path, required: Sequence[str]) -> tuple[dict[str, int], list[list[str]]]:
+    """Column positions by name and the non-blank data rows of a CSV file.
 
-
-def load_quotes(path: str | Path, schema: Mapping[str, str] | None = None) -> QuoteSeries:
-    """Load one stock's quotes, sort by date and validate every invariant.
-
-    ``schema`` optionally maps the logical column names of ``QUOTE_COLUMNS``
-    to the actual header names in the file.
+    Every ``required`` column must be in the header and no row may have
+    fewer fields than the header.
     """
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None) or []
+        rows = [row for row in reader if row]
+    positions = {name: i for i, name in enumerate(header)}
+    missing = [c for c in required if c not in positions]
+    if missing:
+        raise ParseError(f"{path}: missing columns {missing}")
+    for line, row in enumerate(rows, start=2):
+        if len(row) < len(header):
+            raise ParseError(f"{path}:{line}: {len(row)} fields, the header has {len(header)}")
+    return positions, rows
+
+
+def load_quotes(path: str | Path) -> QuoteSeries:
+    """Load one stock's quotes, sort by date and validate every invariant."""
     path = Path(path)
-    colmap = {c: c for c in QUOTE_COLUMNS}
-    if schema:
-        colmap.update(schema)
-    reader, handle = _reader(path, [colmap[c] for c in QUOTE_COLUMNS])
+    positions, rows = _read_rows(path, QUOTE_COLUMNS)
+    at_date, at_name = positions["date"], positions["stockname"]
+    at_values = [positions[c] for c in OHLCV_COLUMNS]
     dates: list[Date] = []
     columns: list[list[float]] = [[] for _ in OHLCV_COLUMNS]
     stockname: str | None = None
-    try:
-        for line, row in enumerate(reader, start=2):
-            name = row[colmap["stockname"]].strip()
-            if stockname is None:
-                stockname = name
-            elif name != stockname:
-                raise InvariantError(f"{path}:{line}: mixed stocknames {stockname!r}/{name!r}")
-            dates.append(_parse_date(row[colmap["date"]], path, line))
-            for values, c in zip(columns, OHLCV_COLUMNS):
-                values.append(_parse_float(row[colmap[c]], path, line, c))
-    finally:
-        handle.close()
+    for line, row in enumerate(rows, start=2):
+        name = row[at_name].strip()
+        if stockname is None:
+            stockname = name
+        elif name != stockname:
+            raise InvariantError(f"{path}:{line}: mixed stocknames {stockname!r}/{name!r}")
+        dates.append(_parse_date(row[at_date], path, line))
+        for values, at, c in zip(columns, at_values, OHLCV_COLUMNS):
+            values.append(_parse_float(row[at], path, line, c))
     if stockname is None:
         raise ParseError(f"{path}: no data rows")
     series = QuoteSeries(stockname, dates, *columns)
@@ -236,131 +264,151 @@ def save_quotes(series: QuoteSeries, path: str | Path) -> None:
             )
 
 
-def _map_tendency(raw: str, path: Path, line: int) -> str:
+def _parse_trend(raw: str, path: Path, line: int) -> bool:
     value = raw.strip()
-    if value in (TREND, FLAT):
-        return value
-    if value == "N/A":
-        return FLAT
-    raise ParseError(f"{path}:{line}: unknown tendency {value!r}")
+    if value not in (TREND, FLAT, "N/A"):
+        raise ParseError(f"{path}:{line}: unknown tendency {value!r}")
+    return value == TREND
 
 
-@dataclass
-class LabelFile:
-    """Parsed label file: rows plus any embedded quote tuples."""
-
-    path: Path
-    stockname: str
-    expert: str
-    rows: list[ExpertLabelRow]
-    quotes: dict[tuple[Date, str], tuple[float, float, float, float, float]]
-
-
-def load_label_file(path: str | Path) -> LabelFile:
-    """Parse one label file; each file must carry a single (stockname, expert)."""
-    path = Path(path)
-    reader, handle = _reader(path, LABEL_COLUMNS)
-    has_quotes = all(c in (reader.fieldnames or ()) for c in OHLCV_COLUMNS)
-    rows: list[ExpertLabelRow] = []
-    quotes: dict[tuple[Date, str], tuple[float, float, float, float, float]] = {}
+def _read_labels(
+    path: Path,
+) -> tuple[str, str, list[Date], list[int], list[bool], np.ndarray | None]:
+    """One label file's rows in file order, plus its embedded quotes if it has any."""
+    positions, rows = _read_rows(path, LABEL_COLUMNS)
+    at_date, at_name, at_id, at_type, at_user = (positions[c] for c in LABEL_COLUMNS)
+    has_quotes = all(c in positions for c in OHLCV_COLUMNS)
+    at_quotes = [positions[c] for c in OHLCV_COLUMNS] if has_quotes else []
+    dates: list[Date] = []
+    ids: list[int] = []
+    trend: list[bool] = []
+    quotes: list[list[float]] = []
     stockname: str | None = None
     expert: str | None = None
-    try:
-        for line, row in enumerate(reader, start=2):
-            name = row["stockname"].strip()
-            user = row["username"].strip()
-            if stockname is None:
-                stockname, expert = name, user
-            elif name != stockname or user != expert:
-                raise InvariantError(
-                    f"{path}:{line}: file mixes (stockname, expert) pairs"
-                )
-            try:
-                id_select = int(row["id_select"])
-            except ValueError:
-                raise ParseError(f"{path}:{line}: bad id_select {row['id_select']!r}") from None
-            d = _parse_date(row["date"], path, line)
-            rows.append(
-                ExpertLabelRow(
-                    date=d,
-                    stockname=name,
-                    id_select=id_select,
-                    tendency=_map_tendency(row["type"], path, line),
-                    expert=user,
-                )
+    for line, row in enumerate(rows, start=2):
+        name = row[at_name].strip()
+        user = row[at_user].strip()
+        if stockname is None:
+            stockname, expert = name, user
+        elif name != stockname or user != expert:
+            raise InvariantError(f"{path}:{line}: file mixes (stockname, expert) pairs")
+        try:
+            ids.append(int(row[at_id]))
+        except ValueError:
+            raise ParseError(f"{path}:{line}: bad id_select {row[at_id]!r}") from None
+        dates.append(_parse_date(row[at_date], path, line))
+        trend.append(_parse_trend(row[at_type], path, line))
+        if has_quotes:
+            quotes.append(
+                [_parse_float(row[at], path, line, c) for at, c in zip(at_quotes, OHLCV_COLUMNS)]
             )
-            if has_quotes:
-                quotes[(d, name)] = tuple(
-                    _parse_float(row[c], path, line, c) for c in OHLCV_COLUMNS
-                )
-    finally:
-        handle.close()
     if stockname is None or expert is None:
         raise ParseError(f"{path}: no data rows")
-    return LabelFile(path=path, stockname=stockname, expert=expert, rows=rows, quotes=quotes)
+    embedded = np.array(quotes, dtype=np.float64) if has_quotes else None
+    return stockname, expert, dates, ids, trend, embedded
 
 
-def save_labels(rows: Iterable[ExpertLabelRow], path: str | Path) -> None:
+def _label_series(
+    stockname: str,
+    expert: str,
+    dates: Sequence[Date],
+    id_select: Sequence[int],
+    trend: Sequence[bool],
+    path: Path,
+) -> LabelSeries:
+    """Sort label rows by date and drop exact repeats; a date labelled twice differently raises."""
+    days = _days(dates)
+    order = np.argsort(days, kind="stable")
+    days = days[order]
+    ids = np.asarray(id_select, dtype=np.int64)[order]
+    flags = np.asarray(trend, dtype=bool)[order]
+    repeat = np.flatnonzero(days[1:] == days[:-1]) + 1
+    clash = repeat[(ids[repeat] != ids[repeat - 1]) | (flags[repeat] != flags[repeat - 1])]
+    if clash.size:
+        raise InvariantError(
+            f"{path}: expert {expert} labels {dates[order[clash[0]]]}/{stockname} twice"
+        )
+    keep = np.ones(len(days), dtype=bool)
+    keep[repeat] = False
+    return LabelSeries(
+        stockname, expert, [dates[i] for i in order[keep]], ids[keep], flags[keep]
+    )
+
+
+def load_label_file(path: str | Path) -> LabelSeries:
+    """Load one label file; each file must carry a single (stockname, expert)."""
+    path = Path(path)
+    stockname, expert, dates, ids, trend, _ = _read_labels(path)
+    return _label_series(stockname, expert, dates, ids, trend, path)
+
+
+def save_labels(labels: LabelSeries, path: str | Path) -> None:
+    """Write a label CSV that loads back as the same series."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(LABEL_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row.date.isoformat(), row.stockname, row.id_select, row.tendency, row.expert]
-            )
+        writer.writerows(
+            (d.isoformat(), labels.stockname, i, TREND if t else FLAT, labels.expert)
+            for d, i, t in zip(labels.dates, labels.id_select.tolist(), labels.trend.tolist())
+        )
+
+
+def _last_per_day(days: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct days in order, each with the values of its last row."""
+    last = len(days) - 1 - np.unique(days[::-1], return_index=True)[1]
+    return days[last], values[last]
 
 
 def merge_label_files(
     paths: Sequence[str | Path],
     quotes: Iterable[QuoteSeries] | None = None,
-    skip_defects: bool = False,
-) -> list[ExpertLabelRow]:
-    """Merge label files, dropping exact duplicates and rejecting defect files.
+) -> dict[tuple[str, str], LabelSeries]:
+    """Merge label files into one series per (stockname, expert).
 
-    A file is a defect when any of its embedded quote tuples contradicts a
-    quote already registered for the same (date, stockname), either from
-    ``quotes`` or from an earlier file. By default the merge raises
-    ``DefectFileError``; with ``skip_defects`` the offending file is skipped
-    and the merge continues, mirroring how such files are excluded upstream.
+    Exact duplicate rows are dropped; a date one expert labels twice
+    differently raises ``InvariantError``. A file is a defect, rejected with
+    ``DefectFileError``, when one of its embedded quotes contradicts the quote
+    already registered for the same date and stock, either from ``quotes`` or
+    from an earlier file.
     """
-    registry: dict[tuple[Date, str], tuple[float, float, float, float, float]] = {}
+    # stockname -> (distinct days, OHLCV rows); a later row of a day wins
+    registry: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def register(stockname: str, days: np.ndarray, values: np.ndarray) -> None:
+        if stockname in registry:
+            known_days, known_values = registry[stockname]
+            days = np.concatenate([known_days, days])
+            values = np.concatenate([known_values, values])
+        registry[stockname] = _last_per_day(days, values)
+
     for series in quotes or ():
-        columns = [series.column(c).tolist() for c in OHLCV_COLUMNS]
-        for d, bar in zip(series.dates, zip(*columns)):
-            registry[(d, series.stockname)] = bar
+        if len(series):
+            columns = [series.column(c) for c in OHLCV_COLUMNS]
+            register(series.stockname, _days(series.dates), np.column_stack(columns))
 
-    merged: list[ExpertLabelRow] = []
-    seen: set[ExpertLabelRow] = set()
-    by_key: dict[tuple[Date, str, str], ExpertLabelRow] = {}
+    merged: dict[tuple[str, str], LabelSeries] = {}
     for raw_path in paths:
-        lf = load_label_file(raw_path)
-        conflict = next(
-            (key for key, q in lf.quotes.items() if key in registry and registry[key] != q),
-            None,
-        )
-        if conflict is not None:
-            message = (
-                f"{lf.path}: quotes for {conflict[0]}/{conflict[1]} contradict "
-                "already-loaded quotes; file rejected"
-            )
-            if skip_defects:
-                import warnings
-
-                warnings.warn(message)
-                continue
-            raise DefectFileError(message)
-        registry.update(lf.quotes)
-        for row in lf.rows:
-            if row in seen:
-                continue
-            key = (row.date, row.stockname, row.expert)
-            other = by_key.get(key)
-            if other is not None:
-                raise InvariantError(
-                    f"{lf.path}: expert {row.expert} labels {row.date}/{row.stockname} twice"
-                )
-            seen.add(row)
-            by_key[key] = row
-            merged.append(row)
+        path = Path(raw_path)
+        stockname, expert, dates, ids, trend, embedded = _read_labels(path)
+        if embedded is not None:
+            days, values = _last_per_day(_days(dates), embedded)
+            if stockname in registry:
+                known_days, known_values = registry[stockname]
+                at = np.minimum(np.searchsorted(known_days, days), len(known_days) - 1)
+                clash = (known_days[at] == days) & np.any(known_values[at] != values, axis=1)
+                if clash.any():
+                    day = Date.fromordinal(int(days[np.argmax(clash)]))
+                    raise DefectFileError(
+                        f"{path}: quotes for {day}/{stockname} contradict "
+                        "already-loaded quotes; file rejected"
+                    )
+            register(stockname, days, values)
+        key = (stockname, expert)
+        if key in merged:
+            earlier = merged[key]
+            dates = [*earlier.dates, *dates]
+            ids = np.concatenate([earlier.id_select, ids])
+            trend = np.concatenate([earlier.trend, trend])
+        merged[key] = _label_series(stockname, expert, dates, ids, trend, path)
     return merged

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyInputError
 from .labels import ExpertWindow
-from .market_data import FLAT, TREND, ExpertLabelRow, QuoteSeries
+from .market_data import FLAT, TREND, LabelSeries, QuoteSeries
 
 SUBSTEPS = 8
 VOLUME_NOISE = 0.2
@@ -248,10 +248,10 @@ def gen_expert_labels(
     seed: int | Sequence[int],
     series: QuoteSeries,
     name: str = "A",
-) -> list[ExpertLabelRow]:
-    """Emit per-day label rows for one noisy expert derived from the truth.
+) -> LabelSeries:
+    """Per-day labels of one noisy expert derived from the truth.
 
-    With an all-zero profile the rows reproduce the true windows exactly.
+    With an all-zero profile the labels reproduce the true windows exactly.
     Jittered internal boundaries stay within jitter_days rows of their true
     position and every window keeps at least one day.
     """
@@ -294,22 +294,14 @@ def gen_expert_labels(
                 delta = int(rng.integers(-j, j + 1))
                 starts[i] = min(max(true_start + delta, lo), hi)
 
-    rows: list[ExpertLabelRow] = []
-    dates = series.dates
-    for k, seg in enumerate(segments):
-        start = starts[k]
-        end = starts[k + 1] - 1 if k + 1 < len(segments) else span_end
-        for r in range(start, end + 1):
-            rows.append(
-                ExpertLabelRow(
-                    date=dates[r],
-                    stockname=series.stockname,
-                    id_select=k + 1,
-                    tendency=seg.tendency,
-                    expert=name,
-                )
-            )
-    return rows
+    lengths = np.diff([*starts, span_end + 1])
+    return LabelSeries(
+        series.stockname,
+        name,
+        series.dates[starts[0] : span_end + 1],
+        np.repeat(np.arange(1, len(segments) + 1), lengths),
+        np.repeat([s.tendency == TREND for s in segments], lengths),
+    )
 
 
 @dataclass(frozen=True)

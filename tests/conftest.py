@@ -5,9 +5,15 @@ from __future__ import annotations
 from datetime import date as Date
 
 import numpy as np
+from hypothesis import settings
 
-from trendlab.market_data import ExpertLabelRow, QuoteSeries
+from trendlab.market_data import TREND, LabelSeries, QuoteSeries
 from trendlab.synth import business_dates
+
+# Property tests draw the same examples on every run and have no time limit,
+# so a slow machine neither fails a test nor changes which examples it tries.
+settings.register_profile("trendlab", derandomize=True, deadline=None)
+settings.load_profile("trendlab")
 
 
 def make_series(
@@ -32,23 +38,16 @@ def make_series(
     )
 
 
-def label_rows(series: QuoteSeries, id_selects, tendencies, expert: str = "A"):
-    """One label row per bar, driven by parallel id/tendency sequences."""
+def label_rows(series: QuoteSeries, id_selects, tendencies, expert: str = "A") -> LabelSeries:
+    """One label per bar, driven by parallel id/tendency sequences."""
     assert len(id_selects) == len(series) == len(tendencies)
-    return [
-        ExpertLabelRow(
-            date=d,
-            stockname=series.stockname,
-            id_select=int(id_selects[i]),
-            tendency=tendencies[i],
-            expert=expert,
-        )
-        for i, d in enumerate(series.dates)
-    ]
+    return LabelSeries(
+        series.stockname, expert, series.dates, id_selects, [t == TREND for t in tendencies]
+    )
 
 
-def segment_labels(series: QuoteSeries, segments, expert: str = "A"):
-    """Label rows from (length, tendency) segments covering the series."""
+def segment_labels(series: QuoteSeries, segments, expert: str = "A") -> LabelSeries:
+    """Labels from (length, tendency) segments covering the series."""
     ids = []
     tendencies = []
     for k, (length, tendency) in enumerate(segments):

@@ -19,7 +19,7 @@ from trendlab.labels import (
     vote_experts,
     voted_windows,
 )
-from trendlab.market_data import FLAT, TREND
+from trendlab.market_data import FLAT, TREND, LabelSeries
 
 
 def test_extract_windows_splits_on_id_select_change():
@@ -53,20 +53,20 @@ def test_extract_windows_flat_direction_zero_and_empty_error():
     windows = extract_windows(segment_labels(series, [(2, FLAT)]), series)
     assert windows[0].direction == 0
     with pytest.raises(EmptyInputError):
-        extract_windows([], series)
+        extract_windows(LabelSeries("ACME", "A", (), [], []), series)
 
 
 def test_new_trigger_matches_window_starts():
     series = make_series([100] * 5)
     windows = extract_windows(segment_labels(series, [(3, TREND), (2, FLAT)]), series)
     triggers = new_trigger(windows)
-    assert triggers.dense(series.dates) == [0, 0, 0, 1, 0]
+    assert [triggers.value(d) for d in series.dates] == [0, 0, 0, 1, 0]
 
 
 def test_new_trigger_single_window_all_zero():
     series = make_series([100] * 4)
     triggers = new_trigger(extract_windows(segment_labels(series, [(4, TREND)]), series))
-    assert triggers.dense(series.dates) == [0, 0, 0, 0]
+    assert [triggers.value(d) for d in series.dates] == [0, 0, 0, 0]
 
 
 def test_new_trigger_three_windows():

@@ -17,7 +17,7 @@ from trendlab.errors import (
 )
 from trendlab.market_data import (
     OHLCV_COLUMNS,
-    ExpertLabelRow,
+    LabelSeries,
     load_label_file,
     load_quotes,
     merge_label_files,
@@ -80,21 +80,6 @@ def test_load_quotes_sorts_and_rejects_bad_cells(tmp_path):
         load_quotes(bad)
 
 
-def test_load_quotes_with_schema_mapping(tmp_path):
-    p = write(
-        tmp_path / "q.csv",
-        "Date,Open,High,Low,Close,Volume,Ticker\n"
-        "2014-10-14,10.0,12.0,9.0,11.0,1000,ACME\n",
-    )
-    schema = {
-        "date": "Date", "open": "Open", "high": "High", "low": "Low",
-        "close": "Close", "volume": "Volume", "stockname": "Ticker",
-    }
-    series = load_quotes(p, schema=schema)
-    assert series.stockname == "ACME"
-    assert series.closes[0] == 11.0
-
-
 def test_quotes_round_trip_is_lossless(tmp_path):
     rng = np.random.default_rng(3)
     closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=50)))
@@ -137,6 +122,16 @@ def test_slice_shares_memory_and_columns_are_read_only():
     assert series.dates is series.dates
 
 
+def columns(labels: LabelSeries) -> tuple:
+    return (
+        labels.stockname,
+        labels.expert,
+        labels.dates,
+        labels.id_select.tolist(),
+        labels.trend.tolist(),
+    )
+
+
 def test_label_round_trip_and_na_mapping(tmp_path):
     p = write(
         tmp_path / "l.csv",
@@ -145,11 +140,40 @@ def test_label_round_trip_and_na_mapping(tmp_path):
         + "2014-10-15,ACME,1,N/A,D\n"
         + "2014-10-16,ACME,2,Flat,D\n",
     )
-    lf = load_label_file(p)
-    assert [r.tendency for r in lf.rows] == ["Trend", "Flat", "Flat"]
+    labels = load_label_file(p)
+    assert labels.trend.tolist() == [True, False, False]
     out = tmp_path / "round.csv"
-    save_labels(lf.rows, out)
-    assert load_label_file(out).rows == lf.rows
+    save_labels(labels, out)
+    assert columns(load_label_file(out)) == columns(labels)
+    assert out.read_text(encoding="utf-8").splitlines()[2] == "2014-10-15,ACME,1,Flat,D"
+
+
+def test_label_file_sorts_rows_and_drops_exact_repeats(tmp_path):
+    p = write(
+        tmp_path / "l.csv",
+        LABEL_HEADER
+        + "2014-10-15,ACME,2,Flat,D\n"
+        + "2014-10-14,ACME,1,Trend,D\n"
+        + "2014-10-15,ACME,2,Flat,D\n",
+    )
+    labels = load_label_file(p)
+    assert labels.dates == (Date(2014, 10, 14), Date(2014, 10, 15))
+    assert labels.id_select.tolist() == [1, 2]
+    assert not labels.id_select.flags.writeable and not labels.trend.flags.writeable
+    clash = write(
+        tmp_path / "clash.csv",
+        LABEL_HEADER + "2014-10-14,ACME,1,Trend,D\n2014-10-14,ACME,1,Flat,D\n",
+    )
+    with pytest.raises(InvariantError, match="labels 2014-10-14/ACME twice"):
+        load_label_file(clash)
+
+
+def test_label_series_rejects_unsorted_dates_and_ragged_columns():
+    dates = [Date(2014, 10, 15), Date(2014, 10, 14)]
+    with pytest.raises(InvariantError, match="not strictly increasing"):
+        LabelSeries("ACME", "D", dates, [1, 1], [True, True])
+    with pytest.raises(InvariantError, match="disagree in length"):
+        LabelSeries("ACME", "D", dates[1:], [1, 1], [True, True])
 
 
 def test_label_file_rejects_unknown_tendency_and_mixed_experts(tmp_path):
@@ -169,17 +193,16 @@ def test_merge_deduplicates_identical_rows(tmp_path):
     a = write(tmp_path / "a.csv", LABEL_HEADER + row)
     b = write(tmp_path / "b.csv", LABEL_HEADER + row)
     merged = merge_label_files([a, b])
-    assert merged == [
-        ExpertLabelRow(Date(2014, 10, 14), "ACME", 1, "Trend", "D")
-    ]
+    assert list(merged) == [("ACME", "D")]
+    assert columns(merged[("ACME", "D")]) == ("ACME", "D", (Date(2014, 10, 14),), [1], [True])
 
 
 def test_merge_concatenates_disjoint_files(tmp_path):
     a = write(tmp_path / "a.csv", LABEL_HEADER + "2014-10-14,ACME,1,Trend,D\n")
     b = write(tmp_path / "b.csv", LABEL_HEADER + "2014-10-14,ACME,1,Flat,G\n")
     merged = merge_label_files([a, b])
-    assert len(merged) == 2
-    assert {r.expert for r in merged} == {"D", "G"}
+    assert list(merged) == [("ACME", "D"), ("ACME", "G")]
+    assert [labels.trend.tolist() for labels in merged.values()] == [[True], [False]]
 
 
 def test_merge_rejects_conflicting_same_expert_labels(tmp_path):
@@ -203,10 +226,6 @@ def test_merge_rejects_defect_file_on_quote_conflict(tmp_path):
     )
     with pytest.raises(DefectFileError):
         merge_label_files([a, b])
-    # skip mode drops the whole defect file but keeps the rest
-    with pytest.warns(UserWarning):
-        merged = merge_label_files([a, b], skip_defects=True)
-    assert [r.expert for r in merged] == ["D"]
 
 
 def test_merge_checks_against_preloaded_quotes(tmp_path):
@@ -226,9 +245,11 @@ def test_merge_retained_rows_unique_per_date_stock_expert(tmp_path):
             f"2014-10-{14 + i:02d},ACME,1,Trend,{expert}\n" for i in range(3)
         )
         paths.append(write(tmp_path / f"{expert}.csv", LABEL_HEADER + body))
+    paths.append(paths[0])
     merged = merge_label_files(paths)
-    keys = [(r.date, r.stockname, r.expert) for r in merged]
-    assert len(keys) == len(set(keys))
+    assert list(merged) == [("ACME", "D"), ("ACME", "G")]
+    for labels in merged.values():
+        assert len(set(labels.dates)) == len(labels) == 3
 
 
 def test_validate_catches_negative_volume():
@@ -261,3 +282,14 @@ def test_load_quotes_reports_first_bad_row_in_file_order(tmp_path):
     )
     with pytest.raises(InvariantError, match="negative volume on 2014-10-16"):
         load_quotes(p)
+
+
+def test_rows_shorter_than_the_header_are_parse_errors(tmp_path):
+    quotes = write(tmp_path / "q.csv", QUOTE_HEADER + "2014-10-14,10.0,12.0,9.0\n")
+    with pytest.raises(ParseError, match="q.csv:2: 4 fields, the header has 7"):
+        load_quotes(quotes)
+    labels = write(
+        tmp_path / "l.csv", LABEL_HEADER + "2014-10-14,ACME,1,Trend,D\n2014-10-15,ACME\n"
+    )
+    with pytest.raises(ParseError, match="l.csv:3: 2 fields"):
+        merge_label_files([labels])
