@@ -1,11 +1,16 @@
 """Command-line entry point: synth, prepare, train, gridsearch, backtest, baseline.
 
 Every command takes an output directory. ``synth``, ``prepare``, ``train``
-and ``gridsearch`` read ``--config PATH`` (flat ``key = value`` INI with one
-section per concern), where explicit flags override config values which
-override built-in defaults; ``synth``, ``train`` and ``gridsearch`` take
-``--seed N``. All artifacts are machine-readable (CSV/JSON) with a short human
-summary on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error.
+and ``gridsearch`` read ``--config PATH``, a flat ``key = value`` INI file:
+``synth`` reads ``[synth]``, ``prepare`` reads ``[data]``, and ``train`` and
+``gridsearch`` read ``[cp_model]`` or ``[tof_model]``. Every option of these
+commands but the paths and gridsearch's ``--mode``, ``--draws``, ``--folds``
+and ``--scoring`` is also a key: its flag name with ``_`` (``trend_len =
+40,80``; ``log_mode = false`` for ``--raw``). A flag overrides its key, which
+overrides the built-in default. An unknown section, an unknown key and a bad
+value are usage errors. ``synth``, ``train`` and ``gridsearch`` take ``--seed
+N``. All artifacts are machine-readable (CSV/JSON) with a short human summary
+on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import bisect
 import configparser
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date as Date
 from pathlib import Path
 from typing import Sequence
@@ -42,60 +47,143 @@ from .labels import (
     trigger_correction,
     voted_windows,
 )
-from .market_data import QuoteSeries, load_quotes, merge_label_files, save_labels, save_quotes
+from .market_data import (
+    QuoteSeries,
+    load_label_file,
+    load_quotes,
+    merge_label_files,
+    save_labels,
+    save_quotes,
+)
+
+# --- settings -----------------------------------------------------------------
+
+# Share of the distinct quote dates that fall before the default split date.
+DEFAULT_SPLIT_FRAC = 0.7
+
+# Every section some command reads; gridsearch reads [grid] from its --grid file.
+SECTIONS = ("synth", "data", "cp_model", "tof_model", "grid")
+# Options no config key sets besides the required paths: train reads the same
+# model section as gridsearch, so the search options stay flags.
+FLAG_ONLY = ("help", "config", "mode", "draws", "folds", "scoring")
 
 
-class UsageError(Exception):
-    """Bad command-line value detected after parsing."""
-
-
-# --- config plumbing --------------------------------------------------------
-
-
-def _load_config(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    if path:
-        if not Path(path).exists():
-            raise FileNotFoundError(f"config file not found: {path}")
-        cfg.read(path, encoding="utf-8")
-    return cfg
-
-
-def _cfg_str(cfg: configparser.ConfigParser, section: str, key: str) -> str | None:
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    return None
-
-
-def _resolve(cli_value, cfg_value: str | None, default, cast):
-    if cli_value is not None:
-        return cli_value
-    if cfg_value is not None:
-        return cast(cfg_value)
-    return default
+# --- type functions -----------------------------------------------------------
 
 
 def _parse_bool(raw: str) -> bool:
     value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"not a boolean: {raw!r}")
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise argparse.ArgumentTypeError(f"not a boolean: {raw!r}")
+    return value in ("1", "true", "yes", "on")
 
 
-def _parse_pair(raw: str, cast) -> tuple:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise UsageError(f"expected two comma-separated values, got {raw!r}")
-    return cast(parts[0]), cast(parts[1])
+def _typed(parse, expected: str):
+    """A type function that reports a value ``parse`` rejects as not ``expected``."""
+
+    def convert(raw: str):
+        try:
+            return parse(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}") from None
+
+    return convert
 
 
-def _parse_date_arg(raw: str) -> Date:
-    try:
-        return Date.fromisoformat(raw)
-    except ValueError:
-        raise UsageError(f"bad date {raw!r}, expected YYYY-MM-DD") from None
+def _pair(cast):
+    def parse(raw: str) -> tuple:
+        first, second = raw.split(",")
+        return cast(first), cast(second)
+
+    return _typed(parse, "two comma-separated values")
+
+
+_float_list = _typed(lambda raw: [float(x) for x in raw.split(",")], "comma-separated numbers")
+_parse_date_arg = _typed(Date.fromisoformat, "a date YYYY-MM-DD")
+_parse_threads = _typed(lambda raw: raw if raw == "all" else int(raw), 'a thread count or "all"')
+_parse_weight = _typed(
+    lambda raw: "auto" if raw.strip().lower() == "auto" else float(raw), 'a number or "auto"'
+)
+
+# The type of every GbdtParams field, shared by the model flags, the
+# [cp_model]/[tof_model] keys and the [grid] values.
+MODEL_TYPES = {
+    "n_estimators": int,
+    "max_depth": int,
+    "learning_rate": float,
+    "reg_lambda": float,
+    "reg_alpha": float,
+    "subsample": float,
+    "scale_pos_weight": _parse_weight,
+    "min_child_weight": float,
+    "gamma": float,
+    "threads": _parse_threads,
+    "seed": int,
+}
+
+
+def _read_ini(path: Path, kind: str) -> configparser.ConfigParser:
+    if not path.exists():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    cfg = configparser.ConfigParser()
+    cfg.read(path, encoding="utf-8")
+    return cfg
+
+
+def _grid_file(raw: str) -> dict[str, list]:
+    """Type function of ``--grid``: its [grid] values, each parsed like the model flag."""
+    path = Path(raw)
+    cfg = _read_ini(path, "grid")
+    if not cfg.has_section("grid"):
+        raise argparse.ArgumentTypeError(f"{path}: no [grid] section")
+    grid: dict[str, list] = {}
+    for key, raw_values in cfg.items("grid"):
+        if key not in MODEL_TYPES:
+            raise argparse.ArgumentTypeError(f"{path}: [grid] {key} is not a model parameter")
+        try:
+            values = [MODEL_TYPES[key](v) for v in raw_values.split(",") if v.strip()]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise argparse.ArgumentTypeError(f"{path}: [grid] {key}: {exc}") from None
+        if "auto" in values:
+            raise argparse.ArgumentTypeError(f"{path}: [grid] {key} cannot search \"auto\"")
+        if values:
+            grid[key] = values
+    if not grid:
+        raise argparse.ArgumentTypeError(f"{path}: empty grid")
+    return grid
+
+
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The command's config section as defaults of its parser.
+
+    String values are converted by each option's own type function when the
+    command line leaves the option unset, so a flag overrides its key.
+    """
+    path = Path(args.config)
+    cfg = _read_ini(path, "config")
+    parser = args.parser
+    for name in cfg.sections():
+        if name not in SECTIONS:
+            parser.error(f"{path}: no command reads section [{name}]")
+    section = args.section.format(which=getattr(args, "which", None))
+    if not cfg.has_section(section):
+        return {}
+    actions = {
+        a.dest: a
+        for a in parser._actions
+        if a.option_strings and not a.required and a.dest not in FLAG_ONLY
+    }
+    defaults = {}
+    for key, raw in cfg.items(section):
+        if key not in actions:
+            parser.error(f"{path}: [{section}] has no key {key!r}")
+        if actions[key].nargs == 0:  # a two-state flag takes no value to convert
+            try:
+                raw = _parse_bool(raw)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"{path}: [{section}] {key}: {exc}")
+        defaults[key] = raw
+    return defaults
 
 
 def _experts_list(raw: str | None) -> list[str] | None:
@@ -155,6 +243,10 @@ def _window_streams(
 ) -> dict[str, dict[str, list[ExpertWindow]]]:
     """Each labelled stock's window stream per expert, both sorted by name."""
     labels = merge_label_files(label_paths, quotes=quotes.values())
+    unquoted = sorted({stock for stock, _ in labels} - quotes.keys())
+    if unquoted:
+        path = next(p for p in label_paths if load_label_file(p).stockname == unquoted[0])
+        raise TrendlabError(f"{path}: labels stock {unquoted[0]}, which has no quotes file")
     streams: dict[str, dict[str, list[ExpertWindow]]] = {}
     for stock, expert in sorted(labels):
         if experts is None or expert in experts:
@@ -168,57 +260,37 @@ def _window_streams(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    sec = "synth"
-    stocks = _resolve(args.stocks, _cfg_str(cfg, sec, "stocks"), 5, int)
-    days = _resolve(args.days, _cfg_str(cfg, sec, "days"), 2500, int)
-    seed = _resolve(args.seed, _cfg_str(cfg, sec, "seed"), 42, int)
-    experts = _experts_list(
-        _resolve(args.experts, _cfg_str(cfg, sec, "experts"), "D,G", str)
-    ) or ["D", "G"]
-    jitter = _resolve(args.jitter_days, _cfg_str(cfg, sec, "jitter_days"), 2, int)
-    disagree = _resolve(args.disagree_prob, _cfg_str(cfg, sec, "disagree_prob"), 0.05, float)
-    split_merge = _resolve(
-        args.split_merge_prob, _cfg_str(cfg, sec, "split_merge_prob"), 0.05, float
-    )
-    if stocks < 1:
-        raise UsageError("--stocks must be >= 1")
-    if days < 60:
-        raise UsageError("--days must be >= 60")
-
+    if args.stocks < 1:
+        args.parser.error("--stocks must be >= 1")
+    if args.days < 60:
+        args.parser.error("--days must be >= 60")
+    ranges = {
+        "trend_length": args.trend_len,
+        "flat_length": args.flat_len,
+        "drift_range": args.drift,
+        "volatility_range": args.volatility,
+    }
     sampler = synth.SamplerConfig(
-        n_days=days,
-        trend_length=_resolve(
-            args.trend_len, _cfg_str(cfg, sec, "trend_len"), synth.TREND_LENGTH_BOUNDS,
-            lambda s: _parse_pair(s, int),
-        ),
-        flat_length=_resolve(
-            args.flat_len, _cfg_str(cfg, sec, "flat_len"), (20, 200), lambda s: _parse_pair(s, int)
-        ),
-        drift_range=_resolve(
-            args.drift, _cfg_str(cfg, sec, "drift"), (0.0015, 0.004),
-            lambda s: _parse_pair(s, float),
-        ),
-        volatility_range=_resolve(
-            args.volatility, _cfg_str(cfg, sec, "volatility"), (0.004, 0.012),
-            lambda s: _parse_pair(s, float),
-        ),
+        n_days=args.days, **{k: v for k, v in ranges.items() if v is not None}
     )
+    experts = _experts_list(args.experts) or ["D", "G"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = synth.ExpertProfile(
-        jitter_days=jitter, disagree_prob=disagree, split_merge_prob=split_merge
+        jitter_days=args.jitter_days,
+        disagree_prob=args.disagree_prob,
+        split_merge_prob=args.split_merge_prob,
     )
 
-    truth_doc: dict = {"seed": seed, "stocks": {}}
+    truth_doc: dict = {"seed": args.seed, "stocks": {}}
     n_label_files = 0
-    for i in range(stocks):
+    for i in range(args.stocks):
         name = f"SYN{i:02d}"
-        series, windows = synth.gen_series(sampler, seed=[seed, i], stockname=name)
+        series, windows = synth.gen_series(sampler, seed=[args.seed, i], stockname=name)
         save_quotes(series, out_dir / f"quotes_{name}.csv")
         for j, expert in enumerate(experts):
             rows = synth.gen_expert_labels(
-                windows, profile, seed=[seed, i, 100 + j], series=series, name=expert
+                windows, profile, seed=[args.seed, i, 100 + j], series=series, name=expert
             )
             save_labels(rows, out_dir / f"labels_{name}_{expert}.csv")
             n_label_files += 1
@@ -235,7 +307,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             ],
         }
     _write_json(truth_doc, out_dir / "truth.json")
-    print(f"synth: wrote {stocks} quote files, {n_label_files} label files, truth.json -> {out_dir}")
+    print(
+        f"synth: wrote {args.stocks} quote files, {n_label_files} label files, "
+        f"truth.json -> {out_dir}"
+    )
     return 0
 
 
@@ -260,30 +335,18 @@ def _concat_datasets(parts: list[FeatureDataset], kind: str, names) -> FeatureDa
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    sec = "data"
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_mode = _resolve(args.log_mode, _cfg_str(cfg, sec, "log_mode"), True, _parse_bool)
-    averaging = _resolve(args.averaging, _cfg_str(cfg, sec, "averaging"), False, _parse_bool)
-    correction = _resolve(
-        args.trigger_correction, _cfg_str(cfg, sec, "trigger_correction"), False, _parse_bool
-    )
-    experts = _experts_list(_resolve(args.experts, _cfg_str(cfg, sec, "experts"), None, str))
-    split_frac = _resolve(args.split_frac, _cfg_str(cfg, sec, "split_frac"), 0.7, float)
+    log_mode, averaging, correction = args.log_mode, args.averaging, args.trigger_correction
 
     quotes, label_paths = _load_universe(data_dir)
     if not label_paths:
         raise FileNotFoundError(f"no labels_*.csv files in {data_dir}")
-    streams = _window_streams(quotes, label_paths, experts)
+    streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
     if not streams:
         raise TrendlabError("no label rows left after the expert filter")
-
-    split_date = args.split_date
-    if split_date is None:
-        raw = _cfg_str(cfg, sec, "split_date")
-        split_date = _parse_date_arg(raw) if raw else _default_split_date(quotes, split_frac)
+    split_date = args.split_date or _default_split_date(quotes, args.split_frac)
 
     cp_parts: list[FeatureDataset] = []
     tof_parts: list[FeatureDataset] = []
@@ -307,22 +370,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         cp_ds.X[cp_split.train_idx], cp_ds.y[cp_split.train_idx]
     )
 
-    write_feature_csv(
-        cp_ds.X[cp_split.train_idx], cp_ds.y[cp_split.train_idx], CP_FEATURE_NAMES,
-        out_dir / "cp_train.csv",
-    )
-    write_feature_csv(
-        cp_ds.X[cp_split.test_idx], cp_ds.y[cp_split.test_idx], CP_FEATURE_NAMES,
-        out_dir / "cp_test.csv",
-    )
-    write_feature_csv(
-        tof_ds.X[tof_split.train_idx], tof_ds.y[tof_split.train_idx], TOF_FEATURE_NAMES,
-        out_dir / "tof_train.csv",
-    )
-    write_feature_csv(
-        tof_ds.X[tof_split.test_idx], tof_ds.y[tof_split.test_idx], TOF_FEATURE_NAMES,
-        out_dir / "tof_test.csv",
-    )
+    for ds, split in ((cp_ds, cp_split), (tof_ds, tof_split)):
+        for part, idx in (("train", split.train_idx), ("test", split.test_idx)):
+            path = out_dir / f"{ds.kind}_{part}.csv"
+            write_feature_csv(ds.X[idx], ds.y[idx], ds.feature_names, path)
     tof_test = tof_ds.take(tof_split.test_idx)
     with (out_dir / "tof_test_meta.csv").open("w", encoding="utf-8", newline="") as handle:
         handle.write("date,stockname,fraction\n")
@@ -379,40 +430,15 @@ TOF_DEFAULT_PARAMS = gbdt.GbdtParams(
 )
 
 
-def _model_params(
-    which: str, args: argparse.Namespace, cfg: configparser.ConfigParser, prep_report: dict
-) -> gbdt.GbdtParams:
-    sec = f"{which}_model"
+def _model_params(which: str, args: argparse.Namespace, prep_report: dict) -> gbdt.GbdtParams:
+    """The model's defaults with every parameter a flag or config key set."""
     base = CP_DEFAULT_PARAMS if which == "cp" else TOF_DEFAULT_PARAMS
-    fields = {
-        "n_estimators": int,
-        "max_depth": int,
-        "learning_rate": float,
-        "reg_lambda": float,
-        "reg_alpha": float,
-        "subsample": float,
-        "min_child_weight": float,
-        "gamma": float,
-        "seed": int,
-    }
-    values = {}
-    for name, cast in fields.items():
-        values[name] = _resolve(getattr(args, name), _cfg_str(cfg, sec, name), getattr(base, name), cast)
-    raw_spw = _resolve(
-        args.scale_pos_weight,
-        _cfg_str(cfg, sec, "scale_pos_weight"),
-        "auto" if which == "cp" else "1",
-        str,
-    )
-    if str(raw_spw).strip().lower() == "auto":
+    values = {name: getattr(args, name) for name in MODEL_TYPES if getattr(args, name) is not None}
+    if values.get("scale_pos_weight", "auto" if which == "cp" else None) == "auto":
         balance = prep_report[which]["balance"]
         if balance is None:
             raise TrendlabError("cannot auto-set scale_pos_weight: train set has no positives")
         values["scale_pos_weight"] = float(balance)
-    else:
-        values["scale_pos_weight"] = float(raw_spw)
-    raw_threads = _resolve(args.threads, _cfg_str(cfg, sec, "threads"), "1", str)
-    values["threads"] = "all" if raw_threads == "all" else int(raw_threads)
     return replace(base, **values)
 
 
@@ -439,7 +465,6 @@ def _metrics_block(y, proba, threshold: float) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
     which = args.which
     prepared = Path(args.prepared)
     out_dir = Path(args.out)
@@ -448,13 +473,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     names = CP_FEATURE_NAMES if which == "cp" else TOF_FEATURE_NAMES
     X_train, y_train = read_feature_csv(prepared / f"{which}_train.csv", names)
     X_test, y_test = read_feature_csv(prepared / f"{which}_test.csv", names)
-    params = _model_params(which, args, cfg, prep_report)
+    params = _model_params(which, args, prep_report)
 
     model = gbdt.fit(X_train, y_train, params)
     model.feature_names = tuple(names)
     gbdt.save_model(model, out_dir / f"{which}_model.json")
-
-    from dataclasses import asdict
 
     params_echo = asdict(params)
     params_echo.pop("threads")  # execution knob: keeps reruns byte-comparable
@@ -485,55 +508,28 @@ def cmd_train(args: argparse.Namespace) -> int:
 # --- gridsearch --------------------------------------------------------------
 
 
-def _parse_grid_file(path: Path) -> dict[str, list]:
-    if not path.exists():
-        raise FileNotFoundError(f"grid file not found: {path}")
-    cfg = configparser.ConfigParser()
-    cfg.read(path, encoding="utf-8")
-    if not cfg.has_section("grid"):
-        raise UsageError(f"{path}: no [grid] section")
-    grid: dict[str, list] = {}
-    for key, raw in cfg.items("grid"):
-        values = []
-        for piece in raw.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                values.append(int(piece))
-            except ValueError:
-                values.append(float(piece))
-        if values:
-            grid[key] = values
-    if not grid:
-        raise UsageError(f"{path}: empty grid")
-    return grid
-
-
 def cmd_gridsearch(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    if args.mode == "randomized" and args.draws is None:
+        args.parser.error("randomized mode needs --draws")
     which = args.which
     prepared = Path(args.prepared)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = _parse_grid_file(Path(args.grid))
     prep_report = json.loads((prepared / "prep_report.json").read_text(encoding="utf-8"))
     names = CP_FEATURE_NAMES if which == "cp" else TOF_FEATURE_NAMES
     X, y = read_feature_csv(prepared / f"{which}_train.csv", names)
-    base = _model_params(which, args, cfg, prep_report)
-    if args.mode == "randomized" and args.draws is None:
-        raise UsageError("randomized mode needs --draws")
+    base = _model_params(which, args, prep_report)
 
     result = evaluation.grid_search(
         X,
         y,
-        grid,
+        args.grid,
         base_params=base,
         mode=args.mode,
         n_draws=args.draws,
         k=args.folds,
         scoring=args.scoring,
-        seed=args.seed if args.seed is not None else base.seed,
+        seed=base.seed,
     )
     result.to_csv(out_dir / f"search_{which}.csv")
     _write_json(
@@ -627,13 +623,13 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         split_date = (
             Date.fromisoformat(prep_report["split_date"])
             if prep_report is not None
-            else _default_split_date(quotes, 0.7)
+            else _default_split_date(quotes, DEFAULT_SPLIT_FRAC)
         )
     log_mode = args.log_mode
     if log_mode is None:
         log_mode = bool(prep_report["log_mode"]) if prep_report is not None else True
 
-    thresholds = [float(x) for x in str(args.cp_threshold).split(",")]
+    thresholds = args.cp_threshold
     tof_threshold = args.tof_threshold
 
     skip_flags: list[str] = []
@@ -641,7 +637,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     if not args.oracle:
         models_dir = Path(args.models) if args.models else None
         if models_dir is None:
-            raise UsageError("--models is required unless --oracle is given")
+            args.parser.error("--models is required unless --oracle is given")
         cp_path = models_dir / "cp_model.json"
         tof_path = models_dir / "tof_model.json"
         for p in (cp_path, tof_path):
@@ -739,6 +735,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+MODEL_HELP = {
+    "scale_pos_weight": 'a number, or "auto" to use the prepared train balance',
+    "threads": 'worker threads, or "all"',
+}
+
 
 def _add_common(p: argparse.ArgumentParser, *, config: bool = True, seed: bool = True) -> None:
     if config:
@@ -749,77 +750,67 @@ def _add_common(p: argparse.ArgumentParser, *, config: bool = True, seed: bool =
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-estimators", dest="n_estimators", type=int, default=None)
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--reg-lambda", dest="reg_lambda", type=float, default=None)
-    p.add_argument("--reg-alpha", dest="reg_alpha", type=float, default=None)
-    p.add_argument("--subsample", type=float, default=None)
-    p.add_argument(
-        "--scale-pos-weight",
-        dest="scale_pos_weight",
-        default=None,
-        help='a number, or "auto" to use the prepared train balance',
-    )
-    p.add_argument("--min-child-weight", dest="min_child_weight", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--threads", default=None, help='worker threads, or "all"')
+    for name, cast in MODEL_TYPES.items():
+        if name != "seed":  # a common option
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, type=cast, default=None, help=MODEL_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; each command's ``section`` names the config section it reads."""
     parser = argparse.ArgumentParser(prog="trendlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled universe")
     _add_common(p)
-    p.add_argument("--stocks", type=int, default=None)
-    p.add_argument("--days", type=int, default=None)
+    p.add_argument("--stocks", type=int, default=5)
+    p.add_argument("--days", type=int, default=2500)
     p.add_argument("--experts", default=None, help="comma-separated expert names")
-    p.add_argument("--jitter-days", dest="jitter_days", type=int, default=None)
-    p.add_argument("--disagree-prob", dest="disagree_prob", type=float, default=None)
-    p.add_argument("--split-merge-prob", dest="split_merge_prob", type=float, default=None)
-    p.add_argument("--trend-len", dest="trend_len", type=lambda s: _parse_pair(s, int), default=None)
-    p.add_argument("--flat-len", dest="flat_len", type=lambda s: _parse_pair(s, int), default=None)
-    p.add_argument("--drift", type=lambda s: _parse_pair(s, float), default=None)
-    p.add_argument("--volatility", type=lambda s: _parse_pair(s, float), default=None)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--jitter-days", dest="jitter_days", type=int, default=2)
+    p.add_argument("--disagree-prob", dest="disagree_prob", type=float, default=0.05)
+    p.add_argument("--split-merge-prob", dest="split_merge_prob", type=float, default=0.05)
+    p.add_argument("--trend-len", dest="trend_len", type=_pair(int), default=None)
+    p.add_argument("--flat-len", dest="flat_len", type=_pair(int), default=None)
+    p.add_argument("--drift", type=_pair(float), default=None)
+    p.add_argument("--volatility", type=_pair(float), default=None)
+    p.set_defaults(func=cmd_synth, parser=p, section="synth", seed=42)
 
     p = sub.add_parser("prepare", help="build train/test datasets from data files")
     _add_common(p, seed=False)
     p.add_argument("--data", required=True, help="directory with quotes_*/labels_* CSVs")
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
-    p.add_argument("--split-frac", dest="split_frac", type=float, default=None)
-    p.add_argument("--log-mode", dest="log_mode", action="store_true", default=None)
+    p.add_argument("--split-frac", dest="split_frac", type=float, default=DEFAULT_SPLIT_FRAC)
+    p.add_argument("--log-mode", dest="log_mode", action="store_true", default=True)
     p.add_argument("--raw", dest="log_mode", action="store_false")
-    p.add_argument("--averaging", action="store_true", default=None)
+    p.add_argument("--averaging", action="store_true")
     p.add_argument("--no-averaging", dest="averaging", action="store_false")
-    p.add_argument(
-        "--trigger-correction", dest="trigger_correction", action="store_true", default=None
-    )
+    p.add_argument("--trigger-correction", dest="trigger_correction", action="store_true")
     p.add_argument(
         "--no-trigger-correction", dest="trigger_correction", action="store_false"
     )
-    p.set_defaults(func=cmd_prepare)
+    p.set_defaults(func=cmd_prepare, parser=p, section="data")
 
     p = sub.add_parser("train", help="train the changepoint or trend/flat model")
     p.add_argument("which", choices=("cp", "tof"))
     _add_common(p)
     p.add_argument("--prepared", required=True, help="directory written by prepare")
     _add_model_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, parser=p, section="{which}_model")
 
     p = sub.add_parser("gridsearch", help="cross-validated hyperparameter search")
     p.add_argument("which", choices=("cp", "tof"))
     _add_common(p)
     p.add_argument("--prepared", required=True)
-    p.add_argument("--grid", required=True, help="INI file with a [grid] section")
+    p.add_argument(
+        "--grid", required=True, type=_grid_file, help="INI file with a [grid] section"
+    )
     p.add_argument("--mode", choices=("full", "randomized"), default="full")
     p.add_argument("--draws", type=int, default=None)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--scoring", default="f1_macro", choices=evaluation.SCORING)
     _add_model_flags(p)
-    p.set_defaults(func=cmd_gridsearch)
+    p.set_defaults(func=cmd_gridsearch, parser=p, section="{which}_model")
 
     p = sub.add_parser("backtest", help="run the two-stage simulation on the test span")
     _add_common(p, config=False, seed=False)
@@ -829,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
     p.add_argument(
-        "--cp-threshold", dest="cp_threshold", default="0.5",
+        "--cp-threshold", dest="cp_threshold", type=_float_list, default="0.5",
         help="one value or a comma list, e.g. 0.5,0.65,0.85",
     )
     p.add_argument("--tof-threshold", dest="tof_threshold", type=float, default=0.5)
@@ -839,15 +830,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--log-mode", dest="log_mode", action="store_true", default=None)
     p.add_argument("--raw", dest="log_mode", action="store_false")
-    p.set_defaults(func=cmd_backtest)
+    p.set_defaults(func=cmd_backtest, parser=p)
 
     p = sub.add_parser("baseline", help="profit of the expert labels themselves")
     _add_common(p, config=False, seed=False)
     p.add_argument("--data", required=True)
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
-    p.add_argument("--split-frac", dest="split_frac", type=float, default=0.7)
-    p.set_defaults(func=cmd_baseline)
+    p.add_argument("--split-frac", dest="split_frac", type=float, default=DEFAULT_SPLIT_FRAC)
+    p.set_defaults(func=cmd_baseline, parser=p)
 
     return parser
 
@@ -856,11 +847,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        if getattr(args, "config", None):
+            # flag, then config key, then built-in default: argparse fills an
+            # unset option from its parser's defaults, through the option's type
+            args.parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return int(args.func(args) or 0)
-    except UsageError as exc:
+    except SystemExit as exc:  # argparse's usage errors (and --help)
+        return int(exc.code) if exc.code is not None else 0
+    except configparser.Error as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (TrendlabError, FileNotFoundError, ValueError) as exc:

@@ -187,9 +187,11 @@ def trigger_correction(
 
     Upward trends move to the close minimum, downward trends to the maximum;
     the preceding window's end follows so the partition stays contiguous and
-    every window keeps at least one day. Ties pick the earliest date. The
-    snap is repeated until every corrected start is a fixed point, which
-    makes the operation idempotent.
+    every window keeps at least one day. After rows no label covers, a start
+    moves only forward inside its own window and the preceding window keeps
+    its end, so no window grows over unlabelled rows. Ties pick the earliest
+    date. The snap is repeated until every corrected start is a fixed point,
+    which makes the operation idempotent.
     """
     if not windows:
         raise EmptyInputError("no windows")
@@ -204,7 +206,8 @@ def trigger_correction(
             if windows[i].tendency != TREND:
                 continue
             s = starts[i]
-            lo = max(0, s - CORRECTION_RADIUS, starts[i - 1] + 1)
+            adjacent = ends[i - 1] == s - 1
+            lo = max(0, s - CORRECTION_RADIUS, starts[i - 1] + 1) if adjacent else s
             hi = min(n - 1, s + CORRECTION_RADIUS, ends[i])
             if lo > hi:
                 continue
@@ -213,7 +216,8 @@ def trigger_correction(
             target = lo + offset
             if target != s:
                 starts[i] = target
-                ends[i - 1] = target - 1
+                if adjacent:
+                    ends[i - 1] = target - 1
                 moved = True
         if not moved:
             break

@@ -305,3 +305,91 @@ def test_config_file_supplies_defaults(tmp_path):
     ) == 0
     assert len(list(out2.glob("quotes_*.csv"))) == 2
     assert main(["synth", "--config", str(tmp_path / "nope.ini"), "-o", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, ini, message",
+    [
+        (["synth", "--stocks", "two"], None, "argument --stocks: invalid int value: 'two'"),
+        (["synth", "--config", "{ini}"], "[synth]\nstocks = two\n",
+         "argument --stocks: invalid int value: 'two'"),
+        (["synth", "--trend-len", "5"], None, "argument --trend-len"),
+        (["prepare", "--data", "{data}", "--split-date", "2020-13-01"], None, "'2020-13-01'"),
+        (["train", "cp", "--prepared", "{prep}", "--threads", "abc"], None, "'abc'"),
+        (["backtest", "--data", "{data}", "--oracle", "--cp-threshold", "0.5,abc"], None,
+         "'0.5,abc'"),
+        (["synth", "--config", "{ini}"], "[synth]\nstock = 2\n",
+         "{ini}: [synth] has no key 'stock'"),
+        (["synth", "--config", "{ini}"], "[sinth]\nstocks = 2\n",
+         "{ini}: no command reads section [sinth]"),
+        (["prepare", "--data", "{data}", "--config", "{ini}"], "[data]\nlog_mode = maybe\n",
+         "{ini}: [data] log_mode: not a boolean: 'maybe'"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"], "[grid]\nmax_dept = 3\n",
+         "{ini}: [grid] max_dept is not a model parameter"),
+    ],
+    ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "cp-threshold",
+         "unknown-key", "unknown-section", "log-mode-key", "grid-key"],
+)
+def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):
+    ini_path = tmp_path / "run.ini"
+    paths = {"data": str(workdir / "data"), "prep": str(workdir / "prep"), "ini": str(ini_path)}
+    if ini is not None:
+        ini_path.write_text(ini)
+    assert main([a.format(**paths) for a in argv] + ["-o", str(tmp_path / "out")]) == 2
+    assert message.format(**paths) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _params(out: Path, which: str) -> dict:
+    return json.loads((out / f"{which}_metrics.json").read_text())["params"]
+
+
+@pytest.mark.parametrize(
+    "argv, ini, key, flag, read, want",
+    [
+        (["synth"], "[synth]\ndays = 100\n", "stocks = 2", ["--stocks", "3"],
+         lambda out: len(list(out.glob("quotes_*.csv"))), (5, 2, 3)),
+        (["prepare", "--data", "{data}"], "[data]\n", "trigger_correction = yes",
+         ["--no-trigger-correction"],
+         lambda out: json.loads((out / "prep_report.json").read_text())["trigger_correction"],
+         (False, True, False)),
+        # "auto" is the cp default and reads the prepared balance ("cp" and "tof" below)
+        (["train", "cp", "--prepared", "{prep}"], "[cp_model]\nn_estimators = 2\n",
+         "scale_pos_weight = auto", ["--scale-pos-weight", "2"],
+         lambda out: _params(out, "cp")["scale_pos_weight"], ("cp", "cp", 2.0)),
+        (["train", "tof", "--prepared", "{prep}"], "[tof_model]\nn_estimators = 2\n",
+         "scale_pos_weight = auto", ["--scale-pos-weight", "2"],
+         lambda out: _params(out, "tof")["scale_pos_weight"], (1.0, "tof", 2.0)),
+        (["train", "tof", "--prepared", "{prep}"], "[tof_model]\nn_estimators = 2\n",
+         "max_depth = 2", ["--max-depth", "3"], lambda out: _params(out, "tof")["max_depth"],
+         (5, 2, 3)),
+    ],
+    ids=["synth", "data", "cp_model", "tof_model", "tof_model-depth"],
+)
+def test_flag_over_config_over_default(workdir, tmp_path, argv, ini, key, flag, read, want):
+    argv = [a.format(data=workdir / "data", prep=workdir / "prep") for a in argv]
+    report = json.loads((workdir / "prep" / "prep_report.json").read_text())
+    balance = {which: report[which]["balance"] for which in ("cp", "tof")}
+    base, keyed = tmp_path / "base.ini", tmp_path / "keyed.ini"
+    base.write_text(ini)
+    keyed.write_text(f"{ini}{key}\n")
+    got = []
+    for name, extra in (("default", []), ("config", []), ("flag", flag)):
+        out = tmp_path / name
+        config = base if name == "default" else keyed
+        assert main([*argv, "--config", str(config), *extra, "-o", str(out)]) == 0
+        got.append(read(out))
+    assert got == [balance.get(w, w) for w in want]
+
+
+@pytest.mark.parametrize("command", ["prepare", "baseline"])
+def test_label_file_for_a_stock_without_quotes_exits_1(workdir, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in (workdir / "data").iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    orphan = data / "labels_SYN09_D.csv"
+    orphan.write_text((data / "labels_SYN01_D.csv").read_text().replace("SYN01", "SYN09"))
+    assert main([command, "--data", str(data), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "SYN09" in err and str(orphan) in err

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trendlab import gbdt
 from trendlab.errors import ModelFormatError, ShapeError, SingleClassWarning
@@ -311,6 +313,24 @@ def test_serialization_round_trip_exact(tmp_path):
     assert doc["format"] == "trendlab.gbdt"
     with pytest.raises(ModelFormatError):
         model_from_dict({"format": "other"})
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.floats(0.5, 1.0),
+)
+def test_model_dict_round_trip(seed, n_rows, n_features, n_trees, depth, subsample):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, size=(n_rows, n_features))
+    y = rng.integers(0, 2, size=n_rows)
+    y[:2] = (0, 1)
+    params = GbdtParams(n_estimators=n_trees, max_depth=depth, subsample=subsample, seed=seed)
+    doc = model_to_dict(fit(X, y, params))
+    assert model_to_dict(model_from_dict(json.loads(json.dumps(doc)))) == doc
 
 
 def _corrupt(doc, edit):

@@ -110,9 +110,9 @@ def test_columnar_windows_match_row_reference(tmp_path, n_experts, profile, corr
         for stock, (got_streams, want_streams) in by_stock.items():
             voted = voted_windows(got_streams, quotes[stock])
             assert voted == reference_voted_windows(want_streams, quotes[stock])
-            if gap and not correct:
-                hole = quotes[stock].dates[160]
-                assert not any(w.start_date <= hole <= w.end_date for w in voted)
+            if gap:
+                for hole in quotes[stock].dates[150:170]:
+                    assert not any(w.start_date <= hole <= w.end_date for w in voted)
 
 
 LABEL_HEADER = "date,stockname,id_select,type,username\n"

@@ -181,6 +181,22 @@ def test_trigger_correction_respects_series_boundary():
     assert series.index_of(corrected[1].start_date) >= 1
 
 
+@pytest.mark.parametrize("low_row, start_row", [(12, 15), (17, 17)])
+def test_trigger_correction_never_crosses_unlabelled_rows(low_row, start_row):
+    # Flat labels on rows 0-9, none on 10-14, an up-trend on 15-29
+    closes = [100.0 + abs(i - low_row) for i in range(30)]  # the close minimum is at low_row
+    series = make_series(closes)
+    rows = [*range(10), *range(15, 30)]
+    labels = LabelSeries(
+        series.stockname, "A", [series.dates[i] for i in rows],
+        [1] * 10 + [2] * 15, [False] * 10 + [True] * 15,
+    )
+    corrected = trigger_correction(extract_windows(labels, series), series)
+    spans = [(series.index_of(w.start_date), series.index_of(w.end_date)) for w in corrected]
+    assert spans == [(0, 9), (start_row, 29)]
+    assert trigger_correction(corrected, series) == corrected
+
+
 def test_count_contradictions_basics():
     X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
     stats = count_contradictions(X, [0, 1, 0])

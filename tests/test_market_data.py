@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_series
 from trendlab.errors import (
@@ -18,12 +20,14 @@ from trendlab.errors import (
 from trendlab.market_data import (
     OHLCV_COLUMNS,
     LabelSeries,
+    QuoteSeries,
     load_label_file,
     load_quotes,
     merge_label_files,
     save_labels,
     save_quotes,
 )
+from trendlab.synth import business_dates
 
 QUOTE_HEADER = "date,open,high,low,close,volume,stockname\n"
 LABEL_HEADER = "date,stockname,id_select,type,username\n"
@@ -103,6 +107,44 @@ def test_quotes_save_load_save_is_byte_identical(tmp_path):
     save_quotes(make_series(closes, volumes=volumes), first)
     save_quotes(load_quotes(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+_PRICES = st.floats(1e-6, 1e9, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _quote_series(draw) -> QuoteSeries:
+    """Valid quotes: low <= open, close <= high, on increasing business dates."""
+    n = draw(st.integers(1, 25))
+    rows = [sorted(draw(st.lists(_PRICES, min_size=4, max_size=4))) for _ in range(n)]
+    swap = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    volumes = draw(st.lists(st.one_of(st.integers(0, 10**12).map(float), st.floats(0, 1e16)),
+                            min_size=n, max_size=n))
+    skip, stride = draw(st.integers(0, 300)), draw(st.integers(1, 4))
+    dates = business_dates(Date(2005, 1, 3), skip + stride * n)[skip::stride]
+    name = draw(st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.", min_size=1, max_size=6))
+    return QuoteSeries(
+        name,
+        dates,
+        open=[r[2] if s else r[1] for r, s in zip(rows, swap)],
+        high=[r[3] for r in rows],
+        low=[r[0] for r in rows],
+        close=[r[1] if s else r[2] for r, s in zip(rows, swap)],
+        volume=volumes,
+    )
+
+
+@given(_quote_series())
+def test_quotes_save_load_save_round_trip(tmp_path_factory, series):
+    folder = tmp_path_factory.mktemp("quotes")
+    first, second = folder / "first.csv", folder / "second.csv"
+    save_quotes(series, first)
+    loaded = load_quotes(first)
+    save_quotes(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert (loaded.stockname, loaded.dates) == (series.stockname, series.dates)
+    for c in OHLCV_COLUMNS:
+        assert np.array_equal(loaded.column(c), series.column(c))
 
 
 def test_slice_shares_memory_and_columns_are_read_only():
