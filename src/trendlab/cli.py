@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation, gbdt, pipeline, synth
-from .errors import TrendlabError
+from .errors import ConfigError, TrendlabError
 from .features import (
     CP_FEATURE_NAMES,
     TOF_FEATURE_NAMES,
@@ -273,14 +273,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     sampler = synth.SamplerConfig(
         n_days=args.days, **{k: v for k, v in ranges.items() if v is not None}
     )
-    experts = _experts_list(args.experts) or ["D", "G"]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     profile = synth.ExpertProfile(
         jitter_days=args.jitter_days,
         disagree_prob=args.disagree_prob,
         split_merge_prob=args.split_merge_prob,
     )
+    try:
+        sampler.validate()
+        profile.validate()
+    except ConfigError as exc:
+        args.parser.error(str(exc))
+    experts = _experts_list(args.experts) or ["D", "G"]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     truth_doc: dict = {"seed": args.seed, "stocks": {}}
     n_label_files = 0
@@ -324,13 +329,11 @@ def _concat_datasets(parts: list[FeatureDataset], kind: str, names) -> FeatureDa
     return FeatureDataset(
         kind=kind,
         feature_names=tuple(names),
-        dates=[d for p in parts for d in p.dates],
-        stocknames=[s for p in parts for s in p.stocknames],
-        X=np.vstack([p.X for p in parts]),
+        days=np.concatenate([p.days for p in parts]),
+        stocknames=np.concatenate([p.stocknames for p in parts]),
+        X=np.concatenate([p.X for p in parts]),
         y=np.concatenate([p.y for p in parts]),
-        fractions=(
-            [f for p in parts for f in (p.fractions or [])] if kind == "tof" else None
-        ),
+        fractions=np.concatenate([p.fractions for p in parts]) if kind == "tof" else None,
     )
 
 
@@ -364,8 +367,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     cp_ds = _concat_datasets(cp_parts, "cp", CP_FEATURE_NAMES).deduplicate()
     tof_ds = _concat_datasets(tof_parts, "tof", TOF_FEATURE_NAMES).deduplicate()
 
-    cp_split = split_by_date(cp_ds.dates, cp_ds.y, split_date)
-    tof_split = split_by_date(tof_ds.dates, tof_ds.y, split_date)
+    cp_split = split_by_date(cp_ds.days, cp_ds.y, split_date)
+    tof_split = split_by_date(tof_ds.days, tof_ds.y, split_date)
     contradictions = count_contradictions(
         cp_ds.X[cp_split.train_idx], cp_ds.y[cp_split.train_idx]
     )
@@ -377,11 +380,12 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     tof_test = tof_ds.take(tof_split.test_idx)
     with (out_dir / "tof_test_meta.csv").open("w", encoding="utf-8", newline="") as handle:
         handle.write("date,stockname,fraction\n")
-        for i in range(len(tof_test)):
-            handle.write(
-                f"{tof_test.dates[i].isoformat()},{tof_test.stocknames[i]},"
-                f"{(tof_test.fractions or [0] * len(tof_test))[i]}\n"
+        handle.writelines(
+            f"{Date.fromordinal(day).isoformat()},{stock},{fraction}\n"
+            for day, stock, fraction in zip(
+                tof_test.days.tolist(), tof_test.stocknames.tolist(), tof_test.fractions.tolist()
             )
+        )
 
     report = {
         "split_date": split_date.isoformat(),
@@ -439,7 +443,12 @@ def _model_params(which: str, args: argparse.Namespace, prep_report: dict) -> gb
         if balance is None:
             raise TrendlabError("cannot auto-set scale_pos_weight: train set has no positives")
         values["scale_pos_weight"] = float(balance)
-    return replace(base, **values)
+    params = replace(base, **values)
+    try:
+        params.validate()
+    except ValueError as exc:
+        args.parser.error(str(exc))
+    return params
 
 
 def _metrics_block(y, proba, threshold: float) -> dict:
@@ -467,13 +476,13 @@ def _metrics_block(y, proba, threshold: float) -> dict:
 def cmd_train(args: argparse.Namespace) -> int:
     which = args.which
     prepared = Path(args.prepared)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prep_report = json.loads((prepared / "prep_report.json").read_text(encoding="utf-8"))
+    params = _model_params(which, args, prep_report)
     names = CP_FEATURE_NAMES if which == "cp" else TOF_FEATURE_NAMES
     X_train, y_train = read_feature_csv(prepared / f"{which}_train.csv", names)
     X_test, y_test = read_feature_csv(prepared / f"{which}_test.csv", names)
-    params = _model_params(which, args, prep_report)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     model = gbdt.fit(X_train, y_train, params)
     model.feature_names = tuple(names)
@@ -513,12 +522,12 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         args.parser.error("randomized mode needs --draws")
     which = args.which
     prepared = Path(args.prepared)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prep_report = json.loads((prepared / "prep_report.json").read_text(encoding="utf-8"))
+    base = _model_params(which, args, prep_report)
     names = CP_FEATURE_NAMES if which == "cp" else TOF_FEATURE_NAMES
     X, y = read_feature_csv(prepared / f"{which}_train.csv", names)
-    base = _model_params(which, args, prep_report)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     result = evaluation.grid_search(
         X,
@@ -700,13 +709,16 @@ def cmd_backtest(args: argparse.Namespace) -> int:
                 for line in meta_path.read_text(encoding="utf-8").splitlines()[1:]
                 if line
             ]
-            pred = gbdt.predict(tof_model, X, threshold=tof_threshold)
+            hits = gbdt.predict(tof_model, X, threshold=tof_threshold) == y
+            values, group = np.unique(fractions, return_inverse=True)
+            n = np.bincount(group, minlength=len(values))
+            accuracy = np.bincount(group, weights=hits, minlength=len(values)) / n
             with (out_dir / "fraction_accuracy.csv").open("w", encoding="utf-8", newline="") as f:
                 f.write("fraction,n,accuracy\n")
-                for frac in sorted(set(fractions)):
-                    idx = [i for i, p in enumerate(fractions) if p == frac]
-                    acc = float(np.mean(pred[idx] == y[idx]))
-                    f.write(f"{frac},{len(idx)},{repr(acc)}\n")
+                f.writelines(
+                    f"{frac},{count},{acc!r}\n"
+                    for frac, count, acc in zip(values.tolist(), n.tolist(), accuracy.tolist())
+                )
     return 0
 
 

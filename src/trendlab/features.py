@@ -8,16 +8,15 @@ the close and volume regression slope/R2 pair plus the prefix length.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from datetime import date as Date
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvariantError, ParseError, TooShortError, ZeroVolumeError
+from .errors import EmptyInputError, InvariantError, ParseError, TooShortError, ZeroVolumeError
 from .labels import ExpertWindow, TriggerSeries, _ols, _row_keys
-from .market_data import TREND, QuoteSeries
+from .market_data import TREND, QuoteSeries, _days
 
 CP_CONTEXT = 5
 
@@ -74,31 +73,14 @@ def cp_feature_matrix(
     return ts, X
 
 
-@dataclass(frozen=True)
-class TofRow:
-    """Regression features of one window prefix.
-
-    ``target`` and ``fraction`` are bookkeeping attached by the dataset
-    builders; only the five named features feed the classifier.
-    """
+class TofRow(NamedTuple):
+    """Regression features of one window prefix, in ``TOF_FEATURE_NAMES`` order."""
 
     reg_close: float
     close_r2: float
     reg_vol: float
     vol_r2: float
     len_trend: int
-    target: int | None = None
-    fraction: int | None = None
-
-    @property
-    def direction_hint(self) -> int:
-        return 1 if self.reg_close >= 0.0 else -1
-
-    def vector(self) -> np.ndarray:
-        return np.array(
-            [self.reg_close, self.close_r2, self.reg_vol, self.vol_r2, float(self.len_trend)],
-            dtype=np.float64,
-        )
 
 
 def tof_features(
@@ -135,66 +117,61 @@ def _fraction_days(pct: int, n: int) -> int:
 
 def augment_fractions(
     window: ExpertWindow, quotes: QuoteSeries, log_mode: bool = False
-) -> list[TofRow]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Window prefixes at 5,10,20..100% of its length, minus too-short rows.
 
+    Returns the fractions kept and one row of the five features per fraction.
     Prefixes shorter than ``MIN_LEN_TREND`` days are dropped: the changepoint
     stage already lags five days, so nothing shorter ever needs recognizing.
     """
     i0 = quotes.index_of(window.start_date)
-    i1 = quotes.index_of(window.end_date)
-    n = i1 - i0 + 1
+    n = quotes.index_of(window.end_date) - i0 + 1
     closes = quotes.closes
     volumes = quotes.volumes
-    target = int(window.tendency == TREND)
-    rows: list[TofRow] = []
-    for pct in FRACTIONS:
-        k = _fraction_days(pct, n)
-        if k < MIN_LEN_TREND or k > n:
-            continue
-        row = tof_features(closes[i0 : i0 + k], volumes[i0 : i0 + k], log_mode=log_mode)
-        rows.append(
-            TofRow(
-                reg_close=row.reg_close,
-                close_r2=row.close_r2,
-                reg_vol=row.reg_vol,
-                vol_r2=row.vol_r2,
-                len_trend=row.len_trend,
-                target=target,
-                fraction=pct,
-            )
-        )
-    return rows
+    fractions = [pct for pct in FRACTIONS if MIN_LEN_TREND <= _fraction_days(pct, n) <= n]
+    rows = [
+        tof_features(closes[i0 : i0 + k], volumes[i0 : i0 + k], log_mode=log_mode)
+        for k in (_fraction_days(pct, n) for pct in fractions)
+    ]
+    X = np.array(rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))
+    return np.array(fractions, dtype=np.int64), X
 
 
 @dataclass
 class FeatureDataset:
-    """Columnar dataset with per-row bookkeeping for splitting and reporting."""
+    """Columnar dataset with per-row bookkeeping for splitting and reporting.
+
+    ``days`` holds each row's date as a day number (``date.toordinal``),
+    ``stocknames`` is a string array and ``fractions`` (trend/flat rows only)
+    the window fraction each row was cut at.
+    """
 
     kind: str  # "cp" | "tof"
     feature_names: tuple[str, ...]
-    dates: list[Date]
-    stocknames: list[str]
+    days: np.ndarray
+    stocknames: np.ndarray
     X: np.ndarray
     y: np.ndarray
-    fractions: list[int] | None = None
+    fractions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.X.ndim != 2 or not (len(self.X) == len(self.y) == len(self.dates)):
+        columns = [self.y, self.days, self.stocknames]
+        if self.fractions is not None:
+            columns.append(self.fractions)
+        if self.X.ndim != 2 or any(len(c) != len(self.X) for c in columns):
             raise InvariantError("dataset columns disagree in length")
 
     def __len__(self) -> int:
         return len(self.y)
 
     def take(self, idx: np.ndarray) -> "FeatureDataset":
-        return FeatureDataset(
-            kind=self.kind,
-            feature_names=self.feature_names,
-            dates=[self.dates[i] for i in idx],
-            stocknames=[self.stocknames[i] for i in idx],
+        return replace(
+            self,
+            days=self.days[idx],
+            stocknames=self.stocknames[idx],
             X=self.X[idx],
             y=self.y[idx],
-            fractions=None if self.fractions is None else [self.fractions[i] for i in idx],
+            fractions=None if self.fractions is None else self.fractions[idx],
         )
 
     def deduplicate(self) -> "FeatureDataset":
@@ -208,16 +185,16 @@ def build_cp_dataset(
 ) -> FeatureDataset:
     """Changepoint rows for every labeled date with full +/-5-row context."""
     ts, X = cp_feature_matrix(series, log_mode=log_mode)
-    dates = series.dates
-    keep = [i for i, t in enumerate(ts) if triggers.covers(dates[t])]
-    kept_ts = [int(ts[i]) for i in keep]
+    days = _days(series.dates)[ts]
+    keep = (days >= triggers.start_date.toordinal()) & (days <= triggers.end_date.toordinal())
+    days = days[keep]
     return FeatureDataset(
         kind="cp",
         feature_names=CP_FEATURE_NAMES,
-        dates=[dates[t] for t in kept_ts],
-        stocknames=[series.stockname] * len(kept_ts),
-        X=X[keep] if keep else np.empty((0, len(CP_FEATURE_NAMES))),
-        y=np.array([triggers.value(dates[t]) for t in kept_ts], dtype=np.int64),
+        days=days,
+        stocknames=np.full(len(days), series.stockname),
+        X=X[keep],
+        y=np.isin(days, _days(list(triggers.trigger_dates))).astype(np.int64),
     )
 
 
@@ -225,27 +202,18 @@ def build_tof_dataset(
     windows: Sequence[ExpertWindow], quotes: QuoteSeries, log_mode: bool = False
 ) -> FeatureDataset:
     """Fraction-augmented window rows, each dated by its window start."""
-    dates: list[Date] = []
-    stocknames: list[str] = []
-    fractions: list[int] = []
-    vectors: list[np.ndarray] = []
-    targets: list[int] = []
-    for w in windows:
-        for row in augment_fractions(w, quotes, log_mode=log_mode):
-            dates.append(w.start_date)
-            stocknames.append(w.stockname)
-            fractions.append(int(row.fraction or 0))
-            vectors.append(row.vector())
-            targets.append(int(row.target or 0))
-    X = np.vstack(vectors) if vectors else np.empty((0, len(TOF_FEATURE_NAMES)))
+    if not windows:
+        raise EmptyInputError("no windows")
+    fractions, X = zip(*(augment_fractions(w, quotes, log_mode=log_mode) for w in windows))
+    counts = [len(f) for f in fractions]
     return FeatureDataset(
         kind="tof",
         feature_names=TOF_FEATURE_NAMES,
-        dates=dates,
-        stocknames=stocknames,
-        X=X,
-        y=np.array(targets, dtype=np.int64),
-        fractions=fractions,
+        days=np.repeat(_days([w.start_date for w in windows]), counts),
+        stocknames=np.repeat(np.array([w.stockname for w in windows]), counts),
+        X=np.concatenate(X),
+        y=np.repeat(np.array([w.tendency == TREND for w in windows], dtype=np.int64), counts),
+        fractions=np.concatenate(fractions),
     )
 
 
@@ -271,9 +239,11 @@ def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
         header = next(reader, None)
         if header != expected:
             raise ParseError(f"{path}: expected header {expected}, got {header}")
-        rows = [line for line in reader if line]
-    X = np.array([[float(v) for v in row[:-1]] for row in rows], dtype=np.float64)
-    y = np.array([int(row[-1]) for row in rows], dtype=np.int64)
+        # convert each line as it is read: holding every cell as a string first
+        # sets the peak memory of a training run
+        rows = [([float(v) for v in line[:-1]], int(line[-1])) for line in reader if line]
+    X = np.array([x for x, _ in rows], dtype=np.float64)
+    y = np.array([target for _, target in rows], dtype=np.int64)
     if len(rows) == 0:
         X = np.empty((0, len(names)))
     return X, y

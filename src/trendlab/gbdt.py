@@ -30,7 +30,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -54,6 +54,9 @@ class GbdtParams:
     threads: int | str = 1
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number")
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.max_depth < 1:

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSplitError, EmptyInputError, InvariantError
-from .market_data import FLAT, TREND, LabelSeries, QuoteSeries, _days
+from .market_data import FLAT, TREND, LabelSeries, QuoteSeries
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,13 @@ class ExpertWindow:
 
 @dataclass(frozen=True)
 class TriggerSeries:
-    """Per-date changepoint flags: true on every window start except the first."""
+    """A labelled span and its changepoint dates: every window start but the first."""
 
     stockname: str
     expert: str
     start_date: Date
     end_date: Date
     trigger_dates: frozenset[Date]
-
-    def covers(self, d: Date) -> bool:
-        return self.start_date <= d <= self.end_date
-
-    def value(self, d: Date) -> int:
-        if not self.covers(d):
-            raise InvariantError(f"{d} outside labeled span")
-        return int(d in self.trigger_dates)
 
 
 def _ols(y: np.ndarray) -> tuple[float, float]:
@@ -300,12 +292,15 @@ class DatasetSplit:
 
 
 def split_by_date(
-    dates: Sequence[Date], targets: Sequence[int], split_date: Date
+    days: np.ndarray, targets: Sequence[int], split_date: Date
 ) -> DatasetSplit:
-    """Partition row indices by date and report the train-side class balance."""
-    if len(dates) != len(targets):
-        raise InvariantError("dates and targets disagree in length")
-    train = _days(dates) < split_date.toordinal()
+    """Partition row indices by day number and report the train-side class balance.
+
+    ``days`` are the rows' dates as day numbers (``date.toordinal``).
+    """
+    if len(days) != len(targets):
+        raise InvariantError("days and targets disagree in length")
+    train = np.asarray(days) < split_date.toordinal()
     train_idx = np.flatnonzero(train)
     test_idx = np.flatnonzero(~train)
     if train_idx.size == 0 or test_idx.size == 0:

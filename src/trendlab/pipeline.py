@@ -7,22 +7,23 @@ fixed, these answers fix every window, and so every prefix the trend/flat
 model is asked about. ``run_pipeline`` therefore scores every changepoint
 row in one call, then the trend/flat prefix of every day from its window's
 first possible entry day (``PipelineConfig.entry_lag``) on in one call, and
-only then walks the days. The first positive trend/flat answer in a window
+only then walks the windows. The first positive trend/flat answer in a window
 opens a position at that day's close, with the direction latched from the
 sign of the prefix's close-slope feature. A position closes when the
 trend/flat answer flips back to flat (unless ``hold_until_changepoint``),
 when the next changepoint signal acts, or at the end of the series. No
 answer used on day d reads a bar after day d.
+
+The answers, the windows and the position state are stored per day as numpy
+columns of a ``SignalTrace``, with NaN for a missing answer.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -82,59 +83,63 @@ class Position:
         return self.exit_row - self.entry_row + 1
 
 
-@dataclass
-class TraceRow:
-    date: Date
-    cp_proba: float | None = None
-    cp_signal: int = 0
-    window_id: int | None = None
-    tof_proba: float | None = None
-    tof_signal: int | None = None
-    direction: int = 0
-    position_state: str = "flat"
+TRACE_COLUMNS = (
+    "date",
+    "cp_proba",
+    "cp_signal",
+    "window_id",
+    "tof_proba",
+    "tof_signal",
+    "direction",
+    "position_state",
+)
 
 
 @dataclass
 class SignalTrace:
+    """One stock's per-day answers as columns, plus the positions they opened.
+
+    Every column has one entry per day of the series. ``cp_proba`` and
+    ``tof_proba`` are NaN on days without an answer, and ``tof_signal`` is -1
+    there. ``window_id`` counts the changepoints that have acted (0 before the
+    first) and ``window_start`` is the row the current window starts at (-1
+    before the first). ``direction`` is the open position's direction (0 when
+    flat) and ``position_state`` one of "flat", "in", "enter", "exit" and
+    "exit_enter".
+    """
+
     stockname: str
-    rows: list[TraceRow] = field(default_factory=list)
-    positions: list[Position] = field(default_factory=list)
+    dates: tuple[Date, ...]
+    cp_proba: np.ndarray
+    cp_signal: np.ndarray
+    window_id: np.ndarray
+    window_start: np.ndarray
+    tof_proba: np.ndarray
+    tof_signal: np.ndarray
+    direction: np.ndarray
+    position_state: np.ndarray
+    positions: list[Position]
 
     def to_csv(self, path: str | Path) -> None:
-        def cell(v: object) -> str:
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
+        """One row per day: an empty cell for no answer and for window 0, floats as ``repr``."""
 
+        def answers(probas: np.ndarray) -> list[str]:
+            return ["" if p != p else repr(p) for p in probas.tolist()]  # NaN != NaN
+
+        rows = zip(
+            [d.isoformat() for d in self.dates],
+            answers(self.cp_proba),
+            map(str, self.cp_signal.tolist()),
+            [str(w) if w else "" for w in self.window_id.tolist()],
+            answers(self.tof_proba),
+            ["" if s < 0 else str(s) for s in self.tof_signal.tolist()],
+            map(str, self.direction.tolist()),
+            self.position_state.tolist(),
+        )
         with Path(path).open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                [
-                    "date",
-                    "cp_proba",
-                    "cp_signal",
-                    "window_id",
-                    "tof_proba",
-                    "tof_signal",
-                    "direction",
-                    "position_state",
-                ]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.date.isoformat(),
-                        cell(r.cp_proba),
-                        r.cp_signal,
-                        cell(r.window_id),
-                        cell(r.tof_proba),
-                        cell(r.tof_signal),
-                        r.direction,
-                        r.position_state,
-                    ]
-                )
+            # no cell needs CSV quoting: join each row as csv.writer would
+            handle.write(",".join(TRACE_COLUMNS) + "\r\n")
+            handle.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -273,7 +278,7 @@ def save_report(report: BacktestReport, path: str | Path, per_stock: Sequence[St
 
 def _score(
     model: gbdt.GbdtModel | CpScorer | TofScorer, X: np.ndarray, *keys: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """One stage's probabilities for every row of ``X``, in one call."""
     if isinstance(model, gbdt.GbdtModel):
         probas = gbdt.predict_proba(model, X)
@@ -281,7 +286,10 @@ def _score(
         probas = np.asarray(model(*keys, X), dtype=np.float64)
     if probas.shape != (len(X),):
         raise ShapeError(f"scorer returned shape {probas.shape} for {len(X)} rows")
-    return probas.tolist()
+    # NaN marks a missing answer in the trace, so a scorer may not return one
+    if not np.all((probas >= 0.0) & (probas <= 1.0)):
+        raise ShapeError("scorer returned a probability that is not a number in [0, 1]")
+    return probas
 
 
 def oracle_cp_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> CpScorer:
@@ -318,103 +326,84 @@ def run_pipeline(
 
     # 1. Changepoint stage: the answer about row t becomes actionable on day t + CP_LAG_DAYS.
     ts, cp_X = cp_feature_matrix(series, log_mode=cfg.log_mode)
-    cp_proba: list[float | None] = [None] * n
-    for t, proba in zip(ts.tolist(), _score(cp_model, cp_X, ts)):
-        cp_proba[t + CP_LAG_DAYS] = proba
-    cp_signal = [int(p is not None and p >= cfg.cp_threshold) for p in cp_proba]
+    cp_proba = np.full(n, np.nan)
+    cp_proba[ts + CP_LAG_DAYS] = _score(cp_model, cp_X, ts)
+    cp_signal = (cp_proba >= cfg.cp_threshold).astype(np.int64)
 
     # 2. Trend/flat stage: each day's window, then every prefix the walk asks about.
-    window_id = list(accumulate(cp_signal))  # 0 until the first changepoint acts
-    fired = [d for d in range(n) if cp_signal[d]]
-    window_start = [fired[w - 1] - CP_LAG_DAYS if w else None for w in window_id]
-    days = [d for d, s in enumerate(window_start) if s is not None and d - s >= cfg.entry_lag]
-    starts = [window_start[d] for d in days]
+    fired = np.flatnonzero(cp_signal)
+    window_id = np.cumsum(cp_signal)  # 0 until the first changepoint acts
+    window_start = np.append(-1, fired - CP_LAG_DAYS)[window_id]
+    days = np.flatnonzero((window_id > 0) & (np.arange(n) - window_start >= cfg.entry_lag))
+    starts = window_start[days]
     tof_rows = [
         tof_features(closes[s : d + 1], volumes[s : d + 1], log_mode=cfg.log_mode)
-        for s, d in zip(starts, days)
+        for s, d in zip(starts.tolist(), days.tolist())
     ]
-    tof_X = np.array([r.vector() for r in tof_rows]).reshape(-1, len(TOF_FEATURE_NAMES))
-    tof_probas = _score(
-        tof_model, tof_X, np.array(starts, dtype=np.int64), np.array(days, dtype=np.int64)
-    )
-    tof_proba: list[float | None] = [None] * n
-    tof_direction = [0] * n
-    for d, proba, tof_row in zip(days, tof_probas, tof_rows):
-        tof_proba[d] = proba
-        tof_direction[d] = tof_row.direction_hint
+    tof_X = np.array(tof_rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))
+    tof_proba = np.full(n, np.nan)
+    tof_proba[days] = _score(tof_model, tof_X, starts, days)
+    tof_signal = np.full(n, -1, dtype=np.int64)
+    tof_signal[days] = tof_proba[days] >= cfg.tof_threshold
+    trend_direction = np.zeros(n, dtype=np.int64)
+    trend_direction[days] = np.where(tof_X[:, 0] >= 0.0, 1, -1)
 
-    # 3. The position state machine over the per-day answers.
-    trace = SignalTrace(stockname=series.stockname)
-    window_had_position = False
-    entry_row: int | None = None
-    entry_direction = 0
-
-    def close_position(exit_row: int, reason: str) -> None:
-        nonlocal entry_row, entry_direction
-        assert entry_row is not None
-        trace.positions.append(
+    # 3. The position state machine, one window at a time. A window trades at
+    #    most once: its first trend answer opens a position at that day's close,
+    #    and the position closes on the window's next flat answer (unless
+    #    holding), on the day the next changepoint acts, or at the series end.
+    direction = np.zeros(n, dtype=np.int64)
+    state = np.full(n, "flat", dtype="<U10")
+    positions: list[Position] = []
+    bounds = np.append(fired, n).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        trend_days = np.flatnonzero(tof_signal[lo:hi] == 1)
+        if not trend_days.size:
+            continue
+        entry = lo + int(trend_days[0])
+        flat_days = np.flatnonzero(tof_signal[entry:hi] == 0)
+        if flat_days.size and not cfg.hold_until_changepoint:
+            exit_row, reason = entry + int(flat_days[0]), "tof_flat"
+        elif hi < n:
+            exit_row, reason = hi, "changepoint"
+        else:
+            exit_row, reason = n - 1, "series_end"
+        sign = int(trend_direction[entry])
+        entry_close, exit_close = float(closes[entry]), float(closes[exit_row])
+        positions.append(
             Position(
                 stockname=series.stockname,
-                direction=entry_direction,
-                entry_date=dates[entry_row],
+                direction=sign,
+                entry_date=dates[entry],
                 exit_date=dates[exit_row],
-                entry_close=float(closes[entry_row]),
-                exit_close=float(closes[exit_row]),
-                entry_row=entry_row,
+                entry_close=entry_close,
+                exit_close=exit_close,
+                entry_row=entry,
                 exit_row=exit_row,
-                profit=trend_profit(float(closes[entry_row]), float(closes[exit_row]), entry_direction),
+                profit=trend_profit(entry_close, exit_close, sign),
                 exit_reason=reason,
             )
         )
-        entry_row = None
-        entry_direction = 0
+        # the exit day shows no direction, except at the series end
+        direction[entry : exit_row + (reason == "series_end")] = sign
+        state[entry + 1 : exit_row] = "in"
+        state[entry] = "exit_enter" if state[entry] == "exit" else "enter"
+        state[exit_row] = "exit"
 
-    for d in range(n):
-        opened_today = False
-        closed_today = False
-        if cp_signal[d]:
-            if entry_row is not None:
-                close_position(d, "changepoint")
-                closed_today = True
-            window_had_position = False
-
-        proba = tof_proba[d]
-        tof_signal = None if proba is None else int(proba >= cfg.tof_threshold)
-        if tof_signal == 1 and entry_row is None and not window_had_position:
-            entry_row = d
-            entry_direction = tof_direction[d]
-            window_had_position = True
-            opened_today = True
-        elif tof_signal == 0 and entry_row is not None and not cfg.hold_until_changepoint:
-            close_position(d, "tof_flat")
-            closed_today = True
-
-        if opened_today:
-            state = "exit_enter" if closed_today else "enter"
-        elif closed_today:
-            state = "exit"
-        else:
-            state = "flat" if entry_row is None else "in"
-        trace.rows.append(
-            TraceRow(
-                date=dates[d],
-                cp_proba=cp_proba[d],
-                cp_signal=cp_signal[d],
-                window_id=window_id[d] or None,
-                tof_proba=proba,
-                tof_signal=tof_signal,
-                direction=entry_direction,
-                position_state=state,
-            )
-        )
-
-    if entry_row is not None:
-        close_position(n - 1, "series_end")
-        trace.rows[-1].position_state = "exit"
-        trace.rows[-1].direction = trace.positions[-1].direction
-
-    stats = StockStats.from_positions(series.stockname, trace.positions)
-    return trace, stats
+    trace = SignalTrace(
+        stockname=series.stockname,
+        dates=dates,
+        cp_proba=cp_proba,
+        cp_signal=cp_signal,
+        window_id=window_id,
+        window_start=window_start,
+        tof_proba=tof_proba,
+        tof_signal=tof_signal,
+        direction=direction,
+        position_state=state,
+        positions=positions,
+    )
+    return trace, StockStats.from_positions(series.stockname, positions)
 
 
 def clip_windows_to_span(

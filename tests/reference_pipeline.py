@@ -5,12 +5,18 @@ it scored each stage in one batch call. It asks the changepoint scorer about
 one row at a time as each day is reached, and rebuilds and scores the
 trend/flat prefix of every day on that day. A model is scored through
 ``gbdt.predict_row_proba``; any other scorer is a per-row callable,
-``cp(t, row)`` or ``tof(start, t, tof_row)``. The differential tests hold the
-batch pipeline to the exact traces, positions and stats of this walk.
+``cp(t, row)`` or ``tof(start, t, tof_row)``. The walk keeps one trace row
+object per day and writes the trace CSV from them, as the pipeline did before
+it stored the trace as columns. The differential tests hold the batch pipeline
+to the exact trace CSV bytes, positions and stats of this walk.
 """
 
 from __future__ import annotations
 
+import csv
+from dataclasses import dataclass, field
+from datetime import date as Date
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,14 +30,67 @@ from trendlab.pipeline import (
     CP_LAG_DAYS,
     PipelineConfig,
     Position,
-    SignalTrace,
     StockStats,
-    TraceRow,
     trend_profit,
 )
 
 RowCpScorer = Callable[[int, np.ndarray], float]
 RowTofScorer = Callable[[int, int, TofRow], float]
+
+
+@dataclass
+class TraceRow:
+    date: Date
+    cp_proba: float | None = None
+    cp_signal: int = 0
+    window_id: int | None = None
+    tof_proba: float | None = None
+    tof_signal: int | None = None
+    direction: int = 0
+    position_state: str = "flat"
+
+
+@dataclass
+class RowTrace:
+    stockname: str
+    rows: list[TraceRow] = field(default_factory=list)
+    positions: list[Position] = field(default_factory=list)
+
+    def to_csv(self, path: str | Path) -> None:
+        def cell(v: object) -> str:
+            if v is None:
+                return ""
+            if isinstance(v, float):
+                return repr(v)
+            return str(v)
+
+        with Path(path).open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(
+                [
+                    "date",
+                    "cp_proba",
+                    "cp_signal",
+                    "window_id",
+                    "tof_proba",
+                    "tof_signal",
+                    "direction",
+                    "position_state",
+                ]
+            )
+            for r in self.rows:
+                writer.writerow(
+                    [
+                        r.date.isoformat(),
+                        cell(r.cp_proba),
+                        r.cp_signal,
+                        cell(r.window_id),
+                        cell(r.tof_proba),
+                        cell(r.tof_signal),
+                        r.direction,
+                        r.position_state,
+                    ]
+                )
 
 
 def row_oracle_cp_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> RowCpScorer:
@@ -61,7 +120,7 @@ def reference_run_pipeline(
     cp_model: gbdt.GbdtModel | RowCpScorer,
     tof_model: gbdt.GbdtModel | RowTofScorer,
     cfg: PipelineConfig | None = None,
-) -> tuple[SignalTrace, StockStats]:
+) -> tuple[RowTrace, StockStats]:
     cfg = cfg or PipelineConfig()
     n = len(series)
     if n < 2 * CP_LAG_DAYS + 1:
@@ -71,7 +130,7 @@ def reference_run_pipeline(
     else:
         cp_score = cp_model
     if isinstance(tof_model, gbdt.GbdtModel):
-        tof_score = lambda start, t, row: gbdt.predict_row_proba(tof_model, row.vector())  # noqa: E731
+        tof_score = lambda start, t, row: gbdt.predict_row_proba(tof_model, np.array(row))  # noqa: E731
     else:
         tof_score = tof_model
 
@@ -81,7 +140,7 @@ def reference_run_pipeline(
     ts, cp_X = cp_feature_matrix(series, log_mode=cfg.log_mode)
     row_of_t = {int(t): i for i, t in enumerate(ts)}
 
-    trace = SignalTrace(stockname=series.stockname)
+    trace = RowTrace(stockname=series.stockname)
     window_start: int | None = None
     window_id = 0
     window_had_position = False
@@ -140,7 +199,7 @@ def reference_run_pipeline(
                 row.tof_signal = signal
                 if signal == 1 and entry_row is None and not window_had_position:
                     entry_row = d
-                    entry_direction = tof_row.direction_hint
+                    entry_direction = 1 if tof_row.reg_close >= 0.0 else -1
                     window_had_position = True
                     opened_today = True
                 elif signal == 0 and entry_row is not None and not cfg.hold_until_changepoint:

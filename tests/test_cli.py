@@ -326,9 +326,16 @@ def test_config_file_supplies_defaults(tmp_path):
          "{ini}: [data] log_mode: not a boolean: 'maybe'"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"], "[grid]\nmax_dept = 3\n",
          "{ini}: [grid] max_dept is not a model parameter"),
+        (["synth", "--disagree-prob", "2"], None, "probabilities must lie in [0, 1]"),
+        (["synth", "--trend-len", "10,20"], None, "trend lengths must stay within (40, 600)"),
+        (["train", "cp", "--prepared", "{prep}", "--n-estimators", "0"], None,
+         "n_estimators must be >= 1"),
+        (["train", "tof", "--prepared", "{prep}", "--learning-rate", "nan"], None,
+         "learning_rate must be a finite number"),
     ],
     ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "cp-threshold",
-         "unknown-key", "unknown-section", "log-mode-key", "grid-key"],
+         "unknown-key", "unknown-section", "log-mode-key", "grid-key", "disagree-prob-range",
+         "trend-len-range", "n-estimators-range", "learning-rate-nan"],
 )
 def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):
     ini_path = tmp_path / "run.ini"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trendlab.errors import FoldDegenerateError, SingleClassError
 from trendlab.evaluation import (
@@ -43,6 +45,20 @@ def test_auc_matches_brute_force_with_ties():
         assert roc_auc(scores, labels) == pytest.approx(
             brute_force_auc(scores, labels), abs=1e-12
         )
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=60).filter(
+        lambda pairs: {y for _, y in pairs} == {0, 1}
+    )
+)
+def test_auc_equals_pair_count_ties_half(pairs):
+    # five score values: most draws hold ties within and across the classes
+    scores, labels = zip(*pairs)
+    pos = [s for s, y in pairs if y == 1]
+    neg = [s for s, y in pairs if y == 0]
+    wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
+    assert roc_auc(scores, labels) == wins / (len(pos) * len(neg))
 
 
 def test_auc_invariances():

@@ -125,7 +125,6 @@ def test_tof_features_exact_line():
     assert row.reg_close == pytest.approx(0.01, abs=1e-12)
     assert row.close_r2 == pytest.approx(1.0, abs=1e-9)
     assert row.len_trend == 30
-    assert row.direction_hint == 1
 
 
 def test_tof_features_constant_series():
@@ -182,24 +181,26 @@ def _window_over(series):
 
 def test_augment_fractions_drops_short_prefixes():
     series = make_series(100 + np.arange(100.0))
-    rows = augment_fractions(_window_over(series), series)
+    fractions, X = augment_fractions(_window_over(series), series)
     # 5% of 100 = 5 days < 6: dropped; the ten other fractions survive
-    assert len(rows) == 10
-    assert [r.fraction for r in rows] == list(FRACTIONS[1:])
-    assert rows[0].len_trend == 10
-    assert rows[-1].len_trend == 100
+    assert X.shape == (10, len(TOF_FEATURE_NAMES))
+    assert fractions.tolist() == list(FRACTIONS[1:])
+    assert X[0, 4] == 10
+    assert X[-1, 4] == 100
 
 
 def test_augment_fractions_tiny_window_yields_nothing():
     series = make_series([100, 101, 102, 103.0])
-    assert augment_fractions(_window_over(series), series) == []
+    fractions, X = augment_fractions(_window_over(series), series)
+    assert fractions.shape == (0,)
+    assert X.shape == (0, len(TOF_FEATURE_NAMES))
 
 
 def test_augment_fractions_long_window_keeps_all_eleven():
     series = make_series(100 + np.arange(600.0))
-    rows = augment_fractions(_window_over(series), series)
-    assert len(rows) == len(FRACTIONS) == 11
-    assert rows[0].len_trend == 30
+    fractions, X = augment_fractions(_window_over(series), series)
+    assert len(fractions) == len(X) == len(FRACTIONS) == 11
+    assert X[0, 4] == 30
 
 
 def test_augment_fractions_lengths_nondecreasing_and_min_six():
@@ -207,8 +208,8 @@ def test_augment_fractions_lengths_nondecreasing_and_min_six():
     for _ in range(20):
         n = int(rng.integers(2, 300))
         series = make_series(100 * np.exp(np.cumsum(rng.normal(0, 0.01, n))))
-        rows = augment_fractions(_window_over(series), series)
-        lens = [r.len_trend for r in rows]
+        _, X = augment_fractions(_window_over(series), series)
+        lens = X[:, 4].tolist()
         assert all(a <= b for a, b in zip(lens, lens[1:]))
         assert all(length >= 6 for length in lens)
 
@@ -217,9 +218,11 @@ def test_build_tof_dataset_tags_rows():
     series = make_series(100 + np.arange(40.0))
     window = _window_over(series)
     ds = build_tof_dataset([window], series, log_mode=True)
-    assert len(ds) == len(augment_fractions(window, series, log_mode=True))
+    fractions, X = augment_fractions(window, series, log_mode=True)
+    assert np.array_equal(ds.X, X)
+    assert np.array_equal(ds.fractions, fractions)
     assert set(ds.stocknames) == {series.stockname}
-    assert all(d == window.start_date for d in ds.dates)
+    assert (ds.days == window.start_date.toordinal()).all()
     assert set(ds.y) == {1}
 
 

@@ -284,6 +284,17 @@ def test_params_validation():
     GbdtParams(threads="all").validate()
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["learning_rate", "reg_lambda", "reg_alpha", "subsample", "scale_pos_weight",
+     "min_child_weight", "gamma"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        GbdtParams(**{name: value}).validate()
+
+
 def test_default_params_match_reference_defaults():
     params = GbdtParams()
     assert params.n_estimators == 100

@@ -19,7 +19,7 @@ from trendlab.labels import (
     vote_experts,
     voted_windows,
 )
-from trendlab.market_data import FLAT, TREND, LabelSeries
+from trendlab.market_data import FLAT, TREND, LabelSeries, _days
 
 
 def test_extract_windows_splits_on_id_select_change():
@@ -60,13 +60,15 @@ def test_new_trigger_matches_window_starts():
     series = make_series([100] * 5)
     windows = extract_windows(segment_labels(series, [(3, TREND), (2, FLAT)]), series)
     triggers = new_trigger(windows)
-    assert [triggers.value(d) for d in series.dates] == [0, 0, 0, 1, 0]
+    assert [int(d in triggers.trigger_dates) for d in series.dates] == [0, 0, 0, 1, 0]
+    assert (triggers.start_date, triggers.end_date) == (series.dates[0], series.dates[-1])
 
 
 def test_new_trigger_single_window_all_zero():
     series = make_series([100] * 4)
     triggers = new_trigger(extract_windows(segment_labels(series, [(4, TREND)]), series))
-    assert [triggers.value(d) for d in series.dates] == [0, 0, 0, 0]
+    assert not triggers.trigger_dates
+    assert (triggers.start_date, triggers.end_date) == (series.dates[0], series.dates[-1])
 
 
 def test_new_trigger_three_windows():
@@ -223,7 +225,7 @@ def test_contradiction_summary_format():
 
 def test_split_by_date_partitions_strictly():
     dates = [Date(2010, 1, 1), Date(2012, 5, 5), Date(2014, 10, 14), Date(2016, 1, 1)]
-    split = split_by_date(dates, [0, 1, 0, 1], Date(2014, 10, 14))
+    split = split_by_date(_days(dates), [0, 1, 0, 1], Date(2014, 10, 14))
     assert list(split.train_idx) == [0, 1]
     assert list(split.test_idx) == [2, 3]
     assert all(dates[i] < split.split_date for i in split.train_idx)
@@ -233,13 +235,13 @@ def test_split_by_date_partitions_strictly():
 def test_split_by_date_degenerate():
     dates = [Date(2010, 1, 1), Date(2011, 1, 1)]
     with pytest.raises(DegenerateSplitError):
-        split_by_date(dates, [0, 1], Date(2016, 1, 1))
+        split_by_date(_days(dates), [0, 1], Date(2016, 1, 1))
 
 
 def test_split_by_date_balance_formatting():
     dates = [Date(2010, 1, 1)] * 155 + [Date(2015, 1, 1)]
     y = [0] * 154 + [1, 0]
-    split = split_by_date(dates, y, Date(2014, 10, 14))
+    split = split_by_date(_days(dates), y, Date(2014, 10, 14))
     assert split.train_negatives == 154
     assert split.train_positives == 1
     assert split.balance_str == "154:1"

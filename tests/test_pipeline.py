@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from datetime import date as Date
 
 import numpy as np
@@ -125,7 +124,7 @@ def test_run_pipeline_never_firing_cp_means_no_positions():
     assert stats.times_in == 0
     assert stats.profit == 0.0
     assert stats.days_in == 0
-    assert all(r.position_state == "flat" for r in trace.rows)
+    assert (trace.position_state == "flat").all()
 
 
 def test_run_pipeline_always_cp_flat_tof_means_no_positions():
@@ -134,8 +133,8 @@ def test_run_pipeline_always_cp_flat_tof_means_no_positions():
         series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d))
     )
     assert stats.times_in == 0
-    assert any(r.cp_signal == 1 for r in trace.rows)
-    assert all((r.tof_signal in (None, 0)) for r in trace.rows)
+    assert trace.cp_signal.any()
+    assert (trace.tof_signal <= 0).all()
 
 
 def _oracle_universe(seed=12):
@@ -188,13 +187,12 @@ def test_no_look_ahead_replay_truncation():
             truncated, oracle_cp_scorer(windows_t, truncated),
             oracle_tof_scorer(windows_t, truncated), cfg,
         )
-        horizon = int(d) - CP_LAG_DAYS
-        for full_row, cut_row in zip(full_trace.rows[: horizon + 1], trace_t.rows[: horizon + 1]):
-            assert full_row.date == cut_row.date
-            assert full_row.cp_proba == cut_row.cp_proba
-            assert full_row.cp_signal == cut_row.cp_signal
-            assert full_row.tof_proba == cut_row.tof_proba
-            assert full_row.tof_signal == cut_row.tof_signal
+        known = slice(int(d) - CP_LAG_DAYS + 1)
+        assert full_trace.dates[known] == trace_t.dates[known]
+        for column in ("cp_proba", "cp_signal", "tof_proba", "tof_signal"):
+            np.testing.assert_array_equal(
+                getattr(full_trace, column)[known], getattr(trace_t, column)[known]
+            )
 
 
 SMALL_UNIVERSE = SamplerConfig(
@@ -222,11 +220,12 @@ def trained_models():
     return models
 
 
-def _assert_same_run(got, want):
+def _assert_same_run(got, want, tmp_path):
     (trace, stats), (ref_trace, ref_stats) = got, want
     assert trace.stockname == ref_trace.stockname
-    # repr also tells a numpy scalar from a float, which the trace CSV would show
-    assert [repr(astuple(r)) for r in trace.rows] == [repr(astuple(r)) for r in ref_trace.rows]
+    trace.to_csv(tmp_path / "got.csv")
+    ref_trace.to_csv(tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert trace.positions == ref_trace.positions
     assert stats == ref_stats
 
@@ -234,7 +233,9 @@ def _assert_same_run(got, want):
 @pytest.mark.parametrize("log_mode", [True, False])
 @pytest.mark.parametrize("hold", [False, True])
 @pytest.mark.parametrize("min_window_days", [6, 9])
-def test_batch_pipeline_matches_per_row_reference(trained_models, log_mode, hold, min_window_days):
+def test_batch_pipeline_matches_per_row_reference(
+    trained_models, tmp_path, log_mode, hold, min_window_days
+):
     series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 1], stockname="TST")
     cp_model, tof_model = trained_models[log_mode]
     probas = np.random.default_rng(5).choice([0.2, 0.6, 0.9], size=len(series), p=[0.9, 0.07, 0.03])
@@ -261,7 +262,8 @@ def test_batch_pipeline_matches_per_row_reference(trained_models, log_mode, hold
                 hold_until_changepoint=hold, min_window_days=min_window_days,
             )
             got = run_pipeline(series, cp, tof, cfg)
-            _assert_same_run(got, reference_run_pipeline(series, row_cp, row_tof_scorer, cfg))
+            want = reference_run_pipeline(series, row_cp, row_tof_scorer, cfg)
+            _assert_same_run(got, want, tmp_path)
             exits |= {p.exit_reason for p in got[0].positions}
     # the comparison covered the changepoint exit and, unless holding, the trend/flat exit
     assert "changepoint" in exits
@@ -274,13 +276,16 @@ def test_no_look_ahead_replay_trained_models(trained_models):
     cfg = PipelineConfig(log_mode=True)
     full_trace, _ = run_pipeline(series, cp_model, tof_model, cfg)
     assert full_trace.positions
-    fields = ("date", "cp_proba", "cp_signal", "window_id", "tof_proba", "tof_signal")
+    columns = ("cp_proba", "cp_signal", "window_id", "window_start", "tof_proba", "tof_signal")
     rng = np.random.default_rng(8)
     for d in rng.integers(20, len(series) - 1, size=15):
         d = int(d)
         trace_t, _ = run_pipeline(series[: d + 1], cp_model, tof_model, cfg)
-        for full_row, cut_row in zip(full_trace.rows[: d + 1], trace_t.rows, strict=True):
-            assert [getattr(full_row, f) for f in fields] == [getattr(cut_row, f) for f in fields]
+        assert full_trace.dates[: d + 1] == trace_t.dates
+        for column in columns:
+            np.testing.assert_array_equal(
+                getattr(full_trace, column)[: d + 1], getattr(trace_t, column)
+            )
         entered = [(p.entry_row, p.direction) for p in full_trace.positions if p.entry_row <= d]
         assert [(p.entry_row, p.direction) for p in trace_t.positions] == entered
 
@@ -312,7 +317,7 @@ def test_each_stage_is_scored_in_one_call(trained_models, monkeypatch):
     monkeypatch.setattr(gbdt, "predict_proba", counting_predict_proba)
     trace, _ = run_pipeline(series, *trained_models[True])
     assert len(rows) == 2
-    assert rows[1] == sum(r.tof_proba is not None for r in trace.rows)
+    assert rows[1] == np.count_nonzero(~np.isnan(trace.tof_proba))
 
 
 def test_scorer_must_return_one_probability_per_row():
@@ -321,6 +326,33 @@ def test_scorer_must_return_one_probability_per_row():
         run_pipeline(series, lambda ts, X: 0.0, lambda s, d, X: np.zeros(len(d)))
     with pytest.raises(ShapeError):
         run_pipeline(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d) + 1))
+
+
+def test_scorer_must_return_probabilities():
+    # NaN marks a missing answer in the trace columns, so a scorer's NaN is an error
+    series = make_series(100 + np.arange(60.0))
+    with pytest.raises(ShapeError, match=r"\[0, 1\]"):
+        run_pipeline(series, lambda ts, X: np.full(len(ts), np.nan), lambda s, d, X: np.ones(len(d)))
+    with pytest.raises(ShapeError, match=r"\[0, 1\]"):
+        run_pipeline(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.full(len(d), 1.5))
+
+
+def test_trace_columns_mark_missing_answers():
+    series, windows = _oracle_universe(seed=42)
+    trace, _ = run_pipeline(
+        series, oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)
+    )
+    assert trace.dates == series.dates
+    assert all(len(getattr(trace, c)) == len(series) for c in ("cp_proba", "position_state"))
+    # the answer about row t (t >= CP_LAG_DAYS) acts on day t + CP_LAG_DAYS
+    assert np.isnan(trace.cp_proba[: 2 * CP_LAG_DAYS]).all()
+    assert not np.isnan(trace.cp_proba[2 * CP_LAG_DAYS :]).any()
+    assert ((trace.window_id == 0) == (trace.window_start == -1)).all()
+    assert ((trace.tof_signal == -1) == np.isnan(trace.tof_proba)).all()
+    assert np.isnan(trace.tof_proba[trace.window_id == 0]).all()
+    held = np.isin(trace.position_state, ("enter", "in", "exit_enter"))
+    assert (trace.direction[held] != 0).all()
+    assert (trace.direction[trace.position_state == "flat"] == 0).all()
 
 
 def test_monotone_gating_higher_threshold_positions_subset():
