@@ -1,6 +1,10 @@
-"""Two-stage trend detection and backtesting on daily OHLCV bars."""
+"""Two-stage trend detection and backtesting on daily OHLCV bars.
 
-from . import cli, evaluation, features, gbdt, labels, market_data, pipeline, synth
+The command line lives in ``trendlab.cli``, which this package does not
+import, so ``python -m trendlab.cli`` runs it as a fresh ``__main__``.
+"""
+
+from . import evaluation, features, gbdt, labels, market_data, pipeline, synth
 from .errors import TrendlabError
 
 __version__ = "0.1.0"
@@ -8,7 +12,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TrendlabError",
     "__version__",
-    "cli",
     "evaluation",
     "features",
     "gbdt",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import configparser
+import itertools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -524,6 +525,11 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     prepared = Path(args.prepared)
     prep_report = json.loads((prepared / "prep_report.json").read_text(encoding="utf-8"))
     base = _model_params(which, args, prep_report)
+    for combo in itertools.product(*args.grid.values()):
+        try:
+            replace(base, **dict(zip(args.grid, combo))).validate()
+        except ValueError as exc:
+            args.parser.error(f"[grid] {exc}")
     names = CP_FEATURE_NAMES if which == "cp" else TOF_FEATURE_NAMES
     X, y = read_feature_csv(prepared / f"{which}_train.csv", names)
     out_dir = Path(args.out)

@@ -8,6 +8,7 @@ the close and volume regression slope/R2 pair plus the prefix length.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -232,18 +233,22 @@ def write_feature_csv(X: np.ndarray, y: np.ndarray, names: Sequence[str], path: 
 
 
 def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The features and integer targets of a ``write_feature_csv`` file.
+
+    Raises ``ParseError`` naming the file on a wrong header, a cell that is
+    not a number, a short row or a target that is not an integer literal.
+    """
     path = Path(path)
     expected = list(names) + ["target"]
+    row = np.dtype([("X", np.float64, (len(names),)), ("y", np.int64)])
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header != expected:
             raise ParseError(f"{path}: expected header {expected}, got {header}")
-        # convert each line as it is read: holding every cell as a string first
-        # sets the peak memory of a training run
-        rows = [([float(v) for v in line[:-1]], int(line[-1])) for line in reader if line]
-    X = np.array([x for x, _ in rows], dtype=np.float64)
-    y = np.array([target for _, target in rows], dtype=np.int64)
-    if len(rows) == 0:
-        X = np.empty((0, len(names)))
-    return X, y
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}") from None
+    return np.ascontiguousarray(rows["X"]), np.ascontiguousarray(rows["y"])

@@ -14,11 +14,21 @@ the learning rate. Rows with a positive target have their gradient and
 hessian multiplied by ``scale_pos_weight``, which restores class parity when
 set to the negatives:positives ratio.
 
+Split finding is presorted, as in XGBoost's column blocks (Chen & Guestrin,
+KDD 2016, section 4.1): ``fit`` sorts each feature's row ids once, and a
+tree's row subsample filters that order. Trees grow level by level. Each
+feature keeps its row ids ordered by (node, value); one pass per level and
+feature scores every node of the level, and the order is then stably
+partitioned into the children by counting, without sorting again. Gradient
+sums run as one sequential cumsum per node in value order, and leaf sums
+over the node's rows in ascending row order, exactly as a per-node sort
+would have them, so the models are those of a recursive per-node search.
+
 Determinism: ties between equal-gain splits resolve to the lowest feature
 index, then the lowest threshold; the per-tree row subsample is drawn from a
-generator seeded by (seed, tree index); the parallel split search reduces
-results in feature order, so any thread count gives identical models.
-Missing feature values are never produced by this pipeline and ``fit``
+generator seeded by (seed, tree index). With several threads, a pool made
+once per fit maps blocks of features per level and the results are reduced
+in feature order, so any thread count gives identical models. Missing feature values are never produced by this pipeline and ``fit``
 rejects non-finite features; at prediction time NaN routes down the left
 branch.
 """
@@ -32,7 +42,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,78 +129,6 @@ def _sigmoid(margins: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Split:
-    gain: float
-    feature: int
-    threshold: float
-
-
-def _feature_best_split(
-    values: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    reg_lambda: float,
-    gamma: float,
-    min_child_weight: float,
-) -> tuple[float, float] | None:
-    """Best (gain, threshold) for one feature, or None if nothing splits."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    if v[0] == v[-1]:
-        return None
-    gc = np.cumsum(g[order])
-    hc = np.cumsum(h[order])
-    G = gc[-1]
-    H = hc[-1]
-    cut = np.nonzero(v[:-1] != v[1:])[0]
-    thresholds = 0.5 * (v[cut] + v[cut + 1])
-    GL = gc[cut]
-    HL = hc[cut]
-    GR = G - GL
-    HR = H - HL
-    ok = (HL >= min_child_weight) & (HR >= min_child_weight)
-    # a midpoint that rounds down onto the lower value cannot separate the pair
-    ok &= thresholds > v[cut]
-    if not ok.any():
-        return None
-    parent = G * G / (H + reg_lambda)
-    gain = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda) - parent) - gamma
-    gain[~ok] = -np.inf
-    j = int(np.argmax(gain))  # first max: lowest threshold wins ties
-    if gain[j] <= 0.0:
-        return None
-    return float(gain[j]), float(thresholds[j])
-
-
-def _best_split(
-    X: np.ndarray,
-    g_node: np.ndarray,
-    h_node: np.ndarray,
-    idx: np.ndarray,
-    params: GbdtParams,
-    pool: ThreadPoolExecutor | None,
-) -> _Split | None:
-    def search(f: int) -> tuple[float, float] | None:
-        return _feature_best_split(
-            X[idx, f], g_node, h_node, params.reg_lambda, params.gamma, params.min_child_weight
-        )
-
-    n_features = X.shape[1]
-    if pool is None:
-        results = [search(f) for f in range(n_features)]
-    else:
-        results = list(pool.map(search, range(n_features)))
-    best: _Split | None = None
-    for f, res in enumerate(results):
-        if res is None:
-            continue
-        gain, threshold = res
-        if best is None or gain > best.gain:
-            best = _Split(gain=gain, feature=f, threshold=threshold)
-    return best
-
-
 def _leaf_value(G: float, H: float, params: GbdtParams) -> float:
     if abs(G) <= params.reg_alpha:
         w = 0.0
@@ -199,34 +137,240 @@ def _leaf_value(G: float, H: float, params: GbdtParams) -> float:
     return params.learning_rate * w
 
 
-def _grow(
-    X: np.ndarray,
+# Cells (features x rows) a block of features may hold. A level scores and
+# partitions one block per numpy call: small enough that the block's
+# temporaries stay in cache, large enough that few-feature data makes few
+# calls per level.
+_BLOCK_CELLS = 1 << 14
+
+
+def _feature_blocks(n_features: int, n_rows: int, n_threads: int) -> list[slice]:
+    """Consecutive feature ranges of at most ``_BLOCK_CELLS`` cells each.
+
+    With several threads there are at least as many blocks as threads (down
+    to one feature per block), so every worker gets a share of the level.
+    """
+    size = max(1, _BLOCK_CELLS // max(1, n_rows))
+    if n_threads > 1:
+        size = min(size, -(-n_features // n_threads))
+    return [slice(lo, min(lo + size, n_features)) for lo in range(0, n_features, size)]
+
+
+def _score_block(
+    Xt: np.ndarray,
+    ords: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
+    starts: np.ndarray,
+    params: GbdtParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best split of every node of a level, for a block of features.
+
+    ``Xt`` and ``ords`` hold the block's features: ``ords[b]`` lists the
+    level's row ids grouped by node (node k at ``starts[k]:starts[k + 1]``)
+    and sorted by the feature's value within each node, ties by row id.
+    Returns (found, gain, threshold) of shape (features, nodes): for each
+    node, the first maximum over its cuts in value order, found only where
+    the gain is positive.
+    """
+    n_block, m = ords.shape
+    heads, tails = starts[:-1], starts[1:] - 1
+    sizes = np.diff(starts)
+    v = np.take(Xt, ords + np.arange(n_block)[:, None] * Xt.shape[1])
+    GL = g[ords]
+    HL = h[ords]
+    # One sequential cumsum per node. Offsets subtracted from a shared cumsum
+    # round differently, and the search often picks between near-tied gains.
+    for a, b in zip(heads.tolist(), starts[1:].tolist()):
+        np.add.accumulate(GL[:, a:b], axis=1, out=GL[:, a:b])
+        np.add.accumulate(HL[:, a:b], axis=1, out=HL[:, a:b])
+    G = GL[:, tails]
+    H = HL[:, tails]
+    GR = np.repeat(G, sizes, axis=1)
+    GR -= GL
+    HR = np.repeat(H, sizes, axis=1)
+    HR -= HL
+
+    # Position p cuts between p and p + 1 when both are in its node and their
+    # values differ; the last position of each node cuts nothing.
+    upper = np.empty_like(v)
+    upper[:, :-1] = v[:, 1:]
+    upper[:, tails] = v[:, tails]
+    thresholds = v + upper
+    thresholds *= 0.5
+    ok = v != upper
+    ok &= HL >= params.min_child_weight
+    ok &= HR >= params.min_child_weight
+    # a midpoint that rounds down onto the lower value cannot separate the pair
+    ok &= thresholds > v
+    # 1/2 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma, in
+    # place and in that order; cells that cut nothing are scored, then dropped
+    lam = params.reg_lambda
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = GL * GL
+        gain /= HL + lam
+        GR *= GR
+        HR += lam
+        GR /= HR
+        gain += GR
+        gain -= np.repeat(G * G / (H + lam), sizes, axis=1)
+        gain *= 0.5
+        gain -= params.gamma
+    np.copyto(gain, -np.inf, where=~ok)
+
+    # First maximum of each node: lowest threshold wins ties, and, as with
+    # np.argmax, a NaN gain wins its node. Every node has a hit.
+    top = np.maximum.reduceat(gain, heads, axis=1)
+    hits = np.flatnonzero((gain == np.repeat(top, sizes, axis=1)) | np.isnan(gain))
+    node_heads = heads + np.arange(n_block)[:, None] * m
+    first = hits[np.searchsorted(hits, node_heads)]
+    best = gain.ravel()[first]
+    return ~(best <= 0.0), best, thresholds.ravel()[first]
+
+
+def _pick_splits(
+    scored: list[tuple[np.ndarray, np.ndarray, np.ndarray]], n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the (feature, threshold) of the best split, feature -1 if none.
+
+    Features are reduced in index order and a later one must have a strictly
+    greater gain, so the lowest feature wins ties.
+    """
+    feature = np.full(n_nodes, -1)
+    gain = np.zeros(n_nodes)
+    threshold = np.zeros(n_nodes)
+    f = 0
+    for found, gains, thresholds in scored:
+        for b in range(len(found)):
+            take = found[b] & ((feature < 0) | (gains[b] > gain))
+            feature[take] = f
+            gain[take] = gains[b][take]
+            threshold[take] = thresholds[b][take]
+            f += 1
+    return feature, threshold
+
+
+def _partition(
+    ords: np.ndarray,
+    goes_left: np.ndarray,
+    left_base: np.ndarray,
+    right_base: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """Stably partition each row of ``ords`` into the children's segments.
+
+    With c the number of rows going left up to and including position p,
+    a left row at p moves to ``left_base[p] + c`` of the row of the result
+    and any other row to ``right_base[p] - c``: ranks come from counting,
+    not from sorting. Position ``size`` is a spare slot for dropped rows.
+    """
+    left = goes_left[ords]
+    c = np.cumsum(left, axis=1)
+    dest = np.where(left, left_base + c, right_base - c)
+    dest += np.arange(len(ords))[:, None] * (size + 1)
+    out = np.empty((len(ords), size + 1), dtype=ords.dtype)
+    out.reshape(-1)[dest] = ords
+    return out[:, :size]
+
+
+def _leaf(g: np.ndarray, h: np.ndarray, rows: np.ndarray, params: GbdtParams) -> float:
+    """Leaf value of the rows ``rows``, summed in ascending row order."""
+    return _leaf_value(float(g[rows].sum()), float(h[rows].sum()), params)
+
+
+def _map(pool: ThreadPoolExecutor | None, fn: Callable, items: Sequence) -> list:
+    return [fn(x) for x in items] if pool is None else list(pool.map(fn, items))
+
+
+def _grow_tree(
+    Xt: np.ndarray,
+    blocks: list[slice],
+    presorted: list[np.ndarray],
+    g: np.ndarray,
+    h: np.ndarray,
+    sample: np.ndarray,
     params: GbdtParams,
     pool: ThreadPoolExecutor | None,
 ) -> TreeNode:
-    if depth < params.max_depth and idx.size >= 2:
-        g_node = g[idx]
-        h_node = h[idx]
-        split = _best_split(X, g_node, h_node, idx, params, pool)
-        if split is not None:
-            vals = X[idx, split.feature]
-            mask = (vals < split.threshold) | np.isnan(vals)
-            left_idx = idx[mask]
-            right_idx = idx[~mask]
-            if left_idx.size and right_idx.size:
-                return TreeNode(
-                    feature=split.feature,
-                    threshold=split.threshold,
-                    left=_grow(X, g, h, left_idx, depth + 1, params, pool),
-                    right=_grow(X, g, h, right_idx, depth + 1, params, pool),
-                )
-    G = float(g[idx].sum())
-    H = float(h[idx].sum())
-    return TreeNode(value=_leaf_value(G, H, params))
+    """One tree on the ascending row ids ``sample``, grown level by level.
+
+    ``Xt`` is the transposed matrix and ``presorted`` holds, for each block
+    of features, each feature's row ids in value order. Each level scores
+    every node on every feature, turns the nodes without a split into
+    leaves, and stably partitions the rows of the others, in each feature's
+    value order and in ascending order, into their children.
+    """
+    n = len(g)
+    if sample.size < 2:
+        return TreeNode(value=_leaf(g, h, sample, params))
+    work = [(Xt[s], o) for s, o in zip(blocks, presorted)]
+    if sample.size < n:
+        in_sample = np.zeros(n, dtype=bool)
+        in_sample[sample] = True
+        work = [(x, o[in_sample[o]].reshape(len(o), sample.size)) for x, o in work]
+    rows = sample
+    starts = np.array([0, rows.size])
+    root = TreeNode()
+    nodes = [root]
+    for depth in range(params.max_depth):
+        sizes = np.diff(starts)
+        node_of = np.repeat(np.arange(len(nodes)), sizes)
+        scored = _map(pool, lambda w: _score_block(*w, g, h, starts, params), work)
+        feature, threshold = _pick_splits(scored, len(nodes))
+
+        goes_left = np.zeros(n, dtype=bool)
+        at = feature[node_of] >= 0
+        r, k = rows[at], node_of[at]
+        goes_left[r] = Xt[feature[k], r] < threshold[k]
+        n_left = np.add.reduceat(goes_left[rows], starts[:-1], dtype=np.intp)
+        # a split that leaves a child empty (a midpoint that overflowed to
+        # inf) makes the node a leaf, as in a recursive search
+        split = (feature >= 0) & (n_left > 0) & (n_left < sizes)
+        goes_left[rows[~split[node_of]]] = False
+        n_left[~split] = 0
+        for k in np.flatnonzero(~split).tolist():
+            nodes[k].value = _leaf(g, h, rows[starts[k] : starts[k + 1]], params)
+        if not split.any():
+            break
+
+        # Children in node order, left before right. The rows of nodes that
+        # became leaves all land in the spare slot past the end.
+        child_sizes = np.stack([n_left, sizes - n_left], axis=1)[split].ravel()
+        child_starts = np.r_[0, np.cumsum(child_sizes)]
+        size = int(child_starts[-1])
+        left_start = np.full(len(nodes), size)
+        right_start = np.full(len(nodes), size)
+        left_start[split] = child_starts[:-1:2]
+        right_start[split] = child_starts[1::2]
+        lefts_before = np.cumsum(n_left) - n_left
+        left_base = np.repeat(left_start - lefts_before - 1, sizes)
+        right_base = np.repeat(right_start - starts[:-1] + lefts_before, sizes)
+        right_base += np.arange(rows.size)
+        dropped = ~split[node_of]
+        right_base[dropped] = size + lefts_before[node_of[dropped]]
+        rows = _partition(rows[None], goes_left, left_base, right_base, size)[0]
+
+        children = []
+        for k in np.flatnonzero(split).tolist():
+            node = nodes[k]
+            node.feature = int(feature[k])
+            node.threshold = float(threshold[k])
+            node.left, node.right = TreeNode(), TreeNode()
+            children += [node.left, node.right]
+        if depth + 1 == params.max_depth:
+            for c, child in enumerate(children):
+                child.value = _leaf(g, h, rows[child_starts[c] : child_starts[c + 1]], params)
+            break
+
+        def partition(i: int) -> None:
+            # replaced block by block, so one level's orders are alive at a time
+            x, o = work[i]
+            work[i] = (x, _partition(o, goes_left, left_base, right_base, size))
+
+        _map(pool, partition, range(len(work)))
+        starts = child_starts
+        nodes = children
+    return root
 
 
 def _apply_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -277,6 +421,11 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
     y_float = ya.astype(np.float64)
     margins = np.zeros(n, dtype=np.float64)
     n_threads = min(params.resolved_threads(), Xa.shape[1])
+    sample_size = max(1, int(round(params.subsample * n))) if params.subsample < 1.0 else n
+    blocks = _feature_blocks(Xa.shape[1], sample_size, n_threads)
+    # each feature's row ids in value order, ties by row id, once per fit
+    Xt = np.ascontiguousarray(Xa.T)
+    presorted = [np.argsort(Xt[s], axis=1, kind="stable") for s in blocks]
     pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
     trees: list[TreeNode] = []
     try:
@@ -286,11 +435,10 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
             h = p * (1.0 - p) * sample_weight
             if params.subsample < 1.0:
                 rng = np.random.default_rng([int(params.seed), m])
-                size = max(1, int(round(params.subsample * n)))
-                idx = np.sort(rng.choice(n, size=size, replace=False))
+                sample = np.sort(rng.choice(n, size=sample_size, replace=False))
             else:
-                idx = np.arange(n)
-            root = _grow(Xa, g, h, idx, 0, params, pool)
+                sample = np.arange(n)
+            root = _grow_tree(Xt, blocks, presorted, g, h, sample, params, pool)
             margins += _apply_tree(root, Xa)
             trees.append(root)
     finally:

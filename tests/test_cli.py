@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,20 @@ def workdir(tmp_path_factory):
         )
         assert code == 0
     return root
+
+
+def test_module_entry_point_runs_without_import_warning():
+    # the package must not import trendlab.cli itself, or runpy warns that
+    # the module was already in sys.modules when run as __main__
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trendlab.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "usage:" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_synth_writes_expected_files(tmp_path):
@@ -332,10 +349,15 @@ def test_config_file_supplies_defaults(tmp_path):
          "n_estimators must be >= 1"),
         (["train", "tof", "--prepared", "{prep}", "--learning-rate", "nan"], None,
          "learning_rate must be a finite number"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"],
+         "[grid]\nmax_depth = 0,2\n", "[grid] max_depth must be >= 1"),
+        (["gridsearch", "cp", "--prepared", "{prep}", "--grid", "{ini}"],
+         "[grid]\nlearning_rate = 0.1,nan\n", "[grid] learning_rate must be a finite number"),
     ],
     ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "cp-threshold",
          "unknown-key", "unknown-section", "log-mode-key", "grid-key", "disagree-prob-range",
-         "trend-len-range", "n-estimators-range", "learning-rate-nan"],
+         "trend-len-range", "n-estimators-range", "learning-rate-nan", "grid-depth-range",
+         "grid-learning-rate-nan"],
 )
 def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):
     ini_path = tmp_path / "run.ini"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series, segment_labels
-from trendlab.errors import TooShortError, ZeroVolumeError
+from trendlab.errors import ParseError, TooShortError, ZeroVolumeError
 from trendlab.features import (
     CP_FEATURE_NAMES,
     FRACTIONS,
@@ -237,6 +237,35 @@ def test_feature_csv_round_trip(tmp_path):
     assert np.array_equal(y, y2)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(TOF_FEATURE_NAMES) + ",target"
+
+
+def test_feature_csv_header_only_reads_empty(tmp_path):
+    path = tmp_path / "tof.csv"
+    write_feature_csv(np.empty((0, 5)), np.empty(0), TOF_FEATURE_NAMES, path)
+    X, y = read_feature_csv(path, TOF_FEATURE_NAMES)
+    assert X.shape == (0, 5) and X.dtype == np.float64
+    assert y.shape == (0,) and y.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0.1,0.2,abc,0.4,0.5,1", "could not convert string 'abc'"),
+        ("0.1,0.2,0.3,0.4,1", "columns"),
+        ("0.1,0.2,0.3,0.4,0.5,1.5", "could not convert string '1.5' to int64"),
+        ("0.1,0.2,0.3,0.4,0.5,", "could not convert string ''"),
+    ],
+    ids=["bad-cell", "short-row", "non-integer-target", "missing-target"],
+)
+def test_feature_csv_bad_rows_raise_parse_error_naming_the_file(tmp_path, line, message):
+    path = tmp_path / "tof.csv"
+    write_feature_csv(np.zeros((2, 5)), np.zeros(2), TOF_FEATURE_NAMES, path)
+    with path.open("a", newline="") as handle:
+        handle.write(line + "\r\n")
+    with pytest.raises(ParseError) as caught:
+        read_feature_csv(path, TOF_FEATURE_NAMES)
+    assert str(path) in str(caught.value)
+    assert message in str(caught.value)
 
 
 def test_cp_feature_names_are_22():

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_gbdt import reference_fit
 
 from trendlab import gbdt
 from trendlab.errors import ModelFormatError, ShapeError, SingleClassWarning
@@ -213,8 +215,6 @@ def test_thread_count_does_not_change_predictions():
     y = (X[:, 1] - X[:, 3] > 0).astype(int)
     base = GbdtParams(n_estimators=12, max_depth=4, subsample=0.7, seed=21)
     p_single = predict_proba(fit(X, y, base), X)
-    from dataclasses import replace
-
     p_all = predict_proba(fit(X, y, replace(base, threads="all")), X)
     assert np.array_equal(p_single, p_all)
 
@@ -427,3 +427,84 @@ def test_subsample_uses_seeded_tree_draws():
     pa, pb = predict_proba(a, X), predict_proba(b, X)
     assert not np.array_equal(pa, pb)  # different seeds draw different rows
     assert np.array_equal(pa, predict_proba(fit(X, y, GbdtParams(n_estimators=5, subsample=0.5, seed=1)), X))
+
+
+# --- the presorted level-wise search against the recursive per-node sort ---
+
+
+def awkward_matrix(seed=13, n=400):
+    """Imbalanced rows with ties, a constant column and duplicated rows."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.normal(0, 1, n),                   # continuous
+        rng.integers(0, 5, n).astype(float),   # integer-valued, many ties
+        np.full(n, 2.5),                       # constant
+        np.round(rng.normal(0, 1, n), 1),      # rounded: some ties
+        rng.integers(0, 2, n).astype(float),   # binary
+    ])
+    X = np.vstack([X, X[:60]])  # duplicate rows
+    y = ((X[:, 0] + 0.5 * X[:, 1] + rng.normal(0, 1, len(X))) > 2.6).astype(int)
+    return X, y
+
+
+def assert_same_model(X, y, params):
+    assert model_to_dict(fit(X, y, params)) == model_to_dict(reference_fit(X, y, params))
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_presorted_search_matches_reference_at_every_depth(depth):
+    X, y = awkward_matrix()
+    assert 0.02 < y.mean() < 0.2
+    assert_same_model(X, y, GbdtParams(n_estimators=6, max_depth=depth))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"subsample": 0.5},
+        {"subsample": 1.0, "min_child_weight": 0.0},
+        {"subsample": 0.5, "min_child_weight": 5.0},
+        {"gamma": 0.3},
+        {"reg_alpha": 0.5},
+        {"scale_pos_weight": 150.0},
+        {"scale_pos_weight": 150.0, "subsample": 0.5, "max_depth": 6},
+        {"reg_lambda": 0.0, "min_child_weight": 0.0},
+    ],
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+)
+def test_presorted_search_matches_reference_across_params(overrides):
+    X, y = awkward_matrix(seed=17)
+    params = replace(GbdtParams(n_estimators=8, max_depth=4, seed=5), **overrides)
+    assert_same_model(X, y, params)
+
+
+@pytest.mark.parametrize("threads", [1, 2, "all"])
+def test_presorted_search_matches_reference_at_any_thread_count(threads, monkeypatch):
+    # small blocks, so even five features are searched as several blocks
+    monkeypatch.setattr(gbdt, "_BLOCK_CELLS", 600)
+    X, y = awkward_matrix(seed=19)
+    params = GbdtParams(n_estimators=6, max_depth=5, subsample=0.8, threads=threads)
+    assert_same_model(X, y, params)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 30),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 1.0, 3.0]),
+    st.sampled_from([0.6, 1.0]),
+)
+def test_presorted_search_matches_reference_on_few_distinct_values(
+    seed, n_rows, n_features, n_values, min_child_weight, subsample
+):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, n_values, size=(n_rows, n_features)).astype(float)
+    y = rng.integers(0, 2, size=n_rows)
+    params = GbdtParams(
+        n_estimators=3, max_depth=3, min_child_weight=min_child_weight,
+        subsample=subsample, seed=seed,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingleClassWarning)
+        assert_same_model(X, y, params)
