@@ -20,7 +20,9 @@ import bisect
 import configparser
 import itertools
 import json
+import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 from datetime import date as Date
 from pathlib import Path
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation, gbdt, pipeline, synth
-from .errors import ConfigError, TrendlabError
+from .errors import ConfigError, ParseError, TrendlabError
 from .features import (
     CP_FEATURE_NAMES,
     TOF_FEATURE_NAMES,
@@ -61,6 +63,8 @@ from .market_data import (
 
 # Share of the distinct quote dates that fall before the default split date.
 DEFAULT_SPLIT_FRAC = 0.7
+# Header of tof_test_meta.csv: each tof test row's day, stock and fraction.
+META_HEADER = "date,stockname,fraction"
 
 # Every section some command reads; gridsearch reads [grid] from its --grid file.
 SECTIONS = ("synth", "data", "cp_model", "tof_model", "grid")
@@ -101,7 +105,16 @@ def _pair(cast):
 
 _float_list = _typed(lambda raw: [float(x) for x in raw.split(",")], "comma-separated numbers")
 _parse_date_arg = _typed(Date.fromisoformat, "a date YYYY-MM-DD")
-_parse_threads = _typed(lambda raw: raw if raw == "all" else int(raw), 'a thread count or "all"')
+
+
+def _threads(raw: str) -> int:
+    count = (os.cpu_count() or 1) if raw == "all" else int(raw)
+    if count < 1:
+        raise ValueError(raw)
+    return count
+
+
+_parse_threads = _typed(_threads, 'a positive thread count or "all"')
 _parse_weight = _typed(
     lambda raw: "auto" if raw.strip().lower() == "auto" else float(raw), 'a number or "auto"'
 )
@@ -118,7 +131,6 @@ MODEL_TYPES = {
     "scale_pos_weight": _parse_weight,
     "min_child_weight": float,
     "gamma": float,
-    "threads": _parse_threads,
     "seed": int,
 }
 
@@ -380,7 +392,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             write_feature_csv(ds.X[idx], ds.y[idx], ds.feature_names, path)
     tof_test = tof_ds.take(tof_split.test_idx)
     with (out_dir / "tof_test_meta.csv").open("w", encoding="utf-8", newline="") as handle:
-        handle.write("date,stockname,fraction\n")
+        handle.write(META_HEADER + "\n")
         handle.writelines(
             f"{Date.fromordinal(day).isoformat()},{stock},{fraction}\n"
             for day, stock, fraction in zip(
@@ -489,11 +501,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     model.feature_names = tuple(names)
     gbdt.save_model(model, out_dir / f"{which}_model.json")
 
-    params_echo = asdict(params)
-    params_echo.pop("threads")  # execution knob: keeps reruns byte-comparable
     metrics = {
         "which": which,
-        "params": params_echo,
+        "params": asdict(params),
         "balance_str": prep_report[which]["balance_str"],
         "train": _metrics_block(y_train, gbdt.predict_proba(model, X_train), 0.5),
         "test": _metrics_block(y_test, gbdt.predict_proba(model, X_test), 0.5),
@@ -545,6 +555,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         k=args.folds,
         scoring=args.scoring,
         seed=base.seed,
+        workers=args.threads or 1,
     )
     result.to_csv(out_dir / f"search_{which}.csv")
     _write_json(
@@ -619,11 +630,28 @@ def _baseline_reports(
     return out
 
 
+def _read_fractions(path: Path, n_rows: int) -> np.ndarray:
+    """The fraction column of ``tof_test_meta.csv``, one per ``tof_test.csv`` row."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        header = handle.readline().rstrip("\r\n")
+        if header != META_HEADER:
+            raise ParseError(f"{path}: expected header {META_HEADER}, got {header!r}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                fractions = np.loadtxt(handle, delimiter=",", usecols=2, dtype=np.int64, ndmin=1)
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}") from None
+    if len(fractions) != n_rows:
+        raise ParseError(f"{path}: {len(fractions)} rows for the {n_rows} rows of tof_test.csv")
+    return fractions
+
+
 def cmd_backtest(args: argparse.Namespace) -> int:
+    if not args.oracle and not args.models:
+        args.parser.error("--models is required unless --oracle is given")
     data_dir = Path(args.data)
     prepared = Path(args.prepared) if args.prepared else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     quotes, _ = _load_universe(data_dir)
     truth = _truth_windows(data_dir)
 
@@ -650,11 +678,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     skip_flags: list[str] = []
     cp_model = tof_model = None
     if not args.oracle:
-        models_dir = Path(args.models) if args.models else None
-        if models_dir is None:
-            args.parser.error("--models is required unless --oracle is given")
-        cp_path = models_dir / "cp_model.json"
-        tof_path = models_dir / "tof_model.json"
+        cp_path = Path(args.models) / "cp_model.json"
+        tof_path = Path(args.models) / "tof_model.json"
         for p in (cp_path, tof_path):
             if not p.exists():
                 raise FileNotFoundError(f"model file not found: {p}")
@@ -662,6 +687,16 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         tof_model = gbdt.load_model(tof_path)
     elif not truth:
         raise TrendlabError(f"--oracle needs {data_dir / 'truth.json'}")
+    # the tof test rows with their window fractions, for fraction_accuracy.csv
+    tof_test = None
+    if not args.oracle and prepared is not None:
+        meta_path = prepared / "tof_test_meta.csv"
+        tof_test_path = prepared / "tof_test.csv"
+        if meta_path.exists() and tof_test_path.exists():
+            X, y = read_feature_csv(tof_test_path, TOF_FEATURE_NAMES)
+            tof_test = X, y, _read_fractions(meta_path, len(y))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     for threshold in thresholds:
         cfg_run = pipeline.PipelineConfig(
@@ -705,26 +740,18 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             f"YearProfit_avg {report.year_profit_avg:.2%} | times_in {report.times_in}"
         )
 
-    if not args.oracle and prepared is not None:
-        meta_path = prepared / "tof_test_meta.csv"
-        tof_test_path = prepared / "tof_test.csv"
-        if meta_path.exists() and tof_test_path.exists():
-            X, y = read_feature_csv(tof_test_path, TOF_FEATURE_NAMES)
-            fractions = [
-                int(line.split(",")[2])
-                for line in meta_path.read_text(encoding="utf-8").splitlines()[1:]
-                if line
-            ]
-            hits = gbdt.predict(tof_model, X, threshold=tof_threshold) == y
-            values, group = np.unique(fractions, return_inverse=True)
-            n = np.bincount(group, minlength=len(values))
-            accuracy = np.bincount(group, weights=hits, minlength=len(values)) / n
-            with (out_dir / "fraction_accuracy.csv").open("w", encoding="utf-8", newline="") as f:
-                f.write("fraction,n,accuracy\n")
-                f.writelines(
-                    f"{frac},{count},{acc!r}\n"
-                    for frac, count, acc in zip(values.tolist(), n.tolist(), accuracy.tolist())
-                )
+    if tof_test is not None:
+        X, y, fractions = tof_test
+        hits = gbdt.predict(tof_model, X, threshold=tof_threshold) == y
+        values, group = np.unique(fractions, return_inverse=True)
+        n = np.bincount(group, minlength=len(values))
+        accuracy = np.bincount(group, weights=hits, minlength=len(values)) / n
+        with (out_dir / "fraction_accuracy.csv").open("w", encoding="utf-8", newline="") as f:
+            f.write("fraction,n,accuracy\n")
+            f.writelines(
+                f"{frac},{count},{acc!r}\n"
+                for frac, count, acc in zip(values.tolist(), n.tolist(), accuracy.tolist())
+            )
     return 0
 
 
@@ -755,7 +782,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 MODEL_HELP = {
     "scale_pos_weight": 'a number, or "auto" to use the prepared train balance',
-    "threads": 'worker threads, or "all"',
 }
 
 
@@ -772,6 +798,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         if name != "seed":  # a common option
             flag = "--" + name.replace("_", "-")
             p.add_argument(flag, dest=name, type=cast, default=None, help=MODEL_HELP.get(name))
+    p.add_argument(
+        "--threads", type=_parse_threads, default=None,
+        help='worker processes for a search\'s independent fits, or "all" (one per CPU); '
+        "train makes one fit and ignores it",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -173,34 +174,38 @@ def stratified_fold_indices(
     return out
 
 
-def _kfold_scores(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: gbdt.GbdtParams,
-    k: int,
-    scoring: str,
-    seed: int,
-) -> tuple[list[float], list[float]]:
-    Xa = np.asarray(X, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.int64)
-    folds = stratified_fold_indices(Xa, ya, k, seed)
-    rank = np.empty(len(ya), dtype=np.int64)
-    rank[_canonical_order(Xa, ya)] = np.arange(len(ya))
-    scores: list[float] = []
-    seconds: list[float] = []
+def _fold_splits(
+    X: np.ndarray, y: np.ndarray, k: int, scoring: str, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, held-out) row ids of each fold, both in canonical row order."""
+    folds = stratified_fold_indices(X, y, k, seed)
+    rank = np.empty(len(y), dtype=np.int64)
+    rank[_canonical_order(X, y)] = np.arange(len(y))
+    splits = []
     for i, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
         train_idx = train_idx[np.argsort(rank[train_idx], kind="stable")]
-        if len(np.unique(ya[train_idx])) < 2:
+        if len(np.unique(y[train_idx])) < 2:
             raise FoldDegenerateError(f"fold {i}: training side has a single class")
-        if scoring == "auc" and len(np.unique(ya[test_idx])) < 2:
+        if scoring == "auc" and len(np.unique(y[test_idx])) < 2:
             raise FoldDegenerateError(f"fold {i}: held-out side has a single class")
-        started = time.perf_counter()
-        model = gbdt.fit(Xa[train_idx], ya[train_idx], params)
-        seconds.append(time.perf_counter() - started)
-        proba = gbdt.predict_proba(model, Xa[test_idx])
-        scores.append(_score(scoring, ya[test_idx], proba))
-    return scores, seconds
+        splits.append((train_idx, test_idx))
+    return splits
+
+
+def _fit_fold(
+    X: np.ndarray,
+    y: np.ndarray,
+    params: gbdt.GbdtParams,
+    split: tuple[np.ndarray, np.ndarray],
+    scoring: str,
+) -> tuple[float, float]:
+    """(held-out score, fit seconds) of one fold; a process pool's task."""
+    train_idx, test_idx = split
+    started = time.perf_counter()
+    model = gbdt.fit(X[train_idx], y[train_idx], params)
+    seconds = time.perf_counter() - started
+    return _score(scoring, y[test_idx], gbdt.predict_proba(model, X[test_idx])), seconds
 
 
 def kfold_cv(
@@ -212,8 +217,10 @@ def kfold_cv(
     seed: int = 0,
 ) -> float:
     """Mean held-out score over seed-shuffled stratified folds."""
-    scores, _ = _kfold_scores(np.asarray(X, dtype=np.float64), np.asarray(y), params, k, scoring, seed)
-    return float(np.mean(scores))
+    Xa = np.asarray(X, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.int64)
+    splits = _fold_splits(Xa, ya, k, scoring, seed)
+    return float(np.mean([_fit_fold(Xa, ya, params, s, scoring)[0] for s in splits]))
 
 
 @dataclass(frozen=True)
@@ -253,11 +260,15 @@ def grid_search(
     k: int = 5,
     scoring: str = "f1_macro",
     seed: int = 0,
+    workers: int = 1,
 ) -> SearchResult:
     """Score every grid point (or seeded draws without replacement) by CV.
 
     ``grid`` maps GbdtParams field names to candidate values; everything not
-    in the grid comes from ``base_params``.
+    in the grid comes from ``base_params``. Every grid point uses the same
+    folds. The (grid point, fold) fits are independent: with ``workers`` > 1
+    they run on a process pool of at most ``workers`` processes, one per CPU
+    at most, and are reduced in (grid point, fold) order as at one worker.
     """
     names = tuple(grid.keys())
     if not names or any(len(v) == 0 for v in grid.values()):
@@ -274,18 +285,30 @@ def grid_search(
 
     base = base_params or gbdt.GbdtParams()
     Xa = np.asarray(X, dtype=np.float64)
-    ya = np.asarray(y)
+    ya = np.asarray(y, dtype=np.int64)
+    splits = _fold_splits(Xa, ya, k, scoring, seed)
+    points = [dict(zip(names, combo)) for combo in combos]
+    tasks = [(replace(base, **point), split) for point in points for split in splits]
+    n_workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if n_workers > 1:
+        # imported here, as only a parallel search should pay for the import
+        # of the process pool and multiprocessing (tens of ms per command)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = [pool.submit(_fit_fold, Xa, ya, p, s, scoring) for p, s in tasks]
+            results = [f.result() for f in futures]
+    else:
+        results = [_fit_fold(Xa, ya, p, s, scoring) for p, s in tasks]
     entries: list[SearchEntry] = []
-    for combo in combos:
-        assignment = dict(zip(names, combo))
-        params = replace(base, **assignment)
-        scores, seconds = _kfold_scores(Xa, ya, params, k, scoring, seed)
+    for i, point in enumerate(points):
+        scores, seconds = zip(*results[i * len(splits) : (i + 1) * len(splits)])
         entries.append(
             SearchEntry(
-                params=assignment,
+                params=point,
                 mean_score=float(np.mean(scores)),
-                fold_scores=tuple(scores),
-                fit_seconds=tuple(seconds),
+                fold_scores=scores,
+                fit_seconds=seconds,
             )
         )
     best = max(entries, key=lambda e: e.mean_score)

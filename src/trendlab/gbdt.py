@@ -18,31 +18,28 @@ Split finding is presorted, as in XGBoost's column blocks (Chen & Guestrin,
 KDD 2016, section 4.1): ``fit`` sorts each feature's row ids once, and a
 tree's row subsample filters that order. Trees grow level by level. Each
 feature keeps its row ids ordered by (node, value); one pass per level and
-feature scores every node of the level, and the order is then stably
-partitioned into the children by counting, without sorting again. Gradient
-sums run as one sequential cumsum per node in value order, and leaf sums
-over the node's rows in ascending row order, exactly as a per-node sort
-would have them, so the models are those of a recursive per-node search.
+feature scores every node of the level, and a stable sort on each row's
+child id then splits the order into the children without comparing values
+again. Gradient sums run as one sequential cumsum per node in value order,
+and leaf sums over the node's rows in ascending row order, exactly as a
+per-node sort would have them, so the models are those of a recursive
+per-node search.
 
 Determinism: ties between equal-gain splits resolve to the lowest feature
 index, then the lowest threshold; the per-tree row subsample is drawn from a
-generator seeded by (seed, tree index). With several threads, a pool made
-once per fit maps blocks of features per level and the results are reduced
-in feature order, so any thread count gives identical models. Missing feature values are never produced by this pipeline and ``fit``
-rejects non-finite features; at prediction time NaN routes down the left
-branch.
+generator seeded by (seed, tree index). Missing feature values are never
+produced by this pipeline and ``fit`` rejects non-finite features; at
+prediction time NaN routes down the left branch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +58,6 @@ class GbdtParams:
     min_child_weight: float = 1.0
     gamma: float = 0.0
     seed: int = 42
-    threads: int | str = 1
 
     def validate(self) -> None:
         for f in fields(self):
@@ -83,13 +79,6 @@ class GbdtParams:
             raise ValueError("min_child_weight and gamma must be >= 0")
         if int(self.seed) < 0:
             raise ValueError("seed must be non-negative")
-        if self.threads != "all" and (not isinstance(self.threads, int) or self.threads < 1):
-            raise ValueError('threads must be a positive int or "all"')
-
-    def resolved_threads(self) -> int:
-        if self.threads == "all":
-            return max(1, os.cpu_count() or 1)
-        return int(self.threads)
 
 
 @dataclass
@@ -130,7 +119,8 @@ def _sigmoid(margins: np.ndarray) -> np.ndarray:
 
 
 def _leaf_value(G: float, H: float, params: GbdtParams) -> float:
-    if abs(G) <= params.reg_alpha:
+    # no hessian mass and no L2 term: no step, as XGBoost's CalcWeight
+    if abs(G) <= params.reg_alpha or H + params.reg_lambda == 0.0:
         w = 0.0
     else:
         w = -(G - math.copysign(params.reg_alpha, G)) / (H + params.reg_lambda)
@@ -144,15 +134,9 @@ def _leaf_value(G: float, H: float, params: GbdtParams) -> float:
 _BLOCK_CELLS = 1 << 14
 
 
-def _feature_blocks(n_features: int, n_rows: int, n_threads: int) -> list[slice]:
-    """Consecutive feature ranges of at most ``_BLOCK_CELLS`` cells each.
-
-    With several threads there are at least as many blocks as threads (down
-    to one feature per block), so every worker gets a share of the level.
-    """
+def _feature_blocks(n_features: int, n_rows: int) -> list[slice]:
+    """Consecutive feature ranges of at most ``_BLOCK_CELLS`` cells each."""
     size = max(1, _BLOCK_CELLS // max(1, n_rows))
-    if n_threads > 1:
-        size = min(size, -(-n_features // n_threads))
     return [slice(lo, min(lo + size, n_features)) for lo in range(0, n_features, size)]
 
 
@@ -206,7 +190,7 @@ def _score_block(
     # 1/2 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma, in
     # place and in that order; cells that cut nothing are scored, then dropped
     lam = params.reg_lambda
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gain = GL * GL
         gain /= HL + lam
         GR *= GR
@@ -250,36 +234,9 @@ def _pick_splits(
     return feature, threshold
 
 
-def _partition(
-    ords: np.ndarray,
-    goes_left: np.ndarray,
-    left_base: np.ndarray,
-    right_base: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Stably partition each row of ``ords`` into the children's segments.
-
-    With c the number of rows going left up to and including position p,
-    a left row at p moves to ``left_base[p] + c`` of the row of the result
-    and any other row to ``right_base[p] - c``: ranks come from counting,
-    not from sorting. Position ``size`` is a spare slot for dropped rows.
-    """
-    left = goes_left[ords]
-    c = np.cumsum(left, axis=1)
-    dest = np.where(left, left_base + c, right_base - c)
-    dest += np.arange(len(ords))[:, None] * (size + 1)
-    out = np.empty((len(ords), size + 1), dtype=ords.dtype)
-    out.reshape(-1)[dest] = ords
-    return out[:, :size]
-
-
 def _leaf(g: np.ndarray, h: np.ndarray, rows: np.ndarray, params: GbdtParams) -> float:
     """Leaf value of the rows ``rows``, summed in ascending row order."""
     return _leaf_value(float(g[rows].sum()), float(h[rows].sum()), params)
-
-
-def _map(pool: ThreadPoolExecutor | None, fn: Callable, items: Sequence) -> list:
-    return [fn(x) for x in items] if pool is None else list(pool.map(fn, items))
 
 
 def _grow_tree(
@@ -290,7 +247,6 @@ def _grow_tree(
     h: np.ndarray,
     sample: np.ndarray,
     params: GbdtParams,
-    pool: ThreadPoolExecutor | None,
 ) -> TreeNode:
     """One tree on the ascending row ids ``sample``, grown level by level.
 
@@ -315,7 +271,7 @@ def _grow_tree(
     for depth in range(params.max_depth):
         sizes = np.diff(starts)
         node_of = np.repeat(np.arange(len(nodes)), sizes)
-        scored = _map(pool, lambda w: _score_block(*w, g, h, starts, params), work)
+        scored = [_score_block(x, o, g, h, starts, params) for x, o in work]
         feature, threshold = _pick_splits(scored, len(nodes))
 
         goes_left = np.zeros(n, dtype=bool)
@@ -326,29 +282,24 @@ def _grow_tree(
         # a split that leaves a child empty (a midpoint that overflowed to
         # inf) makes the node a leaf, as in a recursive search
         split = (feature >= 0) & (n_left > 0) & (n_left < sizes)
-        goes_left[rows[~split[node_of]]] = False
-        n_left[~split] = 0
         for k in np.flatnonzero(~split).tolist():
             nodes[k].value = _leaf(g, h, rows[starts[k] : starts[k + 1]], params)
         if not split.any():
             break
 
-        # Children in node order, left before right. The rows of nodes that
-        # became leaves all land in the spare slot past the end.
-        child_sizes = np.stack([n_left, sizes - n_left], axis=1)[split].ravel()
-        child_starts = np.r_[0, np.cumsum(child_sizes)]
+        # Children in node order, left before right: the j-th split node's
+        # children get ids 2j and 2j + 1, and the rows of nodes that became
+        # leaves the last id, so a stable sort on the id puts them past
+        # ``size``. An id this small sorts by radix.
+        n_children = 2 * int(split.sum())
+        first = np.full(len(nodes), n_children)
+        first[split] = np.arange(0, n_children, 2)
+        child = np.zeros(n, dtype=np.min_scalar_type(n_children))
+        child[rows] = first[node_of] + (split[node_of] & ~goes_left[rows])
+        ids = child[rows]
+        child_starts = np.r_[0, np.cumsum(np.bincount(ids)[:n_children])]
         size = int(child_starts[-1])
-        left_start = np.full(len(nodes), size)
-        right_start = np.full(len(nodes), size)
-        left_start[split] = child_starts[:-1:2]
-        right_start[split] = child_starts[1::2]
-        lefts_before = np.cumsum(n_left) - n_left
-        left_base = np.repeat(left_start - lefts_before - 1, sizes)
-        right_base = np.repeat(right_start - starts[:-1] + lefts_before, sizes)
-        right_base += np.arange(rows.size)
-        dropped = ~split[node_of]
-        right_base[dropped] = size + lefts_before[node_of[dropped]]
-        rows = _partition(rows[None], goes_left, left_base, right_base, size)[0]
+        rows = rows[np.argsort(ids, kind="stable")[:size]]
 
         children = []
         for k in np.flatnonzero(split).tolist():
@@ -362,12 +313,10 @@ def _grow_tree(
                 child.value = _leaf(g, h, rows[child_starts[c] : child_starts[c + 1]], params)
             break
 
-        def partition(i: int) -> None:
+        for i, (x, o) in enumerate(work):
             # replaced block by block, so one level's orders are alive at a time
-            x, o = work[i]
-            work[i] = (x, _partition(o, goes_left, left_base, right_base, size))
-
-        _map(pool, partition, range(len(work)))
+            order = np.argsort(child[o], axis=1, kind="stable")[:, :size]
+            work[i] = (x, np.take_along_axis(o, order, axis=1))
         starts = child_starts
         nodes = children
     return root
@@ -420,30 +369,24 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
     sample_weight = np.where(ya == 1, params.scale_pos_weight, 1.0)
     y_float = ya.astype(np.float64)
     margins = np.zeros(n, dtype=np.float64)
-    n_threads = min(params.resolved_threads(), Xa.shape[1])
     sample_size = max(1, int(round(params.subsample * n))) if params.subsample < 1.0 else n
-    blocks = _feature_blocks(Xa.shape[1], sample_size, n_threads)
+    blocks = _feature_blocks(Xa.shape[1], sample_size)
     # each feature's row ids in value order, ties by row id, once per fit
     Xt = np.ascontiguousarray(Xa.T)
     presorted = [np.argsort(Xt[s], axis=1, kind="stable") for s in blocks]
-    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
     trees: list[TreeNode] = []
-    try:
-        for m in range(params.n_estimators):
-            p = _sigmoid(margins)
-            g = (p - y_float) * sample_weight
-            h = p * (1.0 - p) * sample_weight
-            if params.subsample < 1.0:
-                rng = np.random.default_rng([int(params.seed), m])
-                sample = np.sort(rng.choice(n, size=sample_size, replace=False))
-            else:
-                sample = np.arange(n)
-            root = _grow_tree(Xt, blocks, presorted, g, h, sample, params, pool)
-            margins += _apply_tree(root, Xa)
-            trees.append(root)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for m in range(params.n_estimators):
+        p = _sigmoid(margins)
+        g = (p - y_float) * sample_weight
+        h = p * (1.0 - p) * sample_weight
+        if params.subsample < 1.0:
+            rng = np.random.default_rng([int(params.seed), m])
+            sample = np.sort(rng.choice(n, size=sample_size, replace=False))
+        else:
+            sample = np.arange(n)
+        root = _grow_tree(Xt, blocks, presorted, g, h, sample, params)
+        margins += _apply_tree(root, Xa)
+        trees.append(root)
     return GbdtModel(params=params, n_features=Xa.shape[1], trees=trees)
 
 
@@ -525,8 +468,6 @@ def _node_from_dict(d: dict, n_features: int) -> TreeNode:
 
 
 def model_to_dict(model: GbdtModel) -> dict:
-    params = asdict(model.params)
-    params.pop("threads")  # execution knob, not a property of the fitted model
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -534,7 +475,7 @@ def model_to_dict(model: GbdtModel) -> dict:
         "base_logit": model.base_logit,
         "n_features": model.n_features,
         "feature_names": list(model.feature_names) if model.feature_names else None,
-        "params": params,
+        "params": asdict(model.params),
         "trees": [_node_to_dict(t) for t in model.trees],
     }
 

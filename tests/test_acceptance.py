@@ -322,6 +322,7 @@ CHAIN_SYNTH = [
 
 
 def _run_chain(root: Path, threads: str) -> dict[str, bytes]:
+    """Every artifact of the chain; search tables without their timing column."""
     data, prep, models, reports = (root / x for x in ("data", "prep", "models", "reports"))
     assert main(CHAIN_SYNTH + ["-o", str(data)]) == 0
     assert main(["prepare", "--data", str(data), "-o", str(prep), "--trigger-correction"]) == 0
@@ -330,6 +331,12 @@ def _run_chain(root: Path, threads: str) -> dict[str, bytes]:
             ["train", which, "--prepared", str(prep), "-o", str(models),
              "--n-estimators", n, "--max-depth", "3", "--threads", threads]
         ) == 0
+    grid = root / "grid.ini"
+    grid.write_text("[grid]\nmax_depth = 2,3\nlearning_rate = 0.1,0.3\n")
+    assert main(
+        ["gridsearch", "tof", "--prepared", str(prep), "-o", str(root / "search"),
+         "--grid", str(grid), "--folds", "3", "--n-estimators", "10", "--threads", threads]
+    ) == 0
     assert main(
         ["backtest", "--data", str(data), "--prepared", str(prep),
          "--models", str(models), "-o", str(reports)]
@@ -338,6 +345,10 @@ def _run_chain(root: Path, threads: str) -> dict[str, bytes]:
     for path in sorted(root.rglob("*")):
         if path.is_file():
             out[str(path.relative_to(root))] = path.read_bytes()
+    table = root / "search" / "search_tof.csv"
+    lines = table.read_text().splitlines()
+    assert lines[0].endswith(",fit_seconds")
+    out[str(table.relative_to(root))] = "\n".join(x.rsplit(",", 1)[0] for x in lines).encode()
     return out
 
 
@@ -351,7 +362,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     assert first.keys() == threaded.keys()
     for name in first:
         assert first[name] == threaded[name], f"{name} differs between threads=1 and threads=all"
-    _announce(9, f"{len(first)} artifacts byte-identical across reruns and thread counts")
+    _announce(9, f"{len(first)} artifacts byte-identical across reruns and worker counts")
 
 
 def test_criterion_10_end_to_end_sanity(tmp_path):

@@ -221,6 +221,39 @@ def test_backtest_missing_model_names_path(workdir, tmp_path, capsys):
     assert str(missing) in err
 
 
+@pytest.mark.parametrize(
+    "models, code", [(None, 2), ("nomodels", 1)], ids=["no-models-flag", "missing-model-file"]
+)
+def test_backtest_fails_before_creating_out(workdir, tmp_path, models, code):
+    argv = ["backtest", "--data", str(workdir / "data"), "-o", str(tmp_path / "out")]
+    if models is not None:
+        (tmp_path / models).mkdir()
+        argv += ["--models", str(tmp_path / models)]
+    assert main(argv) == code
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda text: text.rsplit("\n", 2)[0] + "\n", lambda text: "day" + text[4:]],
+    ids=["a-row-short", "header"],
+)
+def test_backtest_rejects_a_bad_tof_test_meta_file(workdir, tmp_path, capsys, edit):
+    prep = tmp_path / "prep"
+    prep.mkdir()
+    for path in (workdir / "prep").iterdir():
+        (prep / path.name).write_bytes(path.read_bytes())
+    meta = prep / "tof_test_meta.csv"
+    meta.write_text(edit(meta.read_text()))
+    code = main(
+        ["backtest", "--data", str(workdir / "data"), "--prepared", str(prep),
+         "--models", str(workdir / "models"), "-o", str(tmp_path / "r")]
+    )
+    assert code == 1
+    assert str(meta) in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_backtest_rejects_corrupted_model_file(workdir, tmp_path, capsys):
     models = tmp_path / "models"
     models.mkdir()
@@ -333,6 +366,14 @@ def test_config_file_supplies_defaults(tmp_path):
         (["synth", "--trend-len", "5"], None, "argument --trend-len"),
         (["prepare", "--data", "{data}", "--split-date", "2020-13-01"], None, "'2020-13-01'"),
         (["train", "cp", "--prepared", "{prep}", "--threads", "abc"], None, "'abc'"),
+        (["train", "cp", "--prepared", "{prep}", "--threads", "0"], None,
+         "argument --threads: expected a positive thread count or \"all\", got '0'"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--threads", "-1"],
+         "[grid]\nmax_depth = 2\n", "argument --threads: expected a positive thread count"),
+        (["train", "tof", "--prepared", "{prep}", "--config", "{ini}"],
+         "[tof_model]\nthreads = 0\n", "argument --threads: expected a positive thread count"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"],
+         "[grid]\nthreads = 1,2\n", "{ini}: [grid] threads is not a model parameter"),
         (["backtest", "--data", "{data}", "--oracle", "--cp-threshold", "0.5,abc"], None,
          "'0.5,abc'"),
         (["synth", "--config", "{ini}"], "[synth]\nstock = 2\n",
@@ -354,7 +395,8 @@ def test_config_file_supplies_defaults(tmp_path):
         (["gridsearch", "cp", "--prepared", "{prep}", "--grid", "{ini}"],
          "[grid]\nlearning_rate = 0.1,nan\n", "[grid] learning_rate must be a finite number"),
     ],
-    ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "cp-threshold",
+    ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "threads-zero",
+         "threads-negative", "threads-key", "grid-threads", "cp-threshold",
          "unknown-key", "unknown-section", "log-mode-key", "grid-key", "disagree-prob-range",
          "trend-len-range", "n-estimators-range", "learning-rate-nan", "grid-depth-range",
          "grid-learning-rate-nan"],

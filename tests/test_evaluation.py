@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trendlab.errors import FoldDegenerateError, SingleClassError
+from trendlab.errors import FoldDegenerateError, ShapeError, SingleClassError
 from trendlab.evaluation import (
     class_report,
     f1_macro,
@@ -247,3 +251,64 @@ def test_reference_grid_shape_runs_end_to_end():
     result = grid_search(X, y, grid, base_params=GbdtParams(), k=2, seed=0)
     assert len(result.entries) == 12
     assert set(result.best_params) == {"max_depth", "n_estimators", "reg_lambda"}
+
+
+def _search_table(result):
+    """A search result without its timings."""
+    entries = [(e.params, e.mean_score, e.fold_scores) for e in result.entries]
+    return entries, result.best_params, result.best_score
+
+
+@pytest.mark.parametrize("mode", ["full", "randomized"])
+def test_grid_search_same_at_one_and_two_workers(mode, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool even on one CPU
+    X, y = _toy_imbalanced(n_neg=60, n_pos=15)
+    grid = {"max_depth": [1, 3], "learning_rate": [0.1, 0.5]}
+    args = dict(base_params=GbdtParams(n_estimators=4), mode=mode, n_draws=3, k=3, seed=2)
+    one = grid_search(X, y, grid, workers=1, **args)
+    two = grid_search(X, y, grid, workers=2, **args)
+    assert _search_table(one) == _search_table(two)
+    assert all(len(e.fit_seconds) == 3 for e in two.entries)
+
+
+def test_grid_search_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    X, y = _toy_imbalanced(n_neg=20, n_pos=10)
+    X[0, 0] = np.nan
+    with pytest.raises(ShapeError, match="NaN or infinite"):
+        grid_search(X, y, {"max_depth": [1, 2]}, base_params=GbdtParams(n_estimators=2),
+                    k=2, workers=2)
+
+
+def test_grid_search_caps_workers_at_the_cpu_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs each task at submit, in this process, and records the pool size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    X, y = _toy_imbalanced(n_neg=40, n_pos=10)
+    grid = {"max_depth": [1, 2]}
+    base = GbdtParams(n_estimators=2)
+    capped = grid_search(X, y, grid, base_params=base, k=2, workers=10**9)
+    assert sizes == [3]  # 3 CPUs, 4 fits
+    grid_search(X, y, {"max_depth": [1]}, base_params=base, k=2, workers=10**9)
+    assert sizes == [3, 2]  # 2 fits
+    serial = grid_search(X, y, grid, base_params=base, k=2)
+    assert sizes == [3, 2]
+    assert _search_table(capped) == _search_table(serial)
