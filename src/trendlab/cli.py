@@ -38,6 +38,7 @@ from .features import (
     FeatureDataset,
     build_cp_dataset,
     build_tof_dataset,
+    cp_feature_matrix,
     read_feature_csv,
     write_feature_csv,
 )
@@ -45,7 +46,6 @@ from .labels import (
     ExpertWindow,
     count_contradictions,
     extract_windows,
-    new_trigger,
     split_by_date,
     trigger_correction,
     voted_windows,
@@ -118,6 +118,16 @@ _parse_threads = _typed(_threads, 'a positive thread count or "all"')
 _parse_weight = _typed(
     lambda raw: "auto" if raw.strip().lower() == "auto" else float(raw), 'a number or "auto"'
 )
+
+
+def _fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < 1.0:
+        raise ValueError(raw)
+    return value
+
+
+_parse_split_frac = _typed(_fraction, "a fraction strictly inside (0, 1)")
 
 # The type of every GbdtParams field, shared by the model flags, the
 # [cp_model]/[tof_model] keys and the [grid] values.
@@ -374,7 +384,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         for windows in window_streams:
             if correction:
                 windows = trigger_correction(windows, series)
-            cp_parts.append(build_cp_dataset(series, new_trigger(windows), log_mode=log_mode))
+            cp_parts.append(build_cp_dataset(series, windows, log_mode=log_mode))
             tof_parts.append(build_tof_dataset(windows, series, log_mode=log_mode))
 
     cp_ds = _concat_datasets(cp_parts, "cp", CP_FEATURE_NAMES).deduplicate()
@@ -584,50 +594,25 @@ def _baseline_reports(
     split_date: Date,
     experts: list[str] | None,
 ) -> dict:
+    """Each expert's, the vote's and the truth's report; a name no window reaches is left out."""
     streams = _window_streams(quotes, label_paths, experts)
-
-    def report_for(window_map: dict[str, list]) -> dict | None:
-        stats = []
-        datapoints = 0
-        for stock in sorted(window_map):
-            series = quotes[stock]
-            clipped = pipeline.clip_windows_to_span(
-                window_map[stock], series, start_date=split_date
-            )
-            if not clipped:
-                continue
-            stats.append(pipeline.expert_position_stats(series, clipped))
-            datapoints += (
-                series.index_of(clipped[-1].end_date)
-                - series.index_of(clipped[0].start_date)
-                + 1
-            )
-        if not stats or datapoints == 0:
-            return None
-        return pipeline.aggregate(stats, num_datapoints=datapoints).to_dict()
-
-    out: dict[str, dict] = {}
     expert_names = sorted({e for by_expert in streams.values() for e in by_expert})
-    for expert in expert_names:
-        rep = report_for(
-            {stock: by_expert[expert] for stock, by_expert in streams.items() if expert in by_expert}
-        )
-        if rep is not None:
-            out[expert] = rep
+    window_maps = {
+        expert: {stock: by_e[expert] for stock, by_e in streams.items() if expert in by_e}
+        for expert in expert_names
+    }
     if len(expert_names) > 1:
-        rep = report_for(
-            {
-                stock: voted_windows(list(by_expert.values()), quotes[stock])
-                for stock, by_expert in streams.items()
-            }
-        )
-        if rep is not None:
-            out["Average"] = rep
+        window_maps["Average"] = {
+            stock: voted_windows(list(by_expert.values()), quotes[stock])
+            for stock, by_expert in streams.items()
+        }
     if truth:
-        rep = report_for({s: w for s, w in truth.items() if s in quotes})
-        if rep is not None:
-            out["truth"] = rep
-    return out
+        window_maps["truth"] = {s: w for s, w in truth.items() if s in quotes}
+    reports = {
+        name: pipeline.expert_baseline(window_map, quotes, start_date=split_date)
+        for name, window_map in window_maps.items()
+    }
+    return {name: rep.to_dict() for name, rep in reports.items() if rep is not None}
 
 
 def _read_fractions(path: Path, n_rows: int) -> np.ndarray:
@@ -650,6 +635,18 @@ def _read_fractions(path: Path, n_rows: int) -> np.ndarray:
 def cmd_backtest(args: argparse.Namespace) -> int:
     if not args.oracle and not args.models:
         args.parser.error("--models is required unless --oracle is given")
+    try:
+        configs = [
+            pipeline.PipelineConfig(
+                cp_threshold=threshold,
+                tof_threshold=args.tof_threshold,
+                min_window_days=args.min_window_days,
+                hold_until_changepoint=args.hold_until_changepoint,
+            )
+            for threshold in args.cp_threshold
+        ]
+    except ConfigError as exc:
+        args.parser.error(str(exc))
     data_dir = Path(args.data)
     prepared = Path(args.prepared) if args.prepared else None
     quotes, _ = _load_universe(data_dir)
@@ -671,11 +668,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     log_mode = args.log_mode
     if log_mode is None:
         log_mode = bool(prep_report["log_mode"]) if prep_report is not None else True
+    configs = [replace(cfg, log_mode=log_mode) for cfg in configs]
 
-    thresholds = args.cp_threshold
-    tof_threshold = args.tof_threshold
-
-    skip_flags: list[str] = []
     cp_model = tof_model = None
     if not args.oracle:
         cp_path = Path(args.models) / "cp_model.json"
@@ -698,51 +692,48 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for threshold in thresholds:
-        cfg_run = pipeline.PipelineConfig(
-            cp_threshold=threshold,
-            tof_threshold=tof_threshold,
-            min_window_days=args.min_window_days,
-            log_mode=log_mode,
-            hold_until_changepoint=args.hold_until_changepoint,
-        )
-        stats_list = []
-        datapoints = 0
-        for stock in sorted(quotes):
-            sliced = _test_slice(quotes[stock], split_date)
-            if sliced is None:
-                flag = f"skipped_short_test_span:{stock}"
-                if flag not in skip_flags:
-                    skip_flags.append(flag)
-                continue
-            if args.oracle:
-                windows = pipeline.clip_windows_to_span(
-                    truth.get(stock, []), sliced, start_date=sliced.dates[0]
-                )
-                cp_arg = pipeline.oracle_cp_scorer(windows, sliced)
-                tof_arg = pipeline.oracle_tof_scorer(windows, sliced)
-            else:
-                cp_arg, tof_arg = cp_model, tof_model
-            trace, stats = pipeline.run_pipeline(sliced, cp_arg, tof_arg, cfg_run)
-            suffix = f"_t{threshold:.2f}"
-            trace.to_csv(out_dir / f"trace_{stock}{suffix}.csv")
+    # One pass over the stocks: what does not depend on the threshold is
+    # built once per stock, then every threshold runs on it.
+    stats_by_threshold: list[list[pipeline.StockStats]] = [[] for _ in configs]
+    skip_flags: list[str] = []
+    datapoints = 0
+    for stock in sorted(quotes):
+        sliced = _test_slice(quotes[stock], split_date)
+        if sliced is None:
+            skip_flags.append(f"skipped_short_test_span:{stock}")
+            continue
+        if args.oracle:
+            windows = pipeline.clip_windows_to_span(
+                truth.get(stock, []), sliced, start_date=sliced.dates[0]
+            )
+            cp_arg = pipeline.oracle_cp_scorer(windows, sliced)
+            tof_arg = pipeline.oracle_tof_scorer(windows, sliced)
+        else:
+            _, cp_X = cp_feature_matrix(sliced, log_mode=log_mode)
+            cp_proba = gbdt.predict_proba(cp_model, cp_X)
+            cp_arg, tof_arg = (lambda ts, X: cp_proba), tof_model
+        for cfg, stats_list in zip(configs, stats_by_threshold):
+            trace, stats = pipeline.run_pipeline(sliced, cp_arg, tof_arg, cfg)
+            trace.to_csv(out_dir / f"trace_{stock}_t{cfg.cp_threshold:.2f}.csv")
             stats_list.append(stats)
-            datapoints += len(sliced)
-        if not stats_list:
-            raise TrendlabError("no stock had a long enough test span")
+        datapoints += len(sliced)
+    if not datapoints:
+        raise TrendlabError("no stock had a long enough test span")
+
+    for cfg, stats_list in zip(configs, stats_by_threshold):
         report = pipeline.aggregate(stats_list, num_datapoints=datapoints)
         report = replace(report, flags=report.flags + tuple(skip_flags))
         pipeline.save_report(
-            report, out_dir / f"backtest_report_t{threshold:.2f}.json", per_stock=stats_list
+            report, out_dir / f"backtest_report_t{cfg.cp_threshold:.2f}.json", per_stock=stats_list
         )
         print(
-            f"backtest t={threshold:.2f}: YearProfit {report.year_profit:.2%} | "
+            f"backtest t={cfg.cp_threshold:.2f}: YearProfit {report.year_profit:.2%} | "
             f"YearProfit_avg {report.year_profit_avg:.2%} | times_in {report.times_in}"
         )
 
     if tof_test is not None:
         X, y, fractions = tof_test
-        hits = gbdt.predict(tof_model, X, threshold=tof_threshold) == y
+        hits = gbdt.predict(tof_model, X, threshold=args.tof_threshold) == y
         values, group = np.unique(fractions, return_inverse=True)
         n = np.bincount(group, minlength=len(values))
         accuracy = np.bincount(group, weights=hits, minlength=len(values)) / n
@@ -829,7 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory with quotes_*/labels_* CSVs")
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
-    p.add_argument("--split-frac", dest="split_frac", type=float, default=DEFAULT_SPLIT_FRAC)
+    p.add_argument(
+        "--split-frac", dest="split_frac", type=_parse_split_frac, default=DEFAULT_SPLIT_FRAC
+    )
     p.add_argument("--log-mode", dest="log_mode", action="store_true", default=True)
     p.add_argument("--raw", dest="log_mode", action="store_false")
     p.add_argument("--averaging", action="store_true")
@@ -886,7 +879,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
-    p.add_argument("--split-frac", dest="split_frac", type=float, default=DEFAULT_SPLIT_FRAC)
+    p.add_argument(
+        "--split-frac", dest="split_frac", type=_parse_split_frac, default=DEFAULT_SPLIT_FRAC
+    )
     p.set_defaults(func=cmd_baseline, parser=p)
 
     return parser

@@ -208,21 +208,6 @@ def _fit_fold(
     return _score(scoring, y[test_idx], gbdt.predict_proba(model, X[test_idx])), seconds
 
 
-def kfold_cv(
-    X: object,
-    y: object,
-    params: gbdt.GbdtParams,
-    k: int = 5,
-    scoring: str = "f1_macro",
-    seed: int = 0,
-) -> float:
-    """Mean held-out score over seed-shuffled stratified folds."""
-    Xa = np.asarray(X, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.int64)
-    splits = _fold_splits(Xa, ya, k, scoring, seed)
-    return float(np.mean([_fit_fold(Xa, ya, params, s, scoring)[0] for s in splits]))
-
-
 @dataclass(frozen=True)
 class SearchEntry:
     params: dict[str, object]

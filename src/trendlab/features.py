@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InvariantError, ParseError, TooShortError, ZeroVolumeError
-from .labels import ExpertWindow, TriggerSeries, _ols, _row_keys
+from .labels import ExpertWindow, _ols, _row_keys
 from .market_data import TREND, QuoteSeries, _days
 
 CP_CONTEXT = 5
@@ -182,12 +182,18 @@ class FeatureDataset:
 
 
 def build_cp_dataset(
-    series: QuoteSeries, triggers: TriggerSeries, log_mode: bool = False
+    series: QuoteSeries, windows: Sequence[ExpertWindow], log_mode: bool = False
 ) -> FeatureDataset:
-    """Changepoint rows for every labeled date with full +/-5-row context."""
+    """Changepoint rows for every labeled date with full +/-5-row context.
+
+    The labeled span runs from the first window's start to the last window's
+    end; the target is 1 on the start of every window but the first.
+    """
+    if not windows:
+        raise EmptyInputError("no windows")
     ts, X = cp_feature_matrix(series, log_mode=log_mode)
     days = _days(series.dates)[ts]
-    keep = (days >= triggers.start_date.toordinal()) & (days <= triggers.end_date.toordinal())
+    keep = (days >= windows[0].start_date.toordinal()) & (days <= windows[-1].end_date.toordinal())
     days = days[keep]
     return FeatureDataset(
         kind="cp",
@@ -195,7 +201,7 @@ def build_cp_dataset(
         days=days,
         stocknames=np.full(len(days), series.stockname),
         X=X[keep],
-        y=np.isin(days, _days(list(triggers.trigger_dates))).astype(np.int64),
+        y=np.isin(days, _days([w.start_date for w in windows[1:]])).astype(np.int64),
     )
 
 

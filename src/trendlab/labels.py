@@ -1,4 +1,4 @@
-"""Expert label preprocessing: windows, triggers, voting, correction, splits."""
+"""Expert label preprocessing: windows, voting, trigger correction, splits."""
 
 from __future__ import annotations
 
@@ -33,17 +33,6 @@ class ExpertWindow:
             raise InvariantError(
                 f"direction {self.direction} inconsistent with tendency {self.tendency}"
             )
-
-
-@dataclass(frozen=True)
-class TriggerSeries:
-    """A labelled span and its changepoint dates: every window start but the first."""
-
-    stockname: str
-    expert: str
-    start_date: Date
-    end_date: Date
-    trigger_dates: frozenset[Date]
 
 
 def _ols(y: np.ndarray) -> tuple[float, float]:
@@ -101,19 +90,6 @@ def extract_windows(labels: LabelSeries, quotes: QuoteSeries) -> list[ExpertWind
             )
         )
     return windows
-
-
-def new_trigger(windows: Sequence[ExpertWindow]) -> TriggerSeries:
-    """Changepoint targets: 1 on each window start except the very first."""
-    if not windows:
-        raise EmptyInputError("no windows")
-    return TriggerSeries(
-        stockname=windows[0].stockname,
-        expert=windows[0].expert,
-        start_date=windows[0].start_date,
-        end_date=windows[-1].end_date,
-        trigger_dates=frozenset(w.start_date for w in windows[1:]),
-    )
 
 
 def vote_experts(codes: Sequence[int]) -> int:

@@ -25,12 +25,12 @@ import json
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import gbdt
-from .errors import ConfigError, EmptyInputError, SeriesTooShortError, ShapeError
+from .errors import ConfigError, SeriesTooShortError, ShapeError
 from .features import TOF_FEATURE_NAMES, cp_feature_matrix, tof_features
 from .labels import ExpertWindow
 from .market_data import TREND, QuoteSeries
@@ -459,12 +459,28 @@ def expert_position_stats(series: QuoteSeries, windows: Sequence[ExpertWindow]) 
     return StockStats.from_positions(series.stockname, positions)
 
 
-def expert_baseline(series: QuoteSeries, windows: Sequence[ExpertWindow]) -> BacktestReport:
-    """Profit report of the labels themselves (no lag, perfect hindsight)."""
-    if not windows:
-        raise EmptyInputError("no windows for baseline")
-    stats = expert_position_stats(series, windows)
-    span = (
-        series.index_of(windows[-1].end_date) - series.index_of(windows[0].start_date) + 1
-    )
-    return aggregate([stats], num_datapoints=span)
+def expert_baseline(
+    windows_by_stock: Mapping[str, Sequence[ExpertWindow]],
+    quotes: Mapping[str, QuoteSeries],
+    start_date: Date | None = None,
+) -> BacktestReport | None:
+    """Profit report of the labels themselves (no lag, perfect hindsight).
+
+    Each stock's windows are clipped to the span from ``start_date`` on, and
+    its datapoints are the rows from the first clipped window's start to the
+    last one's end. None when no window falls in the span.
+    """
+    stats = []
+    datapoints = 0
+    for stock in sorted(windows_by_stock):
+        series = quotes[stock]
+        clipped = clip_windows_to_span(windows_by_stock[stock], series, start_date=start_date)
+        if not clipped:
+            continue
+        stats.append(expert_position_stats(series, clipped))
+        datapoints += (
+            series.index_of(clipped[-1].end_date) - series.index_of(clipped[0].start_date) + 1
+        )
+    if not stats:
+        return None
+    return aggregate(stats, num_datapoints=datapoints)

@@ -21,7 +21,6 @@ from trendlab.gbdt import GbdtParams, fit, predict, predict_proba
 from trendlab.labels import (
     count_contradictions,
     extract_windows,
-    new_trigger,
     split_by_date,
     trigger_correction,
 )
@@ -244,7 +243,7 @@ def _two_expert_contradictions(correct: bool) -> int:
             windows = extract_windows(rows, series)
             if correct:
                 windows = trigger_correction(windows, series)
-            parts.append(build_cp_dataset(series, new_trigger(windows), log_mode=True))
+            parts.append(build_cp_dataset(series, windows, log_mode=True))
     ds = FeatureDataset(
         kind="cp",
         feature_names=CP_FEATURE_NAMES,

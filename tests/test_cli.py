@@ -209,6 +209,74 @@ def test_backtest_outputs_and_threshold_sweep(workdir, tmp_path):
     assert len(traces) == 2
 
 
+@pytest.fixture(scope="module")
+def short_stock_data(workdir, tmp_path_factory):
+    """The workdir universe plus a stock whose quotes end before the test span."""
+    data = tmp_path_factory.mktemp("shortstock")
+    for path in (workdir / "data").iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    lines = (workdir / "data" / "quotes_SYN00.csv").read_bytes().splitlines(keepends=True)
+    (data / "quotes_SHORT.csv").write_bytes(b"".join(lines[:301]).replace(b"SYN00", b"SHORT"))
+    return data
+
+
+def _backtest_argv(workdir, data, source: str) -> list[str]:
+    if source == "oracle":
+        return ["backtest", "--data", str(data), "--oracle", "--split-date", "2012-06-01"]
+    return ["backtest", "--data", str(data), "--prepared", str(workdir / "prep"),
+            "--models", str(workdir / "models")]
+
+
+@pytest.mark.parametrize("source", ["models", "oracle"])
+def test_backtest_sweep_matches_single_threshold_runs(workdir, short_stock_data, tmp_path, source):
+    argv = _backtest_argv(workdir, short_stock_data, source)
+    assert main([*argv, "--cp-threshold", "0.3,0.5,0.8", "-o", str(tmp_path / "sweep")]) == 0
+    single = {}
+    for threshold in ("0.3", "0.5", "0.8"):
+        out = tmp_path / threshold
+        assert main([*argv, "--cp-threshold", threshold, "-o", str(out)]) == 0
+        single.update((p.name, p.read_bytes()) for p in out.iterdir())
+    swept = {p.name: p.read_bytes() for p in (tmp_path / "sweep").iterdir()}
+    assert len(swept) == (3 * 2 + 3 + (source == "models"))  # traces, reports, fractions
+    assert swept == single
+    for threshold in ("0.30", "0.50", "0.80"):
+        doc = json.loads(swept[f"backtest_report_t{threshold}.json"])
+        assert doc["flags"].count("skipped_short_test_span:SHORT") == 1
+        assert doc["numStocks"] == 2
+
+
+def test_backtest_scores_each_cp_row_once(workdir, short_stock_data, tmp_path, monkeypatch):
+    from bisect import bisect_left
+    from datetime import date as Date
+
+    from trendlab import gbdt
+    from trendlab.features import CP_CONTEXT
+    from trendlab.market_data import load_quotes
+
+    cp_rows = []
+    predict_proba = gbdt.predict_proba
+
+    def counting(model, X):
+        if X.shape[1] == len(CP_FEATURE_NAMES):
+            cp_rows.append(len(X))
+        return predict_proba(model, X)
+
+    monkeypatch.setattr(gbdt, "predict_proba", counting)
+    argv = _backtest_argv(workdir, short_stock_data, "models")
+    assert main([*argv, "--cp-threshold", "0.3,0.5,0.8", "-o", str(tmp_path / "r")]) == 0
+    split = Date.fromisoformat(
+        json.loads((workdir / "prep" / "prep_report.json").read_text())["split_date"]
+    )
+    expected = []
+    for path in sorted(short_stock_data.glob("quotes_*.csv")):
+        dates = load_quotes(path).dates
+        n_test = len(dates) - bisect_left(dates, split)
+        if n_test > 2 * CP_CONTEXT:
+            expected.append(n_test - 2 * CP_CONTEXT)
+    assert len(expected) == 2  # SHORT has no test span
+    assert cp_rows == expected
+
+
 def test_backtest_missing_model_names_path(workdir, tmp_path, capsys):
     data = workdir / "data"
     out = tmp_path / "r"
@@ -394,12 +462,33 @@ def test_config_file_supplies_defaults(tmp_path):
          "[grid]\nmax_depth = 0,2\n", "[grid] max_depth must be >= 1"),
         (["gridsearch", "cp", "--prepared", "{prep}", "--grid", "{ini}"],
          "[grid]\nlearning_rate = 0.1,nan\n", "[grid] learning_rate must be a finite number"),
+        (["backtest", "--data", "{data}", "--oracle", "--cp-threshold", "1.5"], None,
+         "thresholds must lie strictly inside (0, 1)"),
+        (["backtest", "--data", "{data}", "--oracle", "--cp-threshold", "0.5,nan"], None,
+         "thresholds must lie strictly inside (0, 1)"),
+        (["backtest", "--data", "{data}", "--oracle", "--tof-threshold", "0"], None,
+         "thresholds must lie strictly inside (0, 1)"),
+        (["backtest", "--data", "{data}", "--oracle", "--min-window-days", "1"], None,
+         "min_window_days must be >= 2"),
+        (["prepare", "--data", "{data}", "--split-frac", "-0.1"], None,
+         "argument --split-frac: expected a fraction strictly inside (0, 1), got '-0.1'"),
+        (["prepare", "--data", "{data}", "--split-frac", "1"], None,
+         "argument --split-frac: expected a fraction strictly inside (0, 1), got '1'"),
+        (["baseline", "--data", "{data}", "--split-frac", "2"], None,
+         "argument --split-frac: expected a fraction strictly inside (0, 1), got '2'"),
+        (["baseline", "--data", "{data}", "--split-frac", "0"], None,
+         "argument --split-frac: expected a fraction strictly inside (0, 1), got '0'"),
+        (["prepare", "--data", "{data}", "--config", "{ini}"], "[data]\nsplit_frac = 1.0\n",
+         "argument --split-frac: expected a fraction strictly inside (0, 1), got '1.0'"),
     ],
     ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "threads-zero",
          "threads-negative", "threads-key", "grid-threads", "cp-threshold",
          "unknown-key", "unknown-section", "log-mode-key", "grid-key", "disagree-prob-range",
          "trend-len-range", "n-estimators-range", "learning-rate-nan", "grid-depth-range",
-         "grid-learning-rate-nan"],
+         "grid-learning-rate-nan", "cp-threshold-range", "cp-threshold-nan",
+         "tof-threshold-range", "min-window-days-range", "prepare-split-frac-negative",
+         "prepare-split-frac-one", "baseline-split-frac-two", "baseline-split-frac-zero",
+         "split-frac-key"],
 )
 def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):
     ini_path = tmp_path / "run.ini"

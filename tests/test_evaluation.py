@@ -16,7 +16,6 @@ from trendlab.evaluation import (
     class_report,
     f1_macro,
     grid_search,
-    kfold_cv,
     roc_auc,
     stratified_fold_indices,
 )
@@ -142,11 +141,16 @@ def _toy_imbalanced(n_neg=300, n_pos=12, seed=3):
     return X, y
 
 
+def _cv(X, y, params, **kwargs):
+    """Mean held-out score of one parameter set: a one-point grid search."""
+    return grid_search(X, y, {"seed": [params.seed]}, base_params=params, **kwargs).best_score
+
+
 def test_kfold_constant_model_scores_half_macro():
     # constant features force single-leaf trees: the model predicts the majority
     X = np.ones((404, 2))
     y = np.array([0] * 400 + [1] * 4)
-    score = kfold_cv(X, y, GbdtParams(n_estimators=3), k=4, scoring="f1_macro", seed=0)
+    score = _cv(X, y, GbdtParams(n_estimators=3), k=4, scoring="f1_macro", seed=0)
     assert score == pytest.approx(0.5, abs=0.01)
 
 
@@ -154,26 +158,26 @@ def test_kfold_leave_one_out_runs():
     rng = np.random.default_rng(4)
     X = rng.normal(0, 1, size=(10, 2))
     y = np.array([0, 1] * 5)
-    score = kfold_cv(X, y, GbdtParams(n_estimators=2), k=10, scoring="f1_macro", seed=0)
+    score = _cv(X, y, GbdtParams(n_estimators=2), k=10, scoring="f1_macro", seed=0)
     assert 0.0 <= score <= 1.0
 
 
 def test_kfold_deterministic_and_permutation_invariant():
     X, y = _toy_imbalanced()
     params = GbdtParams(n_estimators=5, max_depth=2)
-    a = kfold_cv(X, y, params, k=5, scoring="f1_macro", seed=7)
-    b = kfold_cv(X, y, params, k=5, scoring="f1_macro", seed=7)
+    a = _cv(X, y, params, k=5, scoring="f1_macro", seed=7)
+    b = _cv(X, y, params, k=5, scoring="f1_macro", seed=7)
     assert a == b
     rng = np.random.default_rng(5)
     perm = rng.permutation(len(y))
-    c = kfold_cv(X[perm], y[perm], params, k=5, scoring="f1_macro", seed=7)
+    c = _cv(X[perm], y[perm], params, k=5, scoring="f1_macro", seed=7)
     assert c == a
 
 
 def test_kfold_degenerate_cases():
     X, y = _toy_imbalanced(n_neg=10, n_pos=1)
     with pytest.raises(FoldDegenerateError):
-        kfold_cv(X, y, GbdtParams(n_estimators=2), k=3, scoring="auc", seed=0)
+        _cv(X, y, GbdtParams(n_estimators=2), k=3, scoring="auc", seed=0)
     with pytest.raises(FoldDegenerateError):
         stratified_fold_indices(X, y, k=20, seed=0)
     with pytest.raises(FoldDegenerateError):

@@ -1,7 +1,8 @@
-"""Window extraction, triggers, voting, correction and splitting."""
+"""Window extraction, changepoint targets, voting, correction and splitting."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date as Date
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from conftest import make_series, segment_labels
 from trendlab.errors import DegenerateSplitError, EmptyInputError
+from trendlab.features import CP_CONTEXT, build_cp_dataset
 from trendlab.labels import (
     ContradictionStats,
     count_contradictions,
     extract_windows,
-    new_trigger,
     split_by_date,
     trigger_correction,
     vote_experts,
@@ -56,30 +57,40 @@ def test_extract_windows_flat_direction_zero_and_empty_error():
         extract_windows(LabelSeries("ACME", "A", (), [], []), series)
 
 
+# The "new trigger" is the changepoint target of build_cp_dataset: 1 on every
+# window start but the first. Its rows need CP_CONTEXT rows on either side, so
+# each case pads its first and last window by CP_CONTEXT rows.
+
+
 def test_new_trigger_matches_window_starts():
-    series = make_series([100] * 5)
-    windows = extract_windows(segment_labels(series, [(3, TREND), (2, FLAT)]), series)
-    triggers = new_trigger(windows)
-    assert [int(d in triggers.trigger_dates) for d in series.dates] == [0, 0, 0, 1, 0]
-    assert (triggers.start_date, triggers.end_date) == (series.dates[0], series.dates[-1])
+    series = make_series([100] * (5 + 2 * CP_CONTEXT))
+    windows = extract_windows(
+        segment_labels(series, [(CP_CONTEXT + 3, TREND), (2 + CP_CONTEXT, FLAT)]), series
+    )
+    ds = build_cp_dataset(series, windows)
+    assert ds.y.tolist() == [0, 0, 0, 1, 0]
+    assert ds.days.tolist() == _days(series.dates[CP_CONTEXT:-CP_CONTEXT]).tolist()
 
 
 def test_new_trigger_single_window_all_zero():
-    series = make_series([100] * 4)
-    triggers = new_trigger(extract_windows(segment_labels(series, [(4, TREND)]), series))
-    assert not triggers.trigger_dates
-    assert (triggers.start_date, triggers.end_date) == (series.dates[0], series.dates[-1])
+    series = make_series([100] * (4 + 2 * CP_CONTEXT))
+    windows = extract_windows(segment_labels(series, [(len(series), TREND)]), series)
+    ds = build_cp_dataset(series, windows)
+    assert ds.y.tolist() == [0, 0, 0, 0]
+    assert ds.days.tolist() == _days(series.dates[CP_CONTEXT:-CP_CONTEXT]).tolist()
+    # the span ends with the last window
+    shorter = [replace(windows[0], end_date=series.dates[CP_CONTEXT + 1])]
+    assert build_cp_dataset(series, shorter).days.tolist() == ds.days[:2].tolist()
 
 
 def test_new_trigger_three_windows():
-    # windows start on rows 0, 2 and 4: triggers exactly at rows 2 and 4
-    series = make_series([100] * 6)
-    windows = extract_windows(
-        segment_labels(series, [(2, TREND), (2, FLAT), (2, TREND)]), series
-    )
-    triggers = new_trigger(windows)
-    expected_starts = {series.dates[2], series.dates[4]}
-    assert set(triggers.trigger_dates) == expected_starts
+    # windows start on rows 0, 2 and 4 of the labelled core: triggers exactly at 2 and 4
+    series = make_series([100] * (6 + 2 * CP_CONTEXT))
+    segments = [(CP_CONTEXT + 2, TREND), (2, FLAT), (2 + CP_CONTEXT, TREND)]
+    windows = extract_windows(segment_labels(series, segments), series)
+    ds = build_cp_dataset(series, windows)
+    expected_starts = [series.dates[CP_CONTEXT + 2], series.dates[CP_CONTEXT + 4]]
+    assert ds.days[ds.y == 1].tolist() == _days(expected_starts).tolist()
 
 
 def test_new_trigger_count_property():
@@ -87,12 +98,14 @@ def test_new_trigger_count_property():
     for _ in range(25):
         n_segments = int(rng.integers(1, 8))
         lengths = rng.integers(1, 6, size=n_segments)
+        lengths[0] += CP_CONTEXT
+        lengths[-1] += CP_CONTEXT
         tendencies = [TREND if rng.random() < 0.5 else FLAT for _ in range(n_segments)]
         series = make_series(100 + rng.normal(0, 1, size=int(lengths.sum())) ** 2 + 50)
         rows = segment_labels(series, list(zip(lengths, tendencies)))
         windows = extract_windows(rows, series)
-        triggers = new_trigger(windows)
-        assert len(triggers.trigger_dates) == len(windows) - 1
+        ds = build_cp_dataset(series, windows)
+        assert int(ds.y.sum()) == len(windows) - 1
 
 
 def test_vote_experts_worked_examples():

@@ -14,9 +14,9 @@ from reference_pipeline import (
     row_oracle_tof_scorer,
 )
 from trendlab import gbdt
-from trendlab.errors import EmptyInputError, SeriesTooShortError, ShapeError
+from trendlab.errors import SeriesTooShortError, ShapeError
 from trendlab.features import build_cp_dataset, build_tof_dataset
-from trendlab.labels import ExpertWindow, new_trigger
+from trendlab.labels import ExpertWindow
 from trendlab.market_data import FLAT, TREND
 from trendlab.pipeline import (
     BUSINESS_DAYS_PER_YEAR,
@@ -210,7 +210,7 @@ def trained_models():
     )
     models = {}
     for log_mode in (True, False):
-        cp_ds = build_cp_dataset(train_series, new_trigger(train_windows), log_mode=log_mode)
+        cp_ds = build_cp_dataset(train_series, train_windows, log_mode=log_mode)
         balance = float((cp_ds.y == 0).sum() / (cp_ds.y == 1).sum())
         cp = gbdt.fit(cp_ds.X, cp_ds.y, gbdt.GbdtParams(
             n_estimators=10, max_depth=3, scale_pos_weight=balance))
@@ -428,11 +428,17 @@ def test_expert_baseline_single_window():
         start_date=series.dates[0], end_date=series.dates[-1],
         tendency=TREND, direction=1,
     )
-    report = expert_baseline(series, [window])
+    report = expert_baseline({series.stockname: [window]}, {series.stockname: series})
     assert report.profit == pytest.approx(0.5, abs=1e-12)
     assert report.days_in == 250
     assert report.year_profit == pytest.approx(0.5, abs=1e-12)
     assert report.year_profit_avg == pytest.approx(0.5, abs=1e-12)
+    # from a start date on, the window is clipped to the rest of the series
+    clipped = expert_baseline(
+        {series.stockname: [window]}, {series.stockname: series}, start_date=series.dates[125]
+    )
+    assert clipped.profit == pytest.approx(150 / closes[125] - 1, abs=1e-12)
+    assert clipped.days_in == clipped.num_datapoints == 125
 
 
 def test_expert_baseline_all_flat_is_zero():
@@ -442,11 +448,15 @@ def test_expert_baseline_all_flat_is_zero():
         start_date=series.dates[0], end_date=series.dates[-1],
         tendency=FLAT, direction=0,
     )
-    report = expert_baseline(series, [window])
+    quotes = {series.stockname: series}
+    report = expert_baseline({series.stockname: [window]}, quotes)
     assert report.profit == 0.0
     assert report.times_in == 0
-    with pytest.raises(EmptyInputError):
-        expert_baseline(series, [])
+    # no window in the span: no report
+    assert expert_baseline({series.stockname: []}, quotes) is None
+    assert expert_baseline({}, quotes) is None
+    late = Date(2100, 1, 1)
+    assert expert_baseline({series.stockname: [window]}, quotes, start_date=late) is None
 
 
 def test_expert_baseline_average_underperforms_best_expert():
@@ -468,8 +478,9 @@ def test_expert_baseline_average_underperforms_best_expert():
         segment_labels(series, [(45, TREND), (35, FLAT), (40, TREND)], expert="C"), series
     )
     voted = voted_windows([good, sloppy_b, sloppy_c], series)
-    rep_good = expert_baseline(series, good)
-    rep_voted = expert_baseline(series, voted)
+    quotes = {series.stockname: series}
+    rep_good = expert_baseline({series.stockname: good}, quotes)
+    rep_voted = expert_baseline({series.stockname: voted}, quotes)
     assert rep_voted.year_profit_avg < rep_good.year_profit_avg
 
 

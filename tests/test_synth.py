@@ -7,7 +7,7 @@ import pytest
 
 from trendlab.errors import ConfigError
 from trendlab.features import tof_features
-from trendlab.labels import count_contradictions, extract_windows, new_trigger
+from trendlab.labels import count_contradictions, extract_windows
 from trendlab.market_data import OHLCV_COLUMNS, TREND
 from trendlab.synth import (
     ExpertProfile,
@@ -114,7 +114,7 @@ def test_two_disagreeing_experts_produce_contradictions():
                 name=name,
             )
             windows = extract_windows(rows, series)
-            parts.append(build_cp_dataset(series, new_trigger(windows), log_mode=True))
+            parts.append(build_cp_dataset(series, windows, log_mode=True))
         X = np.vstack([p.X for p in parts])
         y = np.concatenate([p.y for p in parts])
         if count_contradictions(X, y).n_contradicting_rows > 0:
