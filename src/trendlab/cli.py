@@ -9,7 +9,8 @@ and ``--scoring`` is also a key: its flag name with ``_`` (``trend_len =
 40,80``; ``log_mode = false`` for ``--raw``). A flag overrides its key, which
 overrides the built-in default. An unknown section, an unknown key and a bad
 value are usage errors. ``synth``, ``train`` and ``gridsearch`` take ``--seed
-N``. All artifacts are machine-readable (CSV/JSON) with a short human summary
+N``. ``backtest`` takes its test span and feature space from ``--prepared``.
+All artifacts are machine-readable (CSV/JSON) with a short human summary
 on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
@@ -217,6 +218,30 @@ def _experts_list(raw: str | None) -> list[str] | None:
 
 def _write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
+
+
+def _read_prep_report(prepared: Path) -> dict:
+    """``prep_report.json`` of a prepared directory, with ``split_date`` as a date.
+
+    Raises ``ParseError`` naming the file when it is not JSON or an entry that
+    a command reads is missing or of the wrong type.
+    """
+    path = prepared / "prep_report.json"
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        report["split_date"] = Date.fromisoformat(report["split_date"])
+    except (ValueError, TypeError, KeyError):
+        raise ParseError(f"{path}: not a JSON object with a split_date YYYY-MM-DD") from None
+    if not isinstance(report.get("log_mode"), bool):
+        raise ParseError(f"{path}: log_mode must be true or false")
+    for which in ("cp", "tof"):
+        entry = report.get(which)
+        if not isinstance(entry, dict) or not (
+            isinstance(entry.get("balance_str"), str)
+            and isinstance(entry.get("balance", ""), (int, float, type(None)))
+        ):
+            raise ParseError(f"{path}: {which} must hold a balance and a balance_str")
+    return report
 
 
 # --- data discovery ---------------------------------------------------------
@@ -499,7 +524,7 @@ def _metrics_block(y, proba, threshold: float) -> dict:
 def cmd_train(args: argparse.Namespace) -> int:
     which = args.which
     prepared = Path(args.prepared)
-    prep_report = json.loads((prepared / "prep_report.json").read_text(encoding="utf-8"))
+    prep_report = _read_prep_report(prepared)
     params = _model_params(which, args, prep_report)
     names = CP_FEATURE_NAMES if which == "cp" else TOF_FEATURE_NAMES
     X_train, y_train = read_feature_csv(prepared / f"{which}_train.csv", names)
@@ -543,7 +568,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         args.parser.error("randomized mode needs --draws")
     which = args.which
     prepared = Path(args.prepared)
-    prep_report = json.loads((prepared / "prep_report.json").read_text(encoding="utf-8"))
+    prep_report = _read_prep_report(prepared)
     base = _model_params(which, args, prep_report)
     for combo in itertools.product(*args.grid.values()):
         try:
@@ -587,34 +612,6 @@ def _test_slice(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
     return sliced if len(sliced) >= 2 * pipeline.CP_LAG_DAYS + 1 else None
 
 
-def _baseline_reports(
-    quotes: dict[str, QuoteSeries],
-    label_paths: list[Path],
-    truth: dict[str, list],
-    split_date: Date,
-    experts: list[str] | None,
-) -> dict:
-    """Each expert's, the vote's and the truth's report; a name no window reaches is left out."""
-    streams = _window_streams(quotes, label_paths, experts)
-    expert_names = sorted({e for by_expert in streams.values() for e in by_expert})
-    window_maps = {
-        expert: {stock: by_e[expert] for stock, by_e in streams.items() if expert in by_e}
-        for expert in expert_names
-    }
-    if len(expert_names) > 1:
-        window_maps["Average"] = {
-            stock: voted_windows(list(by_expert.values()), quotes[stock])
-            for stock, by_expert in streams.items()
-        }
-    if truth:
-        window_maps["truth"] = {s: w for s, w in truth.items() if s in quotes}
-    reports = {
-        name: pipeline.expert_baseline(window_map, quotes, start_date=split_date)
-        for name, window_map in window_maps.items()
-    }
-    return {name: rep.to_dict() for name, rep in reports.items() if rep is not None}
-
-
 def _read_fractions(path: Path, n_rows: int) -> np.ndarray:
     """The fraction column of ``tof_test_meta.csv``, one per ``tof_test.csv`` row."""
     with path.open(newline="", encoding="utf-8") as handle:
@@ -647,48 +644,26 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         ]
     except ConfigError as exc:
         args.parser.error(str(exc))
+    if len({f"{t:.2f}" for t in args.cp_threshold}) < len(args.cp_threshold):
+        args.parser.error("--cp-threshold values name outputs by two decimals; these collide")
     data_dir = Path(args.data)
-    prepared = Path(args.prepared) if args.prepared else None
+    prepared = Path(args.prepared)
+    # the test span and feature space the models were prepared in
+    prep_report = _read_prep_report(prepared)
+    split_date, log_mode = prep_report["split_date"], prep_report["log_mode"]
+    configs = [replace(cfg, log_mode=log_mode) for cfg in configs]
     quotes, _ = _load_universe(data_dir)
     truth = _truth_windows(data_dir)
 
-    prep_path = prepared / "prep_report.json" if prepared is not None else None
-    prep_report = (
-        json.loads(prep_path.read_text(encoding="utf-8"))
-        if prep_path is not None and prep_path.exists()
-        else None
-    )
-    split_date = args.split_date
-    if split_date is None:
-        split_date = (
-            Date.fromisoformat(prep_report["split_date"])
-            if prep_report is not None
-            else _default_split_date(quotes, DEFAULT_SPLIT_FRAC)
-        )
-    log_mode = args.log_mode
-    if log_mode is None:
-        log_mode = bool(prep_report["log_mode"]) if prep_report is not None else True
-    configs = [replace(cfg, log_mode=log_mode) for cfg in configs]
-
-    cp_model = tof_model = None
     if not args.oracle:
-        cp_path = Path(args.models) / "cp_model.json"
-        tof_path = Path(args.models) / "tof_model.json"
-        for p in (cp_path, tof_path):
-            if not p.exists():
-                raise FileNotFoundError(f"model file not found: {p}")
-        cp_model = gbdt.load_model(cp_path)
-        tof_model = gbdt.load_model(tof_path)
+        cp_model, tof_model = (
+            gbdt.load_model(Path(args.models) / f"{which}_model.json") for which in ("cp", "tof")
+        )
+        # the tof test rows with their window fractions, for fraction_accuracy.csv
+        tof_X, tof_y = read_feature_csv(prepared / "tof_test.csv", TOF_FEATURE_NAMES)
+        fractions = _read_fractions(prepared / "tof_test_meta.csv", len(tof_y))
     elif not truth:
         raise TrendlabError(f"--oracle needs {data_dir / 'truth.json'}")
-    # the tof test rows with their window fractions, for fraction_accuracy.csv
-    tof_test = None
-    if not args.oracle and prepared is not None:
-        meta_path = prepared / "tof_test_meta.csv"
-        tof_test_path = prepared / "tof_test.csv"
-        if meta_path.exists() and tof_test_path.exists():
-            X, y = read_feature_csv(tof_test_path, TOF_FEATURE_NAMES)
-            tof_test = X, y, _read_fractions(meta_path, len(y))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -731,9 +706,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             f"YearProfit_avg {report.year_profit_avg:.2%} | times_in {report.times_in}"
         )
 
-    if tof_test is not None:
-        X, y, fractions = tof_test
-        hits = gbdt.predict(tof_model, X, threshold=args.tof_threshold) == y
+    if not args.oracle:
+        hits = gbdt.predict(tof_model, tof_X, threshold=args.tof_threshold) == tof_y
         values, group = np.unique(fractions, return_inverse=True)
         n = np.bincount(group, minlength=len(values))
         accuracy = np.bincount(group, weights=hits, minlength=len(values)) / n
@@ -753,9 +727,25 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     quotes, label_paths = _load_universe(data_dir)
     truth = _truth_windows(data_dir)
     split_date = args.split_date or _default_split_date(quotes, args.split_frac)
-    baseline = _baseline_reports(
-        quotes, label_paths, truth, split_date, _experts_list(args.experts)
-    )
+    # each expert's, the vote's and the truth's report; a name no window reaches is left out
+    streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
+    expert_names = sorted({e for by_expert in streams.values() for e in by_expert})
+    window_maps = {
+        expert: {stock: by_e[expert] for stock, by_e in streams.items() if expert in by_e}
+        for expert in expert_names
+    }
+    if len(expert_names) > 1:
+        window_maps["Average"] = {
+            stock: voted_windows(list(by_expert.values()), quotes[stock])
+            for stock, by_expert in streams.items()
+        }
+    if truth:
+        window_maps["truth"] = {s: w for s, w in truth.items() if s in quotes}
+    reports = {
+        name: pipeline.expert_baseline(window_map, quotes, start_date=split_date)
+        for name, window_map in window_maps.items()
+    }
+    baseline = {name: rep.to_dict() for name, rep in reports.items() if rep is not None}
     _write_json(
         {"split_date": split_date.isoformat(), "experts": baseline},
         out_dir / "baseline_report.json",
@@ -857,10 +847,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="run the two-stage simulation on the test span")
     _add_common(p, config=False, seed=False)
     p.add_argument("--data", required=True)
-    p.add_argument("--prepared", default=None)
+    p.add_argument(
+        "--prepared", required=True,
+        help="directory written by prepare; sets the test span and the feature space",
+    )
     p.add_argument("--models", default=None)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
     p.add_argument(
         "--cp-threshold", dest="cp_threshold", type=_float_list, default="0.5",
         help="one value or a comma list, e.g. 0.5,0.65,0.85",
@@ -870,8 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hold-until-changepoint", dest="hold_until_changepoint", action="store_true"
     )
-    p.add_argument("--log-mode", dest="log_mode", action="store_true", default=None)
-    p.add_argument("--raw", dest="log_mode", action="store_false")
     p.set_defaults(func=cmd_backtest, parser=p)
 
     p = sub.add_parser("baseline", help="profit of the expert labels themselves")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -82,6 +82,19 @@ class Position:
     def days_in(self) -> int:
         return self.exit_row - self.entry_row + 1
 
+
+# The nine position totals of StockStats and BacktestReport, each with its report key.
+REPORT_KEYS = {
+    "profit": "Profit",
+    "days_in": "Days_in",
+    "times_in": "Times_in",
+    "profit_lng": "Profit_lng",
+    "days_in_lng": "Days_in_lng",
+    "times_in_lng": "Times_in_lng",
+    "profit_sht": "Profit_sht",
+    "days_in_sht": "Days_in_sht",
+    "times_in_sht": "Times_in_sht",
+}
 
 TRACE_COLUMNS = (
     "date",
@@ -177,18 +190,8 @@ class StockStats:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "stockname": self.stockname,
-            "Profit": self.profit,
-            "Days_in": self.days_in,
-            "Times_in": self.times_in,
-            "Profit_lng": self.profit_lng,
-            "Days_in_lng": self.days_in_lng,
-            "Times_in_lng": self.times_in_lng,
-            "Profit_sht": self.profit_sht,
-            "Days_in_sht": self.days_in_sht,
-            "Times_in_sht": self.times_in_sht,
-        }
+        totals = {key: getattr(self, name) for name, key in REPORT_KEYS.items()}
+        return {"stockname": self.stockname, **totals}
 
 
 @dataclass(frozen=True)
@@ -212,15 +215,7 @@ class BacktestReport:
     def to_dict(self) -> dict:
         return {
             "numStocks": self.num_stocks,
-            "Profit": self.profit,
-            "Days_in": self.days_in,
-            "Times_in": self.times_in,
-            "Profit_lng": self.profit_lng,
-            "Days_in_lng": self.days_in_lng,
-            "Times_in_lng": self.times_in_lng,
-            "Profit_sht": self.profit_sht,
-            "Days_in_sht": self.days_in_sht,
-            "Times_in_sht": self.times_in_sht,
+            **{key: getattr(self, name) for name, key in REPORT_KEYS.items()},
             "numDatapoints": self.num_datapoints,
             "DayProfit": self.day_profit,
             "YearProfit": self.year_profit,
@@ -243,8 +238,8 @@ def aggregate(stats: Sequence[StockStats], num_datapoints: int) -> BacktestRepor
     if num_datapoints <= 0:
         raise ValueError("num_datapoints must be positive")
     flags: list[str] = []
-    profit = sum(s.profit for s in stats)
-    days_in = sum(s.days_in for s in stats)
+    totals = {name: sum(getattr(s, name) for s in stats) for name in REPORT_KEYS}
+    profit, days_in = totals["profit"], totals["days_in"]
     if days_in == 0:
         flags.append("no_days_in_position")
         day_profit = 0.0
@@ -252,15 +247,7 @@ def aggregate(stats: Sequence[StockStats], num_datapoints: int) -> BacktestRepor
         day_profit = profit / days_in
     return BacktestReport(
         num_stocks=len(stats),
-        profit=profit,
-        days_in=days_in,
-        times_in=sum(s.times_in for s in stats),
-        profit_lng=sum(s.profit_lng for s in stats),
-        days_in_lng=sum(s.days_in_lng for s in stats),
-        times_in_lng=sum(s.times_in_lng for s in stats),
-        profit_sht=sum(s.profit_sht for s in stats),
-        days_in_sht=sum(s.days_in_sht for s in stats),
-        times_in_sht=sum(s.times_in_sht for s in stats),
+        **totals,
         num_datapoints=num_datapoints,
         day_profit=day_profit,
         year_profit=day_profit * BUSINESS_DAYS_PER_YEAR,
@@ -290,6 +277,25 @@ def _score(
     if not np.all((probas >= 0.0) & (probas <= 1.0)):
         raise ShapeError("scorer returned a probability that is not a number in [0, 1]")
     return probas
+
+
+def _position(
+    series: QuoteSeries, entry_row: int, exit_row: int, direction: int, reason: str
+) -> Position:
+    """The position held from ``entry_row``'s close to ``exit_row``'s close."""
+    entry_close, exit_close = float(series.closes[entry_row]), float(series.closes[exit_row])
+    return Position(
+        stockname=series.stockname,
+        direction=direction,
+        entry_date=series.dates[entry_row],
+        exit_date=series.dates[exit_row],
+        entry_close=entry_close,
+        exit_close=exit_close,
+        entry_row=entry_row,
+        exit_row=exit_row,
+        profit=trend_profit(entry_close, exit_close, direction),
+        exit_reason=reason,
+    )
 
 
 def oracle_cp_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> CpScorer:
@@ -369,21 +375,7 @@ def run_pipeline(
         else:
             exit_row, reason = n - 1, "series_end"
         sign = int(trend_direction[entry])
-        entry_close, exit_close = float(closes[entry]), float(closes[exit_row])
-        positions.append(
-            Position(
-                stockname=series.stockname,
-                direction=sign,
-                entry_date=dates[entry],
-                exit_date=dates[exit_row],
-                entry_close=entry_close,
-                exit_close=exit_close,
-                entry_row=entry,
-                exit_row=exit_row,
-                profit=trend_profit(entry_close, exit_close, sign),
-                exit_reason=reason,
-            )
-        )
+        positions.append(_position(series, entry, exit_row, sign, reason))
         # the exit day shows no direction, except at the series end
         direction[entry : exit_row + (reason == "series_end")] = sign
         state[entry + 1 : exit_row] = "in"
@@ -417,8 +409,6 @@ def clip_windows_to_span(
     Window dates need not exist in ``quotes``; boundaries snap inward to the
     nearest covered row, so this also re-bases windows onto a sliced series.
     """
-    from dataclasses import replace as _replace
-
     dates = quotes.dates
     lo = bisect.bisect_left(dates, start_date) if start_date else 0
     hi = (bisect.bisect_right(dates, end_date) - 1) if end_date else len(quotes) - 1
@@ -430,32 +420,18 @@ def clip_windows_to_span(
         s2, e2 = max(s, lo), min(e, hi)
         if s2 > e2:
             continue
-        out.append(_replace(w, start_date=dates[s2], end_date=dates[e2]))
+        out.append(replace(w, start_date=dates[s2], end_date=dates[e2]))
     return out
 
 
 def expert_position_stats(series: QuoteSeries, windows: Sequence[ExpertWindow]) -> StockStats:
     """Positions an expert's labels imply: every trend window held end to end."""
-    positions: list[Position] = []
-    for w in windows:
-        if w.tendency != TREND:
-            continue
-        i0 = series.index_of(w.start_date)
-        i1 = series.index_of(w.end_date)
-        positions.append(
-            Position(
-                stockname=series.stockname,
-                direction=w.direction,
-                entry_date=w.start_date,
-                exit_date=w.end_date,
-                entry_close=float(series.closes[i0]),
-                exit_close=float(series.closes[i1]),
-                entry_row=i0,
-                exit_row=i1,
-                profit=trend_profit(float(series.closes[i0]), float(series.closes[i1]), w.direction),
-                exit_reason="window_end",
-            )
-        )
+    index_of = series.index_of
+    positions = [
+        _position(series, index_of(w.start_date), index_of(w.end_date), w.direction, "window_end")
+        for w in windows
+        if w.tendency == TREND
+    ]
     return StockStats.from_positions(series.stockname, positions)
 
 

@@ -222,7 +222,7 @@ def short_stock_data(workdir, tmp_path_factory):
 
 def _backtest_argv(workdir, data, source: str) -> list[str]:
     if source == "oracle":
-        return ["backtest", "--data", str(data), "--oracle", "--split-date", "2012-06-01"]
+        return ["backtest", "--data", str(data), "--prepared", str(workdir / "prep"), "--oracle"]
     return ["backtest", "--data", str(data), "--prepared", str(workdir / "prep"),
             "--models", str(workdir / "models")]
 
@@ -282,7 +282,10 @@ def test_backtest_missing_model_names_path(workdir, tmp_path, capsys):
     out = tmp_path / "r"
     missing = tmp_path / "nomodels"
     missing.mkdir()
-    code = main(["backtest", "--data", str(data), "--models", str(missing), "-o", str(out)])
+    code = main(
+        ["backtest", "--data", str(data), "--prepared", str(workdir / "prep"),
+         "--models", str(missing), "-o", str(out)]
+    )
     assert code == 1
     err = capsys.readouterr().err
     assert "cp_model.json" in err
@@ -293,11 +296,83 @@ def test_backtest_missing_model_names_path(workdir, tmp_path, capsys):
     "models, code", [(None, 2), ("nomodels", 1)], ids=["no-models-flag", "missing-model-file"]
 )
 def test_backtest_fails_before_creating_out(workdir, tmp_path, models, code):
-    argv = ["backtest", "--data", str(workdir / "data"), "-o", str(tmp_path / "out")]
+    argv = ["backtest", "--data", str(workdir / "data"), "--prepared", str(workdir / "prep"),
+            "-o", str(tmp_path / "out")]
     if models is not None:
         (tmp_path / models).mkdir()
         argv += ["--models", str(tmp_path / models)]
     assert main(argv) == code
+    assert not (tmp_path / "out").exists()
+
+
+def _copy_prepared(workdir, prep: Path) -> Path:
+    prep.mkdir()
+    for path in (workdir / "prep").iterdir():
+        (prep / path.name).write_bytes(path.read_bytes())
+    return prep
+
+
+@pytest.mark.parametrize(
+    "source", [["--oracle"], ["--models", "{models}"]], ids=["oracle", "models"]
+)
+def test_backtest_without_prepared_is_a_usage_error(workdir, tmp_path, capsys, source):
+    source = [a.format(models=workdir / "models") for a in source]
+    argv = ["backtest", "--data", str(workdir / "data"), *source, "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "the following arguments are required: --prepared" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("missing", ["prep_report.json", "tof_test.csv", "tof_test_meta.csv"])
+def test_backtest_names_a_missing_prepared_file(workdir, tmp_path, capsys, missing):
+    prep = _copy_prepared(workdir, tmp_path / "prep")
+    (prep / missing).unlink()
+    code = main(
+        ["backtest", "--data", str(workdir / "data"), "--prepared", str(prep),
+         "--models", str(workdir / "models"), "-o", str(tmp_path / "r")]
+    )
+    assert code == 1
+    assert str(prep / missing) in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_backtest_oracle_reads_only_the_prep_report(workdir, tmp_path):
+    prep = tmp_path / "prep"
+    prep.mkdir()
+    (prep / "prep_report.json").write_bytes((workdir / "prep" / "prep_report.json").read_bytes())
+    assert main(
+        ["backtest", "--data", str(workdir / "data"), "--prepared", str(prep), "--oracle",
+         "-o", str(tmp_path / "r")]
+    ) == 0
+    assert (tmp_path / "r" / "backtest_report_t0.50.json").exists()
+
+
+def _without(key: str):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("train", _without("cp"), "cp must hold a balance and a balance_str"),
+        ("train", lambda text: text[:-2], "not a JSON object with a split_date YYYY-MM-DD"),
+        ("backtest", _without("log_mode"), "log_mode must be true or false"),
+        ("backtest", lambda text: text.replace('"split_date": "', '"split_date": "x'),
+         "not a JSON object with a split_date YYYY-MM-DD"),
+    ],
+    ids=["train-no-cp", "train-not-json", "backtest-no-log-mode", "backtest-bad-split-date"],
+)
+def test_malformed_prep_report_exits_1_naming_it(workdir, tmp_path, capsys, command, edit, message):
+    prep = _copy_prepared(workdir, tmp_path / "prep")
+    report = prep / "prep_report.json"
+    report.write_text(edit(report.read_text()))
+    argv = {
+        "train": ["train", "cp", "--prepared", str(prep), "--n-estimators", "2"],
+        "backtest": ["backtest", "--data", str(workdir / "data"), "--prepared", str(prep),
+                     "--models", str(workdir / "models")],
+    }[command]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    assert f"{report}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -307,10 +382,7 @@ def test_backtest_fails_before_creating_out(workdir, tmp_path, models, code):
     ids=["a-row-short", "header"],
 )
 def test_backtest_rejects_a_bad_tof_test_meta_file(workdir, tmp_path, capsys, edit):
-    prep = tmp_path / "prep"
-    prep.mkdir()
-    for path in (workdir / "prep").iterdir():
-        (prep / path.name).write_bytes(path.read_bytes())
+    prep = _copy_prepared(workdir, tmp_path / "prep")
     meta = prep / "tof_test_meta.csv"
     meta.write_text(edit(meta.read_text()))
     code = main(
@@ -330,8 +402,8 @@ def test_backtest_rejects_corrupted_model_file(workdir, tmp_path, capsys):
     (models / "cp_model.json").write_text(json.dumps(doc))
     (models / "tof_model.json").write_text((workdir / "models" / "tof_model.json").read_text())
     code = main(
-        ["backtest", "--data", str(workdir / "data"), "--models", str(models),
-         "-o", str(tmp_path / "r")]
+        ["backtest", "--data", str(workdir / "data"), "--prepared", str(workdir / "prep"),
+         "--models", str(models), "-o", str(tmp_path / "r")]
     )
     assert code == 1
     assert "feature 22" in capsys.readouterr().err
@@ -341,16 +413,21 @@ def test_backtest_rejects_corrupted_model_file(workdir, tmp_path, capsys):
     "argv, code",
     [
         (["prepare", "--seed", "1"], 2),
-        (["backtest", "--seed", "1"], 2),
-        (["backtest", "--config", "run.ini"], 2),
+        (["backtest", "--prepared", "{prep}", "--oracle", "--seed", "1"], 2),
+        (["backtest", "--prepared", "{prep}", "--oracle", "--config", "run.ini"], 2),
         (["baseline", "--seed", "1"], 2),
         (["baseline", "--config", "run.ini"], 2),
         (["prepare"], 0),
         (["baseline"], 0),
-        (["backtest", "--experts", "D"], 2),
+        (["backtest", "--prepared", "{prep}", "--oracle", "--experts", "D"], 2),
+        # backtest takes the split date and log mode from --prepared alone
+        (["backtest", "--prepared", "{prep}", "--oracle", "--split-date", "2012-01-02"], 2),
+        (["backtest", "--prepared", "{prep}", "--oracle", "--log-mode"], 2),
+        (["backtest", "--prepared", "{prep}", "--oracle", "--raw"], 2),
     ],
 )
 def test_commands_reject_options_they_do_not_read(workdir, tmp_path, argv, code):
+    argv = [a.format(prep=workdir / "prep") for a in argv]
     data = str(workdir / "data")
     assert main([*argv, "--data", data, "-o", str(tmp_path / "out")]) == code
 
@@ -371,9 +448,12 @@ def test_backtest_oracle_profit_matches_ledger(tmp_path):
          "--drift", "0.003,0.005", "--volatility", "0.0005,0.001",
          "-o", str(data)]
     ) == 0
-    split = "2011-06-01"
+    prep = tmp_path / "prep"
     assert main(
-        ["backtest", "--data", str(data), "--oracle", "-o", str(out), "--split-date", split]
+        ["prepare", "--data", str(data), "-o", str(prep), "--split-date", "2011-06-01"]
+    ) == 0
+    assert main(
+        ["backtest", "--data", str(data), "--prepared", str(prep), "--oracle", "-o", str(out)]
     ) == 0
     doc = json.loads((out / "backtest_report_t0.50.json").read_text())
     truth = json.loads((data / "truth.json").read_text())
@@ -425,6 +505,9 @@ def test_config_file_supplies_defaults(tmp_path):
     assert main(["synth", "--config", str(tmp_path / "nope.ini"), "-o", str(out)]) == 1
 
 
+ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
+
+
 @pytest.mark.parametrize(
     "argv, ini, message",
     [
@@ -442,8 +525,7 @@ def test_config_file_supplies_defaults(tmp_path):
          "[tof_model]\nthreads = 0\n", "argument --threads: expected a positive thread count"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"],
          "[grid]\nthreads = 1,2\n", "{ini}: [grid] threads is not a model parameter"),
-        (["backtest", "--data", "{data}", "--oracle", "--cp-threshold", "0.5,abc"], None,
-         "'0.5,abc'"),
+        ([*ORACLE, "--cp-threshold", "0.5,abc"], None, "'0.5,abc'"),
         (["synth", "--config", "{ini}"], "[synth]\nstock = 2\n",
          "{ini}: [synth] has no key 'stock'"),
         (["synth", "--config", "{ini}"], "[sinth]\nstocks = 2\n",
@@ -462,14 +544,11 @@ def test_config_file_supplies_defaults(tmp_path):
          "[grid]\nmax_depth = 0,2\n", "[grid] max_depth must be >= 1"),
         (["gridsearch", "cp", "--prepared", "{prep}", "--grid", "{ini}"],
          "[grid]\nlearning_rate = 0.1,nan\n", "[grid] learning_rate must be a finite number"),
-        (["backtest", "--data", "{data}", "--oracle", "--cp-threshold", "1.5"], None,
+        ([*ORACLE, "--cp-threshold", "1.5"], None, "thresholds must lie strictly inside (0, 1)"),
+        ([*ORACLE, "--cp-threshold", "0.5,nan"], None,
          "thresholds must lie strictly inside (0, 1)"),
-        (["backtest", "--data", "{data}", "--oracle", "--cp-threshold", "0.5,nan"], None,
-         "thresholds must lie strictly inside (0, 1)"),
-        (["backtest", "--data", "{data}", "--oracle", "--tof-threshold", "0"], None,
-         "thresholds must lie strictly inside (0, 1)"),
-        (["backtest", "--data", "{data}", "--oracle", "--min-window-days", "1"], None,
-         "min_window_days must be >= 2"),
+        ([*ORACLE, "--tof-threshold", "0"], None, "thresholds must lie strictly inside (0, 1)"),
+        ([*ORACLE, "--min-window-days", "1"], None, "min_window_days must be >= 2"),
         (["prepare", "--data", "{data}", "--split-frac", "-0.1"], None,
          "argument --split-frac: expected a fraction strictly inside (0, 1), got '-0.1'"),
         (["prepare", "--data", "{data}", "--split-frac", "1"], None,
@@ -480,6 +559,10 @@ def test_config_file_supplies_defaults(tmp_path):
          "argument --split-frac: expected a fraction strictly inside (0, 1), got '0'"),
         (["prepare", "--data", "{data}", "--config", "{ini}"], "[data]\nsplit_frac = 1.0\n",
          "argument --split-frac: expected a fraction strictly inside (0, 1), got '1.0'"),
+        ([*ORACLE, "--cp-threshold", "0.501,0.504"], None,
+         "--cp-threshold values name outputs by two decimals; these collide"),
+        ([*ORACLE, "--cp-threshold", "0.5,0.5"], None,
+         "--cp-threshold values name outputs by two decimals; these collide"),
     ],
     ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "threads-zero",
          "threads-negative", "threads-key", "grid-threads", "cp-threshold",
@@ -488,7 +571,7 @@ def test_config_file_supplies_defaults(tmp_path):
          "grid-learning-rate-nan", "cp-threshold-range", "cp-threshold-nan",
          "tof-threshold-range", "min-window-days-range", "prepare-split-frac-negative",
          "prepare-split-frac-one", "baseline-split-frac-two", "baseline-split-frac-zero",
-         "split-frac-key"],
+         "split-frac-key", "cp-threshold-collision", "cp-threshold-repeat"],
 )
 def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):
     ini_path = tmp_path / "run.ini"
