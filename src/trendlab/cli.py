@@ -17,22 +17,17 @@ on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import bisect
 import configparser
 import itertools
-import json
 import os
 import sys
-import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 from datetime import date as Date
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import evaluation, gbdt, pipeline, synth
-from .errors import ConfigError, ParseError, TrendlabError
+from .errors import ConfigError, TrendlabError
 from .features import (
     CP_FEATURE_NAMES,
     TOF_FEATURE_NAMES,
@@ -41,12 +36,17 @@ from .features import (
     build_tof_dataset,
     cp_feature_matrix,
     read_feature_csv,
+    read_tof_meta,
     write_feature_csv,
+    write_fraction_accuracy,
+    write_tof_meta,
 )
 from .labels import (
     ExpertWindow,
     count_contradictions,
     extract_windows,
+    load_prep_report,
+    save_prep_report,
     split_by_date,
     trigger_correction,
     voted_windows,
@@ -64,8 +64,6 @@ from .market_data import (
 
 # Share of the distinct quote dates that fall before the default split date.
 DEFAULT_SPLIT_FRAC = 0.7
-# Header of tof_test_meta.csv: each tof test row's day, stock and fraction.
-META_HEADER = "date,stockname,fraction"
 
 # Every section some command reads; gridsearch reads [grid] from its --grid file.
 SECTIONS = ("synth", "data", "cp_model", "tof_model", "grid")
@@ -216,34 +214,6 @@ def _experts_list(raw: str | None) -> list[str] | None:
     return [e.strip() for e in raw.split(",") if e.strip()]
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
-
-
-def _read_prep_report(prepared: Path) -> dict:
-    """``prep_report.json`` of a prepared directory, with ``split_date`` as a date.
-
-    Raises ``ParseError`` naming the file when it is not JSON or an entry that
-    a command reads is missing or of the wrong type.
-    """
-    path = prepared / "prep_report.json"
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-        report["split_date"] = Date.fromisoformat(report["split_date"])
-    except (ValueError, TypeError, KeyError):
-        raise ParseError(f"{path}: not a JSON object with a split_date YYYY-MM-DD") from None
-    if not isinstance(report.get("log_mode"), bool):
-        raise ParseError(f"{path}: log_mode must be true or false")
-    for which in ("cp", "tof"):
-        entry = report.get(which)
-        if not isinstance(entry, dict) or not (
-            isinstance(entry.get("balance_str"), str)
-            and isinstance(entry.get("balance", ""), (int, float, type(None)))
-        ):
-            raise ParseError(f"{path}: {which} must hold a balance and a balance_str")
-    return report
-
-
 # --- data discovery ---------------------------------------------------------
 
 
@@ -263,27 +233,6 @@ def _default_split_date(quotes: dict[str, QuoteSeries], frac: float) -> Date:
     all_dates = sorted({d for s in quotes.values() for d in s.dates})
     pos = min(len(all_dates) - 1, int(len(all_dates) * frac))
     return all_dates[pos]
-
-
-def _truth_windows(data_dir: Path) -> dict[str, list]:
-    truth_path = data_dir / "truth.json"
-    if not truth_path.exists():
-        return {}
-    doc = json.loads(truth_path.read_text(encoding="utf-8"))
-    out: dict[str, list] = {}
-    for stock, entry in doc.get("stocks", {}).items():
-        out[stock] = [
-            ExpertWindow(
-                stockname=stock,
-                expert="truth",
-                start_date=Date.fromisoformat(w["start"]),
-                end_date=Date.fromisoformat(w["end"]),
-                tendency=w["tendency"],
-                direction=int(w["direction"]),
-            )
-            for w in entry["windows"]
-        ]
-    return out
 
 
 def _window_streams(
@@ -335,31 +284,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    truth_doc: dict = {"seed": args.seed, "stocks": {}}
+    truth: dict[str, list[ExpertWindow]] = {}
+    n_days: dict[str, int] = {}
     n_label_files = 0
     for i in range(args.stocks):
         name = f"SYN{i:02d}"
-        series, windows = synth.gen_series(sampler, seed=[args.seed, i], stockname=name)
+        series, truth[name] = synth.gen_series(sampler, seed=[args.seed, i], stockname=name)
+        n_days[name] = len(series)
         save_quotes(series, out_dir / f"quotes_{name}.csv")
         for j, expert in enumerate(experts):
             rows = synth.gen_expert_labels(
-                windows, profile, seed=[args.seed, i, 100 + j], series=series, name=expert
+                truth[name], profile, seed=[args.seed, i, 100 + j], series=series, name=expert
             )
             save_labels(rows, out_dir / f"labels_{name}_{expert}.csv")
             n_label_files += 1
-        truth_doc["stocks"][name] = {
-            "n_days": len(series),
-            "windows": [
-                {
-                    "start": w.start_date.isoformat(),
-                    "end": w.end_date.isoformat(),
-                    "tendency": w.tendency,
-                    "direction": w.direction,
-                }
-                for w in windows
-            ],
-        }
-    _write_json(truth_doc, out_dir / "truth.json")
+    synth.save_truth(truth, n_days, args.seed, out_dir / "truth.json")
     print(
         f"synth: wrote {args.stocks} quote files, {n_label_files} label files, "
         f"truth.json -> {out_dir}"
@@ -370,25 +309,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # --- prepare ----------------------------------------------------------------
 
 
-def _concat_datasets(parts: list[FeatureDataset], kind: str, names) -> FeatureDataset:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        raise TrendlabError(f"no {kind} rows were produced")
-    return FeatureDataset(
-        kind=kind,
-        feature_names=tuple(names),
-        days=np.concatenate([p.days for p in parts]),
-        stocknames=np.concatenate([p.stocknames for p in parts]),
-        X=np.concatenate([p.X for p in parts]),
-        y=np.concatenate([p.y for p in parts]),
-        fractions=np.concatenate([p.fractions for p in parts]) if kind == "tof" else None,
-    )
-
-
 def cmd_prepare(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log_mode, averaging, correction = args.log_mode, args.averaging, args.trigger_correction
 
     quotes, label_paths = _load_universe(data_dir)
@@ -412,8 +334,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             cp_parts.append(build_cp_dataset(series, windows, log_mode=log_mode))
             tof_parts.append(build_tof_dataset(windows, series, log_mode=log_mode))
 
-    cp_ds = _concat_datasets(cp_parts, "cp", CP_FEATURE_NAMES).deduplicate()
-    tof_ds = _concat_datasets(tof_parts, "tof", TOF_FEATURE_NAMES).deduplicate()
+    cp_ds = FeatureDataset.concat(cp_parts).deduplicate()
+    tof_ds = FeatureDataset.concat(tof_parts).deduplicate()
 
     cp_split = split_by_date(cp_ds.days, cp_ds.y, split_date)
     tof_split = split_by_date(tof_ds.days, tof_ds.y, split_date)
@@ -421,49 +343,16 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         cp_ds.X[cp_split.train_idx], cp_ds.y[cp_split.train_idx]
     )
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for ds, split in ((cp_ds, cp_split), (tof_ds, tof_split)):
         for part, idx in (("train", split.train_idx), ("test", split.test_idx)):
             path = out_dir / f"{ds.kind}_{part}.csv"
             write_feature_csv(ds.X[idx], ds.y[idx], ds.feature_names, path)
-    tof_test = tof_ds.take(tof_split.test_idx)
-    with (out_dir / "tof_test_meta.csv").open("w", encoding="utf-8", newline="") as handle:
-        handle.write(META_HEADER + "\n")
-        handle.writelines(
-            f"{Date.fromordinal(day).isoformat()},{stock},{fraction}\n"
-            for day, stock, fraction in zip(
-                tof_test.days.tolist(), tof_test.stocknames.tolist(), tof_test.fractions.tolist()
-            )
-        )
-
-    report = {
-        "split_date": split_date.isoformat(),
-        "log_mode": log_mode,
-        "averaging": averaging,
-        "trigger_correction": correction,
-        "experts": sorted({e for by_expert in streams.values() for e in by_expert}),
-        "cp": {
-            "n_train": cp_split.n_train,
-            "n_test": cp_split.n_test,
-            "train_negatives": cp_split.train_negatives,
-            "train_positives": cp_split.train_positives,
-            "balance": cp_split.train_balance,
-            "balance_str": cp_split.balance_str,
-            "contradictions": {
-                "n_contradicting_rows": contradictions.n_contradicting_rows,
-                "pct_of_positives": contradictions.pct_of_positives,
-                "summary": contradictions.summary(),
-            },
-        },
-        "tof": {
-            "n_train": tof_split.n_train,
-            "n_test": tof_split.n_test,
-            "train_negatives": tof_split.train_negatives,
-            "train_positives": tof_split.train_positives,
-            "balance": tof_split.train_balance,
-            "balance_str": tof_split.balance_str,
-        },
-    }
-    _write_json(report, out_dir / "prep_report.json")
+    write_tof_meta(tof_ds.take(tof_split.test_idx), out_dir / "tof_test_meta.csv")
+    settings = {k: getattr(args, k) for k in ("log_mode", "averaging", "trigger_correction")}
+    settings["experts"] = sorted({e for by_expert in streams.values() for e in by_expert})
+    save_prep_report(settings, cp_split, tof_split, contradictions, out_dir / "prep_report.json")
     print(
         f"prepare: split {split_date} | cp train {cp_split.n_train} rows, balance "
         f"{cp_split.balance_str}, contradictions {contradictions.summary()} | "
@@ -499,32 +388,10 @@ def _model_params(which: str, args: argparse.Namespace, prep_report: dict) -> gb
     return params
 
 
-def _metrics_block(y, proba, threshold: float) -> dict:
-    pred = (proba >= threshold).astype(np.int64)
-    report = evaluation.class_report(pred, y, proba)
-    return {
-        "n_records": int(len(y)),
-        "auc": report.auc,
-        "accuracy": report.accuracy,
-        "f1_weighted": report.weighted_avg["f1"],
-        "f1_macro": report.f1_macro,
-        "per_class": {
-            str(c): {
-                "precision": report.precision[c],
-                "recall": report.recall[c],
-                "f1": report.f1[c],
-                "support": report.support[c],
-            }
-            for c in (0, 1)
-        },
-        "flags": list(report.flags),
-    }
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     which = args.which
     prepared = Path(args.prepared)
-    prep_report = _read_prep_report(prepared)
+    prep_report = load_prep_report(prepared / "prep_report.json")
     params = _model_params(which, args, prep_report)
     names = CP_FEATURE_NAMES if which == "cp" else TOF_FEATURE_NAMES
     X_train, y_train = read_feature_csv(prepared / f"{which}_train.csv", names)
@@ -536,27 +403,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     model.feature_names = tuple(names)
     gbdt.save_model(model, out_dir / f"{which}_model.json")
 
-    metrics = {
-        "which": which,
-        "params": asdict(params),
-        "balance_str": prep_report[which]["balance_str"],
-        "train": _metrics_block(y_train, gbdt.predict_proba(model, X_train), 0.5),
-        "test": _metrics_block(y_test, gbdt.predict_proba(model, X_test), 0.5),
-    }
-    _write_json(metrics, out_dir / f"{which}_metrics.json")
-    tr, te = metrics["train"], metrics["test"]
+    def report(X, y) -> evaluation.ClassReport:
+        proba = gbdt.predict_proba(model, X)
+        return evaluation.class_report(proba >= 0.5, y, proba)
 
-    def fmt(block: dict) -> str:
-        auc = "n/a" if block["auc"] is None else f"{block['auc']:.2%}"
+    train, test = report(X_train, y_train), report(X_test, y_test)
+    balance_str = prep_report[which]["balance_str"]
+    path = out_dir / f"{which}_metrics.json"
+    evaluation.save_train_metrics(which, params, balance_str, train, test, path)
+
+    def fmt(rep: evaluation.ClassReport) -> str:
+        auc = "n/a" if rep.auc is None else f"{rep.auc:.2%}"
         return (
-            f"AUC {auc} | F1(w) {block['f1_weighted']:.0%} "
-            f"(minority {block['per_class']['1']['f1']:.0%}) | acc {block['accuracy']:.2%} "
-            f"| n {block['n_records']}"
+            f"AUC {auc} | F1(w) {rep.weighted_avg['f1']:.0%} "
+            f"(minority {rep.f1[1]:.0%}) | acc {rep.accuracy:.2%} "
+            f"| n {rep.support[0] + rep.support[1]}"
         )
 
     print(f"train {which}: scale_pos_weight={params.scale_pos_weight:g}")
-    print(f"  train: {fmt(tr)}")
-    print(f"  test:  {fmt(te)}")
+    print(f"  train: {fmt(train)}")
+    print(f"  test:  {fmt(test)}")
     return 0
 
 
@@ -568,7 +434,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         args.parser.error("randomized mode needs --draws")
     which = args.which
     prepared = Path(args.prepared)
-    prep_report = _read_prep_report(prepared)
+    prep_report = load_prep_report(prepared / "prep_report.json")
     base = _model_params(which, args, prep_report)
     for combo in itertools.product(*args.grid.values()):
         try:
@@ -593,10 +459,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         workers=args.threads or 1,
     )
     result.to_csv(out_dir / f"search_{which}.csv")
-    _write_json(
-        {"best_params": result.best_params, "best_score": result.best_score},
-        out_dir / f"search_{which}_best.json",
-    )
+    result.save_best(out_dir / f"search_{which}_best.json")
     print(
         f"gridsearch {which}: {len(result.entries)} combinations, best "
         f"{result.best_score:.4f} at {result.best_params}"
@@ -605,28 +468,6 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
 
 
 # --- backtest / baseline ------------------------------------------------------
-
-
-def _test_slice(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
-    sliced = series[bisect.bisect_left(series.dates, split_date) :]
-    return sliced if len(sliced) >= 2 * pipeline.CP_LAG_DAYS + 1 else None
-
-
-def _read_fractions(path: Path, n_rows: int) -> np.ndarray:
-    """The fraction column of ``tof_test_meta.csv``, one per ``tof_test.csv`` row."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\r\n")
-        if header != META_HEADER:
-            raise ParseError(f"{path}: expected header {META_HEADER}, got {header!r}")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                fractions = np.loadtxt(handle, delimiter=",", usecols=2, dtype=np.int64, ndmin=1)
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}") from None
-    if len(fractions) != n_rows:
-        raise ParseError(f"{path}: {len(fractions)} rows for the {n_rows} rows of tof_test.csv")
-    return fractions
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
@@ -649,21 +490,22 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     prepared = Path(args.prepared)
     # the test span and feature space the models were prepared in
-    prep_report = _read_prep_report(prepared)
+    prep_report = load_prep_report(prepared / "prep_report.json")
     split_date, log_mode = prep_report["split_date"], prep_report["log_mode"]
     configs = [replace(cfg, log_mode=log_mode) for cfg in configs]
     quotes, _ = _load_universe(data_dir)
-    truth = _truth_windows(data_dir)
 
-    if not args.oracle:
+    if args.oracle:
+        truth = synth.load_truth(data_dir / "truth.json")
+        if not truth:
+            raise TrendlabError(f"--oracle needs {data_dir / 'truth.json'} to hold windows")
+    else:
         cp_model, tof_model = (
             gbdt.load_model(Path(args.models) / f"{which}_model.json") for which in ("cp", "tof")
         )
         # the tof test rows with their window fractions, for fraction_accuracy.csv
         tof_X, tof_y = read_feature_csv(prepared / "tof_test.csv", TOF_FEATURE_NAMES)
-        fractions = _read_fractions(prepared / "tof_test_meta.csv", len(tof_y))
-    elif not truth:
-        raise TrendlabError(f"--oracle needs {data_dir / 'truth.json'}")
+        _, _, fractions = read_tof_meta(prepared / "tof_test_meta.csv", len(tof_y))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -673,7 +515,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     skip_flags: list[str] = []
     datapoints = 0
     for stock in sorted(quotes):
-        sliced = _test_slice(quotes[stock], split_date)
+        sliced = pipeline.backtest_span(quotes[stock], split_date)
         if sliced is None:
             skip_flags.append(f"skipped_short_test_span:{stock}")
             continue
@@ -707,25 +549,16 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         )
 
     if not args.oracle:
-        hits = gbdt.predict(tof_model, tof_X, threshold=args.tof_threshold) == tof_y
-        values, group = np.unique(fractions, return_inverse=True)
-        n = np.bincount(group, minlength=len(values))
-        accuracy = np.bincount(group, weights=hits, minlength=len(values)) / n
-        with (out_dir / "fraction_accuracy.csv").open("w", encoding="utf-8", newline="") as f:
-            f.write("fraction,n,accuracy\n")
-            f.writelines(
-                f"{frac},{count},{acc!r}\n"
-                for frac, count, acc in zip(values.tolist(), n.tolist(), accuracy.tolist())
-            )
+        hits = (gbdt.predict_proba(tof_model, tof_X) >= args.tof_threshold) == tof_y
+        write_fraction_accuracy(fractions, hits, out_dir / "fraction_accuracy.csv")
     return 0
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     quotes, label_paths = _load_universe(data_dir)
-    truth = _truth_windows(data_dir)
+    truth_path = data_dir / "truth.json"  # the generator's windows, when there are any
+    truth = synth.load_truth(truth_path) if truth_path.exists() else {}
     split_date = args.split_date or _default_split_date(quotes, args.split_frac)
     # each expert's, the vote's and the truth's report; a name no window reaches is left out
     streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
@@ -742,19 +575,18 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if truth:
         window_maps["truth"] = {s: w for s, w in truth.items() if s in quotes}
     reports = {
-        name: pipeline.expert_baseline(window_map, quotes, start_date=split_date)
+        name: rep
         for name, window_map in window_maps.items()
+        if (rep := pipeline.expert_baseline(window_map, quotes, start_date=split_date)) is not None
     }
-    baseline = {name: rep.to_dict() for name, rep in reports.items() if rep is not None}
-    _write_json(
-        {"split_date": split_date.isoformat(), "experts": baseline},
-        out_dir / "baseline_report.json",
-    )
-    for name in sorted(baseline):
-        rep = baseline[name]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pipeline.save_baseline(reports, split_date, out_dir / "baseline_report.json")
+    for name in sorted(reports):
+        rep = reports[name]
         print(
-            f"baseline {name}: YearProfit {rep['YearProfit']:.2%} | "
-            f"YearProfit_avg {rep['YearProfit_avg']:.2%}"
+            f"baseline {name}: YearProfit {rep.year_profit:.2%} | "
+            f"YearProfit_avg {rep.year_profit_avg:.2%}"
         )
     return 0
 

@@ -6,7 +6,7 @@ import csv
 import itertools
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -14,6 +14,7 @@ import numpy as np
 
 from . import gbdt
 from .errors import FoldDegenerateError, ShapeError, SingleClassError
+from .market_data import _write_json
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -62,6 +63,22 @@ class ClassReport:
     f1_macro: float
     weighted_avg: dict[str, float]
     flags: tuple[str, ...]
+
+    def to_dict(self) -> dict:
+        """The report as a ``train`` or ``test`` block of ``<which>_metrics.json``."""
+        per_class = {
+            str(c): {k: getattr(self, k)[c] for k in ("precision", "recall", "f1", "support")}
+            for c in (0, 1)
+        }
+        return {
+            "n_records": self.support[0] + self.support[1],
+            "auc": self.auc,
+            "accuracy": self.accuracy,
+            "f1_weighted": self.weighted_avg["f1"],
+            "f1_macro": self.f1_macro,
+            "per_class": per_class,
+            "flags": list(self.flags),
+        }
 
 
 def _safe_div(num: float, den: float, flags: list[str], flag: str) -> float:
@@ -118,8 +135,17 @@ def class_report(
     )
 
 
-def f1_macro(pred: Sequence[int], labels: Sequence[int]) -> float:
-    return class_report(pred, labels).f1_macro
+def save_train_metrics(
+    which: str,
+    params: gbdt.GbdtParams,
+    balance_str: str,
+    train: ClassReport,
+    test: ClassReport,
+    path: str | Path,
+) -> None:
+    """Write ``<which>_metrics.json``: a fit's parameters, train balance and both reports."""
+    doc = {"which": which, "params": asdict(params), "balance_str": balance_str}
+    _write_json({**doc, "train": train.to_dict(), "test": test.to_dict()}, path)
 
 
 SCORING = ("f1_macro", "auc", "accuracy", "f1_minority")
@@ -224,8 +250,7 @@ class SearchResult:
     param_names: tuple[str, ...]
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as handle:
+        with Path(path).open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(list(self.param_names) + ["mean_score", "fit_seconds"])
             for e in self.entries:
@@ -233,6 +258,10 @@ class SearchResult:
                     [e.params[name] for name in self.param_names]
                     + [repr(e.mean_score), repr(sum(e.fit_seconds))]
                 )
+
+    def save_best(self, path: str | Path) -> None:
+        """Write the best grid point and its score as JSON."""
+        _write_json({"best_params": self.best_params, "best_score": self.best_score}, path)
 
 
 def grid_search(

@@ -3,6 +3,9 @@
 Changepoint rows pack 22 ratios around one trading day (5 closes back, 5
 forward, same for volumes, plus high/close and low/close); window rows pack
 the close and volume regression slope/R2 pair plus the prefix length.
+
+The feature CSVs, ``tof_test_meta.csv`` and ``fraction_accuracy.csv`` are
+written (and the first two read) here, beside the datasets they hold.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
+from datetime import date as Date
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -97,15 +101,7 @@ def tof_features(
             raise ZeroVolumeError("zero volume makes log regression undefined")
         closes = np.log(closes)
         volumes = np.log(volumes)
-    reg_close, close_r2 = _ols(closes)
-    reg_vol, vol_r2 = _ols(volumes)
-    return TofRow(
-        reg_close=reg_close,
-        close_r2=close_r2,
-        reg_vol=reg_vol,
-        vol_r2=vol_r2,
-        len_trend=len(closes),
-    )
+    return TofRow(*_ols(closes), *_ols(volumes), len_trend=len(closes))
 
 
 MIN_LEN_TREND = 6
@@ -180,6 +176,21 @@ class FeatureDataset:
         _, first = np.unique(_row_keys(self.X, self.y), return_index=True)
         return self.take(np.sort(first))
 
+    @classmethod
+    def concat(cls, parts: Sequence["FeatureDataset"]) -> "FeatureDataset":
+        """The rows of ``parts``, datasets of one kind, in order."""
+        if len({(p.kind, p.feature_names) for p in parts}) != 1:
+            raise InvariantError("concat needs datasets of one kind")
+        rows = [p for p in parts if len(p)]
+        if not rows:
+            raise EmptyInputError(f"no {parts[0].kind} rows were produced")
+        columns = ["days", "stocknames", "X", "y"]
+        if rows[0].fractions is not None:
+            columns.append("fractions")
+        return replace(
+            rows[0], **{c: np.concatenate([getattr(p, c) for p in rows]) for c in columns}
+        )
+
 
 def build_cp_dataset(
     series: QuoteSeries, windows: Sequence[ExpertWindow], log_mode: bool = False
@@ -226,8 +237,7 @@ def build_tof_dataset(
 
 def write_feature_csv(X: np.ndarray, y: np.ndarray, names: Sequence[str], path: str | Path) -> None:
     """Bare interchange format: the named feature columns plus ``target``."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(list(names) + ["target"])
         # numbers need no CSV quoting: join each row as csv.writer would
         handle.writelines(
@@ -242,7 +252,7 @@ def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
     """The features and integer targets of a ``write_feature_csv`` file.
 
     Raises ``ParseError`` naming the file on a wrong header, a cell that is
-    not a number, a short row or a target that is not an integer literal.
+    not a number, a short row or a target other than 0 or 1.
     """
     path = Path(path)
     expected = list(names) + ["target"]
@@ -257,4 +267,56 @@ def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
                 rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}") from None
+    if np.any((rows["y"] != 0) & (rows["y"] != 1)):
+        raise ParseError(f"{path}: a target is neither 0 nor 1")
     return np.ascontiguousarray(rows["X"]), np.ascontiguousarray(rows["y"])
+
+
+TOF_META_COLUMNS = ("date", "stockname", "fraction")
+
+
+def write_tof_meta(ds: FeatureDataset, path: str | Path) -> None:
+    """Write ``tof_test_meta.csv``: each trend/flat row's date, stock and window fraction."""
+    dates = [Date.fromordinal(day).isoformat() for day in ds.days.tolist()]
+    stocks = ds.stocknames.tolist()
+    if any("\r" in stock for stock in stocks):  # the "\n" line end quotes no bare "\r"
+        raise InvariantError("a stockname holds a carriage return")
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(TOF_META_COLUMNS)
+        writer.writerows(zip(dates, stocks, ds.fractions.tolist()))
+
+
+def read_tof_meta(path: str | Path, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The day numbers, stocknames and fractions of a ``write_tof_meta`` file.
+
+    Raises ``ParseError`` naming the file on a wrong header, a bad row, or a
+    row count other than ``n_rows``, that of the feature file it describes.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    header = rows.pop(0) if rows else None
+    if header != list(TOF_META_COLUMNS):
+        raise ParseError(f"{path}: expected header {','.join(TOF_META_COLUMNS)}, got {header}")
+    if len(rows) != n_rows:
+        raise ParseError(f"{path}: {len(rows)} rows for the {n_rows} rows of its feature file")
+    try:
+        days = np.array([Date.fromisoformat(d).toordinal() for d, _, _ in rows], dtype=np.int64)
+        fractions = np.array([int(f) for _, _, f in rows], dtype=np.int64)
+    except ValueError:
+        raise ParseError(f"{path}: a row is not a date, a stockname and an integer") from None
+    return days, np.array([stock for _, stock, _ in rows], dtype=str), fractions
+
+
+def write_fraction_accuracy(fractions: np.ndarray, hits: np.ndarray, path: str | Path) -> None:
+    """Write ``fraction_accuracy.csv``: per window fraction, its rows and their share of hits."""
+    values, group = np.unique(fractions, return_inverse=True)
+    n = np.bincount(group, minlength=len(values))
+    accuracy = np.bincount(group, weights=hits, minlength=len(values)) / n
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write("fraction,n,accuracy\n")
+        handle.writelines(
+            f"{frac},{count},{acc!r}\n"
+            for frac, count, acc in zip(values.tolist(), n.tolist(), accuracy.tolist())
+        )

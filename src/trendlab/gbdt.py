@@ -34,7 +34,6 @@ prediction time NaN routes down the left branch.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -44,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelFormatError, ShapeError, SingleClassWarning
+from .market_data import _read_json, _write_json
 
 
 @dataclass(frozen=True)
@@ -410,13 +410,6 @@ def predict_row_proba(model: GbdtModel, row: Sequence[float]) -> float:
     return float(predict_proba(model, [row])[0])
 
 
-def predict(model: GbdtModel, X: object, threshold: float = 0.5) -> np.ndarray:
-    """Hard labels: 1 whenever the probability is at or above the threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    return (predict_proba(model, X) >= threshold).astype(np.int64)
-
-
 def staged_margins(model: GbdtModel, X: object) -> np.ndarray:
     """Margins after each boosting round, shape (n_trees + 1, n_rows)."""
     Xa = _check_matrix(X)
@@ -505,10 +498,12 @@ def model_from_dict(doc: dict) -> GbdtModel:
 
 
 def save_model(model: GbdtModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), sort_keys=True, indent=1), encoding="utf-8"
-    )
+    _write_json(model_to_dict(model), path)
 
 
 def load_model(path: str | Path) -> GbdtModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The model in ``path``; a file that holds none raises an error naming it."""
+    try:
+        return model_from_dict(_read_json(path))
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None

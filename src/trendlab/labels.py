@@ -1,24 +1,28 @@
-"""Expert label preprocessing: windows, voting, trigger correction, splits."""
+"""Expert label preprocessing: windows, voting, trigger correction, splits.
+
+``save_prep_report``/``load_prep_report`` own ``prepare``'s ``prep_report.json``.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from datetime import date as Date
-from typing import Sequence
+from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSplitError, EmptyInputError, InvariantError
-from .market_data import FLAT, TREND, LabelSeries, QuoteSeries
+from .errors import DegenerateSplitError, EmptyInputError, InvariantError, ParseError
+from .market_data import FLAT, TREND, LabelSeries, QuoteSeries, _read_json, _write_json
 
 
 @dataclass(frozen=True)
 class ExpertWindow:
     """A maximal contiguous period with one tendency, as one expert saw it.
 
-    ``direction`` is 0 exactly for Flat windows; for Trend windows it is the
-    sign of the fitted log-close slope over the window (ties go up).
+    ``tendency`` is Trend or Flat. ``direction`` is 0 exactly for Flat
+    windows; for Trend windows it is the sign (+1 or -1) of the fitted
+    log-close slope over the window (ties go up).
     """
 
     stockname: str
@@ -29,7 +33,9 @@ class ExpertWindow:
     direction: int
 
     def __post_init__(self) -> None:
-        if (self.direction == 0) != (self.tendency == FLAT):
+        if self.tendency not in (TREND, FLAT):
+            raise InvariantError(f"tendency {self.tendency!r} is neither {TREND} nor {FLAT}")
+        if self.direction not in ((1, -1) if self.tendency == TREND else (0,)):
             raise InvariantError(
                 f"direction {self.direction} inconsistent with tendency {self.tendency}"
             )
@@ -92,26 +98,15 @@ def extract_windows(labels: LabelSeries, quotes: QuoteSeries) -> list[ExpertWind
     return windows
 
 
-def vote_experts(codes: Sequence[int]) -> int:
-    """Average per-date direction codes and round half away from zero.
-
-    A 50/50 split between "up" and "flat" votes therefore resolves to "up".
-    """
-    if not codes:
-        raise EmptyInputError("no codes to vote on")
-    mean = sum(codes) / len(codes)
-    return int(math.copysign(math.floor(abs(mean) + 0.5), mean))
-
-
 def voted_windows(
     window_lists: Sequence[Sequence[ExpertWindow]], quotes: QuoteSeries
 ) -> list[ExpertWindow]:
     """Combine several experts into one "voted" stream of windows.
 
-    Every quote row labeled by at least one expert gets the rounded average
-    of the available direction codes (as ``vote_experts``); the voted stream
-    is then re-segmented at every change of the voted code and at coverage
-    gaps.
+    Every quote row labeled by at least one expert gets the average of the
+    available direction codes, rounded half away from zero, so a 50/50 split
+    between "up" and "flat" votes resolves to "up". The voted stream is then
+    re-segmented at every change of the voted code and at coverage gaps.
     """
     if not window_lists:
         raise EmptyInputError("no experts to vote")
@@ -210,6 +205,14 @@ class ContradictionStats:
         grouped = f"{self.n_contradicting_rows:,}".replace(",", " ")
         return f"{grouped}/ {self.pct_of_positives:.0f}%"
 
+    def to_dict(self) -> dict:
+        """The contradictions block of ``prep_report.json``."""
+        return {
+            "n_contradicting_rows": self.n_contradicting_rows,
+            "pct_of_positives": self.pct_of_positives,
+            "summary": self.summary(),
+        }
+
 
 def _row_keys(X: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """One opaque scalar per row of ``X`` holding its exact bytes (and its target's)."""
@@ -266,6 +269,15 @@ class DatasetSplit:
     def balance_str(self) -> str:
         return format_balance(self.train_balance)
 
+    def to_dict(self) -> dict:
+        """The row counts and train balance, as a ``prep_report.json`` block."""
+        counts = ("n_train", "n_test", "train_negatives", "train_positives")
+        return {
+            **{k: getattr(self, k) for k in counts},
+            "balance": self.train_balance,
+            "balance_str": self.balance_str,
+        }
+
 
 def split_by_date(
     days: np.ndarray, targets: Sequence[int], split_date: Date
@@ -297,3 +309,42 @@ def split_by_date(
         train_positives=pos,
         train_balance=balance,
     )
+
+
+def save_prep_report(
+    settings: Mapping[str, object],
+    cp: DatasetSplit,
+    tof: DatasetSplit,
+    contradictions: ContradictionStats,
+    path: str | Path,
+) -> None:
+    """Write ``prep_report.json``: a prepared run's settings, split date and splits.
+
+    ``settings`` holds at least ``log_mode``; ``contradictions`` counts the cp train rows.
+    """
+    cp_block = {**cp.to_dict(), "contradictions": contradictions.to_dict()}
+    doc = {"split_date": cp.split_date.isoformat(), "cp": cp_block, "tof": tof.to_dict()}
+    _write_json({**settings, **doc}, path)
+
+
+def load_prep_report(path: str | Path) -> dict:
+    """A ``save_prep_report`` document, with ``split_date`` as a date.
+
+    Raises ``ParseError`` naming the file when it is not JSON or an entry that
+    a command reads is missing or of the wrong type.
+    """
+    try:
+        report = _read_json(path)
+        report["split_date"] = Date.fromisoformat(report["split_date"])
+    except (ParseError, ValueError, TypeError, KeyError):
+        raise ParseError(f"{path}: not a JSON object with a split_date YYYY-MM-DD") from None
+    if not isinstance(report.get("log_mode"), bool):
+        raise ParseError(f"{path}: log_mode must be true or false")
+    for which in ("cp", "tof"):
+        entry = report.get(which)
+        if not isinstance(entry, dict) or not (
+            isinstance(entry.get("balance_str"), str)
+            and isinstance(entry.get("balance", ""), (int, float, type(None)))
+        ):
+            raise ParseError(f"{path}: {which} must hold a balance and a balance_str")
+    return report

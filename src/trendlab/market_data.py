@@ -7,11 +7,14 @@ a plain decimal point:
 * labels:  ``date,stockname,id_select,type,username`` with
   ``type in {Trend, Flat, N/A}``; the five quote columns may additionally be
   present, in which case they are cross-checked against already-loaded quotes.
+
+Every JSON artifact goes through ``_write_json``/``_read_json``, at the bottom of the imports.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from datetime import date as Date
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,6 +34,22 @@ OHLCV_COLUMNS = ("open", "high", "low", "close", "volume")
 
 TREND = "Trend"
 FLAT = "Flat"
+
+
+def _write_json(doc: dict, path: str | Path) -> None:
+    """Write ``doc`` as every JSON artifact is written: sorted keys, one-space indent, UTF-8."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
+
+
+def _read_json(path: str | Path) -> dict:
+    """The JSON object in ``path``; ``ParseError`` naming the file when it holds none."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError:  # not UTF-8 or not JSON
+        raise ParseError(f"{path}: not JSON") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a JSON object")
+    return doc
 
 
 def _days(dates: Sequence[Date]) -> np.ndarray:
@@ -253,8 +272,7 @@ def _format_number(value: float) -> str:
 
 def save_quotes(series: QuoteSeries, path: str | Path) -> None:
     """Write a quotes CSV that loads back field-for-field identical."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(QUOTE_COLUMNS)
         columns = [series.column(c).tolist() for c in OHLCV_COLUMNS]
@@ -344,8 +362,7 @@ def load_label_file(path: str | Path) -> LabelSeries:
 
 def save_labels(labels: LabelSeries, path: str | Path) -> None:
     """Write a label CSV that loads back as the same series."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(LABEL_COLUMNS)
         writer.writerows(

@@ -21,7 +21,6 @@ columns of a ``SignalTrace``, with NaN for a missing answer.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
@@ -33,7 +32,7 @@ from . import gbdt
 from .errors import ConfigError, SeriesTooShortError, ShapeError
 from .features import TOF_FEATURE_NAMES, cp_feature_matrix, tof_features
 from .labels import ExpertWindow
-from .market_data import TREND, QuoteSeries
+from .market_data import TREND, QuoteSeries, _write_json
 
 BUSINESS_DAYS_PER_YEAR = 250
 CP_LAG_DAYS = 5
@@ -260,7 +259,21 @@ def save_report(report: BacktestReport, path: str | Path, per_stock: Sequence[St
     doc = report.to_dict()
     if per_stock:
         doc["per_stock"] = [s.to_dict() for s in per_stock]
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
+    _write_json(doc, path)
+
+
+def save_baseline(
+    reports: Mapping[str, BacktestReport], split_date: Date, path: str | Path
+) -> None:
+    """Write ``baseline_report.json``: the split date and each label source's report."""
+    experts = {name: report.to_dict() for name, report in reports.items()}
+    _write_json({"split_date": split_date.isoformat(), "experts": experts}, path)
+
+
+def backtest_span(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
+    """The rows of ``series`` from ``split_date`` on; None when too few for ``run_pipeline``."""
+    sliced = series[bisect.bisect_left(series.dates, split_date) :]
+    return sliced if len(sliced) >= 2 * CP_LAG_DAYS + 1 else None
 
 
 def _score(

@@ -6,6 +6,9 @@ consistent by construction. Expert simulation perturbs the true windows with
 three independent noise sources: boundary jitter (imprecise clicks),
 tendency flips (disagreement about what a period is) and split/merge events
 (one trader's single long trend is another's two shorter ones).
+
+``save_truth`` and ``load_truth`` own ``truth.json``, the true windows that
+``baseline`` and ``backtest --oracle`` read.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date as Date, timedelta
-from typing import Sequence
+from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, EmptyInputError, InvariantError, ParseError
 from .labels import ExpertWindow
-from .market_data import FLAT, TREND, LabelSeries, QuoteSeries
+from .market_data import FLAT, TREND, LabelSeries, QuoteSeries, _read_json, _write_json
 
 SUBSTEPS = 8
 VOLUME_NOISE = 0.2
@@ -304,52 +308,45 @@ def gen_expert_labels(
     )
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One tradable regime as the simulator's own bookkeeping sees it."""
+def save_truth(
+    windows_by_stock: Mapping[str, Sequence[ExpertWindow]],
+    n_days: Mapping[str, int],
+    seed: int,
+    path: str | Path,
+) -> None:
+    """Write ``truth.json``: the seed, and each stock's row count and true windows."""
+    stocks = {
+        stock: {
+            "n_days": n_days[stock],
+            "windows": [
+                {"start": w.start_date.isoformat(), "end": w.end_date.isoformat(),
+                 "tendency": w.tendency, "direction": w.direction}
+                for w in windows
+            ],
+        }
+        for stock, windows in windows_by_stock.items()
+    }
+    _write_json({"seed": seed, "stocks": stocks}, path)
 
-    window_start_row: int
-    entry_row: int
-    exit_row: int
-    direction: int
-    profit: float
 
+def load_truth(path: str | Path) -> dict[str, list[ExpertWindow]]:
+    """Each stock's windows in a ``save_truth`` file, as expert ``"truth"``.
 
-def lagged_regime_ledger(
-    windows: Sequence[ExpertWindow],
-    series: QuoteSeries,
-    entry_lag: int = 5,
-) -> list[LedgerEntry]:
-    """Expected positions of a perfectly informed but lagged pipeline.
-
-    A window start is detectable only with full +/-5-row feature context;
-    entry happens entry_lag rows after a detectable trend start, exit when
-    the next detectable start becomes actionable or the series ends.
+    Raises ``ParseError`` naming the file when an entry is missing, a date is
+    not YYYY-MM-DD, a tendency is neither Trend nor Flat, or a direction does
+    not fit its tendency.
     """
-    n = len(series)
-    closes = series.closes
-    detectable = [
-        (series.index_of(w.start_date), w)
-        for w in windows
-        if 5 <= series.index_of(w.start_date) <= n - 6
-    ]
-    entries: list[LedgerEntry] = []
-    for i, (s, w) in enumerate(detectable):
-        entry = s + entry_lag
-        if entry > n - 1:
-            continue
-        exit_row = detectable[i + 1][0] + entry_lag if i + 1 < len(detectable) else n - 1
-        exit_row = min(exit_row, n - 1)
-        if w.tendency != TREND:
-            continue
-        profit = w.direction * (closes[exit_row] - closes[entry]) / closes[entry]
-        entries.append(
-            LedgerEntry(
-                window_start_row=s,
-                entry_row=entry,
-                exit_row=exit_row,
-                direction=w.direction,
-                profit=float(profit),
-            )
-        )
-    return entries
+    doc = _read_json(path)
+    try:
+        return {
+            stock: [
+                ExpertWindow(stock, "truth", Date.fromisoformat(w["start"]),
+                             Date.fromisoformat(w["end"]), w["tendency"], w["direction"])
+                for w in entry["windows"]
+            ]
+            for stock, entry in doc["stocks"].items()
+        }
+    except KeyError as exc:
+        raise ParseError(f"{path}: a stock or window has no {exc}") from None
+    except (AttributeError, TypeError, ValueError, InvariantError) as exc:
+        raise ParseError(f"{path}: not a truth document: {exc}") from None

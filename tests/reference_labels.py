@@ -13,14 +13,26 @@ one and to the type of every error it raises.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from trendlab.errors import DefectFileError, EmptyInputError, InvariantError, ParseError
-from trendlab.labels import ExpertWindow, log_close_slope, vote_experts
+from trendlab.labels import ExpertWindow, log_close_slope
 from trendlab.market_data import FLAT, LABEL_COLUMNS, OHLCV_COLUMNS, TREND, QuoteSeries
+
+
+def vote_experts(codes: Sequence[int]) -> int:
+    """Average per-date direction codes and round half away from zero.
+
+    A 50/50 split between "up" and "flat" votes therefore resolves to "up".
+    """
+    if not codes:
+        raise EmptyInputError("no codes to vote on")
+    mean = sum(codes) / len(codes)
+    return int(math.copysign(math.floor(abs(mean) + 0.5), mean))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_ledger import lagged_regime_ledger
 from test_gbdt import brute_force_root_split, first_split_of
 from trendlab import gbdt
 from trendlab.cli import main
 from trendlab.evaluation import class_report, roc_auc
 from trendlab.features import CP_FEATURE_NAMES, FeatureDataset, build_cp_dataset, build_tof_dataset
-from trendlab.gbdt import GbdtParams, fit, predict, predict_proba
+from trendlab.gbdt import GbdtParams, fit, predict_proba
 from trendlab.labels import (
     count_contradictions,
     extract_windows,
@@ -41,7 +42,6 @@ from trendlab.synth import (
     SamplerConfig,
     gen_expert_labels,
     gen_series,
-    lagged_regime_ledger,
 )
 
 
@@ -176,7 +176,7 @@ def test_criterion_5_imbalance_handling():
     for spw in (1.0, balance):
         params = GbdtParams(n_estimators=40, max_depth=3, scale_pos_weight=spw, seed=7)
         model = fit(X_train, y_train, params)
-        pred = predict(model, X_test)
+        pred = predict_proba(model, X_test) >= 0.5
         recalls[spw] = float((pred[y_test == 1] == 1).mean())
     assert recalls[balance] > recalls[1.0]
     _announce(
@@ -209,7 +209,7 @@ def test_criterion_6_fraction_accuracy_monotonicity():
     split = split_by_date(days, y, Date.fromordinal(split_day))
     params = GbdtParams(n_estimators=80, max_depth=4, learning_rate=0.2, reg_lambda=3.0)
     model = fit(X[split.train_idx], y[split.train_idx], params)
-    pred = predict(model, X[split.test_idx])
+    pred = predict_proba(model, X[split.test_idx]) >= 0.5
     y_test = y[split.test_idx]
     frac_test = fractions[split.test_idx]
     accuracies = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trendlab import cli
 from trendlab.cli import main
 from trendlab.features import CP_FEATURE_NAMES, TOF_FEATURE_NAMES, read_feature_csv
 from trendlab.labels import count_contradictions
@@ -305,6 +307,23 @@ def test_backtest_fails_before_creating_out(workdir, tmp_path, models, code):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prepare", "--data", "{missing}"],
+        ["baseline", "--data", "{missing}"],
+        # the data is read and split before the output directory is made
+        ["prepare", "--data", "{data}", "--split-date", "1990-01-02"],
+        ["prepare", "--data", "{data}", "--experts", "NOPE"],
+    ],
+    ids=["prepare-no-data", "baseline-no-data", "prepare-degenerate-split", "prepare-no-expert"],
+)
+def test_prepare_and_baseline_fail_before_creating_out(workdir, tmp_path, argv):
+    paths = {"missing": str(tmp_path / "missing"), "data": str(workdir / "data")}
+    assert main([a.format(**paths) for a in argv] + ["-o", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def _copy_prepared(workdir, prep: Path) -> Path:
     prep.mkdir()
     for path in (workdir / "prep").iterdir():
@@ -406,7 +425,32 @@ def test_backtest_rejects_corrupted_model_file(workdir, tmp_path, capsys):
          "--models", str(models), "-o", str(tmp_path / "r")]
     )
     assert code == 1
-    assert "feature 22" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "feature 22" in err
+    assert f"{models / 'cp_model.json'}: " in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "not JSON"),
+        ("[1]", "not a JSON object"),
+        ('{"format": "other"}', "not a trendlab.gbdt document"),
+    ],
+    ids=["not-json", "not-an-object", "foreign-document"],
+)
+def test_backtest_names_a_model_file_that_holds_no_model(workdir, tmp_path, capsys, text, message):
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "cp_model.json").write_text(text)
+    (models / "tof_model.json").write_bytes((workdir / "models" / "tof_model.json").read_bytes())
+    code = main(
+        ["backtest", "--data", str(workdir / "data"), "--prepared", str(workdir / "prep"),
+         "--models", str(models), "-o", str(tmp_path / "r")]
+    )
+    assert code == 1
+    assert f"error: {models / 'cp_model.json'}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize(
@@ -437,7 +481,7 @@ def test_backtest_oracle_profit_matches_ledger(tmp_path):
 
     from trendlab.market_data import load_quotes
     from trendlab.pipeline import clip_windows_to_span
-    from trendlab.synth import lagged_regime_ledger
+    from reference_ledger import lagged_regime_ledger
 
     data = tmp_path / "data"
     out = tmp_path / "oracle"
@@ -488,6 +532,71 @@ def test_baseline_command(workdir, tmp_path):
     assert "truth" in doc["experts"]
     assert "D" in doc["experts"]
     assert "Average" in doc["experts"]
+
+
+def _first_window(edit):
+    def apply(doc: dict) -> None:
+        edit(next(iter(doc["stocks"].values()))["windows"][0])
+
+    return apply
+
+
+TRUTH_EDITS = {
+    "missing-key": _first_window(lambda w: w.pop("tendency")),
+    "bad-date": _first_window(lambda w: w.update(end="2012-02-30")),
+    "bogus-tendency": _first_window(lambda w: w.update(tendency="Bogus")),
+    "inconsistent-direction": _first_window(
+        lambda w: w.update(direction=0 if w["tendency"] == "Trend" else 1)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def model_backtest_outputs(workdir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("intact") / "r"
+    assert main([*_backtest_argv(workdir, workdir / "data", "models"), "-o", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("edit", TRUTH_EDITS.values(), ids=TRUTH_EDITS.keys())
+def test_a_broken_truth_json_fails_only_the_commands_that_read_it(
+    workdir, tmp_path, capsys, model_backtest_outputs, edit
+):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in (workdir / "data").iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    truth = data / "truth.json"
+    doc = json.loads(truth.read_text())
+    edit(doc)
+    truth.write_text(json.dumps(doc))
+    for argv in (["baseline", "--data", str(data)], _backtest_argv(workdir, data, "oracle")):
+        out = tmp_path / argv[0]
+        assert main([*argv, "-o", str(out)]) == 1
+        assert f"error: {truth}: " in capsys.readouterr().err
+        assert not out.exists()
+    # a model backtest never reads the true windows
+    out = tmp_path / "models"
+    assert main([*_backtest_argv(workdir, data, "models"), "-o", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == model_backtest_outputs
+
+
+def test_cli_module_holds_no_format_or_file_io():
+    """Formats live beside their data types: cli.py parses arguments and wires commands."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                found.append((node.lineno, "open"))
+            elif isinstance(func, ast.Attribute) and func.attr in ("open", "read_text", "write_text"):
+                found.append((node.lineno, func.attr))
+    assert found == []
 
 
 def test_config_file_supplies_defaults(tmp_path):

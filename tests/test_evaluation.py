@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from trendlab.errors import FoldDegenerateError, ShapeError, SingleClassError
 from trendlab.evaluation import (
     class_report,
-    f1_macro,
     grid_search,
     roc_auc,
     stratified_fold_indices,
@@ -117,10 +116,10 @@ def test_f1_macro_one_iff_exact():
     rng = np.random.default_rng(2)
     labels = rng.integers(0, 2, size=60)
     labels[:2] = [0, 1]
-    assert f1_macro(labels, labels) == 1.0
+    assert class_report(labels, labels).f1_macro == 1.0
     wrong = labels.copy()
     wrong[0] ^= 1
-    assert f1_macro(wrong, labels) < 1.0
+    assert class_report(wrong, labels).f1_macro < 1.0
 
 
 def test_weighted_avg_row():

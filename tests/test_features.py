@@ -3,22 +3,36 @@
 from __future__ import annotations
 
 import math
+from datetime import date as Date
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_series, segment_labels
-from trendlab.errors import ParseError, TooShortError, ZeroVolumeError
+from trendlab.errors import (
+    EmptyInputError,
+    InvariantError,
+    ParseError,
+    TooShortError,
+    ZeroVolumeError,
+)
 from trendlab.features import (
     CP_FEATURE_NAMES,
     FRACTIONS,
     TOF_FEATURE_NAMES,
+    FeatureDataset,
     augment_fractions,
+    build_cp_dataset,
     build_tof_dataset,
     cp_feature_matrix,
     read_feature_csv,
+    read_tof_meta,
     tof_features,
     write_feature_csv,
+    write_fraction_accuracy,
+    write_tof_meta,
 )
 from trendlab.labels import extract_windows
 from trendlab.market_data import TREND
@@ -254,8 +268,11 @@ def test_feature_csv_header_only_reads_empty(tmp_path):
         ("0.1,0.2,0.3,0.4,1", "columns"),
         ("0.1,0.2,0.3,0.4,0.5,1.5", "could not convert string '1.5' to int64"),
         ("0.1,0.2,0.3,0.4,0.5,", "could not convert string ''"),
+        ("0.1,0.2,0.3,0.4,0.5,2", "a target is neither 0 nor 1"),
+        ("0.1,0.2,0.3,0.4,0.5,-1", "a target is neither 0 nor 1"),
     ],
-    ids=["bad-cell", "short-row", "non-integer-target", "missing-target"],
+    ids=["bad-cell", "short-row", "non-integer-target", "missing-target", "target-two",
+         "target-negative"],
 )
 def test_feature_csv_bad_rows_raise_parse_error_naming_the_file(tmp_path, line, message):
     path = tmp_path / "tof.csv"
@@ -271,3 +288,95 @@ def test_feature_csv_bad_rows_raise_parse_error_naming_the_file(tmp_path, line, 
 def test_cp_feature_names_are_22():
     assert len(CP_FEATURE_NAMES) == 22
     assert len(TOF_FEATURE_NAMES) == 5
+
+
+def _tof_rows(days, stocknames, fractions) -> FeatureDataset:
+    n = len(days)
+    return FeatureDataset(
+        kind="tof",
+        feature_names=TOF_FEATURE_NAMES,
+        days=np.array(days, dtype=np.int64),
+        stocknames=np.array(stocknames, dtype=str),
+        X=np.zeros((n, len(TOF_FEATURE_NAMES))),
+        y=np.zeros(n, dtype=np.int64),
+        fractions=np.array(fractions, dtype=np.int64),
+    )
+
+
+# stock names with CSV's special characters, but no carriage return (see below) or NUL
+_STOCK = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\x00"))
+
+
+@given(
+    st.lists(
+        st.tuples(st.dates().map(Date.toordinal), _STOCK, st.integers(-(2**63), 2**63 - 1)),
+        max_size=6,
+    )
+)
+def test_tof_meta_write_read_write_round_trip(tmp_path_factory, rows):
+    folder = tmp_path_factory.mktemp("meta")
+    first, second = folder / "first.csv", folder / "second.csv"
+    ds = _tof_rows(*zip(*rows)) if rows else _tof_rows([], [], [])
+    write_tof_meta(ds, first)
+    days, stocknames, fractions = read_tof_meta(first, len(rows))
+    assert np.array_equal(days, ds.days)
+    assert stocknames.tolist() == ds.stocknames.tolist()
+    assert np.array_equal(fractions, ds.fractions)
+    write_tof_meta(_tof_rows(days, stocknames, fractions), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_tof_meta_bytes_and_carriage_return(tmp_path):
+    path = tmp_path / "meta.csv"
+    write_tof_meta(_tof_rows([Date(2012, 1, 2).toordinal()] * 2, ["ACME", "A,B"], [5, 100]), path)
+    assert path.read_bytes() == b'date,stockname,fraction\n2012-01-02,ACME,5\n2012-01-02,"A,B",100\n'
+    # csv quotes a field holding the "\n" line end, but not a bare "\r"
+    with pytest.raises(InvariantError, match="carriage return"):
+        write_tof_meta(_tof_rows([1], ["A\rB"], [5]), path)
+
+
+@pytest.mark.parametrize(
+    "text, n_rows, message",
+    [
+        ("", 0, "expected header date,stockname,fraction"),
+        ("day,stockname,fraction\n", 0, "expected header date,stockname,fraction"),
+        ("date,stockname,fraction\n2012-01-02,ACME,5\n", 2, "1 rows for the 2 rows"),
+        ("date,stockname,fraction\n2012-01-02,ACME\n", 1, "a row is not a date"),
+        ("date,stockname,fraction\n2012-01-32,ACME,5\n", 1, "a row is not a date"),
+        ("date,stockname,fraction\n2012-01-02,ACME,5.5\n", 1, "a row is not a date"),
+    ],
+    ids=["empty", "header", "row-count", "short-row", "bad-date", "bad-fraction"],
+)
+def test_read_tof_meta_names_the_file(tmp_path, text, n_rows, message):
+    path = tmp_path / "tof_test_meta.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as caught:
+        read_tof_meta(path, n_rows)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert message in str(caught.value)
+
+
+def test_fraction_accuracy_groups_hits_by_fraction(tmp_path):
+    path = tmp_path / "fraction_accuracy.csv"
+    write_fraction_accuracy(np.array([50, 5, 50, 50]), np.array([True, False, True, False]), path)
+    assert path.read_text().splitlines() == [
+        "fraction,n,accuracy", "5,1,0.0", f"50,3,{2 / 3!r}"
+    ]
+
+
+def test_concat_keeps_row_order_and_skips_empty_parts():
+    a = _tof_rows([1, 2], ["A", "A"], [5, 10])
+    b = _tof_rows([3], ["BB"], [20])
+    both = FeatureDataset.concat([a, a.take(np.array([], dtype=np.int64)), b])
+    assert both.days.tolist() == [1, 2, 3]
+    assert both.stocknames.tolist() == ["A", "A", "BB"]
+    assert both.fractions.tolist() == [5, 10, 20]
+    assert both.X.shape == (3, len(TOF_FEATURE_NAMES))
+    series = make_series(np.linspace(10.0, 20.0, 40))
+    windows = extract_windows(segment_labels(series, [(20, TREND), (20, TREND)]), series)
+    cp = build_cp_dataset(series, windows)
+    assert FeatureDataset.concat([cp, cp]).fractions is None
+    with pytest.raises(InvariantError):
+        FeatureDataset.concat([a, cp])
+    with pytest.raises(EmptyInputError, match="no tof rows were produced"):
+        FeatureDataset.concat([a.take(np.array([], dtype=np.int64))])

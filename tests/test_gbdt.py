@@ -23,7 +23,6 @@ from trendlab.gbdt import (
     load_model,
     model_from_dict,
     model_to_dict,
-    predict,
     predict_proba,
     predict_row_proba,
     save_model,
@@ -94,7 +93,7 @@ def test_separable_data_reaches_perfect_accuracy():
     y = (x > 0).astype(int)
     params = GbdtParams(n_estimators=10, max_depth=1, learning_rate=0.3)
     model = fit(X, y, params)
-    assert np.array_equal(predict(model, X), y)
+    assert np.array_equal(predict_proba(model, X) >= 0.5, y)
 
 
 def test_constant_features_balanced_classes_stay_at_half():
@@ -172,12 +171,10 @@ def test_threshold_semantics():
     leaf = TreeNode(value=math.log(0.52 / 0.48))  # sigmoid -> 0.52
     model = GbdtModel(params=GbdtParams(), n_features=1, trees=[leaf])
     X = np.zeros((1, 1))
-    assert predict(model, X, threshold=0.5)[0] == 1
-    assert predict(model, X, threshold=0.6)[0] == 0
-    proba = float(predict_proba(model, X)[0])
-    assert predict(model, X, threshold=proba)[0] == 1  # at-threshold counts as positive
-    with pytest.raises(ValueError):
-        predict(model, X, threshold=1.0)
+    proba = predict_proba(model, X)
+    assert proba[0] == pytest.approx(0.52, abs=1e-15)
+    # callers compare with >=, so a probability at the threshold counts as positive
+    assert (proba >= 0.5)[0] and not (proba >= 0.6)[0] and (proba >= proba[0])[0]
 
 
 def test_weighted_gradient_parity_at_root():

@@ -16,13 +16,13 @@ from reference_labels import (
     reference_group_rows,
     reference_merge_label_files,
     reference_voted_windows,
+    vote_experts,
 )
 from trendlab.errors import DefectFileError, InvariantError, ParseError, TrendlabError
 from trendlab.labels import (
     ExpertWindow,
     extract_windows,
     trigger_correction,
-    vote_experts,
     voted_windows,
 )
 from trendlab.market_data import (

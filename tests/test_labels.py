@@ -5,19 +5,26 @@ from __future__ import annotations
 from dataclasses import replace
 from datetime import date as Date
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_series, segment_labels
-from trendlab.errors import DegenerateSplitError, EmptyInputError
+from reference_labels import vote_experts
+from trendlab.errors import DegenerateSplitError, EmptyInputError, ParseError
 from trendlab.features import CP_CONTEXT, build_cp_dataset
 from trendlab.labels import (
     ContradictionStats,
+    DatasetSplit,
     count_contradictions,
     extract_windows,
+    load_prep_report,
+    save_prep_report,
     split_by_date,
     trigger_correction,
-    vote_experts,
     voted_windows,
 )
 from trendlab.market_data import FLAT, TREND, LabelSeries, _days
@@ -276,3 +283,64 @@ def test_voted_windows_resegments_on_code_change():
     # second half votes [1, 0, 0] -> mean 1/3 -> 0: re-segmented into trend then flat
     assert [w.direction for w in voted3] == [1, 0]
     assert voted3[0].expert == "voted"
+
+
+_COUNT = st.integers(0, 10**9)
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _split(draw) -> DatasetSplit:
+    """A split's reported fields; the row ids are not part of the report."""
+    no_rows = np.empty(0, dtype=np.int64)
+    return DatasetSplit(
+        draw(st.dates()), no_rows, no_rows, draw(_COUNT), draw(_COUNT), draw(_COUNT),
+        draw(_COUNT), draw(st.one_of(st.none(), _FLOAT)),
+    )
+
+
+@given(
+    _split(),
+    _split(),
+    st.builds(ContradictionStats, _COUNT, _FLOAT, _COUNT, _COUNT),
+    st.fixed_dictionaries(
+        {"log_mode": st.booleans(), "averaging": st.booleans(),
+         "trigger_correction": st.booleans(), "experts": st.lists(st.text(), unique=True)}
+    ),
+)
+def test_prep_report_save_load_save_round_trip(tmp_path_factory, cp, tof, contradictions, settings):
+    folder = tmp_path_factory.mktemp("prep")
+    first, second = folder / "first.json", folder / "second.json"
+    save_prep_report(settings, cp, tof, contradictions, first)
+    report = load_prep_report(first)
+    assert report["split_date"] == cp.split_date
+    assert report["cp"] == {**cp.to_dict(), "contradictions": contradictions.to_dict()}
+    assert report["tof"] == tof.to_dict()
+    assert {k: report[k] for k in settings} == settings
+    # the loaded report is the written one: writing it again gives the same bytes
+    doc = {**report, "split_date": report["split_date"].isoformat()}
+    second.write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_split_to_dict_holds_the_reported_fields():
+    split = split_by_date(np.array([1, 2, 3, 4]), [0, 1, 0, 0], Date.fromordinal(3))
+    assert split.to_dict() == {
+        "n_train": 2, "n_test": 2, "train_negatives": 1, "train_positives": 1,
+        "balance": 1.0, "balance_str": "1.00:1",
+    }
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "not a JSON object with a split_date"), ("[]", "not a JSON object with a split_date"),
+     ('{"split_date": "2012-01-02"}', "log_mode must be true or false")],
+    ids=["not-json", "not-an-object", "no-log-mode"],
+)
+def test_load_prep_report_names_the_file(tmp_path, text, message):
+    path = tmp_path / "prep_report.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as caught:
+        load_prep_report(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert message in str(caught.value)

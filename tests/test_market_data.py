@@ -22,6 +22,8 @@ from trendlab.market_data import (
     LabelSeries,
     QuoteSeries,
     load_label_file,
+    _read_json,
+    _write_json,
     load_quotes,
     merge_label_files,
     save_labels,
@@ -335,3 +337,26 @@ def test_rows_shorter_than_the_header_are_parse_errors(tmp_path):
     )
     with pytest.raises(ParseError, match="l.csv:3: 2 fields"):
         merge_label_files([labels])
+
+
+def test_json_layout_is_sorted_one_space_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"b": [1, 2.5], "a": {"z": None, "é": True}}
+    _write_json(doc, path)
+    assert path.read_bytes() == (
+        '{\n "a": {\n  "z": null,\n  "\\u00e9": true\n },\n "b": [\n  1,\n  2.5\n ]\n}'
+    ).encode()
+    assert _read_json(path) == doc
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b"not json", "not JSON"), (b"\xff{}", "not JSON"), (b"[1]", "not a JSON object")],
+    ids=["not-json", "not-utf8", "not-an-object"],
+)
+def test_read_json_names_the_file(tmp_path, raw, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=message) as caught:
+        _read_json(path)
+    assert str(caught.value).startswith(f"{path}: ")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series
+from reference_ledger import lagged_regime_ledger
 from reference_pipeline import (
     reference_run_pipeline,
     row_oracle_cp_scorer,
@@ -25,6 +26,7 @@ from trendlab.pipeline import (
     Position,
     StockStats,
     aggregate,
+    backtest_span,
     clip_windows_to_span,
     expert_baseline,
     oracle_cp_scorer,
@@ -32,7 +34,7 @@ from trendlab.pipeline import (
     run_pipeline,
     trend_profit,
 )
-from trendlab.synth import RegimeSpec, SamplerConfig, gen_series, lagged_regime_ledger
+from trendlab.synth import RegimeSpec, SamplerConfig, gen_series
 
 
 def test_trend_profit_formulas():
@@ -521,3 +523,12 @@ def test_clip_windows_to_span():
 
 def test_year_constant():
     assert BUSINESS_DAYS_PER_YEAR == 250
+
+
+def test_backtest_span_starts_at_the_split_and_needs_a_changepoint_row():
+    series = make_series(np.linspace(10.0, 20.0, 30))
+    span = backtest_span(series, series.dates[30 - (2 * CP_LAG_DAYS + 1)])
+    assert span.dates == series.dates[-(2 * CP_LAG_DAYS + 1) :]
+    assert backtest_span(series, series.dates[30 - 2 * CP_LAG_DAYS]) is None
+    # a split date before the first quote keeps the whole series
+    assert backtest_span(series, Date(2000, 1, 1)).dates == series.dates

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+from datetime import date as Date
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from trendlab.errors import ConfigError
+from trendlab.errors import ConfigError, ParseError
 from trendlab.features import tof_features
-from trendlab.labels import count_contradictions, extract_windows
-from trendlab.market_data import OHLCV_COLUMNS, TREND
+from trendlab.labels import ExpertWindow, count_contradictions, extract_windows
+from trendlab.market_data import FLAT, OHLCV_COLUMNS, TREND
 from trendlab.synth import (
     ExpertProfile,
     RegimeSpec,
@@ -16,7 +21,9 @@ from trendlab.synth import (
     business_dates,
     gen_expert_labels,
     gen_series,
+    load_truth,
     sample_regimes,
+    save_truth,
 )
 
 
@@ -164,3 +171,85 @@ def test_expert_profile_validation():
         ExpertProfile(jitter_days=-1).validate()
     with pytest.raises(ConfigError):
         ExpertProfile(disagree_prob=1.5).validate()
+
+
+_DATES = st.dates(Date(1990, 1, 1), Date(2040, 12, 31))
+
+
+@st.composite
+def _truth(draw) -> dict[str, list[ExpertWindow]]:
+    """True windows of a few stocks, each with any dates, tendency and fitting direction."""
+    truth = {}
+    for stock in draw(st.lists(st.text(min_size=1, max_size=8), max_size=4, unique=True)):
+        windows = []
+        for _ in range(draw(st.integers(0, 5))):
+            start, end = sorted([draw(_DATES), draw(_DATES)])
+            direction = draw(st.sampled_from([1, -1, 0]))
+            tendency = FLAT if direction == 0 else TREND
+            windows.append(ExpertWindow(stock, "truth", start, end, tendency, direction))
+        truth[stock] = windows
+    return truth
+
+
+@given(_truth(), st.integers(0, 2**32 - 1))
+def test_truth_save_load_save_round_trip(tmp_path_factory, truth, seed):
+    folder = tmp_path_factory.mktemp("truth")
+    first, second = folder / "first.json", folder / "second.json"
+    n_days = {stock: 7 * len(windows) for stock, windows in truth.items()}
+    save_truth(truth, n_days, seed, first)
+    loaded = load_truth(first)
+    assert loaded == truth
+    save_truth(loaded, n_days, seed, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert json.loads(first.read_text())["seed"] == seed
+
+
+def test_save_truth_writes_the_generator_windows(tmp_path):
+    cfg = SamplerConfig(n_days=300, trend_length=(40, 100), flat_length=(20, 60))
+    series, windows = gen_series(cfg, seed=5, stockname="SYN00")
+    save_truth({"SYN00": windows}, {"SYN00": len(series)}, 5, tmp_path / "truth.json")
+    assert load_truth(tmp_path / "truth.json") == {"SYN00": windows}
+    entry = json.loads((tmp_path / "truth.json").read_text())["stocks"]["SYN00"]
+    assert entry["n_days"] == len(series) == 300
+    assert entry["windows"][0] == {
+        "start": windows[0].start_date.isoformat(),
+        "end": windows[0].end_date.isoformat(),
+        "tendency": windows[0].tendency,
+        "direction": windows[0].direction,
+    }
+
+
+WINDOW = {"start": "2012-01-02", "end": "2012-03-01", "tendency": "Trend", "direction": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"seed": 1}, "has no 'stocks'"),
+        ({"stocks": {"S": {"n_days": 3}}}, "has no 'windows'"),
+        ({"stocks": {"S": {"windows": [{**WINDOW, "tendency": None}]}}}, "tendency None"),
+        ({"stocks": {"S": {"windows": [{k: v for k, v in WINDOW.items() if k != "end"}]}}},
+         "has no 'end'"),
+        ({"stocks": {"S": {"windows": [{**WINDOW, "start": "2012-13-01"}]}}}, "not a truth document"),
+        ({"stocks": {"S": {"windows": [{**WINDOW, "start": 20120102}]}}}, "not a truth document"),
+        ({"stocks": {"S": {"windows": [{**WINDOW, "tendency": "Bogus"}]}}},
+         "tendency 'Bogus' is neither Trend nor Flat"),
+        ({"stocks": {"S": {"windows": [{**WINDOW, "direction": 0}]}}},
+         "direction 0 inconsistent with tendency Trend"),
+        ({"stocks": {"S": {"windows": [{**WINDOW, "tendency": "Flat"}]}}},
+         "direction 1 inconsistent with tendency Flat"),
+        ({"stocks": {"S": {"windows": [{**WINDOW, "direction": 2}]}}},
+         "direction 2 inconsistent with tendency Trend"),
+        ({"stocks": ["S"]}, "not a truth document"),
+    ],
+    ids=["no-stocks", "no-windows", "null-tendency", "no-end", "bad-date", "date-not-text",
+         "bogus-tendency", "trend-without-direction", "flat-with-direction", "direction-two",
+         "stocks-not-an-object"],
+)
+def test_load_truth_rejects_a_bad_document_naming_the_file(tmp_path, doc, message):
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as caught:
+        load_truth(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert message in str(caught.value)
