@@ -53,7 +53,6 @@ from .labels import (
 )
 from .market_data import (
     QuoteSeries,
-    load_label_file,
     load_quotes,
     merge_label_files,
     save_labels,
@@ -229,10 +228,24 @@ def _load_universe(data_dir: Path) -> tuple[dict[str, QuoteSeries], list[Path]]:
     return quotes, label_paths
 
 
-def _default_split_date(quotes: dict[str, QuoteSeries], frac: float) -> Date:
+def _split_date(args: argparse.Namespace, quotes: dict[str, QuoteSeries]) -> Date:
+    """``--split-date``, or the date ``--split-frac`` of the way through the quote dates."""
+    if args.split_date is not None:
+        if args.split_frac is not None:
+            args.parser.error("--split-date and --split-frac exclude each other")
+        return args.split_date
     all_dates = sorted({d for s in quotes.values() for d in s.dates})
-    pos = min(len(all_dates) - 1, int(len(all_dates) * frac))
-    return all_dates[pos]
+    frac = DEFAULT_SPLIT_FRAC if args.split_frac is None else args.split_frac
+    return all_dates[min(len(all_dates) - 1, int(len(all_dates) * frac))]
+
+
+def _load_truth(path: Path, quotes: dict[str, QuoteSeries]) -> dict[str, list[ExpertWindow]]:
+    """The true windows in ``path``; a stock without a quotes file is an error."""
+    truth = synth.load_truth(path)
+    unquoted = sorted(truth.keys() - quotes.keys())
+    if unquoted:
+        raise TrendlabError(f"{path}: windows for stock {unquoted[0]}, which has no quotes file")
+    return truth
 
 
 def _window_streams(
@@ -240,10 +253,6 @@ def _window_streams(
 ) -> dict[str, dict[str, list[ExpertWindow]]]:
     """Each labelled stock's window stream per expert, both sorted by name."""
     labels = merge_label_files(label_paths, quotes=quotes.values())
-    unquoted = sorted({stock for stock, _ in labels} - quotes.keys())
-    if unquoted:
-        path = next(p for p in label_paths if load_label_file(p).stockname == unquoted[0])
-        raise TrendlabError(f"{path}: labels stock {unquoted[0]}, which has no quotes file")
     streams: dict[str, dict[str, list[ExpertWindow]]] = {}
     for stock, expert in sorted(labels):
         if experts is None or expert in experts:
@@ -314,12 +323,12 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     log_mode, averaging, correction = args.log_mode, args.averaging, args.trigger_correction
 
     quotes, label_paths = _load_universe(data_dir)
+    split_date = _split_date(args, quotes)
     if not label_paths:
         raise FileNotFoundError(f"no labels_*.csv files in {data_dir}")
     streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
     if not streams:
         raise TrendlabError("no label rows left after the expert filter")
-    split_date = args.split_date or _default_split_date(quotes, args.split_frac)
 
     cp_parts: list[FeatureDataset] = []
     tof_parts: list[FeatureDataset] = []
@@ -432,6 +441,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_gridsearch(args: argparse.Namespace) -> int:
     if args.mode == "randomized" and args.draws is None:
         args.parser.error("randomized mode needs --draws")
+    if args.mode == "full" and args.draws is not None:
+        args.parser.error("--draws needs --mode randomized")
     which = args.which
     prepared = Path(args.prepared)
     prep_report = load_prep_report(prepared / "prep_report.json")
@@ -471,8 +482,8 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
-    if not args.oracle and not args.models:
-        args.parser.error("--models is required unless --oracle is given")
+    if args.oracle == bool(args.models):
+        args.parser.error("give exactly one of --models and --oracle")
     try:
         configs = [
             pipeline.PipelineConfig(
@@ -494,11 +505,14 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     split_date, log_mode = prep_report["split_date"], prep_report["log_mode"]
     configs = [replace(cfg, log_mode=log_mode) for cfg in configs]
     quotes, _ = _load_universe(data_dir)
+    spans, skip_flags = pipeline.backtest_spans(quotes, split_date)
 
     if args.oracle:
-        truth = synth.load_truth(data_dir / "truth.json")
-        if not truth:
-            raise TrendlabError(f"--oracle needs {data_dir / 'truth.json'} to hold windows")
+        truth_path = data_dir / "truth.json"
+        truth = _load_truth(truth_path, quotes)
+        untold = sorted(spans.keys() - truth.keys())
+        if untold:
+            raise TrendlabError(f"{truth_path}: no windows for stock {untold[0]}")
     else:
         cp_model, tof_model = (
             gbdt.load_model(Path(args.models) / f"{which}_model.json") for which in ("cp", "tof")
@@ -512,17 +526,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     # One pass over the stocks: what does not depend on the threshold is
     # built once per stock, then every threshold runs on it.
     stats_by_threshold: list[list[pipeline.StockStats]] = [[] for _ in configs]
-    skip_flags: list[str] = []
-    datapoints = 0
-    for stock in sorted(quotes):
-        sliced = pipeline.backtest_span(quotes[stock], split_date)
-        if sliced is None:
-            skip_flags.append(f"skipped_short_test_span:{stock}")
-            continue
+    for stock, sliced in spans.items():
         if args.oracle:
-            windows = pipeline.clip_windows_to_span(
-                truth.get(stock, []), sliced, start_date=sliced.dates[0]
-            )
+            windows = pipeline.clip_windows_to_span(truth[stock], sliced)
             cp_arg = pipeline.oracle_cp_scorer(windows, sliced)
             tof_arg = pipeline.oracle_tof_scorer(windows, sliced)
         else:
@@ -533,13 +539,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             trace, stats = pipeline.run_pipeline(sliced, cp_arg, tof_arg, cfg)
             trace.to_csv(out_dir / f"trace_{stock}_t{cfg.cp_threshold:.2f}.csv")
             stats_list.append(stats)
-        datapoints += len(sliced)
-    if not datapoints:
-        raise TrendlabError("no stock had a long enough test span")
 
+    datapoints = sum(len(sliced) for sliced in spans.values())
     for cfg, stats_list in zip(configs, stats_by_threshold):
         report = pipeline.aggregate(stats_list, num_datapoints=datapoints)
-        report = replace(report, flags=report.flags + tuple(skip_flags))
+        report = replace(report, flags=report.flags + skip_flags)
         pipeline.save_report(
             report, out_dir / f"backtest_report_t{cfg.cp_threshold:.2f}.json", per_stock=stats_list
         )
@@ -557,9 +561,10 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     quotes, label_paths = _load_universe(data_dir)
+    split_date = _split_date(args, quotes)
+    spans, skip_flags = pipeline.backtest_spans(quotes, split_date)
     truth_path = data_dir / "truth.json"  # the generator's windows, when there are any
-    truth = synth.load_truth(truth_path) if truth_path.exists() else {}
-    split_date = args.split_date or _default_split_date(quotes, args.split_frac)
+    truth = _load_truth(truth_path, quotes) if truth_path.exists() else {}
     # each expert's, the vote's and the truth's report; a name no window reaches is left out
     streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
     expert_names = sorted({e for by_expert in streams.values() for e in by_expert})
@@ -573,11 +578,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             for stock, by_expert in streams.items()
         }
     if truth:
-        window_maps["truth"] = {s: w for s, w in truth.items() if s in quotes}
+        window_maps["truth"] = truth
     reports = {
-        name: rep
+        name: replace(rep, flags=rep.flags + skip_flags)
         for name, window_map in window_maps.items()
-        if (rep := pipeline.expert_baseline(window_map, quotes, start_date=split_date)) is not None
+        if (rep := pipeline.expert_baseline(window_map, spans)) is not None
     }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -642,9 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory with quotes_*/labels_* CSVs")
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
-    p.add_argument(
-        "--split-frac", dest="split_frac", type=_parse_split_frac, default=DEFAULT_SPLIT_FRAC
-    )
+    p.add_argument("--split-frac", dest="split_frac", type=_parse_split_frac, default=None)
     p.add_argument("--log-mode", dest="log_mode", action="store_true", default=True)
     p.add_argument("--raw", dest="log_mode", action="store_false")
     p.add_argument("--averaging", action="store_true")
@@ -701,9 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
-    p.add_argument(
-        "--split-frac", dest="split_frac", type=_parse_split_frac, default=DEFAULT_SPLIT_FRAC
-    )
+    p.add_argument("--split-frac", dest="split_frac", type=_parse_split_frac, default=None)
     p.set_defaults(func=cmd_baseline, parser=p)
 
     return parser

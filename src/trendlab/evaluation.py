@@ -171,46 +171,45 @@ def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.lexsort((y,) + tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1)))
 
 
-def stratified_fold_indices(
-    X: np.ndarray, y: np.ndarray, k: int, seed: int
-) -> list[np.ndarray]:
-    """Seed-shuffled stratified folds, each returned in canonical row order."""
+def _fold_of_rows(X: np.ndarray, y: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical row order, and each row's fold.
+
+    Each class's rows are shuffled in turn and dealt round-robin across the
+    folds, continuing from where the previous class stopped, so no fold stays
+    empty once ``k <= len(y)``.
+    """
     if k < 2:
         raise FoldDegenerateError("k must be >= 2")
     if k > len(y):
         raise FoldDegenerateError(f"cannot make {k} folds from {len(y)} rows")
     canon = _canonical_order(X, y)
-    rank = np.empty(len(y), dtype=np.int64)
-    rank[canon] = np.arange(len(y))
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    cursor = 0  # rotates across classes so no fold stays empty when k is near n
+    shuffled = []
     for c in sorted(np.unique(y)):
         rows = canon[y[canon] == c]
-        shuffled = rows[rng.permutation(rows.size)]
-        for r in shuffled:
-            folds[cursor % k].append(int(r))
-            cursor += 1
-    out: list[np.ndarray] = []
-    for fold in folds:
-        if not fold:
-            raise FoldDegenerateError("a fold came out empty")
-        arr = np.asarray(fold, dtype=np.int64)
-        out.append(arr[np.argsort(rank[arr], kind="stable")])
-    return out
+        shuffled.append(rows[rng.permutation(rows.size)])
+    fold_of = np.empty(len(y), dtype=np.int64)
+    fold_of[np.concatenate(shuffled)] = np.arange(len(y)) % k
+    return canon, fold_of
+
+
+def stratified_fold_indices(
+    X: np.ndarray, y: np.ndarray, k: int, seed: int
+) -> list[np.ndarray]:
+    """Seed-shuffled stratified folds, each returned in canonical row order."""
+    canon, fold_of = _fold_of_rows(X, y, k, seed)
+    return [canon[fold_of[canon] == j] for j in range(k)]
 
 
 def _fold_splits(
     X: np.ndarray, y: np.ndarray, k: int, scoring: str, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(train, held-out) row ids of each fold, both in canonical row order."""
-    folds = stratified_fold_indices(X, y, k, seed)
-    rank = np.empty(len(y), dtype=np.int64)
-    rank[_canonical_order(X, y)] = np.arange(len(y))
+    canon, fold_of = _fold_of_rows(X, y, k, seed)
     splits = []
-    for i, test_idx in enumerate(folds):
-        train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-        train_idx = train_idx[np.argsort(rank[train_idx], kind="stable")]
+    for i in range(k):
+        held_out = fold_of[canon] == i
+        train_idx, test_idx = canon[~held_out], canon[held_out]
         if len(np.unique(y[train_idx])) < 2:
             raise FoldDegenerateError(f"fold {i}: training side has a single class")
         if scoring == "auc" and len(np.unique(y[test_idx])) < 2:

@@ -353,13 +353,6 @@ def _label_series(
     )
 
 
-def load_label_file(path: str | Path) -> LabelSeries:
-    """Load one label file; each file must carry a single (stockname, expert)."""
-    path = Path(path)
-    stockname, expert, dates, ids, trend, _ = _read_labels(path)
-    return _label_series(stockname, expert, dates, ids, trend, path)
-
-
 def save_labels(labels: LabelSeries, path: str | Path) -> None:
     """Write a label CSV that loads back as the same series."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
@@ -383,8 +376,10 @@ def merge_label_files(
 ) -> dict[tuple[str, str], LabelSeries]:
     """Merge label files into one series per (stockname, expert).
 
-    Exact duplicate rows are dropped; a date one expert labels twice
-    differently raises ``InvariantError``. A file is a defect, rejected with
+    Each file must carry a single (stockname, expert). Exact duplicate rows
+    are dropped; a date one expert labels twice differently raises
+    ``InvariantError``, and so does a file whose stock is not in ``quotes``,
+    when ``quotes`` is given. A file is a defect, rejected with
     ``DefectFileError``, when one of its embedded quotes contradicts the quote
     already registered for the same date and stock, either from ``quotes`` or
     from an earlier file.
@@ -399,7 +394,9 @@ def merge_label_files(
             values = np.concatenate([known_values, values])
         registry[stockname] = _last_per_day(days, values)
 
+    quoted = None if quotes is None else set()
     for series in quotes or ():
+        quoted.add(series.stockname)
         if len(series):
             columns = [series.column(c) for c in OHLCV_COLUMNS]
             register(series.stockname, _days(series.dates), np.column_stack(columns))
@@ -408,6 +405,8 @@ def merge_label_files(
     for raw_path in paths:
         path = Path(raw_path)
         stockname, expert, dates, ids, trend, embedded = _read_labels(path)
+        if quoted is not None and stockname not in quoted:
+            raise InvariantError(f"{path}: labels stock {stockname}, which has no quotes")
         if embedded is not None:
             days, values = _last_per_day(_days(dates), embedded)
             if stockname in registry:

@@ -276,6 +276,27 @@ def backtest_span(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
     return sliced if len(sliced) >= 2 * CP_LAG_DAYS + 1 else None
 
 
+def backtest_spans(
+    quotes: Mapping[str, QuoteSeries], split_date: Date
+) -> tuple[dict[str, QuoteSeries], tuple[str, ...]]:
+    """Each stock's ``backtest_span`` by name, and a flag for each stock too short to keep.
+
+    Every profit report, of a backtest or of the labels themselves, is made on
+    these spans. Raises ``SeriesTooShortError`` when no stock keeps a span.
+    """
+    spans: dict[str, QuoteSeries] = {}
+    flags: list[str] = []
+    for stock in sorted(quotes):
+        span = backtest_span(quotes[stock], split_date)
+        if span is None:
+            flags.append(f"skipped_short_test_span:{stock}")
+        else:
+            spans[stock] = span
+    if not spans:
+        raise SeriesTooShortError("no stock had a long enough test span")
+    return spans, tuple(flags)
+
+
 def _score(
     model: gbdt.GbdtModel | CpScorer | TofScorer, X: np.ndarray, *keys: np.ndarray
 ) -> np.ndarray:
@@ -412,28 +433,20 @@ def run_pipeline(
 
 
 def clip_windows_to_span(
-    windows: Sequence[ExpertWindow],
-    quotes: QuoteSeries,
-    start_date: Date | None = None,
-    end_date: Date | None = None,
+    windows: Sequence[ExpertWindow], quotes: QuoteSeries
 ) -> list[ExpertWindow]:
-    """Restrict windows to a date span, trimming the ones that straddle it.
+    """Restrict windows to the dates of ``quotes``, trimming the ones that straddle its ends.
 
     Window dates need not exist in ``quotes``; boundaries snap inward to the
-    nearest covered row, so this also re-bases windows onto a sliced series.
+    nearest covered row, so this re-bases windows onto a sliced series.
     """
     dates = quotes.dates
-    lo = bisect.bisect_left(dates, start_date) if start_date else 0
-    hi = (bisect.bisect_right(dates, end_date) - 1) if end_date else len(quotes) - 1
-
     out: list[ExpertWindow] = []
     for w in windows:
         s = bisect.bisect_left(dates, w.start_date)  # first row at or after the start
         e = bisect.bisect_right(dates, w.end_date) - 1  # last row at or before the end
-        s2, e2 = max(s, lo), min(e, hi)
-        if s2 > e2:
-            continue
-        out.append(replace(w, start_date=dates[s2], end_date=dates[e2]))
+        if s <= e:
+            out.append(replace(w, start_date=dates[s], end_date=dates[e]))
     return out
 
 
@@ -450,26 +463,23 @@ def expert_position_stats(series: QuoteSeries, windows: Sequence[ExpertWindow]) 
 
 def expert_baseline(
     windows_by_stock: Mapping[str, Sequence[ExpertWindow]],
-    quotes: Mapping[str, QuoteSeries],
-    start_date: Date | None = None,
+    spans: Mapping[str, QuoteSeries],
 ) -> BacktestReport | None:
-    """Profit report of the labels themselves (no lag, perfect hindsight).
+    """Profit report of the labels themselves (no lag, perfect hindsight) on the test spans.
 
-    Each stock's windows are clipped to the span from ``start_date`` on, and
-    its datapoints are the rows from the first clipped window's start to the
-    last one's end. None when no window falls in the span.
+    ``spans`` are the ``backtest_spans`` of a backtest. Each stock's windows
+    are clipped to its span, and a stock with a window there counts every row
+    of its span as datapoints, as a backtest does. None when no window falls
+    in a span.
     """
     stats = []
     datapoints = 0
-    for stock in sorted(windows_by_stock):
-        series = quotes[stock]
-        clipped = clip_windows_to_span(windows_by_stock[stock], series, start_date=start_date)
-        if not clipped:
-            continue
-        stats.append(expert_position_stats(series, clipped))
-        datapoints += (
-            series.index_of(clipped[-1].end_date) - series.index_of(clipped[0].start_date) + 1
-        )
+    for stock in sorted(windows_by_stock.keys() & spans.keys()):
+        span = spans[stock]
+        clipped = clip_windows_to_span(windows_by_stock[stock], span)
+        if clipped:
+            stats.append(expert_position_stats(span, clipped))
+            datapoints += len(span)
     if not stats:
         return None
     return aggregate(stats, num_datapoints=datapoints)

@@ -28,6 +28,11 @@ from .market_data import FLAT, TREND, LabelSeries, QuoteSeries, _read_json, _wri
 SUBSTEPS = 8
 VOLUME_NOISE = 0.2
 TREND_LENGTH_BOUNDS = (40, 600)
+START_DATE = Date(2010, 1, 4)
+START_PRICE = 100.0
+START_FLAT_PROB = 0.5  # chance that a sampled sequence opens with a flat
+VOLUME_LEVEL = 1_000_000.0  # volume at the start of every regime
+TREND_VOLUME_TREND = 0.003  # daily log-volume growth within a sampled trend
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,6 @@ class RegimeSpec:
     length: int
     drift: float
     volatility: float
-    volume_level: float = 1_000_000.0
     volume_trend: float = 0.0
 
     def validate(self) -> None:
@@ -54,8 +58,6 @@ class RegimeSpec:
             raise ConfigError("down regimes need negative drift")
         if self.kind == "flat" and self.drift != 0.0:
             raise ConfigError("flat regimes need zero drift")
-        if self.volume_level <= 0.0:
-            raise ConfigError("volume_level must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,6 @@ class SamplerConfig:
     flat_length: tuple[int, int] = (20, 200)
     drift_range: tuple[float, float] = (0.0015, 0.004)
     volatility_range: tuple[float, float] = (0.004, 0.012)
-    start_flat_prob: float = 0.5
-    volume_level: float = 1_000_000.0
-    trend_volume_trend: float = 0.003
 
     def validate(self) -> None:
         if self.n_days < 1:
@@ -114,20 +113,12 @@ def sample_regimes(cfg: SamplerConfig, rng: np.random.Generator) -> list[RegimeS
     cfg.validate()
     regimes: list[RegimeSpec] = []
     total = 0
-    is_flat = bool(rng.random() < cfg.start_flat_prob)
+    is_flat = bool(rng.random() < START_FLAT_PROB)
     while total < cfg.n_days:
         volatility = float(rng.uniform(*cfg.volatility_range))
         if is_flat:
             length = int(rng.integers(cfg.flat_length[0], cfg.flat_length[1] + 1))
-            regimes.append(
-                RegimeSpec(
-                    kind="flat",
-                    length=length,
-                    drift=0.0,
-                    volatility=volatility,
-                    volume_level=cfg.volume_level,
-                )
-            )
+            regimes.append(RegimeSpec(kind="flat", length=length, drift=0.0, volatility=volatility))
         else:
             length = int(rng.integers(cfg.trend_length[0], cfg.trend_length[1] + 1))
             magnitude = float(rng.uniform(*cfg.drift_range))
@@ -138,8 +129,7 @@ def sample_regimes(cfg: SamplerConfig, rng: np.random.Generator) -> list[RegimeS
                     length=length,
                     drift=magnitude if up else -magnitude,
                     volatility=volatility,
-                    volume_level=cfg.volume_level,
-                    volume_trend=cfg.trend_volume_trend,
+                    volume_trend=TREND_VOLUME_TREND,
                 )
             )
         total += length
@@ -152,11 +142,7 @@ def sample_regimes(cfg: SamplerConfig, rng: np.random.Generator) -> list[RegimeS
         if last.kind != "flat" and trimmed < cfg.trend_length[0]:
             # a truncated trend would violate the length bounds; pad flat instead
             regimes[-1] = RegimeSpec(
-                kind="flat",
-                length=trimmed,
-                drift=0.0,
-                volatility=last.volatility,
-                volume_level=cfg.volume_level,
+                kind="flat", length=trimmed, drift=0.0, volatility=last.volatility
             )
         else:
             regimes[-1] = replace(last, length=trimmed)
@@ -167,8 +153,6 @@ def gen_series(
     regimes: Sequence[RegimeSpec] | SamplerConfig,
     seed: int | Sequence[int],
     stockname: str = "SYN",
-    start_date: Date = Date(2010, 1, 4),
-    start_price: float = 100.0,
 ) -> tuple[QuoteSeries, list[ExpertWindow]]:
     """Simulate one stock and return it with its true windows."""
     rng = np.random.default_rng(seed)
@@ -181,10 +165,10 @@ def gen_series(
         r.validate()
 
     n_days = sum(r.length for r in regimes)
-    dates = business_dates(start_date, n_days)
+    dates = business_dates(START_DATE, n_days)
     opens, highs, lows, closes, volumes = [], [], [], [], []
     windows: list[ExpertWindow] = []
-    log_close = math.log(start_price)
+    log_close = math.log(START_PRICE)
     row = 0
     for r in regimes:
         incs = rng.normal(
@@ -192,7 +176,7 @@ def gen_series(
         )
         paths = log_close + np.cumsum(incs.reshape(-1)).reshape(r.length, SUBSTEPS)
         vol_noise = rng.normal(0.0, VOLUME_NOISE, size=r.length)
-        log_vol = math.log(r.volume_level) + r.volume_trend * np.arange(r.length) + vol_noise
+        log_vol = math.log(VOLUME_LEVEL) + r.volume_trend * np.arange(r.length) + vol_noise
         volumes.append(np.maximum(1.0, np.round(np.exp(log_vol))))
         days = np.exp(paths)
         opens.append(days[:, 0])

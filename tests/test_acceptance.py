@@ -297,7 +297,7 @@ def test_criterion_8_pipeline_oracle_and_no_look_ahead():
     for d in rng.integers(20, len(series) - 1, size=20):
         d = int(d)
         truncated = series[: d + 1]
-        windows_t = clip_windows_to_span(windows, truncated, end_date=truncated.dates[-1])
+        windows_t = clip_windows_to_span(windows, truncated)
         trace_t, _ = run_pipeline(
             truncated,
             oracle_cp_scorer(windows_t, truncated),

@@ -518,7 +518,7 @@ def test_backtest_oracle_profit_matches_ledger(tmp_path):
             )
             for w in entry["windows"]
         ]
-        clipped = clip_windows_to_span(windows, sliced, start_date=sliced.dates[0])
+        clipped = clip_windows_to_span(windows, sliced)
         expected += sum(e.profit for e in lagged_regime_ledger(clipped, sliced, entry_lag=5))
     assert doc["Times_in"] > 0
     assert doc["Profit"] == pytest.approx(expected, abs=1e-9)
@@ -532,6 +532,88 @@ def test_baseline_command(workdir, tmp_path):
     assert "truth" in doc["experts"]
     assert "D" in doc["experts"]
     assert "Average" in doc["experts"]
+
+
+def _copy_data(workdir, data: Path) -> Path:
+    data.mkdir()
+    for path in (workdir / "data").iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    return data
+
+
+def _prepared_split(workdir) -> str:
+    return json.loads((workdir / "prep" / "prep_report.json").read_text())["split_date"]
+
+
+def _report(path: Path) -> dict:
+    return json.loads(path.read_text())
+
+
+def test_baseline_and_oracle_backtest_count_the_same_datapoints(workdir, tmp_path):
+    split = _prepared_split(workdir)
+    data = str(workdir / "data")
+    assert main(["baseline", "--data", data, "--split-date", split, "-o", str(tmp_path / "b")]) == 0
+    assert main([*_backtest_argv(workdir, workdir / "data", "oracle"), "-o", str(tmp_path / "o")]) == 0
+    baseline = _report(tmp_path / "b" / "baseline_report.json")
+    backtest = _report(tmp_path / "o" / "backtest_report_t0.50.json")
+    assert baseline["split_date"] == split
+    for name in ("truth", "D", "G", "Average"):
+        assert baseline["experts"][name]["numDatapoints"] == backtest["numDatapoints"]
+
+
+def test_baseline_counts_the_whole_span_when_labels_stop_early(workdir, tmp_path):
+    data = _copy_data(workdir, tmp_path / "data")
+    labels = data / "labels_SYN00_D.csv"
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join(lines[:-60]))  # D stops labelling SYN00 60 days early
+    out = tmp_path / "b"
+    split = _prepared_split(workdir)
+    assert main(["baseline", "--data", str(data), "--split-date", split, "-o", str(out)]) == 0
+    experts = _report(out / "baseline_report.json")["experts"]
+    assert experts["D"]["numStocks"] == experts["truth"]["numStocks"] == 2
+    assert experts["D"]["numDatapoints"] == experts["truth"]["numDatapoints"]
+
+
+def test_baseline_flags_a_short_test_span_as_backtest_does(workdir, short_stock_data, tmp_path):
+    split = _prepared_split(workdir)
+    out = tmp_path / "b"
+    argv = ["baseline", "--data", str(short_stock_data), "--split-date", split, "-o", str(out)]
+    assert main(argv) == 0
+    backtest_out = tmp_path / "o"
+    assert main([*_backtest_argv(workdir, short_stock_data, "oracle"), "-o", str(backtest_out)]) == 0
+    backtest = _report(backtest_out / "backtest_report_t0.50.json")
+    assert "skipped_short_test_span:SHORT" in backtest["flags"]
+    for report in _report(out / "baseline_report.json")["experts"].values():
+        assert report["flags"] == backtest["flags"]
+        assert report["numDatapoints"] == backtest["numDatapoints"]
+
+
+def _without_stock(doc: dict, data: Path) -> None:
+    del doc["stocks"]["SYN01"]
+
+
+def _without_quotes(doc: dict, data: Path) -> None:
+    for path in data.glob("*_SYN01*.csv"):
+        path.unlink()
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [("baseline", _without_quotes), ("oracle", _without_quotes), ("oracle", _without_stock)],
+    ids=["baseline-stock-without-quotes", "oracle-stock-without-quotes", "oracle-stock-left-out"],
+)
+def test_truth_json_and_quotes_must_name_the_same_stocks(workdir, tmp_path, capsys, command, edit):
+    data = _copy_data(workdir, tmp_path / "data")
+    truth = data / "truth.json"
+    doc = json.loads(truth.read_text())
+    edit(doc, data)
+    truth.write_text(json.dumps(doc))
+    argv = (["baseline", "--data", str(data)] if command == "baseline"
+            else _backtest_argv(workdir, data, "oracle"))
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {truth}: " in err and "SYN01" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _first_window(edit):
@@ -672,6 +754,22 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "--cp-threshold values name outputs by two decimals; these collide"),
         ([*ORACLE, "--cp-threshold", "0.5,0.5"], None,
          "--cp-threshold values name outputs by two decimals; these collide"),
+        ([*ORACLE, "--models", "{prep}"], None, "give exactly one of --models and --oracle"),
+        (["prepare", "--data", "{data}", "--split-date", "2012-01-02", "--split-frac", "0.5"],
+         None, "--split-date and --split-frac exclude each other"),
+        (["prepare", "--data", "{data}", "--config", "{ini}", "--split-frac", "0.5"],
+         "[data]\nsplit_date = 2012-01-02\n", "--split-date and --split-frac exclude each other"),
+        (["prepare", "--data", "{data}", "--config", "{ini}", "--split-date", "2012-01-02"],
+         "[data]\nsplit_frac = 0.5\n", "--split-date and --split-frac exclude each other"),
+        (["prepare", "--data", "{data}", "--config", "{ini}"],
+         "[data]\nsplit_date = 2012-01-02\nsplit_frac = 0.5\n",
+         "--split-date and --split-frac exclude each other"),
+        (["baseline", "--data", "{data}", "--split-date", "2012-01-02", "--split-frac", "0.5"],
+         None, "--split-date and --split-frac exclude each other"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--draws", "2"],
+         "[grid]\nmax_depth = 2\n", "--draws needs --mode randomized"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--mode", "full",
+          "--draws", "2"], "[grid]\nmax_depth = 2\n", "--draws needs --mode randomized"),
     ],
     ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "threads-zero",
          "threads-negative", "threads-key", "grid-threads", "cp-threshold",
@@ -680,7 +778,10 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "grid-learning-rate-nan", "cp-threshold-range", "cp-threshold-nan",
          "tof-threshold-range", "min-window-days-range", "prepare-split-frac-negative",
          "prepare-split-frac-one", "baseline-split-frac-two", "baseline-split-frac-zero",
-         "split-frac-key", "cp-threshold-collision", "cp-threshold-repeat"],
+         "split-frac-key", "cp-threshold-collision", "cp-threshold-repeat",
+         "oracle-and-models", "prepare-split-date-and-frac", "split-date-key-frac-flag",
+         "split-frac-key-date-flag", "split-date-and-frac-keys", "baseline-split-date-and-frac",
+         "draws-without-randomized", "draws-with-full"],
 )
 def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):
     ini_path = tmp_path / "run.ini"

@@ -192,6 +192,14 @@ def test_stratified_folds_cover_and_balance():
         assert (y[fold] == 1).sum() == 2  # 10 positives dealt evenly over 5 folds
 
 
+def test_as_many_folds_as_rows_hold_one_row_each():
+    X, y = _toy_imbalanced(n_neg=10, n_pos=1)
+    folds = stratified_fold_indices(X, y, k=len(y), seed=3)
+    assert [len(fold) for fold in folds] == [1] * len(y)
+    assert sorted(np.concatenate(folds).tolist()) == list(range(len(y)))
+    assert all(fold.dtype == np.int64 for fold in folds)
+
+
 def test_grid_search_single_point():
     X, y = _toy_imbalanced(n_neg=60, n_pos=12)
     result = grid_search(

@@ -30,7 +30,6 @@ from trendlab.market_data import (
     OHLCV_COLUMNS,
     TREND,
     LabelSeries,
-    load_label_file,
     load_quotes,
     merge_label_files,
     save_labels,
@@ -310,7 +309,7 @@ def test_label_save_load_save_is_byte_identical(tmp_path_factory, stock, expert,
     folder = tmp_path_factory.mktemp("labels")
     first, second = folder / "first.csv", folder / "second.csv"
     save_labels(labels, first)
-    loaded = load_label_file(first)
+    (loaded,) = merge_label_files([first]).values()
     save_labels(loaded, second)
     assert second.read_bytes() == first.read_bytes()
     assert (loaded.stockname, loaded.expert, loaded.dates) == (stock, expert, labels.dates)

@@ -21,7 +21,6 @@ from trendlab.market_data import (
     OHLCV_COLUMNS,
     LabelSeries,
     QuoteSeries,
-    load_label_file,
     _read_json,
     _write_json,
     load_quotes,
@@ -38,6 +37,12 @@ LABEL_HEADER = "date,stockname,id_select,type,username\n"
 def write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def read_one(path: Path) -> LabelSeries:
+    """The one series of a single label file."""
+    (labels,) = merge_label_files([path]).values()
+    return labels
 
 
 def test_load_quotes_parses_fields(tmp_path):
@@ -184,11 +189,11 @@ def test_label_round_trip_and_na_mapping(tmp_path):
         + "2014-10-15,ACME,1,N/A,D\n"
         + "2014-10-16,ACME,2,Flat,D\n",
     )
-    labels = load_label_file(p)
+    labels = read_one(p)
     assert labels.trend.tolist() == [True, False, False]
     out = tmp_path / "round.csv"
     save_labels(labels, out)
-    assert columns(load_label_file(out)) == columns(labels)
+    assert columns(read_one(out)) == columns(labels)
     assert out.read_text(encoding="utf-8").splitlines()[2] == "2014-10-15,ACME,1,Flat,D"
 
 
@@ -200,7 +205,7 @@ def test_label_file_sorts_rows_and_drops_exact_repeats(tmp_path):
         + "2014-10-14,ACME,1,Trend,D\n"
         + "2014-10-15,ACME,2,Flat,D\n",
     )
-    labels = load_label_file(p)
+    labels = read_one(p)
     assert labels.dates == (Date(2014, 10, 14), Date(2014, 10, 15))
     assert labels.id_select.tolist() == [1, 2]
     assert not labels.id_select.flags.writeable and not labels.trend.flags.writeable
@@ -209,7 +214,7 @@ def test_label_file_sorts_rows_and_drops_exact_repeats(tmp_path):
         LABEL_HEADER + "2014-10-14,ACME,1,Trend,D\n2014-10-14,ACME,1,Flat,D\n",
     )
     with pytest.raises(InvariantError, match="labels 2014-10-14/ACME twice"):
-        load_label_file(clash)
+        merge_label_files([clash])
 
 
 def test_label_series_rejects_unsorted_dates_and_ragged_columns():
@@ -223,13 +228,13 @@ def test_label_series_rejects_unsorted_dates_and_ragged_columns():
 def test_label_file_rejects_unknown_tendency_and_mixed_experts(tmp_path):
     p = write(tmp_path / "l.csv", LABEL_HEADER + "2014-10-14,ACME,1,Sideways,D\n")
     with pytest.raises(ParseError):
-        load_label_file(p)
+        merge_label_files([p])
     p2 = write(
         tmp_path / "l2.csv",
         LABEL_HEADER + "2014-10-14,ACME,1,Trend,D\n2014-10-15,ACME,1,Trend,G\n",
     )
     with pytest.raises(InvariantError):
-        load_label_file(p2)
+        merge_label_files([p2])
 
 
 def test_merge_deduplicates_identical_rows(tmp_path):
@@ -280,6 +285,19 @@ def test_merge_checks_against_preloaded_quotes(tmp_path):
     )
     with pytest.raises(DefectFileError):
         merge_label_files([conflicting], quotes=[series])
+
+
+def test_merge_rejects_a_file_whose_stock_has_no_quotes(tmp_path):
+    series = make_series([11.0, 12.0], stockname="ACME", start=Date(2010, 1, 5))
+    a = write(tmp_path / "a.csv", LABEL_HEADER + "2010-01-05,ACME,1,Trend,D\n")
+    orphan = write(tmp_path / "orphan.csv", LABEL_HEADER + "2010-01-05,OTHER,1,Trend,D\n")
+    assert list(merge_label_files([a], quotes=[series])) == [("ACME", "D")]
+    with pytest.raises(InvariantError, match=f"{orphan}: labels stock OTHER, which has no quotes"):
+        merge_label_files([a, orphan], quotes=[series])
+    with pytest.raises(InvariantError, match="labels stock ACME"):
+        merge_label_files([a], quotes=[])
+    # without quotes, every stock is taken
+    assert list(merge_label_files([a, orphan])) == [("ACME", "D"), ("OTHER", "D")]
 
 
 def test_merge_retained_rows_unique_per_date_stock_expert(tmp_path):

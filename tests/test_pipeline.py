@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date as Date
 
 import numpy as np
@@ -27,6 +28,7 @@ from trendlab.pipeline import (
     StockStats,
     aggregate,
     backtest_span,
+    backtest_spans,
     clip_windows_to_span,
     expert_baseline,
     oracle_cp_scorer,
@@ -184,7 +186,7 @@ def test_no_look_ahead_replay_truncation():
     rng = np.random.default_rng(3)
     for d in rng.integers(20, len(series) - 1, size=8):
         truncated = series[: int(d) + 1]
-        windows_t = clip_windows_to_span(windows, truncated, end_date=truncated.dates[-1])
+        windows_t = clip_windows_to_span(windows, truncated)
         trace_t, _ = run_pipeline(
             truncated, oracle_cp_scorer(windows_t, truncated),
             oracle_tof_scorer(windows_t, truncated), cfg,
@@ -435,12 +437,30 @@ def test_expert_baseline_single_window():
     assert report.days_in == 250
     assert report.year_profit == pytest.approx(0.5, abs=1e-12)
     assert report.year_profit_avg == pytest.approx(0.5, abs=1e-12)
-    # from a start date on, the window is clipped to the rest of the series
-    clipped = expert_baseline(
-        {series.stockname: [window]}, {series.stockname: series}, start_date=series.dates[125]
-    )
+    # on a test span, the window is clipped to the span
+    clipped = expert_baseline({series.stockname: [window]}, {series.stockname: series[125:]})
     assert clipped.profit == pytest.approx(150 / closes[125] - 1, abs=1e-12)
     assert clipped.days_in == clipped.num_datapoints == 125
+
+
+def test_expert_baseline_counts_every_row_of_a_span_as_a_backtest_does():
+    series = make_series(np.linspace(100, 150, 250))
+    # labels that stop 50 rows before the series ends
+    window = ExpertWindow(
+        stockname=series.stockname, expert="E",
+        start_date=series.dates[0], end_date=series.dates[199],
+        tendency=TREND, direction=1,
+    )
+    span = series[100:]
+    report = expert_baseline({series.stockname: [window]}, {series.stockname: span})
+    assert report.days_in == 100
+    assert report.num_datapoints == len(span) == 150
+    assert report.profit == pytest.approx(series.closes[199] / series.closes[100] - 1, abs=1e-12)
+    # a stock without a span is left out, as a backtest skips it
+    other = replace(window, stockname="OTHER")
+    both = expert_baseline({series.stockname: [window], "OTHER": [other]}, {series.stockname: span})
+    assert both == report
+    assert expert_baseline({"OTHER": [other]}, {series.stockname: span}) is None
 
 
 def test_expert_baseline_all_flat_is_zero():
@@ -457,8 +477,8 @@ def test_expert_baseline_all_flat_is_zero():
     # no window in the span: no report
     assert expert_baseline({series.stockname: []}, quotes) is None
     assert expert_baseline({}, quotes) is None
-    late = Date(2100, 1, 1)
-    assert expert_baseline({series.stockname: [window]}, quotes, start_date=late) is None
+    early = replace(window, end_date=series.dates[4])
+    assert expert_baseline({series.stockname: [early]}, {series.stockname: series[5:]}) is None
 
 
 def test_expert_baseline_average_underperforms_best_expert():
@@ -507,16 +527,17 @@ def test_clip_windows_to_span():
         start_date=series.dates[5], end_date=series.dates[25],
         tendency=TREND, direction=1,
     )
-    clipped = clip_windows_to_span([w], series, start_date=series.dates[10], end_date=series.dates[20])
+    clipped = clip_windows_to_span([w], series[10:21])
     assert len(clipped) == 1
     assert clipped[0].start_date == series.dates[10]
     assert clipped[0].end_date == series.dates[20]
-    trimmed = clip_windows_to_span([w], series, start_date=series.dates[20])
+    trimmed = clip_windows_to_span([w], series[20:])
     assert trimmed[0].start_date == series.dates[20]  # straddling window trimmed inward
     assert trimmed[0].end_date == series.dates[25]
+    assert clip_windows_to_span([w], series) == [w]
     gone = clip_windows_to_span(
         [ExpertWindow(series.stockname, "E", series.dates[0], series.dates[2], TREND, 1)],
-        series, start_date=series.dates[5],
+        series[5:],
     )
     assert gone == []
 
@@ -532,3 +553,15 @@ def test_backtest_span_starts_at_the_split_and_needs_a_changepoint_row():
     assert backtest_span(series, series.dates[30 - 2 * CP_LAG_DAYS]) is None
     # a split date before the first quote keeps the whole series
     assert backtest_span(series, Date(2000, 1, 1)).dates == series.dates
+
+
+def test_backtest_spans_flag_each_stock_too_short_to_keep():
+    long = make_series(np.linspace(10.0, 20.0, 30), stockname="LONG")
+    short = make_series(np.linspace(10.0, 20.0, 20), stockname="SHORT")
+    split = long.dates[10]
+    spans, flags = backtest_spans({"SHORT": short, "LONG": long}, split)
+    assert list(spans) == ["LONG"]
+    assert spans["LONG"].dates == backtest_span(long, split).dates
+    assert flags == ("skipped_short_test_span:SHORT",)
+    with pytest.raises(SeriesTooShortError, match="no stock had a long enough test span"):
+        backtest_spans({"SHORT": short}, split)
