@@ -9,7 +9,8 @@ and ``--scoring`` is also a key: its flag name with ``_`` (``trend_len =
 40,80``; ``log_mode = false`` for ``--raw``). A flag overrides its key, which
 overrides the built-in default. An unknown section, an unknown key and a bad
 value are usage errors. ``synth``, ``train`` and ``gridsearch`` take ``--seed
-N``. ``backtest`` takes its test span and feature space from ``--prepared``.
+N``. ``backtest`` takes its test span and feature space from ``--prepared``;
+``baseline --prepared`` takes the same test span.
 All artifacts are machine-readable (CSV/JSON) with a short human summary
 on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
@@ -559,9 +560,14 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    if args.prepared is not None and (args.split_date, args.split_frac) != (None, None):
+        args.parser.error("--prepared sets the split date; drop --split-date and --split-frac")
     data_dir = Path(args.data)
     quotes, label_paths = _load_universe(data_dir)
-    split_date = _split_date(args, quotes)
+    if args.prepared is None:
+        split_date = _split_date(args, quotes)
+    else:
+        split_date = load_prep_report(Path(args.prepared) / "prep_report.json")["split_date"]
     spans, skip_flags = pipeline.backtest_spans(quotes, split_date)
     truth_path = data_dir / "truth.json"  # the generator's windows, when there are any
     truth = _load_truth(truth_path, quotes) if truth_path.exists() else {}
@@ -705,6 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experts", default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
     p.add_argument("--split-frac", dest="split_frac", type=_parse_split_frac, default=None)
+    p.add_argument(
+        "--prepared", default=None,
+        help="directory written by prepare; its split date sets the test span",
+    )
     p.set_defaults(func=cmd_baseline, parser=p)
 
     return parser

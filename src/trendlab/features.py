@@ -91,7 +91,13 @@ class TofRow(NamedTuple):
 def tof_features(
     closes: Sequence[float], volumes: Sequence[float], log_mode: bool = False
 ) -> TofRow:
-    """Slope/R2 of (log) close and volume over the prefix, plus its length."""
+    """Slope/R2 of (log) close and volume over the prefix, plus its length.
+
+    Log mode needs positive volumes and positive, finite closes. A slice of
+    the log of a column is bitwise the log of the slice, so a caller with
+    many prefixes of one series can take the logs once and pass log slices
+    with ``log_mode=False``.
+    """
     closes = np.asarray(closes, dtype=np.float64)
     volumes = np.asarray(volumes, dtype=np.float64)
     if len(closes) < 2 or len(volumes) != len(closes):
@@ -99,6 +105,8 @@ def tof_features(
     if log_mode:
         if np.any(volumes <= 0.0):
             raise ZeroVolumeError("zero volume makes log regression undefined")
+        if not np.all(np.isfinite(closes) & (closes > 0.0)):
+            raise InvariantError("log regression needs positive, finite closes")
         closes = np.log(closes)
         volumes = np.log(volumes)
     return TofRow(*_ols(closes), *_ols(volumes), len_trend=len(closes))

@@ -42,18 +42,29 @@ class ExpertWindow:
 
 
 def _ols(y: np.ndarray) -> tuple[float, float]:
-    """Slope and R2 of y against 0..n-1; both are 0 when y has no variance."""
+    """Slope and R2 of y against 0..n-1; both are 0 when y has no variance.
+
+    The x terms are closed forms, and they are exact: the mean of 0..n-1 is
+    (n-1)/2, and ``sum(xc**2)`` is ``n*(n*n-1)/12``. Every centred x is a
+    multiple of 1/2, so every partial sum of ``xc**2`` is a multiple of 1/4,
+    and float64 holds those exactly below 2**51, that is for n <= 300,000.
+    Summing the squares in float64, in any order, gives the closed form bit
+    for bit. ``np.add.reduce(y) / n`` is the pairwise sum ``ndarray.mean``
+    takes. The result is therefore bitwise that of regressing on
+    ``x = arange(n)`` with ``x.mean()`` and ``np.dot(xc, xc)``.
+    """
     n = len(y)
-    x = np.arange(n, dtype=np.float64)
-    xc = x - x.mean()
-    ym = y.mean()
-    sstot = float(np.dot(y - ym, y - ym))
+    xc = np.arange(-(n - 1) / 2, n / 2)  # arange(n) - (n-1)/2, in one step
+    ym = np.add.reduce(y) / n
+    yc = y - ym
+    sstot = yc.dot(yc)
     if sstot == 0.0:
         return 0.0, 0.0
-    slope = float(np.dot(xc, y - ym) / np.dot(xc, xc))
+    slope = xc.dot(yc) / (n * (n * n - 1) / 12)
+    # not ``yc - slope * xc``: that rounds differently in the last bits
     resid = y - (ym + slope * xc)
-    r2 = 1.0 - float(np.dot(resid, resid)) / sstot
-    return slope, min(1.0, max(0.0, r2))
+    r2 = 1.0 - resid.dot(resid) / sstot
+    return float(slope), min(1.0, max(0.0, float(r2)))
 
 
 def log_close_slope(quotes: QuoteSeries, i0: int, i1: int) -> float:

@@ -371,13 +371,16 @@ def run_pipeline(
     cp_signal = (cp_proba >= cfg.cp_threshold).astype(np.int64)
 
     # 2. Trend/flat stage: each day's window, then every prefix the walk asks about.
+    #    Log mode takes the logs once; cp_feature_matrix has rejected a zero volume.
+    if cfg.log_mode:
+        closes, volumes = np.log(closes), np.log(volumes)
     fired = np.flatnonzero(cp_signal)
     window_id = np.cumsum(cp_signal)  # 0 until the first changepoint acts
     window_start = np.append(-1, fired - CP_LAG_DAYS)[window_id]
     days = np.flatnonzero((window_id > 0) & (np.arange(n) - window_start >= cfg.entry_lag))
     starts = window_start[days]
     tof_rows = [
-        tof_features(closes[s : d + 1], volumes[s : d + 1], log_mode=cfg.log_mode)
+        tof_features(closes[s : d + 1], volumes[s : d + 1], log_mode=False)
         for s, d in zip(starts.tolist(), days.tolist())
     ]
     tof_X = np.array(tof_rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))

@@ -8,6 +8,10 @@ registry keyed by (date, stock); the rows are then bucketed by (stock,
 expert), and voting expands each expert's windows into a ``{date: code}``
 map. The differential tests hold the columnar path to the windows of this
 one and to the type of every error it raises.
+
+``reference_ols`` is the regression helper as it was before its x terms
+became closed forms: it centres ``arange(n)`` on its mean and sums the
+squares. The trend/flat features are held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +23,26 @@ from datetime import date as Date
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from trendlab.errors import DefectFileError, EmptyInputError, InvariantError, ParseError
 from trendlab.labels import ExpertWindow, log_close_slope
 from trendlab.market_data import FLAT, LABEL_COLUMNS, OHLCV_COLUMNS, TREND, QuoteSeries
+
+
+def reference_ols(y: np.ndarray) -> tuple[float, float]:
+    """Slope and R2 of y against 0..n-1; both are 0 when y has no variance."""
+    n = len(y)
+    x = np.arange(n, dtype=np.float64)
+    xc = x - x.mean()
+    ym = y.mean()
+    sstot = float(np.dot(y - ym, y - ym))
+    if sstot == 0.0:
+        return 0.0, 0.0
+    slope = float(np.dot(xc, y - ym) / np.dot(xc, xc))
+    resid = y - (ym + slope * xc)
+    r2 = 1.0 - float(np.dot(resid, resid)) / sstot
+    return slope, min(1.0, max(0.0, r2))
 
 
 def vote_experts(codes: Sequence[int]) -> int:

@@ -378,8 +378,11 @@ def _without(key: str):
         ("backtest", _without("log_mode"), "log_mode must be true or false"),
         ("backtest", lambda text: text.replace('"split_date": "', '"split_date": "x'),
          "not a JSON object with a split_date YYYY-MM-DD"),
+        ("baseline", lambda text: text.replace('"split_date": "', '"split_date": "x'),
+         "not a JSON object with a split_date YYYY-MM-DD"),
     ],
-    ids=["train-no-cp", "train-not-json", "backtest-no-log-mode", "backtest-bad-split-date"],
+    ids=["train-no-cp", "train-not-json", "backtest-no-log-mode", "backtest-bad-split-date",
+         "baseline-bad-split-date"],
 )
 def test_malformed_prep_report_exits_1_naming_it(workdir, tmp_path, capsys, command, edit, message):
     prep = _copy_prepared(workdir, tmp_path / "prep")
@@ -389,6 +392,7 @@ def test_malformed_prep_report_exits_1_naming_it(workdir, tmp_path, capsys, comm
         "train": ["train", "cp", "--prepared", str(prep), "--n-estimators", "2"],
         "backtest": ["backtest", "--data", str(workdir / "data"), "--prepared", str(prep),
                      "--models", str(workdir / "models")],
+        "baseline": ["baseline", "--data", str(workdir / "data"), "--prepared", str(prep)],
     }[command]
     assert main([*argv, "-o", str(tmp_path / "out")]) == 1
     assert f"{report}: {message}" in capsys.readouterr().err
@@ -559,6 +563,15 @@ def test_baseline_and_oracle_backtest_count_the_same_datapoints(workdir, tmp_pat
     assert baseline["split_date"] == split
     for name in ("truth", "D", "G", "Average"):
         assert baseline["experts"][name]["numDatapoints"] == backtest["numDatapoints"]
+
+
+def test_baseline_prepared_is_baseline_at_the_prepared_split_date(workdir, tmp_path):
+    data, prep = str(workdir / "data"), str(workdir / "prep")
+    argv = ["baseline", "--data", data, "--split-date", _prepared_split(workdir)]
+    assert main([*argv, "-o", str(tmp_path / "date")]) == 0
+    assert main(["baseline", "--data", data, "--prepared", prep, "-o", str(tmp_path / "prep")]) == 0
+    want = (tmp_path / "date" / "baseline_report.json").read_bytes()
+    assert (tmp_path / "prep" / "baseline_report.json").read_bytes() == want
 
 
 def test_baseline_counts_the_whole_span_when_labels_stop_early(workdir, tmp_path):
@@ -766,6 +779,10 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "--split-date and --split-frac exclude each other"),
         (["baseline", "--data", "{data}", "--split-date", "2012-01-02", "--split-frac", "0.5"],
          None, "--split-date and --split-frac exclude each other"),
+        (["baseline", "--data", "{data}", "--prepared", "{prep}", "--split-date", "2012-01-02"],
+         None, "--prepared sets the split date; drop --split-date and --split-frac"),
+        (["baseline", "--data", "{data}", "--prepared", "{prep}", "--split-frac", "0.5"],
+         None, "--prepared sets the split date; drop --split-date and --split-frac"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--draws", "2"],
          "[grid]\nmax_depth = 2\n", "--draws needs --mode randomized"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--mode", "full",
@@ -781,6 +798,7 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "split-frac-key", "cp-threshold-collision", "cp-threshold-repeat",
          "oracle-and-models", "prepare-split-date-and-frac", "split-date-key-frac-flag",
          "split-frac-key-date-flag", "split-date-and-frac-keys", "baseline-split-date-and-frac",
+         "baseline-prepared-and-split-date", "baseline-prepared-and-split-frac",
          "draws-without-randomized", "draws-with-full"],
 )
 def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):

@@ -7,10 +7,11 @@ from datetime import date as Date
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_series, segment_labels
+from reference_labels import reference_ols
 from trendlab.errors import (
     EmptyInputError,
     InvariantError,
@@ -34,7 +35,7 @@ from trendlab.features import (
     write_fraction_accuracy,
     write_tof_meta,
 )
-from trendlab.labels import extract_windows
+from trendlab.labels import _ols, extract_windows, log_close_slope
 from trendlab.market_data import TREND
 
 
@@ -186,6 +187,85 @@ def test_tof_reg_close_sign_matches_covariance():
 def test_tof_features_too_short():
     with pytest.raises(TooShortError):
         tof_features([100.0], [10.0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, np.inf])
+def test_tof_features_log_mode_rejects_a_bad_close(bad):
+    closes = [100.0, bad, 3.0, 4.0]
+    with pytest.raises(InvariantError, match="positive, finite closes"):
+        tof_features(closes, [1.0, 2.0, 1.0, 1.0], log_mode=True)
+    if np.isfinite(bad):  # raw mode regresses the closes as they are
+        tof_features(closes, [1.0, 2.0, 1.0, 1.0], log_mode=False)
+
+
+# --- the regression against the code it replaced ----------------------------
+#
+# ``_ols`` takes its x terms in closed form and ``run_pipeline`` takes each
+# series' logs once. Both must give the very bits of ``reference_ols`` on
+# per-prefix logs, so these compare with ``==``, not approx.
+
+
+@st.composite
+def _columns(draw, min_size=2, max_size=5000):
+    """A positive column: a random walk, noise, a line or a constant, at any scale."""
+    n = draw(st.integers(min_size, max_size))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["walk", "noise", "line", "constant"]))
+    if kind == "walk":
+        y = np.exp(np.cumsum(rng.normal(0.0, 0.03, n)))
+    elif kind == "noise":
+        y = rng.uniform(0.5, 1.5, n)
+    elif kind == "line":
+        y = 1.0 + 0.01 * np.arange(n)
+    else:
+        y = np.ones(n)
+    return scale * y
+
+
+def _reference_tof(closes, volumes, log_mode):
+    if log_mode:
+        closes, volumes = np.log(closes), np.log(volumes)
+    return (*reference_ols(closes), *reference_ols(volumes), len(closes))
+
+
+@given(_columns())
+@example(np.array([1.0, 2.0]))
+@example(np.array([7.0, 7.0]))
+@example(np.full(5000, 0.1))
+@example(np.array([1e-8, 1e8, 1e-8]))
+def test_ols_is_bitwise_the_reference(y):
+    for column in (y, np.log(y), -y):
+        assert _ols(column) == reference_ols(column)
+
+
+@given(_columns(max_size=600), st.data(), st.booleans())
+def test_tof_features_is_bitwise_the_reference(closes, data, log_mode):
+    volumes = data.draw(_columns(min_size=len(closes), max_size=len(closes)))
+    assert tuple(tof_features(closes, volumes, log_mode)) == _reference_tof(
+        closes, volumes, log_mode
+    )
+
+
+@given(_columns(max_size=600), st.data())
+def test_log_close_slope_is_bitwise_the_reference(closes, data):
+    series = make_series(closes)
+    i0 = data.draw(st.integers(0, len(closes) - 1))
+    i1 = data.draw(st.integers(i0, len(closes) - 1))
+    assert log_close_slope(series, i0, i1) == reference_ols(np.log(closes[i0 : i1 + 1]))[0]
+
+
+@given(_columns(min_size=3), st.data())
+def test_log_slices_give_the_bits_of_per_slice_logs(closes, data):
+    volumes = data.draw(_columns(min_size=len(closes), max_size=len(closes)))
+    log_closes, log_volumes = np.log(closes), np.log(volumes)
+    for _ in range(5):
+        s = data.draw(st.integers(0, len(closes) - 2))
+        d = data.draw(st.integers(s + 1, len(closes) - 1))
+        assert np.array_equal(log_closes[s : d + 1], np.log(closes[s : d + 1]))
+        got = tof_features(log_closes[s : d + 1], log_volumes[s : d + 1], log_mode=False)
+        want = _reference_tof(closes[s : d + 1], volumes[s : d + 1], log_mode=True)
+        assert tuple(got) == want
 
 
 def _window_over(series):
