@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InvariantError, ParseError, TooShortError, ZeroVolumeError
-from .labels import ExpertWindow, _ols, _row_keys
+from .labels import ExpertWindow, _prefix_fits, _row_keys
 from .market_data import TREND, QuoteSeries, _days
 
 CP_CONTEXT = 5
@@ -88,28 +88,45 @@ class TofRow(NamedTuple):
     len_trend: int
 
 
-def tof_features(
-    closes: Sequence[float], volumes: Sequence[float], log_mode: bool = False
-) -> TofRow:
-    """Slope/R2 of (log) close and volume over the prefix, plus its length.
+class WindowSums:
+    """The close and volume fits of every prefix of one window, from running sums.
 
-    Log mode needs positive volumes and positive, finite closes. A slice of
-    the log of a column is bitwise the log of the slice, so a caller with
-    many prefixes of one series can take the logs once and pass log slices
-    with ``log_mode=False``.
+    ``closes`` and ``volumes`` are the window's bars in the feature space,
+    that is logs in log mode (``_log_bars`` takes and checks them). The sums
+    are taken once, shifted by the window's first bar (``labels._prefix_fits``),
+    so ``tof_features`` reads any prefix in O(1), and a prefix has the same
+    bits however many bars follow it.
     """
-    closes = np.asarray(closes, dtype=np.float64)
-    volumes = np.asarray(volumes, dtype=np.float64)
-    if len(closes) < 2 or len(volumes) != len(closes):
-        raise TooShortError(f"need >= 2 aligned points, got {len(closes)}/{len(volumes)}")
-    if log_mode:
-        if np.any(volumes <= 0.0):
-            raise ZeroVolumeError("zero volume makes log regression undefined")
-        if not np.all(np.isfinite(closes) & (closes > 0.0)):
-            raise InvariantError("log regression needs positive, finite closes")
-        closes = np.log(closes)
-        volumes = np.log(volumes)
-    return TofRow(*_ols(closes), *_ols(volumes), len_trend=len(closes))
+
+    __slots__ = ("_fits",)
+
+    def __init__(self, closes: Sequence[float], volumes: Sequence[float]) -> None:
+        closes = np.asarray(closes, dtype=np.float64)
+        volumes = np.asarray(volumes, dtype=np.float64)
+        if len(closes) < 2 or len(volumes) != len(closes):
+            raise TooShortError(f"need >= 2 aligned points, got {len(closes)}/{len(volumes)}")
+        slopes, r2s = _prefix_fits(np.stack((closes, volumes)))
+        # one row per prefix: close slope, close R2, volume slope, volume R2
+        self._fits = np.stack((slopes, r2s), axis=1).reshape(4, -1).T.tolist()
+
+
+def tof_features(window: WindowSums, length: int) -> TofRow:
+    """Slope/R2 of the close and volume over the window's first ``length`` bars, plus ``length``.
+
+    An O(1) read of the fits ``WindowSums`` took when it was built.
+    """
+    if not 2 <= length <= len(window._fits):
+        raise TooShortError(f"a prefix of {length} bars of a {len(window._fits)}-bar window")
+    return TofRow(*window._fits[length - 1], length)
+
+
+def _log_bars(closes: np.ndarray, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The logs of the closes and volumes, which must be positive (and the closes finite)."""
+    if np.any(volumes <= 0.0):
+        raise ZeroVolumeError("zero volume makes log regression undefined")
+    if not np.all(np.isfinite(closes) & (closes > 0.0)):
+        raise InvariantError("log regression needs positive, finite closes")
+    return np.log(closes), np.log(volumes)
 
 
 MIN_LEN_TREND = 6
@@ -131,13 +148,13 @@ def augment_fractions(
     """
     i0 = quotes.index_of(window.start_date)
     n = quotes.index_of(window.end_date) - i0 + 1
-    closes = quotes.closes
-    volumes = quotes.volumes
+    closes = quotes.closes[i0 : i0 + n]
+    volumes = quotes.volumes[i0 : i0 + n]
+    if log_mode:
+        closes, volumes = _log_bars(closes, volumes)
     fractions = [pct for pct in FRACTIONS if MIN_LEN_TREND <= _fraction_days(pct, n) <= n]
-    rows = [
-        tof_features(closes[i0 : i0 + k], volumes[i0 : i0 + k], log_mode=log_mode)
-        for k in (_fraction_days(pct, n) for pct in fractions)
-    ]
+    sums = WindowSums(closes, volumes) if fractions else None
+    rows = [tof_features(sums, _fraction_days(pct, n)) for pct in fractions]
     X = np.array(rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))
     return np.array(fractions, dtype=np.int64), X
 
@@ -260,7 +277,9 @@ def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
     """The features and integer targets of a ``write_feature_csv`` file.
 
     Raises ``ParseError`` naming the file on a wrong header, a cell that is
-    not a number, a short row or a target other than 0 or 1.
+    not a number, a short row or a target other than 0 or 1, and naming the
+    file and line (one line per row after the header) on a feature that is
+    NaN or infinite.
     """
     path = Path(path)
     expected = list(names) + ["target"]
@@ -277,6 +296,11 @@ def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
                 raise ParseError(f"{path}: {exc}") from None
     if np.any((rows["y"] != 0) & (rows["y"] != 1)):
         raise ParseError(f"{path}: a target is neither 0 nor 1")
+    bad = np.argwhere(~np.isfinite(rows["X"]))
+    if bad.size:
+        i, j = bad[0].tolist()
+        value = float(rows["X"][i, j])
+        raise ParseError(f"{path}:{i + 2}: {names[j]} is {value!r}, not a finite number")
     return np.ascontiguousarray(rows["X"]), np.ascontiguousarray(rows["y"])
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import gbdt
 from .errors import ConfigError, SeriesTooShortError, ShapeError
-from .features import TOF_FEATURE_NAMES, cp_feature_matrix, tof_features
+from .features import TOF_FEATURE_NAMES, WindowSums, _log_bars, cp_feature_matrix, tof_features
 from .labels import ExpertWindow
 from .market_data import TREND, QuoteSeries, _write_json
 
@@ -371,18 +371,20 @@ def run_pipeline(
     cp_signal = (cp_proba >= cfg.cp_threshold).astype(np.int64)
 
     # 2. Trend/flat stage: each day's window, then every prefix the walk asks about.
-    #    Log mode takes the logs once; cp_feature_matrix has rejected a zero volume.
+    #    The logs are taken once, and each window's sums once, over the days it scores.
     if cfg.log_mode:
-        closes, volumes = np.log(closes), np.log(volumes)
+        closes, volumes = _log_bars(closes, volumes)
     fired = np.flatnonzero(cp_signal)
     window_id = np.cumsum(cp_signal)  # 0 until the first changepoint acts
     window_start = np.append(-1, fired - CP_LAG_DAYS)[window_id]
     days = np.flatnonzero((window_id > 0) & (np.arange(n) - window_start >= cfg.entry_lag))
     starts = window_start[days]
-    tof_rows = [
-        tof_features(closes[s : d + 1], volumes[s : d + 1], log_mode=False)
-        for s, d in zip(starts.tolist(), days.tolist())
-    ]
+    firsts = np.flatnonzero(np.diff(starts, prepend=-1)).tolist()  # where each window's days begin
+    tof_rows = []
+    for lo, hi in zip(firsts, firsts[1:] + [len(days)]):
+        s, end = int(starts[lo]), int(days[hi - 1]) + 1
+        sums = WindowSums(closes[s:end], volumes[s:end])
+        tof_rows.extend(tof_features(sums, d - s + 1) for d in days[lo:hi].tolist())
     tof_X = np.array(tof_rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))
     tof_proba = np.full(n, np.nan)
     tof_proba[days] = _score(tof_model, tof_X, starts, days)

@@ -9,9 +9,10 @@ expert), and voting expands each expert's windows into a ``{date: code}``
 map. The differential tests hold the columnar path to the windows of this
 one and to the type of every error it raises.
 
-``reference_ols`` is the regression helper as it was before its x terms
-became closed forms: it centres ``arange(n)`` on its mean and sums the
-squares. The trend/flat features are held to it bit for bit.
+``reference_ols`` regresses one series on its own, in two passes: it
+centres ``arange(n)`` and the series on their means. The prefix fits that
+``labels._prefix_fits`` reads from running sums are held to it within
+stated absolute bounds.
 """
 
 from __future__ import annotations

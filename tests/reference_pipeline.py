@@ -3,12 +3,13 @@
 ``reference_run_pipeline`` is the walk ``pipeline.run_pipeline`` used before
 it scored each stage in one batch call. It asks the changepoint scorer about
 one row at a time as each day is reached, and rebuilds and scores the
-trend/flat prefix of every day on that day. A model is scored through
-``gbdt.predict_row_proba``; any other scorer is a per-row callable,
-``cp(t, row)`` or ``tof(start, t, tof_row)``. The walk keeps one trace row
-object per day and writes the trace CSV from them, as the pipeline did before
-it stored the trace as columns. The differential tests hold the batch pipeline
-to the exact trace CSV bytes, positions and stats of this walk.
+trend/flat prefix of every day on that day, from sums over exactly that
+prefix. A model is scored through ``gbdt.predict_row_proba``; any other
+scorer is a per-row callable, ``cp(t, row)`` or ``tof(start, t, tof_row)``.
+The walk keeps one trace row object per day and writes the trace CSV from
+them, as the pipeline did before it stored the trace as columns. The
+differential tests hold the batch pipeline to the exact trace CSV bytes,
+positions and stats of this walk.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from trendlab import gbdt
 from trendlab.errors import SeriesTooShortError
-from trendlab.features import TofRow, cp_feature_matrix, tof_features
+from trendlab.features import TofRow, WindowSums, cp_feature_matrix, tof_features
 from trendlab.labels import ExpertWindow
 from trendlab.market_data import TREND, QuoteSeries
 from trendlab.pipeline import (
@@ -188,11 +189,10 @@ def reference_run_pipeline(
         if window_start is not None:
             row.window_id = window_id
             if d - window_start + 1 >= cfg.min_window_days:
-                tof_row = tof_features(
-                    closes[window_start : d + 1],
-                    volumes[window_start : d + 1],
-                    log_mode=cfg.log_mode,
-                )
+                prefix = (closes[window_start : d + 1], volumes[window_start : d + 1])
+                if cfg.log_mode:
+                    prefix = tuple(map(np.log, prefix))
+                tof_row = tof_features(WindowSums(*prefix), d - window_start + 1)
                 proba = tof_score(window_start, d, tof_row)
                 signal = int(proba >= cfg.tof_threshold)
                 row.tof_proba = proba

@@ -417,6 +417,29 @@ def test_backtest_rejects_a_bad_tof_test_meta_file(workdir, tmp_path, capsys, ed
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "name, cell, command",
+    [("tof_test.csv", "nan", "backtest"), ("tof_train.csv", "inf", "train")],
+    ids=["nan-in-test-rows", "inf-in-train-rows"],
+)
+def test_a_non_finite_feature_exits_1_naming_its_file_and_line(
+    workdir, tmp_path, capsys, name, cell, command
+):
+    prep = _copy_prepared(workdir, tmp_path / "prep")
+    path = prep / name
+    lines = path.read_text().split("\n")
+    lines[3] = cell + lines[3][lines[3].index(","):]
+    path.write_text("\n".join(lines))
+    argv = {
+        "backtest": ["backtest", "--data", str(workdir / "data"), "--prepared", str(prep),
+                     "--models", str(workdir / "models")],
+        "train": ["train", "tof", "--prepared", str(prep)],
+    }[command]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    assert f"{path}:4: reg_close is {cell}, not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_backtest_rejects_corrupted_model_file(workdir, tmp_path, capsys):
     models = tmp_path / "models"
     models.mkdir()

@@ -24,6 +24,7 @@ from trendlab.features import (
     FRACTIONS,
     TOF_FEATURE_NAMES,
     FeatureDataset,
+    WindowSums,
     augment_fractions,
     build_cp_dataset,
     build_tof_dataset,
@@ -35,8 +36,8 @@ from trendlab.features import (
     write_fraction_accuracy,
     write_tof_meta,
 )
-from trendlab.labels import _ols, extract_windows, log_close_slope
-from trendlab.market_data import TREND
+from trendlab.labels import _prefix_fits, extract_windows, log_close_slope
+from trendlab.market_data import FLAT, TREND
 
 
 def _cp_row(series, t, log_mode):
@@ -134,16 +135,25 @@ def test_cp_feature_matrix_matches_per_row():
             assert np.array_equal(X[i], _cp_row(series, int(t), log_mode))
 
 
+def _tof(closes, volumes, log_mode):
+    """The features of the whole of ``closes``/``volumes`` as one window prefix."""
+    closes = np.asarray(closes, dtype=np.float64)
+    volumes = np.asarray(volumes, dtype=np.float64)
+    if log_mode:
+        closes, volumes = np.log(closes), np.log(volumes)
+    return tof_features(WindowSums(closes, volumes), len(closes))
+
+
 def test_tof_features_exact_line():
     closes = np.exp(0.01 * np.arange(30))
-    row = tof_features(closes, np.full(30, 1000.0), log_mode=True)
+    row = _tof(closes, np.full(30, 1000.0), log_mode=True)
     assert row.reg_close == pytest.approx(0.01, abs=1e-12)
     assert row.close_r2 == pytest.approx(1.0, abs=1e-9)
     assert row.len_trend == 30
 
 
 def test_tof_features_constant_series():
-    row = tof_features([100.0] * 10, [5.0] * 10, log_mode=False)
+    row = _tof([100.0] * 10, [5.0] * 10, log_mode=False)
     assert row.reg_close == 0.0
     assert row.close_r2 == 0.0
     assert row.reg_vol == 0.0
@@ -155,7 +165,7 @@ def test_tof_features_matches_normal_equations():
     for _ in range(20):
         y = rng.normal(100, 5, size=10)
         v = rng.uniform(100, 1000, size=10)
-        row = tof_features(y, v, log_mode=False)
+        row = _tof(y, v, log_mode=False)
         # independent oracle: least squares via the design-matrix solve
         A = np.column_stack([np.arange(10.0), np.ones(10)])
         coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
@@ -169,8 +179,8 @@ def test_tof_features_shift_invariant_under_scaling():
     rng = np.random.default_rng(13)
     closes = 50 * np.exp(np.cumsum(rng.normal(0.001, 0.02, 40)))
     volumes = np.exp(rng.normal(8, 0.3, 40))
-    a = tof_features(closes, volumes, log_mode=True)
-    b = tof_features(closes * 3.7, volumes, log_mode=True)
+    a = _tof(closes, volumes, log_mode=True)
+    b = _tof(closes * 3.7, volumes, log_mode=True)
     assert a.reg_close == pytest.approx(b.reg_close, abs=1e-12)
     assert a.close_r2 == pytest.approx(b.close_r2, abs=1e-12)
 
@@ -179,30 +189,52 @@ def test_tof_reg_close_sign_matches_covariance():
     rng = np.random.default_rng(14)
     for _ in range(30):
         y = rng.normal(0, 1, size=12)
-        row = tof_features(100 + y, np.full(12, 10.0), log_mode=False)
+        row = _tof(100 + y, np.full(12, 10.0), log_mode=False)
         cov = float(np.cov(np.arange(12.0), 100 + y)[0, 1])
         assert np.sign(row.reg_close) == np.sign(cov) or cov == 0
 
 
 def test_tof_features_too_short():
     with pytest.raises(TooShortError):
-        tof_features([100.0], [10.0])
+        WindowSums([100.0], [10.0])
+    with pytest.raises(TooShortError):
+        WindowSums([100.0, 101.0], [10.0])
+    window = WindowSums([100.0, 101.0, 99.0], [10.0, 11.0, 12.0])
+    for length in (0, 1, 4):
+        with pytest.raises(TooShortError):
+            tof_features(window, length)
 
 
 @pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, np.inf])
 def test_tof_features_log_mode_rejects_a_bad_close(bad):
-    closes = [100.0, bad, 3.0, 4.0]
+    # the logs, and their checks, are taken where the window rows are built
+    closes = [100.0, bad, 3.0, 4.0, 5.0, 4.0, 3.0, 2.0]
+    series = make_series(closes, volumes=np.arange(1.0, 9.0))
+    windows = extract_windows(segment_labels(series, [(8, FLAT)]), series)
     with pytest.raises(InvariantError, match="positive, finite closes"):
-        tof_features(closes, [1.0, 2.0, 1.0, 1.0], log_mode=True)
+        build_tof_dataset(windows, series, log_mode=True)
     if np.isfinite(bad):  # raw mode regresses the closes as they are
-        tof_features(closes, [1.0, 2.0, 1.0, 1.0], log_mode=False)
+        build_tof_dataset(windows, series, log_mode=False)
 
 
-# --- the regression against the code it replaced ----------------------------
+def test_build_tof_dataset_log_mode_rejects_a_zero_volume():
+    series = make_series(100.0 + np.arange(8.0), volumes=[5.0, 4.0, 0.0, 3.0, 2.0, 1.0, 2.0, 3.0])
+    windows = extract_windows(segment_labels(series, [(8, FLAT)]), series)
+    with pytest.raises(ZeroVolumeError):
+        build_tof_dataset(windows, series, log_mode=True)
+    build_tof_dataset(windows, series, log_mode=False)
+
+
+# --- the running sums against a two-pass regression of each prefix ----------
 #
-# ``_ols`` takes its x terms in closed form and ``run_pipeline`` takes each
-# series' logs once. Both must give the very bits of ``reference_ols`` on
-# per-prefix logs, so these compare with ``==``, not approx.
+# ``WindowSums`` reads every prefix of a window from running sums taken once,
+# where ``reference_ols`` regresses each prefix on its own. The two round
+# differently, so the features are held to stated absolute bounds: 1e-12 on
+# R2, and on a slope 1e-12 of the prefix's value range over its length (the
+# slope's own scale). Properties of the sums themselves hold bit for bit.
+
+R2_BOUND = 1e-12
+SLOPE_BOUND = 1e-12
 
 
 @st.composite
@@ -223,36 +255,49 @@ def _columns(draw, min_size=2, max_size=5000):
     return scale * y
 
 
-def _reference_tof(closes, volumes, log_mode):
-    if log_mode:
-        closes, volumes = np.log(closes), np.log(volumes)
-    return (*reference_ols(closes), *reference_ols(volumes), len(closes))
+def _assert_near_reference(slope, r2, y):
+    """``(slope, r2)`` of the whole of ``y`` within the bounds of ``reference_ols``."""
+    want_slope, want_r2 = reference_ols(y)
+    assert abs(r2 - want_r2) <= R2_BOUND
+    assert abs(slope - want_slope) <= SLOPE_BOUND * np.ptp(y) / len(y)
 
 
-@given(_columns())
-@example(np.array([1.0, 2.0]))
-@example(np.array([7.0, 7.0]))
-@example(np.full(5000, 0.1))
-@example(np.array([1e-8, 1e8, 1e-8]))
-def test_ols_is_bitwise_the_reference(y):
+@given(_columns(), st.data())
+@example(np.array([1.0, 2.0]), None)
+@example(np.array([7.0, 7.0]), None)
+@example(np.full(5000, 0.1), None)
+@example(np.array([1e-8, 1e8, 1e-8]), None)
+def test_prefix_fits_are_within_bounds_of_the_reference(y, data):
+    lengths = [2, len(y)]
+    if data is not None:
+        lengths += data.draw(st.lists(st.integers(2, len(y)), max_size=5))
     for column in (y, np.log(y), -y):
-        assert _ols(column) == reference_ols(column)
+        slopes, r2s = _prefix_fits(column)
+        for k in lengths:
+            _assert_near_reference(slopes[k - 1], r2s[k - 1], column[:k])
 
 
 @given(_columns(max_size=600), st.data(), st.booleans())
-def test_tof_features_is_bitwise_the_reference(closes, data, log_mode):
+def test_tof_features_are_within_bounds_of_the_reference(closes, data, log_mode):
     volumes = data.draw(_columns(min_size=len(closes), max_size=len(closes)))
-    assert tuple(tof_features(closes, volumes, log_mode)) == _reference_tof(
-        closes, volumes, log_mode
-    )
+    if log_mode:
+        closes, volumes = np.log(closes), np.log(volumes)
+    window = WindowSums(closes, volumes)
+    k = data.draw(st.integers(2, len(closes)))
+    row = tof_features(window, k)
+    assert row.len_trend == k
+    _assert_near_reference(row.reg_close, row.close_r2, closes[:k])
+    _assert_near_reference(row.reg_vol, row.vol_r2, volumes[:k])
 
 
 @given(_columns(max_size=600), st.data())
-def test_log_close_slope_is_bitwise_the_reference(closes, data):
+def test_log_close_slope_is_within_bounds_of_the_reference(closes, data):
     series = make_series(closes)
     i0 = data.draw(st.integers(0, len(closes) - 1))
     i1 = data.draw(st.integers(i0, len(closes) - 1))
-    assert log_close_slope(series, i0, i1) == reference_ols(np.log(closes[i0 : i1 + 1]))[0]
+    logs = np.log(closes[i0 : i1 + 1])
+    error = abs(log_close_slope(series, i0, i1) - reference_ols(logs)[0])
+    assert error <= SLOPE_BOUND * np.ptp(logs) / len(logs)
 
 
 @given(_columns(min_size=3), st.data())
@@ -263,9 +308,51 @@ def test_log_slices_give_the_bits_of_per_slice_logs(closes, data):
         s = data.draw(st.integers(0, len(closes) - 2))
         d = data.draw(st.integers(s + 1, len(closes) - 1))
         assert np.array_equal(log_closes[s : d + 1], np.log(closes[s : d + 1]))
-        got = tof_features(log_closes[s : d + 1], log_volumes[s : d + 1], log_mode=False)
-        want = _reference_tof(closes[s : d + 1], volumes[s : d + 1], log_mode=True)
-        assert tuple(got) == want
+        got = tof_features(WindowSums(log_closes[s : d + 1], log_volumes[s : d + 1]), d - s + 1)
+        assert got == _tof(closes[s : d + 1], volumes[s : d + 1], log_mode=True)
+
+
+@st.composite
+def _window_and_prefix(draw):
+    """Log closes and volumes of a window, and the length of one of its prefixes."""
+    closes = draw(_columns(max_size=400))
+    volumes = draw(_columns(min_size=len(closes), max_size=len(closes)))
+    return np.log(closes), np.log(volumes), draw(st.integers(2, len(closes)))
+
+
+def _bits(row):
+    return np.array(row, dtype=np.float64).tobytes()
+
+
+@given(_window_and_prefix(), st.data())
+def test_a_prefix_reads_no_bar_after_its_last_day(window, data):
+    closes, volumes, k = window
+    want = tof_features(WindowSums(closes, volumes), k)
+    later = data.draw(st.integers(k, len(closes)))  # change every bar from here on
+    if later < len(closes):
+        factor = data.draw(st.floats(-1e6, 1e6, allow_nan=False))
+        closes, volumes = closes.copy(), volumes.copy()
+        closes[later:] = closes[later:] * factor + 1.0
+        volumes[later:] = volumes[later:] - factor
+    got = tof_features(WindowSums(closes, volumes), k)
+    assert _bits(got) == _bits(want)
+
+
+@given(_window_and_prefix())
+def test_a_longer_window_gives_a_prefix_the_bits_of_its_own(window):
+    closes, volumes, k = window
+    whole = tof_features(WindowSums(closes, volumes), k)
+    assert _bits(whole) == _bits(tof_features(WindowSums(closes[:k], volumes[:k]), k))
+
+
+@given(_window_and_prefix(), st.floats(-1e8, 1e8, allow_nan=False))
+def test_a_constant_prefix_has_no_slope_and_no_fit(window, value):
+    closes, volumes, k = window
+    closes, volumes = closes.copy(), volumes.copy()
+    closes[:k] = value
+    volumes[:k] = -value
+    row = tof_features(WindowSums(closes, volumes), k)
+    assert row == (0.0, 0.0, 0.0, 0.0, k)
 
 
 def _window_over(series):
@@ -350,9 +437,11 @@ def test_feature_csv_header_only_reads_empty(tmp_path):
         ("0.1,0.2,0.3,0.4,0.5,", "could not convert string ''"),
         ("0.1,0.2,0.3,0.4,0.5,2", "a target is neither 0 nor 1"),
         ("0.1,0.2,0.3,0.4,0.5,-1", "a target is neither 0 nor 1"),
+        ("0.1,nan,0.3,0.4,0.5,1", ":4: close_r2 is nan, not a finite number"),
+        ("0.1,0.2,0.3,0.4,-inf,0", ":4: len_trend is -inf, not a finite number"),
     ],
     ids=["bad-cell", "short-row", "non-integer-target", "missing-target", "target-two",
-         "target-negative"],
+         "target-negative", "nan-feature", "inf-feature"],
 )
 def test_feature_csv_bad_rows_raise_parse_error_naming_the_file(tmp_path, line, message):
     path = tmp_path / "tof.csv"

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trendlab.errors import ConfigError, ParseError
-from trendlab.features import tof_features
+from trendlab.features import WindowSums, tof_features
 from trendlab.labels import ExpertWindow, count_contradictions, extract_windows
 from trendlab.market_data import FLAT, OHLCV_COLUMNS, TREND
 from trendlab.synth import (
@@ -135,7 +135,8 @@ def test_clean_up_regime_slope_sign():
     failures = 0
     for seed in range(100):
         series, _ = gen_series([RegimeSpec("up", 60, 0.004, 0.001)], seed=seed)
-        row = tof_features(series.closes, series.volumes, log_mode=True)
+        window = WindowSums(np.log(series.closes), np.log(series.volumes))
+        row = tof_features(window, len(series))
         if row.reg_close <= 0:
             failures += 1
     assert failures <= 2
