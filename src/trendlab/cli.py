@@ -35,7 +35,6 @@ from .features import (
     FeatureDataset,
     build_cp_dataset,
     build_tof_dataset,
-    cp_feature_matrix,
     read_feature_csv,
     read_tof_meta,
     write_feature_csv,
@@ -525,7 +524,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # One pass over the stocks: what does not depend on the threshold is
-    # built once per stock, then every threshold runs on it.
+    # built once per stock, then every threshold runs on it. The cp answers
+    # are scored once, and so is each trend/flat prefix some threshold asks about.
     stats_by_threshold: list[list[pipeline.StockStats]] = [[] for _ in configs]
     for stock, sliced in spans.items():
         if args.oracle:
@@ -533,11 +533,13 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             cp_arg = pipeline.oracle_cp_scorer(windows, sliced)
             tof_arg = pipeline.oracle_tof_scorer(windows, sliced)
         else:
-            _, cp_X = cp_feature_matrix(sliced, log_mode=log_mode)
-            cp_proba = gbdt.predict_proba(cp_model, cp_X)
-            cp_arg, tof_arg = (lambda ts, X: cp_proba), tof_model
+            cp_arg, tof_arg = cp_model, tof_model
+        cp_proba = pipeline.cp_answers(sliced, cp_arg, log_mode)
+        tof_table = pipeline.TofTable(sliced, cp_proba, tof_arg, configs)
         for cfg, stats_list in zip(configs, stats_by_threshold):
-            trace, stats = pipeline.run_pipeline(sliced, cp_arg, tof_arg, cfg)
+            trace, stats = pipeline.run_pipeline(
+                sliced, lambda ts, X: cp_proba[ts + pipeline.CP_LAG_DAYS], tof_table, cfg
+            )
             trace.to_csv(out_dir / f"trace_{stock}_t{cfg.cp_threshold:.2f}.csv")
             stats_list.append(stats)
 

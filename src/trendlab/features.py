@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class WindowSums:
     bits however many bars follow it.
     """
 
-    __slots__ = ("_fits",)
+    __slots__ = ("_matrix", "_fits")
 
     def __init__(self, closes: Sequence[float], volumes: Sequence[float]) -> None:
         closes = np.asarray(closes, dtype=np.float64)
@@ -107,7 +107,21 @@ class WindowSums:
             raise TooShortError(f"need >= 2 aligned points, got {len(closes)}/{len(volumes)}")
         slopes, r2s = _prefix_fits(np.stack((closes, volumes)))
         # one row per prefix: close slope, close R2, volume slope, volume R2
-        self._fits = np.stack((slopes, r2s), axis=1).reshape(4, -1).T.tolist()
+        self._matrix = np.stack((slopes, r2s), axis=1).reshape(4, -1).T
+        self._fits = self._matrix.tolist()
+
+    def prefix_rows(self, first: int, last: int) -> np.ndarray:
+        """The features of the prefixes of ``first`` to ``last`` bars, one row each.
+
+        One slice of the fits, in ``TOF_FEATURE_NAMES`` order: row k holds the
+        bits of ``tof_features(self, first + k)``.
+        """
+        if not 2 <= first <= last <= len(self._fits):
+            raise TooShortError(
+                f"prefixes of {first} to {last} bars of a {len(self._fits)}-bar window"
+            )
+        lengths = np.arange(first, last + 1, dtype=np.float64)
+        return np.column_stack((self._matrix[first - 1 : last], lengths))
 
 
 def tof_features(window: WindowSums, length: int) -> TofRow:
@@ -273,13 +287,28 @@ def write_feature_csv(X: np.ndarray, y: np.ndarray, names: Sequence[str], path: 
         )
 
 
+def _data_lines(handle: Iterable[str], path: Path) -> Iterator[str]:
+    """The lines of ``handle``, the rows after a header, each checked to hold a row.
+
+    ``np.loadtxt`` skips blank lines and comments without a word, so a row
+    commented out would vanish; here either raises ``ParseError`` naming
+    the file and line.
+    """
+    for line_no, line in enumerate(handle, start=2):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            what = "a commented-out row" if text else "a blank line"
+            raise ParseError(f"{path}:{line_no}: {what}, not a row")
+        yield line
+
+
 def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The features and integer targets of a ``write_feature_csv`` file.
 
     Raises ``ParseError`` naming the file on a wrong header, a cell that is
     not a number, a short row or a target other than 0 or 1, and naming the
-    file and line (one line per row after the header) on a feature that is
-    NaN or infinite.
+    file and line on a blank line, a line that starts with ``#`` (a row
+    commented out) and a feature that is NaN or infinite.
     """
     path = Path(path)
     expected = list(names) + ["target"]
@@ -291,7 +320,9 @@ def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
+                rows = np.loadtxt(
+                    _data_lines(handle, path), delimiter=",", dtype=row, ndmin=1, comments=None
+                )
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}") from None
     if np.any((rows["y"] != 0) & (rows["y"] != 1)):

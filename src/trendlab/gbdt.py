@@ -30,6 +30,12 @@ index, then the lowest threshold; the per-tree row subsample is drawn from a
 generator seeded by (seed, tree index). Missing feature values are never
 produced by this pipeline and ``fit`` rejects non-finite features; at
 prediction time NaN routes down the left branch.
+
+Prediction transposes the rows once per call and evaluates each tree as one
+comparison and one select per split over every row. A walk that sends each
+node only its own rows visits fewer cells, and wins on deep trees over many
+rows (depth 7 from about 8,000 rows); on shallow trees its per-node gathers
+cost more than the cells they save.
 """
 
 from __future__ import annotations
@@ -322,19 +328,17 @@ def _grow_tree(
     return root
 
 
-def _apply_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        vals = X[idx, node.feature]
-        mask = (vals < node.threshold) | np.isnan(vals)
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+def _apply_tree(node: TreeNode, Xt: np.ndarray) -> np.ndarray | float:
+    """The leaf value of each row, from the feature-major matrix ``Xt``.
+
+    One comparison and one select per split over every row, so no row ids
+    are gathered: ``Xt[f] >= threshold`` is False for NaN, which goes left.
+    A single leaf gives its value as a scalar.
+    """
+    if node.is_leaf:
+        return node.value
+    right = Xt[node.feature] >= node.threshold
+    return np.where(right, _apply_tree(node.right, Xt), _apply_tree(node.left, Xt))
 
 
 def _check_matrix(X: object) -> np.ndarray:
@@ -385,15 +389,16 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
         else:
             sample = np.arange(n)
         root = _grow_tree(Xt, blocks, presorted, g, h, sample, params)
-        margins += _apply_tree(root, Xa)
+        margins += _apply_tree(root, Xt)
         trees.append(root)
     return GbdtModel(params=params, n_features=Xa.shape[1], trees=trees)
 
 
 def _margins(model: GbdtModel, X: np.ndarray) -> np.ndarray:
+    Xt = np.ascontiguousarray(X.T)
     margins = np.full(len(X), model.base_logit, dtype=np.float64)
     for tree in model.trees:
-        margins += _apply_tree(tree, X)
+        margins += _apply_tree(tree, Xt)
     return margins
 
 
@@ -413,11 +418,12 @@ def predict_row_proba(model: GbdtModel, row: Sequence[float]) -> float:
 def staged_margins(model: GbdtModel, X: object) -> np.ndarray:
     """Margins after each boosting round, shape (n_trees + 1, n_rows)."""
     Xa = _check_matrix(X)
+    Xt = np.ascontiguousarray(Xa.T)
     out = np.empty((len(model.trees) + 1, len(Xa)), dtype=np.float64)
     margins = np.full(len(Xa), model.base_logit, dtype=np.float64)
     out[0] = margins
     for i, tree in enumerate(model.trees):
-        margins = margins + _apply_tree(tree, Xa)
+        margins = margins + _apply_tree(tree, Xt)
         out[i + 1] = margins
     return out
 
@@ -449,12 +455,15 @@ def _finite(value: object) -> float:
 def _node_from_dict(d: dict, n_features: int) -> TreeNode:
     if "leaf" in d:
         return TreeNode(value=_finite(d["leaf"]))
-    feature = int(d["feature"])
+    feature = d["feature"]
+    if type(feature) is not int:  # a bool or a float would pass int()
+        raise ModelFormatError(f"split on feature {feature!r}, not an integer")
     if not 0 <= feature < n_features:
         raise ModelFormatError(f"split on feature {feature} of a {n_features}-feature model")
     return TreeNode(
         feature=feature,
-        threshold=float(d["threshold"]),
+        # every row goes left at a NaN threshold
+        threshold=_finite(d["threshold"]),
         left=_node_from_dict(d["left"], n_features),
         right=_node_from_dict(d["right"], n_features),
     )

@@ -208,36 +208,51 @@ def _parse_float(raw: str, path: Path, line: int, col: str) -> float:
         raise ParseError(f"{path}:{line}: bad {col} value {raw!r}") from None
 
 
-def _read_rows(path: Path, required: Sequence[str]) -> tuple[dict[str, int], list[list[str]]]:
-    """Column positions by name and the non-blank data rows of a CSV file.
+def _read_rows(
+    path: Path, required: Sequence[str]
+) -> tuple[dict[str, int], list[list[str]], Sequence[int]]:
+    """Column positions by name, the non-blank data rows of a CSV file and their lines.
 
+    A row's line is the file line it ends on, so blank lines still count.
     Every ``required`` column must be in the header and no row may have
     fewer fields than the header.
     """
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None) or []
-        rows = [row for row in reader if row]
+        rows = list(reader)
+        lines: Sequence[int] = range(2, len(rows) + 2)
+        if reader.line_num != len(rows) + 1 or not all(rows):
+            # blank lines, or a quoted cell over several lines: read again,
+            # numbering each row by the line the reader ends it on
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader, None)
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     positions = {name: i for i, name in enumerate(header)}
     missing = [c for c in required if c not in positions]
     if missing:
         raise ParseError(f"{path}: missing columns {missing}")
-    for line, row in enumerate(rows, start=2):
+    for line, row in zip(lines, rows):
         if len(row) < len(header):
             raise ParseError(f"{path}:{line}: {len(row)} fields, the header has {len(header)}")
-    return positions, rows
+    return positions, rows, lines
 
 
 def load_quotes(path: str | Path) -> QuoteSeries:
     """Load one stock's quotes, sort by date and validate every invariant."""
     path = Path(path)
-    positions, rows = _read_rows(path, QUOTE_COLUMNS)
+    positions, rows, lines = _read_rows(path, QUOTE_COLUMNS)
     at_date, at_name = positions["date"], positions["stockname"]
     at_values = [positions[c] for c in OHLCV_COLUMNS]
     dates: list[Date] = []
     columns: list[list[float]] = [[] for _ in OHLCV_COLUMNS]
     stockname: str | None = None
-    for line, row in enumerate(rows, start=2):
+    for line, row in zip(lines, rows):
         name = row[at_name].strip()
         if stockname is None:
             stockname = name
@@ -293,7 +308,7 @@ def _read_labels(
     path: Path,
 ) -> tuple[str, str, list[Date], list[int], list[bool], np.ndarray | None]:
     """One label file's rows in file order, plus its embedded quotes if it has any."""
-    positions, rows = _read_rows(path, LABEL_COLUMNS)
+    positions, rows, lines = _read_rows(path, LABEL_COLUMNS)
     at_date, at_name, at_id, at_type, at_user = (positions[c] for c in LABEL_COLUMNS)
     has_quotes = all(c in positions for c in OHLCV_COLUMNS)
     at_quotes = [positions[c] for c in OHLCV_COLUMNS] if has_quotes else []
@@ -303,7 +318,7 @@ def _read_labels(
     quotes: list[list[float]] = []
     stockname: str | None = None
     expert: str | None = None
-    for line, row in enumerate(rows, start=2):
+    for line, row in zip(lines, rows):
         name = row[at_name].strip()
         user = row[at_user].strip()
         if stockname is None:

@@ -5,9 +5,12 @@ features for row t need five future bars, so a positive changepoint answer
 for row t acts on day t+5 and starts a window at row t. With the threshold
 fixed, these answers fix every window, and so every prefix the trend/flat
 model is asked about. ``run_pipeline`` therefore scores every changepoint
-row in one call, then the trend/flat prefix of every day from its window's
-first possible entry day (``PipelineConfig.entry_lag``) on in one call, and
-only then walks the windows. The first positive trend/flat answer in a window
+row in one call, then looks up the trend/flat answer about the prefix of
+every day from its window's first possible entry day
+(``PipelineConfig.entry_lag``) on in a ``TofTable``, which scores them in
+one call, and only then walks the windows. One table can serve several
+changepoint thresholds: it scores each (window start, day) prefix that any
+of them asks about once. The first positive trend/flat answer in a window
 opens a position at that day's close, with the direction latched from the
 sign of the prefix's close-slope feature. A position closes when the
 trend/flat answer flips back to flat (unless ``hold_until_changepoint``),
@@ -348,46 +351,150 @@ def oracle_tof_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> T
     return lambda starts, days, X: is_trend[starts]
 
 
+def cp_answers(
+    series: QuoteSeries, cp_model: gbdt.GbdtModel | CpScorer, log_mode: bool
+) -> np.ndarray:
+    """Each day's changepoint answer, NaN on days without one.
+
+    The answer about row t becomes actionable on day t + CP_LAG_DAYS.
+    """
+    ts, cp_X = cp_feature_matrix(series, log_mode=log_mode)
+    cp_proba = np.full(len(series), np.nan)
+    cp_proba[ts + CP_LAG_DAYS] = _score(cp_model, cp_X, ts)
+    return cp_proba
+
+
+def _windows(
+    cp_signal: np.ndarray, entry_lag: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The windows that 0/1 changepoint signals open, and the days the trend/flat stage scores.
+
+    Returns the days each changepoint acts on, each day's window id (0 until
+    the first changepoint acts) and window start row (-1 before it), and the
+    days at least ``entry_lag`` rows past their window's start.
+    """
+    fired = np.flatnonzero(cp_signal)
+    window_id = np.cumsum(cp_signal, dtype=np.int64)
+    window_start = np.append(-1, fired - CP_LAG_DAYS)[window_id]
+    offsets = np.arange(len(cp_signal)) - window_start
+    days = np.flatnonzero((window_id > 0) & (offsets >= entry_lag))
+    return fired, window_id, window_start, days
+
+
+def _runs(starts: np.ndarray) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of each run of equal values in the sorted ``starts``."""
+    firsts = np.flatnonzero(np.diff(starts, prepend=-1)).tolist()
+    return list(zip(firsts, firsts[1:] + [len(starts)]))
+
+
+class TofTable:
+    """The trend/flat answers about every prefix that some config scores, from one call.
+
+    ``cp_proba`` holds each day of ``series``'s changepoint answer, as
+    ``cp_answers`` gives it. Each config's threshold turns it into windows,
+    and the table scores each distinct (window start, day) prefix of any of
+    them once: one ``WindowSums`` per start, over the longest window a config
+    gives it, and one call of ``tof`` on every prefix's features. A prefix
+    has the same bits from any window that holds it, so each config's run
+    reads the answers and features it would have scored itself. The configs
+    must share ``log_mode``, the space the features are taken in.
+    """
+
+    def __init__(
+        self,
+        series: QuoteSeries,
+        cp_proba: np.ndarray,
+        tof: gbdt.GbdtModel | TofScorer,
+        configs: Sequence[PipelineConfig],
+    ) -> None:
+        n = len(series)
+        if len({cfg.log_mode for cfg in configs}) != 1:
+            raise ConfigError("a trend/flat table needs configs that share one log_mode")
+        if np.shape(cp_proba) != (n,):
+            raise ShapeError(f"{np.shape(cp_proba)} changepoint answers for {n} days")
+        self.stockname, self.dates = series.stockname, series.dates
+        self.log_mode = configs[0].log_mode
+        keys = []
+        for cfg in configs:
+            _, _, window_start, days = _windows(cp_proba >= cfg.cp_threshold, cfg.entry_lag)
+            keys.append(window_start[days] * n + days)
+        self._n = n
+        self._keys = np.unique(np.concatenate(keys))
+        starts, days = np.divmod(self._keys, n)
+
+        closes, volumes = series.closes, series.volumes
+        if self.log_mode:
+            closes, volumes = _log_bars(closes, volumes)
+        self.sums: dict[int, WindowSums] = {}
+        rows = [np.empty((0, len(TOF_FEATURE_NAMES)))]
+        for lo, hi in _runs(starts):
+            s = int(starts[lo])
+            lengths = days[lo:hi] - s + 1
+            first, last = int(lengths[0]), int(lengths[-1])
+            sums = self.sums[s] = WindowSums(closes[s : s + last], volumes[s : s + last])
+            rows.append(sums.prefix_rows(first, last)[lengths - first])
+        self._probas = _score(tof, np.concatenate(rows), starts, days)
+
+    def __len__(self) -> int:
+        """The number of prefixes the table answers about."""
+        return len(self._keys)
+
+    def proba(self, starts: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """The answer about each prefix from row ``starts[i]`` to row ``days[i]``.
+
+        Raises ``ConfigError`` on a prefix that no config of the table scores.
+        """
+        keys = np.asarray(starts) * self._n + np.asarray(days)
+        at = np.searchsorted(self._keys, keys)
+        lacking = np.flatnonzero(np.append(self._keys, -1)[at] != keys)  # -1: past the last key
+        if lacking.size:
+            i = int(lacking[0])
+            raise ConfigError(
+                f"{self.stockname}: the trend/flat table has no answer about the prefix "
+                f"from row {int(starts[i])} to row {int(days[i])}"
+            )
+        return self._probas[at]
+
+
 def run_pipeline(
     series: QuoteSeries,
     cp_model: gbdt.GbdtModel | CpScorer,
-    tof_model: gbdt.GbdtModel | TofScorer,
+    tof_model: gbdt.GbdtModel | TofScorer | TofTable,
     cfg: PipelineConfig | None = None,
 ) -> tuple[SignalTrace, StockStats]:
-    """Score both stages over the series, then walk the days in order and trade."""
+    """Score both stages over the series, then walk the days in order and trade.
+
+    ``tof_model`` may be a ``TofTable`` built for ``series`` with ``cfg``
+    among its configs; a model or scorer is scored through a table of
+    ``cfg`` alone.
+    """
     cfg = cfg or PipelineConfig()
     n = len(series)
     if n < 2 * CP_LAG_DAYS + 1:
         raise SeriesTooShortError(f"{series.stockname}: {n} bars < {2 * CP_LAG_DAYS + 1}")
-
-    closes = series.closes
-    volumes = series.volumes
     dates = series.dates
 
     # 1. Changepoint stage: the answer about row t becomes actionable on day t + CP_LAG_DAYS.
-    ts, cp_X = cp_feature_matrix(series, log_mode=cfg.log_mode)
-    cp_proba = np.full(n, np.nan)
-    cp_proba[ts + CP_LAG_DAYS] = _score(cp_model, cp_X, ts)
+    cp_proba = cp_answers(series, cp_model, cfg.log_mode)
     cp_signal = (cp_proba >= cfg.cp_threshold).astype(np.int64)
 
-    # 2. Trend/flat stage: each day's window, then every prefix the walk asks about.
-    #    The logs are taken once, and each window's sums once, over the days it scores.
-    if cfg.log_mode:
-        closes, volumes = _log_bars(closes, volumes)
-    fired = np.flatnonzero(cp_signal)
-    window_id = np.cumsum(cp_signal)  # 0 until the first changepoint acts
-    window_start = np.append(-1, fired - CP_LAG_DAYS)[window_id]
-    days = np.flatnonzero((window_id > 0) & (np.arange(n) - window_start >= cfg.entry_lag))
+    # 2. Trend/flat stage: each day's window, then the answer about every prefix
+    #    the walk asks about, and its features from the table's sums.
+    fired, window_id, window_start, days = _windows(cp_signal, cfg.entry_lag)
     starts = window_start[days]
-    firsts = np.flatnonzero(np.diff(starts, prepend=-1)).tolist()  # where each window's days begin
+    table = tof_model
+    if not isinstance(table, TofTable):
+        table = TofTable(series, cp_proba, tof_model, [cfg])
+    elif (table.stockname, table.dates, table.log_mode) != (series.stockname, dates, cfg.log_mode):
+        raise ConfigError(f"{series.stockname}: a trend/flat table of another series or log_mode")
+    tof_proba = np.full(n, np.nan)
+    tof_proba[days] = table.proba(starts, days)
     tof_rows = []
-    for lo, hi in zip(firsts, firsts[1:] + [len(days)]):
-        s, end = int(starts[lo]), int(days[hi - 1]) + 1
-        sums = WindowSums(closes[s:end], volumes[s:end])
+    for lo, hi in _runs(starts):
+        s = int(starts[lo])
+        sums = table.sums[s]
         tof_rows.extend(tof_features(sums, d - s + 1) for d in days[lo:hi].tolist())
     tof_X = np.array(tof_rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))
-    tof_proba = np.full(n, np.nan)
-    tof_proba[days] = _score(tof_model, tof_X, starts, days)
     tof_signal = np.full(n, -1, dtype=np.int64)
     tof_signal[days] = tof_proba[days] >= cfg.tof_threshold
     trend_direction = np.zeros(n, dtype=np.int64)

@@ -7,6 +7,11 @@ again and scans the sorted values for the best midpoint, reducing features in
 index order (a later feature must have a strictly greater gain). Leaves sum
 the gradients of the node's rows in ascending row order. The differential
 tests hold ``gbdt.fit`` to the exact ``model_to_dict`` of this fit.
+
+``reference_apply_tree`` is the tree evaluator ``gbdt`` used before each
+split became one select over every row: a stack walk that sends each node's
+own rows down to its children. The differential tests hold ``predict_proba``
+and ``staged_margins`` to the bits of this walk.
 """
 
 from __future__ import annotations
@@ -17,10 +22,35 @@ from trendlab.gbdt import (
     GbdtModel,
     GbdtParams,
     TreeNode,
-    _apply_tree,
     _leaf_value,
     _sigmoid,
 )
+
+
+def reference_apply_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf value; a row goes left when below the threshold or NaN."""
+    out = np.empty(len(X), dtype=np.float64)
+    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = node.value
+            continue
+        vals = X[idx, node.feature]
+        mask = (vals < node.threshold) | np.isnan(vals)
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
+    return out
+
+
+def reference_staged_margins(model: GbdtModel, X) -> np.ndarray:
+    """Margins after each boosting round from the stack walk, shape (n_trees + 1, n_rows)."""
+    Xa = np.asarray(X, dtype=np.float64)
+    out = np.empty((len(model.trees) + 1, len(Xa)), dtype=np.float64)
+    out[0] = model.base_logit
+    for i, tree in enumerate(model.trees):
+        out[i + 1] = out[i] + reference_apply_tree(tree, Xa)
+    return out
 
 
 def _feature_best_split(values, g, h, reg_lambda, gamma, min_child_weight):
@@ -107,6 +137,6 @@ def reference_fit(X, y, params: GbdtParams) -> GbdtModel:
         else:
             idx = np.arange(n)
         root = _grow(Xa, g, h, idx, 0, params)
-        margins += _apply_tree(root, Xa)
+        margins += reference_apply_tree(root, Xa)
         trees.append(root)
     return GbdtModel(params=params, n_features=Xa.shape[1], trees=trees)

@@ -345,6 +345,24 @@ def test_a_longer_window_gives_a_prefix_the_bits_of_its_own(window):
     assert _bits(whole) == _bits(tof_features(WindowSums(closes[:k], volumes[:k]), k))
 
 
+@given(_window_and_prefix(), st.data())
+def test_prefix_rows_are_the_bits_of_tof_features(window, data):
+    closes, volumes, last = window
+    first = data.draw(st.integers(2, last))
+    sums = WindowSums(closes, volumes)
+    rows = sums.prefix_rows(first, last)
+    assert rows.shape == (last - first + 1, len(TOF_FEATURE_NAMES))
+    want = [tof_features(sums, k) for k in range(first, last + 1)]
+    assert rows.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def test_prefix_rows_out_of_the_window_raise():
+    sums = WindowSums([100.0, 101.0, 99.0], [10.0, 11.0, 12.0])
+    for first, last in ((1, 3), (2, 4), (3, 2)):
+        with pytest.raises(TooShortError):
+            sums.prefix_rows(first, last)
+
+
 @given(_window_and_prefix(), st.floats(-1e8, 1e8, allow_nan=False))
 def test_a_constant_prefix_has_no_slope_and_no_fit(window, value):
     closes, volumes, k = window
@@ -439,9 +457,14 @@ def test_feature_csv_header_only_reads_empty(tmp_path):
         ("0.1,0.2,0.3,0.4,0.5,-1", "a target is neither 0 nor 1"),
         ("0.1,nan,0.3,0.4,0.5,1", ":4: close_r2 is nan, not a finite number"),
         ("0.1,0.2,0.3,0.4,-inf,0", ":4: len_trend is -inf, not a finite number"),
+        ("", ":4: a blank line, not a row"),
+        (" \t", ":4: a blank line, not a row"),
+        ("#0.1,0.2,0.3,0.4,0.5,1", ":4: a commented-out row, not a row"),
+        ("0.1,0.2,0.3,0.4,0.5,1 # note", "could not convert string '1 # note'"),
     ],
     ids=["bad-cell", "short-row", "non-integer-target", "missing-target", "target-two",
-         "target-negative", "nan-feature", "inf-feature"],
+         "target-negative", "nan-feature", "inf-feature", "blank-line", "whitespace-line",
+         "comment-line", "trailing-comment"],
 )
 def test_feature_csv_bad_rows_raise_parse_error_naming_the_file(tmp_path, line, message):
     path = tmp_path / "tof.csv"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_gbdt import reference_fit
+from reference_gbdt import reference_apply_tree, reference_fit, reference_staged_margins
 
 from trendlab import gbdt
 from trendlab.errors import ModelFormatError, ShapeError, SingleClassWarning
@@ -383,6 +384,31 @@ def test_model_from_dict_rejects_malformed_documents():
             model_from_dict(_corrupt(doc, edit))
 
 
+def _stump_doc(threshold, feature=0):
+    root = TreeNode(feature=0, threshold=2.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
+    doc = model_to_dict(GbdtModel(params=GbdtParams(), n_features=1, trees=[root]))
+    doc["trees"][0]["threshold"] = threshold
+    doc["trees"][0]["feature"] = feature
+    return doc
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_load_model_rejects_a_non_finite_threshold_naming_the_file(tmp_path, threshold):
+    # a select sends every row left at a NaN threshold, and a walk sends them right
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_stump_doc(threshold)), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: .*non-finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("feature", [0.7, 0.0, True, "0"])
+def test_load_model_rejects_a_non_integer_feature_naming_the_file(tmp_path, feature):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_stump_doc(2.0, feature)), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: .*not an integer"):
+        load_model(path)
+
+
 def test_fit_rejects_non_finite_features():
     X = np.random.default_rng(12).normal(size=(20, 2))
     y = (X[:, 0] > 0).astype(int)
@@ -501,3 +527,58 @@ def test_presorted_search_matches_reference_on_few_distinct_values(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingleClassWarning)
         assert_same_model(X, y, params)
+
+
+# --- the select evaluator against the stack walk ---
+
+# Thresholds are drawn from these values, and so are most feature cells, so
+# rows land exactly on a threshold; the rest are NaN, +-inf or random.
+GRID = (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0)
+
+
+def random_tree(rng, depth: int, n_features: int, p_leaf: float) -> TreeNode:
+    if depth == 0 or rng.random() < p_leaf:
+        return TreeNode(value=float(rng.normal(0.0, 0.3)))
+    return TreeNode(
+        feature=int(rng.integers(n_features)),
+        threshold=float(rng.choice(GRID)),
+        left=random_tree(rng, depth - 1, n_features, p_leaf),
+        right=random_tree(rng, depth - 1, n_features, p_leaf),
+    )
+
+
+def random_cells(rng, n_rows: int, n_features: int) -> np.ndarray:
+    pool = np.array([*GRID, np.nan, np.inf, -np.inf])
+    X = rng.choice(pool, size=(n_rows, n_features))
+    free = rng.random(size=X.shape) < 0.3
+    X[free] = rng.normal(0.0, 2.0, size=int(free.sum()))
+    return X
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 7),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.integers(1, 5),
+    st.integers(0, 4),
+    st.integers(0, 80),
+)
+def test_select_evaluator_is_bitwise_the_walk(seed, depth, p_leaf, n_features, n_trees, n_rows):
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, depth, n_features, p_leaf) for _ in range(n_trees)]
+    model = GbdtModel(params=GbdtParams(), n_features=n_features, trees=trees, base_logit=0.1)
+    X = random_cells(rng, n_rows, n_features)
+    want = reference_staged_margins(model, X)
+    got = staged_margins(model, X)
+    assert got.shape == want.shape == (n_trees + 1, n_rows)
+    assert got.tobytes() == want.tobytes()
+    assert predict_proba(model, X).tobytes() == gbdt._sigmoid(want[-1]).tobytes()
+
+
+def test_select_evaluator_covers_full_depth_seven_trees():
+    rng = np.random.default_rng(21)
+    trees = [random_tree(rng, 7, 3, 0.0) for _ in range(3)]
+    X = random_cells(rng, 500, 3)
+    Xt = np.ascontiguousarray(X.T)
+    for tree in trees:
+        assert gbdt._apply_tree(tree, Xt).tobytes() == reference_apply_tree(tree, X).tobytes()

@@ -357,6 +357,30 @@ def test_rows_shorter_than_the_header_are_parse_errors(tmp_path):
         merge_label_files([labels])
 
 
+def test_a_bad_row_after_a_blank_line_is_reported_on_its_file_line(tmp_path):
+    quotes = write(
+        tmp_path / "q.csv",
+        QUOTE_HEADER + "2014-10-14,10.0,12.0,9.0,11.0,1000,ACME\n\n"
+        + "2014-10-15,10.0,12.0,9.0,11.0,lots,ACME\n",
+    )
+    with pytest.raises(ParseError, match=r"q\.csv:4: .*volume"):
+        load_quotes(quotes)
+    labels = write(
+        tmp_path / "l.csv",
+        LABEL_HEADER + "\n2014-10-14,ACME,1,Trend,D\n\n2014-10-15,ACME,x,Trend,D\n",
+    )
+    with pytest.raises(ParseError, match=r"l\.csv:5: bad id_select 'x'"):
+        merge_label_files([labels])
+    # a quoted cell over two lines: the row is reported on the line it ends on
+    spanning = write(
+        tmp_path / "s.csv",
+        QUOTE_HEADER + "2014-10-14,10.0,12.0,9.0,11.0,1000,ACME\n"
+        + '2014-10-15,10.0,12.0,9.0,11.0,1000,"AC\nME"\n',
+    )
+    with pytest.raises(InvariantError, match=r"s\.csv:4: mixed stocknames"):
+        load_quotes(spanning)
+
+
 def test_json_layout_is_sorted_one_space_utf8(tmp_path):
     path = tmp_path / "doc.json"
     doc = {"b": [1, 2.5], "a": {"z": None, "é": True}}

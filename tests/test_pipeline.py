@@ -16,7 +16,7 @@ from reference_pipeline import (
     row_oracle_tof_scorer,
 )
 from trendlab import gbdt
-from trendlab.errors import SeriesTooShortError, ShapeError
+from trendlab.errors import ConfigError, SeriesTooShortError, ShapeError
 from trendlab.features import build_cp_dataset, build_tof_dataset
 from trendlab.labels import ExpertWindow
 from trendlab.market_data import FLAT, TREND
@@ -26,10 +26,12 @@ from trendlab.pipeline import (
     PipelineConfig,
     Position,
     StockStats,
+    TofTable,
     aggregate,
     backtest_span,
     backtest_spans,
     clip_windows_to_span,
+    cp_answers,
     expert_baseline,
     oracle_cp_scorer,
     oracle_tof_scorer,
@@ -322,6 +324,81 @@ def test_each_stage_is_scored_in_one_call(trained_models, monkeypatch):
     trace, _ = run_pipeline(series, *trained_models[True])
     assert len(rows) == 2
     assert rows[1] == np.count_nonzero(~np.isnan(trace.tof_proba))
+
+
+# --- one trend/flat table for several configs ---
+
+
+def _table_stages(kind, trained_models, series, windows, log_mode):
+    if kind == "models":
+        return trained_models[log_mode]
+    tof = oracle_tof_scorer(windows, series)
+    if kind == "oracles":  # 0/1 answers: every threshold gives the same windows
+        return oracle_cp_scorer(windows, series), tof
+    probas = np.random.default_rng(6).choice(
+        [0.2, 0.4, 0.6, 0.9], size=len(series), p=[0.88, 0.05, 0.04, 0.03]
+    )
+    return (lambda ts, X: probas[ts]), tof
+
+
+@pytest.mark.parametrize("log_mode", [True, False])
+@pytest.mark.parametrize("kind", ["models", "oracles", "callables"])
+@pytest.mark.parametrize(
+    "settings",
+    [((0.5, 6),), ((0.8, 6), (0.3, 6), (0.55, 6)), ((0.35, 6), (0.5, 9), (0.85, 6), (0.3, 9))],
+    ids=["one-threshold", "unsorted-thresholds", "mixed-entry-lags"],
+)
+def test_a_shared_table_gives_each_config_its_own_run(
+    trained_models, tmp_path, log_mode, kind, settings
+):
+    series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
+    cp, tof = _table_stages(kind, trained_models, series, windows, log_mode)
+    configs = [
+        PipelineConfig(cp_threshold=t, min_window_days=m, log_mode=log_mode) for t, m in settings
+    ]
+    table = TofTable(series, cp_answers(series, cp, log_mode), tof, configs)
+    scored = 0
+    for cfg in configs:
+        got = run_pipeline(series, cp, table, cfg)
+        # a model or scorer is scored through a table of the one config
+        _assert_same_run(got, run_pipeline(series, cp, tof, cfg), tmp_path)
+        scored += np.count_nonzero(~np.isnan(got[0].tof_proba))
+    assert 0 < len(table) <= scored
+    if kind == "callables" and len(configs) > 1:
+        assert len(table) < scored  # the configs share prefixes
+
+
+def test_a_table_raises_on_a_prefix_it_lacks():
+    series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
+    cp, tof = _table_stages("callables", None, series, windows, True)
+    cp_proba = cp_answers(series, cp, True)
+    table = TofTable(series, cp_proba, tof, [PipelineConfig(cp_threshold=0.8)])
+    with pytest.raises(ConfigError, match="TST: the trend/flat table has no answer"):
+        run_pipeline(series, cp, table, PipelineConfig(cp_threshold=0.3))
+    with pytest.raises(ConfigError, match="no answer about the prefix from row 3 to row 2"):
+        table.proba(np.array([3]), np.array([2]))
+    empty = TofTable(series, np.zeros(len(series)), tof, [PipelineConfig()])
+    nothing = np.array([], dtype=np.int64)
+    assert len(empty) == 0 and empty.proba(nothing, nothing).size == 0
+    with pytest.raises(ConfigError, match="no answer"):
+        empty.proba(np.array([0]), np.array([9]))
+
+
+def test_a_table_needs_one_log_mode_and_its_own_series():
+    series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
+    cp, tof = _table_stages("oracles", None, series, windows, True)
+    cp_proba = cp_answers(series, cp, True)
+    mixed = [PipelineConfig(log_mode=True), PipelineConfig(cp_threshold=0.7, log_mode=False)]
+    for configs in (mixed, []):
+        with pytest.raises(ConfigError, match="share one log_mode"):
+            TofTable(series, cp_proba, tof, configs)
+    with pytest.raises(ShapeError):
+        TofTable(series, cp_proba[1:], tof, [PipelineConfig()])
+    table = TofTable(series, cp_proba, tof, [PipelineConfig(log_mode=False)])
+    with pytest.raises(ConfigError, match="another series or log_mode"):
+        run_pipeline(series, cp, table, PipelineConfig(log_mode=True))
+    with pytest.raises(ConfigError, match="another series or log_mode"):
+        run_pipeline(series[1:], cp, table, PipelineConfig(log_mode=False))
 
 
 def test_scorer_must_return_one_probability_per_row():
