@@ -31,11 +31,14 @@ generator seeded by (seed, tree index). Missing feature values are never
 produced by this pipeline and ``fit`` rejects non-finite features; at
 prediction time NaN routes down the left branch.
 
-Prediction transposes the rows once per call and evaluates each tree as one
-comparison and one select per split over every row. A walk that sends each
-node only its own rows visits fewer cells, and wins on deep trees over many
-rows (depth 7 from about 8,000 rows); on shallow trees its per-node gathers
-cost more than the cells they save.
+Prediction transposes the rows once per call. A model grown at most
+``_SELECT_MAX_DEPTH`` deep evaluates each tree as one comparison and one
+select per split over every row; a deeper one walks each tree, sending each
+node only its own rows. The select visits every split with every row, and the
+walk about ``max_depth`` splits per row but gathers the row ids at each. The
+select is the faster up to depth 4; from depth 5 the walk wins on a few
+thousand rows or more and loses little on fewer. Both give every row the
+bits of its leaf.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -328,7 +331,11 @@ def _grow_tree(
     return root
 
 
-def _apply_tree(node: TreeNode, Xt: np.ndarray) -> np.ndarray | float:
+# The deepest model whose trees are evaluated as one select per split.
+_SELECT_MAX_DEPTH = 4
+
+
+def _select_tree(node: TreeNode, Xt: np.ndarray) -> np.ndarray | float:
     """The leaf value of each row, from the feature-major matrix ``Xt``.
 
     One comparison and one select per split over every row, so no row ids
@@ -338,7 +345,28 @@ def _apply_tree(node: TreeNode, Xt: np.ndarray) -> np.ndarray | float:
     if node.is_leaf:
         return node.value
     right = Xt[node.feature] >= node.threshold
-    return np.where(right, _apply_tree(node.right, Xt), _apply_tree(node.left, Xt))
+    return np.where(right, _select_tree(node.right, Xt), _select_tree(node.left, Xt))
+
+
+def _walk_tree(root: TreeNode, Xt: np.ndarray) -> np.ndarray:
+    """The leaf value of each row, from a walk that sends each node its own rows."""
+    out = np.empty(Xt.shape[1], dtype=np.float64)
+    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(Xt.shape[1]))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = node.value
+            continue
+        right = Xt[node.feature][idx] >= node.threshold  # False for NaN, which goes left
+        stack.append((node.left, idx[~right]))
+        stack.append((node.right, idx[right]))
+    return out
+
+
+def _tree_evaluator(
+    params: GbdtParams,
+) -> Callable[[TreeNode, np.ndarray], np.ndarray | float]:
+    return _select_tree if params.max_depth <= _SELECT_MAX_DEPTH else _walk_tree
 
 
 def _check_matrix(X: object) -> np.ndarray:
@@ -378,6 +406,7 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
     # each feature's row ids in value order, ties by row id, once per fit
     Xt = np.ascontiguousarray(Xa.T)
     presorted = [np.argsort(Xt[s], axis=1, kind="stable") for s in blocks]
+    apply_tree = _tree_evaluator(params)
     trees: list[TreeNode] = []
     for m in range(params.n_estimators):
         p = _sigmoid(margins)
@@ -389,16 +418,17 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
         else:
             sample = np.arange(n)
         root = _grow_tree(Xt, blocks, presorted, g, h, sample, params)
-        margins += _apply_tree(root, Xt)
+        margins += apply_tree(root, Xt)
         trees.append(root)
     return GbdtModel(params=params, n_features=Xa.shape[1], trees=trees)
 
 
 def _margins(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     Xt = np.ascontiguousarray(X.T)
+    apply_tree = _tree_evaluator(model.params)
     margins = np.full(len(X), model.base_logit, dtype=np.float64)
     for tree in model.trees:
-        margins += _apply_tree(tree, Xt)
+        margins += apply_tree(tree, Xt)
     return margins
 
 
@@ -419,11 +449,12 @@ def staged_margins(model: GbdtModel, X: object) -> np.ndarray:
     """Margins after each boosting round, shape (n_trees + 1, n_rows)."""
     Xa = _check_matrix(X)
     Xt = np.ascontiguousarray(Xa.T)
+    apply_tree = _tree_evaluator(model.params)
     out = np.empty((len(model.trees) + 1, len(Xa)), dtype=np.float64)
     margins = np.full(len(Xa), model.base_logit, dtype=np.float64)
     out[0] = margins
     for i, tree in enumerate(model.trees):
-        margins = margins + _apply_tree(tree, Xt)
+        margins = margins + apply_tree(tree, Xt)
         out[i + 1] = margins
     return out
 

@@ -210,29 +210,25 @@ def _parse_float(raw: str, path: Path, line: int, col: str) -> float:
 
 def _read_rows(
     path: Path, required: Sequence[str]
-) -> tuple[dict[str, int], list[list[str]], Sequence[int]]:
+) -> tuple[dict[str, int], list[list[str]], list[int]]:
     """Column positions by name, the non-blank data rows of a CSV file and their lines.
 
     A row's line is the file line it ends on, so blank lines still count.
     Every ``required`` column must be in the header and no row may have
     fewer fields than the header.
     """
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    # two lists, not a (line, row) tuple per row: each tuple would be one more
+    # object for the garbage collector, and the reads were slower with them
+    add_row, add_line = rows.append, lines.append
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None) or []
-        rows = list(reader)
-        lines: Sequence[int] = range(2, len(rows) + 2)
-        if reader.line_num != len(rows) + 1 or not all(rows):
-            # blank lines, or a quoted cell over several lines: read again,
-            # numbering each row by the line the reader ends it on
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader, None)
-            rows, lines = [], []
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
+        for row in reader:
+            if row:
+                add_row(row)
+                add_line(reader.line_num)
     positions = {name: i for i, name in enumerate(header)}
     missing = [c for c in required if c not in positions]
     if missing:

@@ -412,7 +412,7 @@ class TofTable:
             raise ConfigError("a trend/flat table needs configs that share one log_mode")
         if np.shape(cp_proba) != (n,):
             raise ShapeError(f"{np.shape(cp_proba)} changepoint answers for {n} days")
-        self.stockname, self.dates = series.stockname, series.dates
+        self.series = series
         self.log_mode = configs[0].log_mode
         keys = []
         for cfg in configs:
@@ -435,10 +435,6 @@ class TofTable:
             rows.append(sums.prefix_rows(first, last)[lengths - first])
         self._probas = _score(tof, np.concatenate(rows), starts, days)
 
-    def __len__(self) -> int:
-        """The number of prefixes the table answers about."""
-        return len(self._keys)
-
     def proba(self, starts: np.ndarray, days: np.ndarray) -> np.ndarray:
         """The answer about each prefix from row ``starts[i]`` to row ``days[i]``.
 
@@ -450,10 +446,20 @@ class TofTable:
         if lacking.size:
             i = int(lacking[0])
             raise ConfigError(
-                f"{self.stockname}: the trend/flat table has no answer about the prefix "
+                f"{self.series.stockname}: the trend/flat table has no answer about the prefix "
                 f"from row {int(starts[i])} to row {int(days[i])}"
             )
         return self._probas[at]
+
+    def serves(self, series: QuoteSeries, log_mode: bool) -> bool:
+        """Whether ``series``, in ``log_mode``, has the quotes the table was built from."""
+        mine = self.series
+        return (
+            log_mode == self.log_mode
+            and (series.stockname, series.dates) == (mine.stockname, mine.dates)
+            and np.array_equal(series.closes, mine.closes)
+            and np.array_equal(series.volumes, mine.volumes)
+        )
 
 
 def run_pipeline(
@@ -485,8 +491,8 @@ def run_pipeline(
     table = tof_model
     if not isinstance(table, TofTable):
         table = TofTable(series, cp_proba, tof_model, [cfg])
-    elif (table.stockname, table.dates, table.log_mode) != (series.stockname, dates, cfg.log_mode):
-        raise ConfigError(f"{series.stockname}: a trend/flat table of another series or log_mode")
+    elif not table.serves(series, cfg.log_mode):
+        raise ConfigError(f"{series.stockname}: a trend/flat table of other quotes or log_mode")
     tof_proba = np.full(n, np.nan)
     tof_proba[days] = table.proba(starts, days)
     tof_rows = []

@@ -8,10 +8,11 @@ index order (a later feature must have a strictly greater gain). Leaves sum
 the gradients of the node's rows in ascending row order. The differential
 tests hold ``gbdt.fit`` to the exact ``model_to_dict`` of this fit.
 
-``reference_apply_tree`` is the tree evaluator ``gbdt`` used before each
-split became one select over every row: a stack walk that sends each node's
-own rows down to its children. The differential tests hold ``predict_proba``
-and ``staged_margins`` to the bits of this walk.
+``reference_apply_tree`` is the tree evaluator ``gbdt`` used before it took
+a feature-major matrix and evaluated shallow models as one select per split:
+a stack walk over the row-major matrix that sends each node's own rows down
+to its children. The differential tests hold ``predict_proba`` and
+``staged_margins`` to the bits of this walk, with either evaluator.
 """
 
 from __future__ import annotations

@@ -529,7 +529,7 @@ def test_presorted_search_matches_reference_on_few_distinct_values(
         assert_same_model(X, y, params)
 
 
-# --- the select evaluator against the stack walk ---
+# --- the select and walk evaluators against the reference walk ---
 
 # Thresholds are drawn from these values, and so are most feature cells, so
 # rows land exactly on a threshold; the rest are NaN, +-inf or random.
@@ -562,11 +562,16 @@ def random_cells(rng, n_rows: int, n_features: int) -> np.ndarray:
     st.integers(1, 5),
     st.integers(0, 4),
     st.integers(0, 80),
+    st.integers(1, 8),
 )
-def test_select_evaluator_is_bitwise_the_walk(seed, depth, p_leaf, n_features, n_trees, n_rows):
+def test_tree_evaluators_are_bitwise_the_walk(
+    seed, depth, p_leaf, n_features, n_trees, n_rows, max_depth
+):
+    # max_depth picks the evaluator, whatever the trees' own depth
     rng = np.random.default_rng(seed)
     trees = [random_tree(rng, depth, n_features, p_leaf) for _ in range(n_trees)]
-    model = GbdtModel(params=GbdtParams(), n_features=n_features, trees=trees, base_logit=0.1)
+    params = GbdtParams(max_depth=max_depth)
+    model = GbdtModel(params=params, n_features=n_features, trees=trees, base_logit=0.1)
     X = random_cells(rng, n_rows, n_features)
     want = reference_staged_margins(model, X)
     got = staged_margins(model, X)
@@ -575,10 +580,18 @@ def test_select_evaluator_is_bitwise_the_walk(seed, depth, p_leaf, n_features, n
     assert predict_proba(model, X).tobytes() == gbdt._sigmoid(want[-1]).tobytes()
 
 
-def test_select_evaluator_covers_full_depth_seven_trees():
+def test_shallow_models_select_and_deep_ones_walk():
+    assert gbdt._tree_evaluator(GbdtParams(max_depth=1)) is gbdt._select_tree
+    assert gbdt._tree_evaluator(GbdtParams(max_depth=4)) is gbdt._select_tree
+    assert gbdt._tree_evaluator(GbdtParams(max_depth=5)) is gbdt._walk_tree
+    assert gbdt._tree_evaluator(GbdtParams(max_depth=7)) is gbdt._walk_tree
+
+
+@pytest.mark.parametrize("evaluator", [gbdt._select_tree, gbdt._walk_tree])
+def test_tree_evaluators_cover_full_depth_seven_trees(evaluator):
     rng = np.random.default_rng(21)
     trees = [random_tree(rng, 7, 3, 0.0) for _ in range(3)]
     X = random_cells(rng, 500, 3)
     Xt = np.ascontiguousarray(X.T)
     for tree in trees:
-        assert gbdt._apply_tree(tree, Xt).tobytes() == reference_apply_tree(tree, X).tobytes()
+        assert evaluator(tree, Xt).tobytes() == reference_apply_tree(tree, X).tobytes()

@@ -19,7 +19,7 @@ from trendlab import gbdt
 from trendlab.errors import ConfigError, SeriesTooShortError, ShapeError
 from trendlab.features import build_cp_dataset, build_tof_dataset
 from trendlab.labels import ExpertWindow
-from trendlab.market_data import FLAT, TREND
+from trendlab.market_data import FLAT, OHLCV_COLUMNS, TREND, QuoteSeries
 from trendlab.pipeline import (
     BUSINESS_DAYS_PER_YEAR,
     CP_LAG_DAYS,
@@ -363,9 +363,9 @@ def test_a_shared_table_gives_each_config_its_own_run(
         # a model or scorer is scored through a table of the one config
         _assert_same_run(got, run_pipeline(series, cp, tof, cfg), tmp_path)
         scored += np.count_nonzero(~np.isnan(got[0].tof_proba))
-    assert 0 < len(table) <= scored
+    assert 0 < len(table._keys) <= scored
     if kind == "callables" and len(configs) > 1:
-        assert len(table) < scored  # the configs share prefixes
+        assert len(table._keys) < scored  # the configs share prefixes
 
 
 def test_a_table_raises_on_a_prefix_it_lacks():
@@ -379,7 +379,7 @@ def test_a_table_raises_on_a_prefix_it_lacks():
         table.proba(np.array([3]), np.array([2]))
     empty = TofTable(series, np.zeros(len(series)), tof, [PipelineConfig()])
     nothing = np.array([], dtype=np.int64)
-    assert len(empty) == 0 and empty.proba(nothing, nothing).size == 0
+    assert empty._keys.size == 0 and empty.proba(nothing, nothing).size == 0
     with pytest.raises(ConfigError, match="no answer"):
         empty.proba(np.array([0]), np.array([9]))
 
@@ -395,10 +395,21 @@ def test_a_table_needs_one_log_mode_and_its_own_series():
     with pytest.raises(ShapeError):
         TofTable(series, cp_proba[1:], tof, [PipelineConfig()])
     table = TofTable(series, cp_proba, tof, [PipelineConfig(log_mode=False)])
-    with pytest.raises(ConfigError, match="another series or log_mode"):
-        run_pipeline(series, cp, table, PipelineConfig(log_mode=True))
-    with pytest.raises(ConfigError, match="another series or log_mode"):
-        run_pipeline(series[1:], cp, table, PipelineConfig(log_mode=False))
+    cfg = PipelineConfig(log_mode=False)
+    with pytest.raises(ConfigError, match="other quotes or log_mode"):
+        run_pipeline(series, cp, table, replace(cfg, log_mode=True))
+    with pytest.raises(ConfigError, match="other quotes or log_mode"):
+        run_pipeline(series[1:], cp, table, cfg)
+    # the same name and dates, with one close or one volume changed
+    for changed in ("close", "volume"):
+        columns = {c: series.column(c).copy() for c in OHLCV_COLUMNS}
+        columns[changed][40] *= 1.01
+        other = QuoteSeries(series.stockname, series.dates, *columns.values())
+        with pytest.raises(ConfigError, match="other quotes or log_mode"):
+            run_pipeline(other, cp, table, cfg)
+    # an equal copy of the quotes is served
+    copy = QuoteSeries(series.stockname, series.dates, *(series.column(c) for c in OHLCV_COLUMNS))
+    assert table.serves(copy, False)
 
 
 def test_scorer_must_return_one_probability_per_row():
