@@ -523,9 +523,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # One pass over the stocks: what does not depend on the threshold is
-    # built once per stock, then every threshold runs on it. The cp answers
-    # are scored once, and so is each trend/flat prefix some threshold asks about.
+    # One pass over the stocks: both stages are scored once per stock, and
+    # every threshold walks those scores.
     stats_by_threshold: list[list[pipeline.StockStats]] = [[] for _ in configs]
     for stock, sliced in spans.items():
         if args.oracle:
@@ -534,12 +533,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             tof_arg = pipeline.oracle_tof_scorer(windows, sliced)
         else:
             cp_arg, tof_arg = cp_model, tof_model
-        cp_proba = pipeline.cp_answers(sliced, cp_arg, log_mode)
-        tof_table = pipeline.TofTable(sliced, cp_proba, tof_arg, configs)
+        scores = pipeline.StockScores(sliced, cp_arg, tof_arg, configs)
         for cfg, stats_list in zip(configs, stats_by_threshold):
-            trace, stats = pipeline.run_pipeline(
-                sliced, lambda ts, X: cp_proba[ts + pipeline.CP_LAG_DAYS], tof_table, cfg
-            )
+            trace, stats = pipeline.run_pipeline(scores, cfg)
             trace.to_csv(out_dir / f"trace_{stock}_t{cfg.cp_threshold:.2f}.csv")
             stats_list.append(stats)
 

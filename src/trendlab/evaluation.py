@@ -193,14 +193,6 @@ def _fold_of_rows(X: np.ndarray, y: np.ndarray, k: int, seed: int) -> tuple[np.n
     return canon, fold_of
 
 
-def stratified_fold_indices(
-    X: np.ndarray, y: np.ndarray, k: int, seed: int
-) -> list[np.ndarray]:
-    """Seed-shuffled stratified folds, each returned in canonical row order."""
-    canon, fold_of = _fold_of_rows(X, y, k, seed)
-    return [canon[fold_of[canon] == j] for j in range(k)]
-
-
 def _fold_splits(
     X: np.ndarray, y: np.ndarray, k: int, scoring: str, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:

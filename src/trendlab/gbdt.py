@@ -533,7 +533,7 @@ def model_from_dict(doc: dict) -> GbdtModel:
             base_logit=_finite(doc["base_logit"]),
             feature_names=tuple(names) if names else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # a tree too deep to rebuild
         raise ModelFormatError(f"malformed {FORMAT_NAME} document: {exc!r}") from None
 
 

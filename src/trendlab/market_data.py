@@ -47,6 +47,8 @@ def _read_json(path: str | Path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError:  # not UTF-8 or not JSON
         raise ParseError(f"{path}: not JSON") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a JSON object")
     return doc

@@ -1,16 +1,14 @@
-"""Two-stage simulation and profit accounting: score first, then walk.
+"""Two-stage simulation and profit accounting: score a stock once, then walk each config.
 
 Signals become available as they would in real time: the changepoint
 features for row t need five future bars, so a positive changepoint answer
-for row t acts on day t+5 and starts a window at row t. With the threshold
-fixed, these answers fix every window, and so every prefix the trend/flat
-model is asked about. ``run_pipeline`` therefore scores every changepoint
-row in one call, then looks up the trend/flat answer about the prefix of
-every day from its window's first possible entry day
-(``PipelineConfig.entry_lag``) on in a ``TofTable``, which scores them in
-one call, and only then walks the windows. One table can serve several
-changepoint thresholds: it scores each (window start, day) prefix that any
-of them asks about once. The first positive trend/flat answer in a window
+for row t acts on day t+5 and starts a window at row t. Neither stage's
+answers depend on the changepoint threshold, so a ``StockScores`` scores a
+stock once for every config of a sweep: every changepoint row in one call,
+then, in one more call, each (window start, day) prefix that some config's
+windows ask about, from the window's first possible entry day
+(``PipelineConfig.entry_lag``) on. ``run_pipeline`` then walks one config's
+windows over those answers. The first positive trend/flat answer in a window
 opens a position at that day's close, with the direction latched from the
 sign of the prefix's close-slope feature. A position closes when the
 trend/flat answer flips back to flat (unless ``hold_until_changepoint``),
@@ -274,7 +272,7 @@ def save_baseline(
 
 
 def backtest_span(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
-    """The rows of ``series`` from ``split_date`` on; None when too few for ``run_pipeline``."""
+    """The rows of ``series`` from ``split_date`` on; None when too few to score."""
     sliced = series[bisect.bisect_left(series.dates, split_date) :]
     return sliced if len(sliced) >= 2 * CP_LAG_DAYS + 1 else None
 
@@ -351,19 +349,6 @@ def oracle_tof_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> T
     return lambda starts, days, X: is_trend[starts]
 
 
-def cp_answers(
-    series: QuoteSeries, cp_model: gbdt.GbdtModel | CpScorer, log_mode: bool
-) -> np.ndarray:
-    """Each day's changepoint answer, NaN on days without one.
-
-    The answer about row t becomes actionable on day t + CP_LAG_DAYS.
-    """
-    ts, cp_X = cp_feature_matrix(series, log_mode=log_mode)
-    cp_proba = np.full(len(series), np.nan)
-    cp_proba[ts + CP_LAG_DAYS] = _score(cp_model, cp_X, ts)
-    return cp_proba
-
-
 def _windows(
     cp_signal: np.ndarray, entry_lag: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -387,38 +372,44 @@ def _runs(starts: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(firsts, firsts[1:] + [len(starts)]))
 
 
-class TofTable:
-    """The trend/flat answers about every prefix that some config scores, from one call.
+class StockScores:
+    """Both stages' answers about one stock, scored once for every config of a sweep.
 
-    ``cp_proba`` holds each day of ``series``'s changepoint answer, as
-    ``cp_answers`` gives it. Each config's threshold turns it into windows,
-    and the table scores each distinct (window start, day) prefix of any of
-    them once: one ``WindowSums`` per start, over the longest window a config
-    gives it, and one call of ``tof`` on every prefix's features. A prefix
-    has the same bits from any window that holds it, so each config's run
-    reads the answers and features it would have scored itself. The configs
-    must share ``log_mode``, the space the features are taken in.
+    ``cp`` answers each changepoint row in one call. The answer about row t
+    becomes actionable on day t + CP_LAG_DAYS, and ``cp_proba`` holds each
+    day's answer, NaN on days without one. Each config's threshold turns these
+    answers into windows, and ``tof`` answers each distinct (window start,
+    day) prefix of any of them in one more call: one ``WindowSums`` per start,
+    over the longest window a config gives it. A prefix has the same bits from
+    any window that holds it, so each config's run reads the answers and
+    features it would have scored alone. The configs must share ``log_mode``,
+    the space the features are taken in.
     """
 
     def __init__(
         self,
         series: QuoteSeries,
-        cp_proba: np.ndarray,
+        cp: gbdt.GbdtModel | CpScorer,
         tof: gbdt.GbdtModel | TofScorer,
         configs: Sequence[PipelineConfig],
     ) -> None:
         n = len(series)
+        if n < 2 * CP_LAG_DAYS + 1:
+            raise SeriesTooShortError(f"{series.stockname}: {n} bars < {2 * CP_LAG_DAYS + 1}")
         if len({cfg.log_mode for cfg in configs}) != 1:
-            raise ConfigError("a trend/flat table needs configs that share one log_mode")
-        if np.shape(cp_proba) != (n,):
-            raise ShapeError(f"{np.shape(cp_proba)} changepoint answers for {n} days")
+            raise ConfigError("stock scores need configs that share one log_mode")
         self.series = series
+        self.configs = tuple(configs)
         self.log_mode = configs[0].log_mode
+        ts, cp_X = cp_feature_matrix(series, log_mode=self.log_mode)
+        self.cp_proba = np.full(n, np.nan)
+        self.cp_proba[ts + CP_LAG_DAYS] = _score(cp, cp_X, ts)
+        self.cp_proba.flags.writeable = False  # every config's trace shares it
+
         keys = []
         for cfg in configs:
-            _, _, window_start, days = _windows(cp_proba >= cfg.cp_threshold, cfg.entry_lag)
+            _, _, window_start, days = _windows(self.cp_proba >= cfg.cp_threshold, cfg.entry_lag)
             keys.append(window_start[days] * n + days)
-        self._n = n
         self._keys = np.unique(np.concatenate(keys))
         starts, days = np.divmod(self._keys, n)
 
@@ -435,70 +426,44 @@ class TofTable:
             rows.append(sums.prefix_rows(first, last)[lengths - first])
         self._probas = _score(tof, np.concatenate(rows), starts, days)
 
-    def proba(self, starts: np.ndarray, days: np.ndarray) -> np.ndarray:
-        """The answer about each prefix from row ``starts[i]`` to row ``days[i]``.
+    def __len__(self) -> int:
+        return len(self.series)
 
-        Raises ``ConfigError`` on a prefix that no config of the table scores.
+    def proba(self, starts: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """The trend/flat answer about each prefix from row ``starts[i]`` to row ``days[i]``.
+
+        Raises ``ConfigError`` on a prefix that no config of the scores asks about.
         """
-        keys = np.asarray(starts) * self._n + np.asarray(days)
+        keys = np.asarray(starts) * len(self) + np.asarray(days)
         at = np.searchsorted(self._keys, keys)
         lacking = np.flatnonzero(np.append(self._keys, -1)[at] != keys)  # -1: past the last key
         if lacking.size:
             i = int(lacking[0])
             raise ConfigError(
-                f"{self.series.stockname}: the trend/flat table has no answer about the prefix "
+                f"{self.series.stockname}: no trend/flat answer about the prefix "
                 f"from row {int(starts[i])} to row {int(days[i])}"
             )
         return self._probas[at]
 
-    def serves(self, series: QuoteSeries, log_mode: bool) -> bool:
-        """Whether ``series``, in ``log_mode``, has the quotes the table was built from."""
-        mine = self.series
-        return (
-            log_mode == self.log_mode
-            and (series.stockname, series.dates) == (mine.stockname, mine.dates)
-            and np.array_equal(series.closes, mine.closes)
-            and np.array_equal(series.volumes, mine.volumes)
-        )
 
+def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace, StockStats]:
+    """Walk the days of one config of ``scores`` in order, and trade."""
+    series = scores.series
+    if cfg not in scores.configs:
+        raise ConfigError(f"{series.stockname}: the stock was not scored for {cfg}")
+    n = len(scores)
 
-def run_pipeline(
-    series: QuoteSeries,
-    cp_model: gbdt.GbdtModel | CpScorer,
-    tof_model: gbdt.GbdtModel | TofScorer | TofTable,
-    cfg: PipelineConfig | None = None,
-) -> tuple[SignalTrace, StockStats]:
-    """Score both stages over the series, then walk the days in order and trade.
-
-    ``tof_model`` may be a ``TofTable`` built for ``series`` with ``cfg``
-    among its configs; a model or scorer is scored through a table of
-    ``cfg`` alone.
-    """
-    cfg = cfg or PipelineConfig()
-    n = len(series)
-    if n < 2 * CP_LAG_DAYS + 1:
-        raise SeriesTooShortError(f"{series.stockname}: {n} bars < {2 * CP_LAG_DAYS + 1}")
-    dates = series.dates
-
-    # 1. Changepoint stage: the answer about row t becomes actionable on day t + CP_LAG_DAYS.
-    cp_proba = cp_answers(series, cp_model, cfg.log_mode)
-    cp_signal = (cp_proba >= cfg.cp_threshold).astype(np.int64)
-
-    # 2. Trend/flat stage: each day's window, then the answer about every prefix
-    #    the walk asks about, and its features from the table's sums.
+    # 1. The changepoint signals and the windows they open, then the answer
+    #    about every prefix the walk asks about and its features from the sums.
+    cp_signal = (scores.cp_proba >= cfg.cp_threshold).astype(np.int64)
     fired, window_id, window_start, days = _windows(cp_signal, cfg.entry_lag)
     starts = window_start[days]
-    table = tof_model
-    if not isinstance(table, TofTable):
-        table = TofTable(series, cp_proba, tof_model, [cfg])
-    elif not table.serves(series, cfg.log_mode):
-        raise ConfigError(f"{series.stockname}: a trend/flat table of other quotes or log_mode")
     tof_proba = np.full(n, np.nan)
-    tof_proba[days] = table.proba(starts, days)
+    tof_proba[days] = scores.proba(starts, days)
     tof_rows = []
     for lo, hi in _runs(starts):
         s = int(starts[lo])
-        sums = table.sums[s]
+        sums = scores.sums[s]
         tof_rows.extend(tof_features(sums, d - s + 1) for d in days[lo:hi].tolist())
     tof_X = np.array(tof_rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))
     tof_signal = np.full(n, -1, dtype=np.int64)
@@ -506,7 +471,7 @@ def run_pipeline(
     trend_direction = np.zeros(n, dtype=np.int64)
     trend_direction[days] = np.where(tof_X[:, 0] >= 0.0, 1, -1)
 
-    # 3. The position state machine, one window at a time. A window trades at
+    # 2. The position state machine, one window at a time. A window trades at
     #    most once: its first trend answer opens a position at that day's close,
     #    and the position closes on the window's next flat answer (unless
     #    holding), on the day the next changepoint acts, or at the series end.
@@ -536,8 +501,8 @@ def run_pipeline(
 
     trace = SignalTrace(
         stockname=series.stockname,
-        dates=dates,
-        cp_proba=cp_proba,
+        dates=series.dates,
+        cp_proba=scores.cp_proba,
         cp_signal=cp_signal,
         window_id=window_id,
         window_start=window_start,

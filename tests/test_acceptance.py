@@ -28,6 +28,7 @@ from trendlab.labels import (
 from trendlab.pipeline import (
     CP_LAG_DAYS,
     PipelineConfig,
+    StockScores,
     StockStats,
     aggregate,
     clip_windows_to_span,
@@ -284,7 +285,7 @@ def test_criterion_8_pipeline_oracle_and_no_look_ahead():
     cfg = PipelineConfig(log_mode=True)
     cp = oracle_cp_scorer(windows, series)
     tof = oracle_tof_scorer(windows, series)
-    trace, stats = run_pipeline(series, cp, tof, cfg)
+    trace, stats = run_pipeline(StockScores(series, cp, tof, [cfg]), cfg)
     ledger = lagged_regime_ledger(windows, series, entry_lag=cfg.entry_lag)
     assert stats.times_in == len(ledger) > 0
     assert stats.profit == pytest.approx(sum(e.profit for e in ledger), abs=1e-9)
@@ -298,12 +299,13 @@ def test_criterion_8_pipeline_oracle_and_no_look_ahead():
         d = int(d)
         truncated = series[: d + 1]
         windows_t = clip_windows_to_span(windows, truncated)
-        trace_t, _ = run_pipeline(
+        scores_t = StockScores(
             truncated,
             oracle_cp_scorer(windows_t, truncated),
             oracle_tof_scorer(windows_t, truncated),
-            cfg,
+            [cfg],
         )
+        trace_t, _ = run_pipeline(scores_t, cfg)
         known = slice(d - CP_LAG_DAYS + 1)
         for column in ("cp_proba", "cp_signal", "tof_proba", "tof_signal"):
             np.testing.assert_array_equal(

@@ -279,6 +279,22 @@ def test_backtest_scores_each_cp_row_once(workdir, short_stock_data, tmp_path, m
     assert cp_rows == expected
 
 
+def test_backtest_builds_the_cp_features_once_per_stock(workdir, tmp_path, monkeypatch):
+    from trendlab import pipeline
+
+    stocks = []
+    cp_feature_matrix = pipeline.cp_feature_matrix
+
+    def counting(series, *args, **kwargs):
+        stocks.append(series.stockname)
+        return cp_feature_matrix(series, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "cp_feature_matrix", counting)
+    argv = _backtest_argv(workdir, workdir / "data", "models")
+    assert main([*argv, "--cp-threshold", "0.3,0.5,0.8", "-o", str(tmp_path / "r")]) == 0
+    assert stocks == ["SYN00", "SYN01"]
+
+
 def test_backtest_missing_model_names_path(workdir, tmp_path, capsys):
     data = workdir / "data"
     out = tmp_path / "r"
@@ -501,6 +517,30 @@ def test_commands_reject_options_they_do_not_read(workdir, tmp_path, argv, code)
     argv = [a.format(prep=workdir / "prep") for a in argv]
     data = str(workdir / "data")
     assert main([*argv, "--data", data, "-o", str(tmp_path / "out")]) == code
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("name", ["cp_model.json", "prep_report.json", "truth.json"])
+def test_deeply_nested_json_exits_1_naming_the_file(workdir, tmp_path, capsys, name):
+    data = _copy_data(workdir, tmp_path / "data")
+    prep = _copy_prepared(workdir, tmp_path / "prep")
+    models = tmp_path / "models"
+    models.mkdir()
+    for path in (workdir / "models").glob("*_model.json"):
+        (models / path.name).write_bytes(path.read_bytes())
+    path = {"cp_model.json": models, "prep_report.json": prep, "truth.json": data}[name] / name
+    path.write_text(DEEP_JSON)
+    argv = {
+        "cp_model.json": ["backtest", "--data", str(data), "--prepared", str(prep),
+                          "--models", str(models)],
+        "prep_report.json": ["train", "cp", "--prepared", str(prep), "--n-estimators", "2"],
+        "truth.json": ["baseline", "--data", str(data)],
+    }[name]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_backtest_oracle_profit_matches_ledger(tmp_path):

@@ -12,12 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trendlab.errors import FoldDegenerateError, ShapeError, SingleClassError
-from trendlab.evaluation import (
-    class_report,
-    grid_search,
-    roc_auc,
-    stratified_fold_indices,
-)
+from trendlab.evaluation import _fold_of_rows, class_report, grid_search, roc_auc
 from trendlab.gbdt import GbdtParams
 
 
@@ -173,19 +168,25 @@ def test_kfold_deterministic_and_permutation_invariant():
     assert c == a
 
 
+def _folds(X, y, k, seed):
+    """Each fold's rows in canonical order, as ``_fold_splits`` holds them out."""
+    canon, fold_of = _fold_of_rows(X, y, k, seed)
+    return [canon[fold_of[canon] == j] for j in range(k)]
+
+
 def test_kfold_degenerate_cases():
     X, y = _toy_imbalanced(n_neg=10, n_pos=1)
     with pytest.raises(FoldDegenerateError):
         _cv(X, y, GbdtParams(n_estimators=2), k=3, scoring="auc", seed=0)
     with pytest.raises(FoldDegenerateError):
-        stratified_fold_indices(X, y, k=20, seed=0)
+        _folds(X, y, k=20, seed=0)
     with pytest.raises(FoldDegenerateError):
-        stratified_fold_indices(X, y, k=1, seed=0)
+        _folds(X, y, k=1, seed=0)
 
 
 def test_stratified_folds_cover_and_balance():
     X, y = _toy_imbalanced(n_neg=50, n_pos=10)
-    folds = stratified_fold_indices(X, y, k=5, seed=0)
+    folds = _folds(X, y, k=5, seed=0)
     all_idx = np.concatenate(folds)
     assert sorted(all_idx) == list(range(60))
     for fold in folds:
@@ -194,7 +195,7 @@ def test_stratified_folds_cover_and_balance():
 
 def test_as_many_folds_as_rows_hold_one_row_each():
     X, y = _toy_imbalanced(n_neg=10, n_pos=1)
-    folds = stratified_fold_indices(X, y, k=len(y), seed=3)
+    folds = _folds(X, y, k=len(y), seed=3)
     assert [len(fold) for fold in folds] == [1] * len(y)
     assert sorted(np.concatenate(folds).tolist()) == list(range(len(y)))
     assert all(fold.dtype == np.int64 for fold in folds)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from reference_gbdt import reference_apply_tree, reference_fit, reference_staged_margins
 
 from trendlab import gbdt
-from trendlab.errors import ModelFormatError, ShapeError, SingleClassWarning
+from trendlab.errors import ModelFormatError, ParseError, ShapeError, SingleClassWarning
 from trendlab.gbdt import (
     GbdtModel,
     GbdtParams,
@@ -382,6 +382,27 @@ def test_model_from_dict_rejects_malformed_documents():
                  unknown_param, invalid_param, nan_leaf, too_few_names):
         with pytest.raises(ModelFormatError):
             model_from_dict(_corrupt(doc, edit))
+
+
+def _chain_tree(depth):
+    """The JSON text of a tree ``depth`` splits deep."""
+    split = '{"feature": 0, "threshold": 1.0, "left": {"leaf": 0.0}, "right": '
+    return split * depth + '{"leaf": 0.5}' + "}" * depth
+
+
+def test_a_tree_too_deep_to_read_is_a_typed_error_naming_the_file(tmp_path):
+    doc = model_to_dict(GbdtModel(params=GbdtParams(), n_features=1, trees=[]))
+    text = json.dumps({**doc, "trees": "TREES"}).replace('"TREES"', f"[{_chain_tree(1_500)}]")
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    # the JSON reader or the tree builder gives up first, by Python version
+    with pytest.raises((ParseError, ModelFormatError), match=rf"^{re.escape(str(path))}: "):
+        load_model(path)
+    tree = {"leaf": 0.5}
+    for _ in range(5_000):
+        tree = {"feature": 0, "threshold": 1.0, "left": {"leaf": 0.0}, "right": tree}
+    with pytest.raises(ModelFormatError, match="RecursionError"):
+        model_from_dict({**doc, "trees": [tree]})
 
 
 def _stump_doc(threshold, feature=0):

@@ -19,19 +19,18 @@ from trendlab import gbdt
 from trendlab.errors import ConfigError, SeriesTooShortError, ShapeError
 from trendlab.features import build_cp_dataset, build_tof_dataset
 from trendlab.labels import ExpertWindow
-from trendlab.market_data import FLAT, OHLCV_COLUMNS, TREND, QuoteSeries
+from trendlab.market_data import FLAT, TREND
 from trendlab.pipeline import (
     BUSINESS_DAYS_PER_YEAR,
     CP_LAG_DAYS,
     PipelineConfig,
     Position,
+    StockScores,
     StockStats,
-    TofTable,
     aggregate,
     backtest_span,
     backtest_spans,
     clip_windows_to_span,
-    cp_answers,
     expert_baseline,
     oracle_cp_scorer,
     oracle_tof_scorer,
@@ -39,6 +38,11 @@ from trendlab.pipeline import (
     trend_profit,
 )
 from trendlab.synth import RegimeSpec, SamplerConfig, gen_series
+
+
+def _run(series, cp, tof, cfg=PipelineConfig()):
+    """One config's run: the stock scored for that config alone, then walked."""
+    return run_pipeline(StockScores(series, cp, tof, [cfg]), cfg)
 
 
 def test_trend_profit_formulas():
@@ -119,12 +123,12 @@ def test_stock_stats_additivity():
 def test_run_pipeline_too_short():
     series = make_series(100 + np.arange(10.0))
     with pytest.raises(SeriesTooShortError):
-        run_pipeline(series, lambda ts, X: np.zeros(len(ts)), lambda s, d, X: np.zeros(len(d)))
+        _run(series, lambda ts, X: np.zeros(len(ts)), lambda s, d, X: np.zeros(len(d)))
 
 
 def test_run_pipeline_never_firing_cp_means_no_positions():
     series = make_series(100 + np.arange(60.0))
-    trace, stats = run_pipeline(
+    trace, stats = _run(
         series, lambda ts, X: np.zeros(len(ts)), lambda s, d, X: np.ones(len(d))
     )
     assert stats.times_in == 0
@@ -135,7 +139,7 @@ def test_run_pipeline_never_firing_cp_means_no_positions():
 
 def test_run_pipeline_always_cp_flat_tof_means_no_positions():
     series = make_series(100 + np.arange(60.0))
-    trace, stats = run_pipeline(
+    trace, stats = _run(
         series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d))
     )
     assert stats.times_in == 0
@@ -158,7 +162,7 @@ def _oracle_universe(seed=12):
 def test_pipeline_oracle_matches_generator_ledger():
     series, windows = _oracle_universe()
     cfg = PipelineConfig(log_mode=True)
-    trace, stats = run_pipeline(
+    trace, stats = _run(
         series,
         oracle_cp_scorer(windows, series),
         oracle_tof_scorer(windows, series),
@@ -184,12 +188,12 @@ def test_no_look_ahead_replay_truncation():
     cfg = PipelineConfig(log_mode=True)
     cp = oracle_cp_scorer(windows, series)
     tof = oracle_tof_scorer(windows, series)
-    full_trace, _ = run_pipeline(series, cp, tof, cfg)
+    full_trace, _ = _run(series, cp, tof, cfg)
     rng = np.random.default_rng(3)
     for d in rng.integers(20, len(series) - 1, size=8):
         truncated = series[: int(d) + 1]
         windows_t = clip_windows_to_span(windows, truncated)
-        trace_t, _ = run_pipeline(
+        trace_t, _ = _run(
             truncated, oracle_cp_scorer(windows_t, truncated),
             oracle_tof_scorer(windows_t, truncated), cfg,
         )
@@ -267,7 +271,7 @@ def test_batch_pipeline_matches_per_row_reference(
                 cp_threshold=threshold, log_mode=log_mode,
                 hold_until_changepoint=hold, min_window_days=min_window_days,
             )
-            got = run_pipeline(series, cp, tof, cfg)
+            got = _run(series, cp, tof, cfg)
             want = reference_run_pipeline(series, row_cp, row_tof_scorer, cfg)
             _assert_same_run(got, want, tmp_path)
             exits |= {p.exit_reason for p in got[0].positions}
@@ -280,13 +284,13 @@ def test_no_look_ahead_replay_trained_models(trained_models):
     series, _ = gen_series(SMALL_UNIVERSE, seed=[17, 2], stockname="TST")
     cp_model, tof_model = trained_models[True]
     cfg = PipelineConfig(log_mode=True)
-    full_trace, _ = run_pipeline(series, cp_model, tof_model, cfg)
+    full_trace, _ = _run(series, cp_model, tof_model, cfg)
     assert full_trace.positions
     columns = ("cp_proba", "cp_signal", "window_id", "window_start", "tof_proba", "tof_signal")
     rng = np.random.default_rng(8)
     for d in rng.integers(20, len(series) - 1, size=15):
         d = int(d)
-        trace_t, _ = run_pipeline(series[: d + 1], cp_model, tof_model, cfg)
+        trace_t, _ = _run(series[: d + 1], cp_model, tof_model, cfg)
         assert full_trace.dates[: d + 1] == trace_t.dates
         for column in columns:
             np.testing.assert_array_equal(
@@ -309,7 +313,7 @@ def test_each_stage_is_scored_in_one_call(trained_models, monkeypatch):
         calls["tof"] += 1
         return tof(starts, days, X)
 
-    trace, _ = run_pipeline(series, counting_cp, counting_tof)
+    trace, _ = _run(series, counting_cp, counting_tof)
     assert calls == {"cp": 1, "tof": 1}
     assert trace.positions
 
@@ -321,12 +325,12 @@ def test_each_stage_is_scored_in_one_call(trained_models, monkeypatch):
         return predict_proba(model, X)
 
     monkeypatch.setattr(gbdt, "predict_proba", counting_predict_proba)
-    trace, _ = run_pipeline(series, *trained_models[True])
+    trace, _ = _run(series, *trained_models[True])
     assert len(rows) == 2
     assert rows[1] == np.count_nonzero(~np.isnan(trace.tof_proba))
 
 
-# --- one trend/flat table for several configs ---
+# --- one StockScores for several configs ---
 
 
 def _table_stages(kind, trained_models, series, windows, log_mode):
@@ -356,82 +360,68 @@ def test_a_shared_table_gives_each_config_its_own_run(
     configs = [
         PipelineConfig(cp_threshold=t, min_window_days=m, log_mode=log_mode) for t, m in settings
     ]
-    table = TofTable(series, cp_answers(series, cp, log_mode), tof, configs)
+    scores = StockScores(series, cp, tof, configs)
     scored = 0
     for cfg in configs:
-        got = run_pipeline(series, cp, table, cfg)
-        # a model or scorer is scored through a table of the one config
-        _assert_same_run(got, run_pipeline(series, cp, tof, cfg), tmp_path)
+        got = run_pipeline(scores, cfg)
+        # the run of the stock scored for this config alone
+        _assert_same_run(got, _run(series, cp, tof, cfg), tmp_path)
         scored += np.count_nonzero(~np.isnan(got[0].tof_proba))
-    assert 0 < len(table._keys) <= scored
+    assert 0 < len(scores._keys) <= scored
     if kind == "callables" and len(configs) > 1:
-        assert len(table._keys) < scored  # the configs share prefixes
+        assert len(scores._keys) < scored  # the configs share prefixes
 
 
 def test_a_table_raises_on_a_prefix_it_lacks():
     series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
     cp, tof = _table_stages("callables", None, series, windows, True)
-    cp_proba = cp_answers(series, cp, True)
-    table = TofTable(series, cp_proba, tof, [PipelineConfig(cp_threshold=0.8)])
-    with pytest.raises(ConfigError, match="TST: the trend/flat table has no answer"):
-        run_pipeline(series, cp, table, PipelineConfig(cp_threshold=0.3))
-    with pytest.raises(ConfigError, match="no answer about the prefix from row 3 to row 2"):
-        table.proba(np.array([3]), np.array([2]))
-    empty = TofTable(series, np.zeros(len(series)), tof, [PipelineConfig()])
+    scores = StockScores(series, cp, tof, [PipelineConfig(cp_threshold=0.8)])
+    lacking = "TST: no trend/flat answer about the prefix from row 3 to row 2"
+    with pytest.raises(ConfigError, match=lacking):
+        scores.proba(np.array([3]), np.array([2]))
+    never = StockScores(series, lambda ts, X: np.zeros(len(ts)), tof, [PipelineConfig()])
     nothing = np.array([], dtype=np.int64)
-    assert empty._keys.size == 0 and empty.proba(nothing, nothing).size == 0
-    with pytest.raises(ConfigError, match="no answer"):
-        empty.proba(np.array([0]), np.array([9]))
+    assert never._keys.size == 0 and never.proba(nothing, nothing).size == 0
+    with pytest.raises(ConfigError, match="no trend/flat answer"):
+        never.proba(np.array([0]), np.array([9]))
 
 
 def test_a_table_needs_one_log_mode_and_its_own_series():
     series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
     cp, tof = _table_stages("oracles", None, series, windows, True)
-    cp_proba = cp_answers(series, cp, True)
     mixed = [PipelineConfig(log_mode=True), PipelineConfig(cp_threshold=0.7, log_mode=False)]
     for configs in (mixed, []):
         with pytest.raises(ConfigError, match="share one log_mode"):
-            TofTable(series, cp_proba, tof, configs)
-    with pytest.raises(ShapeError):
-        TofTable(series, cp_proba[1:], tof, [PipelineConfig()])
-    table = TofTable(series, cp_proba, tof, [PipelineConfig(log_mode=False)])
+            StockScores(series, cp, tof, configs)
     cfg = PipelineConfig(log_mode=False)
-    with pytest.raises(ConfigError, match="other quotes or log_mode"):
-        run_pipeline(series, cp, table, replace(cfg, log_mode=True))
-    with pytest.raises(ConfigError, match="other quotes or log_mode"):
-        run_pipeline(series[1:], cp, table, cfg)
-    # the same name and dates, with one close or one volume changed
-    for changed in ("close", "volume"):
-        columns = {c: series.column(c).copy() for c in OHLCV_COLUMNS}
-        columns[changed][40] *= 1.01
-        other = QuoteSeries(series.stockname, series.dates, *columns.values())
-        with pytest.raises(ConfigError, match="other quotes or log_mode"):
-            run_pipeline(other, cp, table, cfg)
-    # an equal copy of the quotes is served
-    copy = QuoteSeries(series.stockname, series.dates, *(series.column(c) for c in OHLCV_COLUMNS))
-    assert table.serves(copy, False)
+    scores = StockScores(series, cp, tof, [cfg])
+    assert scores.series is series and len(scores) == len(series)
+    # a config the stock was not scored for: another log_mode, another threshold
+    for other in (replace(cfg, log_mode=True), replace(cfg, cp_threshold=0.3)):
+        with pytest.raises(ConfigError, match="TST: the stock was not scored for"):
+            run_pipeline(scores, other)
 
 
 def test_scorer_must_return_one_probability_per_row():
     series = make_series(100 + np.arange(60.0))
     with pytest.raises(ShapeError):
-        run_pipeline(series, lambda ts, X: 0.0, lambda s, d, X: np.zeros(len(d)))
+        _run(series, lambda ts, X: 0.0, lambda s, d, X: np.zeros(len(d)))
     with pytest.raises(ShapeError):
-        run_pipeline(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d) + 1))
+        _run(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d) + 1))
 
 
 def test_scorer_must_return_probabilities():
     # NaN marks a missing answer in the trace columns, so a scorer's NaN is an error
     series = make_series(100 + np.arange(60.0))
     with pytest.raises(ShapeError, match=r"\[0, 1\]"):
-        run_pipeline(series, lambda ts, X: np.full(len(ts), np.nan), lambda s, d, X: np.ones(len(d)))
+        _run(series, lambda ts, X: np.full(len(ts), np.nan), lambda s, d, X: np.ones(len(d)))
     with pytest.raises(ShapeError, match=r"\[0, 1\]"):
-        run_pipeline(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.full(len(d), 1.5))
+        _run(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.full(len(d), 1.5))
 
 
 def test_trace_columns_mark_missing_answers():
     series, windows = _oracle_universe(seed=42)
-    trace, _ = run_pipeline(
+    trace, _ = _run(
         series, oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)
     )
     assert trace.dates == series.dates
@@ -462,7 +452,7 @@ def test_monotone_gating_higher_threshold_positions_subset():
     entries = {}
     for threshold in (0.5, 0.95):
         cfg = PipelineConfig(cp_threshold=threshold, log_mode=True)
-        trace, _ = run_pipeline(series, cp, tof, cfg)
+        trace, _ = _run(series, cp, tof, cfg)
         entries[threshold] = {p.entry_date for p in trace.positions}
     assert entries[0.95] <= entries[0.5]
     assert len(entries[0.95]) < len(entries[0.5])
@@ -477,9 +467,9 @@ def test_hold_until_changepoint_ignores_tof_flips():
         return np.where(days - starts <= 8, 1.0, 0.0)
 
     closing = PipelineConfig(log_mode=True, hold_until_changepoint=False)
-    trace_close, stats_close = run_pipeline(series, cp, flaky_tof, closing)
+    trace_close, stats_close = _run(series, cp, flaky_tof, closing)
     holding = PipelineConfig(log_mode=True, hold_until_changepoint=True)
-    trace_hold, stats_hold = run_pipeline(series, cp, flaky_tof, holding)
+    trace_hold, stats_hold = _run(series, cp, flaky_tof, holding)
     # closing mode exits early on the flip; holding mode rides to the next signal
     assert any(p.exit_reason == "tof_flat" for p in trace_close.positions)
     assert all(p.exit_reason in ("changepoint", "series_end") for p in trace_hold.positions)
@@ -493,7 +483,7 @@ def test_pipeline_price_scale_invariance():
         start=series.dates[0],
     )
     cfg = PipelineConfig(log_mode=True)
-    _, stats = run_pipeline(
+    _, stats = _run(
         series, oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series), cfg
     )
     windows_scaled = [
@@ -504,7 +494,7 @@ def test_pipeline_price_scale_invariance():
         )
         for w in windows
     ]
-    _, stats_scaled = run_pipeline(
+    _, stats_scaled = _run(
         scaled, oracle_cp_scorer(windows_scaled, scaled),
         oracle_tof_scorer(windows_scaled, scaled), cfg,
     )
@@ -596,7 +586,7 @@ def test_expert_baseline_average_underperforms_best_expert():
 
 def test_trace_csv_round_trip_columns(tmp_path):
     series, windows = _oracle_universe(seed=41)
-    trace, _ = run_pipeline(
+    trace, _ = _run(
         series, oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)
     )
     path = tmp_path / "trace.csv"

@@ -1,4 +1,4 @@
-"""The README's command-line walkthrough runs as documented, on a smaller universe."""
+"""The README's command-line walkthrough and library examples run as documented."""
 
 from __future__ import annotations
 
@@ -22,6 +22,19 @@ def walkthrough_commands() -> list[list[str]]:
     return [words[1:] for words in commands if words[:1] == ["trendlab"]]
 
 
+def library_blocks() -> list[str]:
+    """The python blocks of the library section, in order."""
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def run_walkthrough(commands: list[list[str]]) -> None:
+    """Run the walkthrough on the shrunk universe, in the current directory."""
+    for argv in commands:
+        argv = [SHRUNK.get(flag, word) for flag, word in zip(["", *argv], argv)]
+        assert main(argv) == 0, argv
+
+
 def test_readme_walkthrough_runs(tmp_path, monkeypatch):
     commands = walkthrough_commands()
     assert {argv[0] for argv in commands} == {
@@ -29,6 +42,16 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch):
     }
     assert all(any(flag in argv for argv in commands) for flag in SHRUNK)
     monkeypatch.chdir(tmp_path)
-    for argv in commands:
-        argv = [SHRUNK.get(flag, word) for flag, word in zip(["", *argv], argv)]
-        assert main(argv) == 0, argv
+    run_walkthrough(commands)
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    # the blocks that read files read the walkthrough's
+    monkeypatch.chdir(tmp_path)
+    run_walkthrough(walkthrough_commands())
+    blocks = library_blocks()
+    assert any("StockScores(series, cp, tof, configs)" in block for block in blocks)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert len(namespace["runs"]) == len(namespace["configs"])
