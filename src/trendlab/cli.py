@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import evaluation, gbdt, pipeline, synth
-from .errors import ConfigError, TrendlabError
+from .errors import ConfigError, ModelFormatError, TrendlabError
 from .features import (
     CP_FEATURE_NAMES,
     TOF_FEATURE_NAMES,
@@ -259,6 +259,8 @@ def _window_streams(
             streams.setdefault(stock, {})[expert] = extract_windows(
                 labels[(stock, expert)], quotes[stock]
             )
+    if label_paths and not streams:
+        raise TrendlabError("no label rows left after the expert filter")
     return streams
 
 
@@ -327,8 +329,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if not label_paths:
         raise FileNotFoundError(f"no labels_*.csv files in {data_dir}")
     streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
-    if not streams:
-        raise TrendlabError("no label rows left after the expert filter")
 
     cp_parts: list[FeatureDataset] = []
     tof_parts: list[FeatureDataset] = []
@@ -481,6 +481,17 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
 # --- backtest / baseline ------------------------------------------------------
 
 
+def _load_stage_model(path: Path, which: str, names: tuple[str, ...]) -> gbdt.GbdtModel:
+    """The model in ``path``; a ``ModelFormatError`` unless it takes the stage's ``names``."""
+    model = gbdt.load_model(path)
+    if model.n_features != len(names) or model.feature_names not in (None, names):
+        raise ModelFormatError(
+            f"{path}: not a {which} model: it takes {model.n_features} features "
+            f"{list(model.feature_names or ())}, not the {len(names)} {which} features"
+        )
+    return model
+
+
 def cmd_backtest(args: argparse.Namespace) -> int:
     if args.oracle == bool(args.models):
         args.parser.error("give exactly one of --models and --oracle")
@@ -503,7 +514,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     # the test span and feature space the models were prepared in
     prep_report = load_prep_report(prepared / "prep_report.json")
     split_date, log_mode = prep_report["split_date"], prep_report["log_mode"]
-    configs = [replace(cfg, log_mode=log_mode) for cfg in configs]
     quotes, _ = _load_universe(data_dir)
     spans, skip_flags = pipeline.backtest_spans(quotes, split_date)
 
@@ -515,7 +525,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             raise TrendlabError(f"{truth_path}: no windows for stock {untold[0]}")
     else:
         cp_model, tof_model = (
-            gbdt.load_model(Path(args.models) / f"{which}_model.json") for which in ("cp", "tof")
+            _load_stage_model(Path(args.models) / f"{which}_model.json", which, names)
+            for which, names in (("cp", CP_FEATURE_NAMES), ("tof", TOF_FEATURE_NAMES))
         )
         # the tof test rows with their window fractions, for fraction_accuracy.csv
         tof_X, tof_y = read_feature_csv(prepared / "tof_test.csv", TOF_FEATURE_NAMES)
@@ -533,7 +544,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             tof_arg = pipeline.oracle_tof_scorer(windows, sliced)
         else:
             cp_arg, tof_arg = cp_model, tof_model
-        scores = pipeline.StockScores(sliced, cp_arg, tof_arg, configs)
+        scores = pipeline.StockScores(sliced, cp_arg, tof_arg, configs, log_mode)
         for cfg, stats_list in zip(configs, stats_by_threshold):
             trace, stats = pipeline.run_pipeline(scores, cfg)
             trace.to_csv(out_dir / f"trace_{stock}_t{cfg.cp_threshold:.2f}.csv")

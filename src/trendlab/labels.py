@@ -86,11 +86,11 @@ def _trend_direction(quotes: QuoteSeries, i0: int, i1: int) -> int:
     return 1 if log_close_slope(quotes, i0, i1) >= 0.0 else -1
 
 
-def _runs(breaks: np.ndarray) -> list[tuple[int, int]]:
-    """First and last index of each run of a sequence; ``breaks[i]`` starts one at i + 1."""
-    firsts = np.append(0, np.flatnonzero(breaks) + 1)
-    lasts = np.append(firsts[1:] - 1, len(breaks))
-    return list(zip(firsts.tolist(), lasts.tolist()))
+def _runs(*columns: np.ndarray) -> list[tuple[int, int]]:
+    """The [lo, hi) bounds of each run of rows over which every column keeps one value."""
+    changes = np.flatnonzero(np.any([np.diff(column) != 0 for column in columns], axis=0))
+    bounds = [0, *(changes + 1).tolist(), len(columns[0])] if len(columns[0]) else []
+    return list(zip(bounds, bounds[1:]))
 
 
 def extract_windows(labels: LabelSeries, quotes: QuoteSeries) -> list[ExpertWindow]:
@@ -104,16 +104,16 @@ def extract_windows(labels: LabelSeries, quotes: QuoteSeries) -> list[ExpertWind
         raise EmptyInputError("no label rows")
     rows = [quotes.index_of(d) for d in labels.dates]
     windows: list[ExpertWindow] = []
-    for first, last in _runs(np.diff(labels.id_select) != 0):
+    for first, end in _runs(labels.id_select):
         trend = bool(labels.trend[first])
         windows.append(
             ExpertWindow(
                 stockname=labels.stockname,
                 expert=labels.expert,
                 start_date=labels.dates[first],
-                end_date=labels.dates[last],
+                end_date=labels.dates[end - 1],
                 tendency=TREND if trend else FLAT,
-                direction=_trend_direction(quotes, rows[first], rows[last]) if trend else 0,
+                direction=_trend_direction(quotes, rows[first], rows[end - 1]) if trend else 0,
             )
         )
     return windows
@@ -153,11 +153,12 @@ def voted_windows(
             stockname=stockname,
             expert="voted",
             start_date=dates[rows[first]],
-            end_date=dates[rows[last]],
+            end_date=dates[rows[end - 1]],
             tendency=FLAT if voted[first] == 0 else TREND,
             direction=int(voted[first]),
         )
-        for first, last in _runs((np.diff(rows) != 1) | (np.diff(voted) != 0))
+        # a run is a stretch of consecutive rows with one voted code
+        for first, end in _runs(rows - np.arange(len(rows)), voted)
     ]
 
 

@@ -5,8 +5,9 @@ features for row t need five future bars, so a positive changepoint answer
 for row t acts on day t+5 and starts a window at row t. Neither stage's
 answers depend on the changepoint threshold, so a ``StockScores`` scores a
 stock once for every config of a sweep: every changepoint row in one call,
-then, in one more call, each (window start, day) prefix that some config's
-windows ask about, from the window's first possible entry day
+then each config's ``Windows`` (its threshold's signals and the windows they
+open), then, in one more call, each distinct (window start, day) prefix of
+those windows from the window's first possible entry day
 (``PipelineConfig.entry_lag``) on. ``run_pipeline`` then walks one config's
 windows over those answers. The first positive trend/flat answer in a window
 opens a position at that day's close, with the direction latched from the
@@ -25,14 +26,14 @@ import bisect
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import gbdt
 from .errors import ConfigError, SeriesTooShortError, ShapeError
 from .features import TOF_FEATURE_NAMES, WindowSums, _log_bars, cp_feature_matrix, tof_features
-from .labels import ExpertWindow
+from .labels import ExpertWindow, _runs
 from .market_data import TREND, QuoteSeries, _write_json
 
 BUSINESS_DAYS_PER_YEAR = 250
@@ -50,7 +51,6 @@ class PipelineConfig:
     cp_threshold: float = 0.5
     tof_threshold: float = 0.5
     min_window_days: int = 6
-    log_mode: bool = True
     hold_until_changepoint: bool = False
 
     def __post_init__(self) -> None:
@@ -349,27 +349,33 @@ def oracle_tof_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> T
     return lambda starts, days, X: is_trend[starts]
 
 
-def _windows(
-    cp_signal: np.ndarray, entry_lag: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The windows that 0/1 changepoint signals open, and the days the trend/flat stage scores.
+class Windows(NamedTuple):
+    """One config's changepoint signals, the windows they open and the trend/flat answers in them.
 
-    Returns the days each changepoint acts on, each day's window id (0 until
-    the first changepoint acts) and window start row (-1 before it), and the
-    days at least ``entry_lag`` rows past their window's start.
+    ``fired`` holds the days a changepoint acts on and ``days`` those the
+    trend/flat stage answers about, at least ``entry_lag`` rows past their
+    window's start. The other columns hold one entry per day: ``window_id``
+    is 0 and ``window_start`` -1 before the first window, and ``tof_proba``
+    is NaN on days without an answer.
     """
+
+    cp_signal: np.ndarray
+    fired: np.ndarray
+    window_id: np.ndarray
+    window_start: np.ndarray
+    days: np.ndarray
+    tof_proba: np.ndarray
+
+
+def _windows(cp_proba: np.ndarray, cfg: PipelineConfig) -> Windows:
+    """The windows ``cfg`` finds in the per-day changepoint answers, before any trend/flat answer."""
+    cp_signal = (cp_proba >= cfg.cp_threshold).astype(np.int64)
     fired = np.flatnonzero(cp_signal)
-    window_id = np.cumsum(cp_signal, dtype=np.int64)
+    window_id = np.cumsum(cp_signal)
     window_start = np.append(-1, fired - CP_LAG_DAYS)[window_id]
     offsets = np.arange(len(cp_signal)) - window_start
-    days = np.flatnonzero((window_id > 0) & (offsets >= entry_lag))
-    return fired, window_id, window_start, days
-
-
-def _runs(starts: np.ndarray) -> list[tuple[int, int]]:
-    """The (lo, hi) bounds of each run of equal values in the sorted ``starts``."""
-    firsts = np.flatnonzero(np.diff(starts, prepend=-1)).tolist()
-    return list(zip(firsts, firsts[1:] + [len(starts)]))
+    days = np.flatnonzero((window_id > 0) & (offsets >= cfg.entry_lag))
+    return Windows(cp_signal, fired, window_id, window_start, days, np.full(len(cp_proba), np.nan))
 
 
 class StockScores:
@@ -378,12 +384,13 @@ class StockScores:
     ``cp`` answers each changepoint row in one call. The answer about row t
     becomes actionable on day t + CP_LAG_DAYS, and ``cp_proba`` holds each
     day's answer, NaN on days without one. Each config's threshold turns these
-    answers into windows, and ``tof`` answers each distinct (window start,
-    day) prefix of any of them in one more call: one ``WindowSums`` per start,
-    over the longest window a config gives it. A prefix has the same bits from
-    any window that holds it, so each config's run reads the answers and
-    features it would have scored alone. The configs must share ``log_mode``,
-    the space the features are taken in.
+    answers into its ``Windows``, derived here once and kept in ``windows``,
+    keyed by the config. ``tof`` answers each distinct (window start, day)
+    prefix of all configs in one more call: one ``WindowSums`` per start, over
+    the longest window a config gives it. A prefix has the same bits from any
+    window that holds it, so each config reads the answers and features it
+    would have scored alone. ``log_mode`` is the space both stages' features
+    are taken in.
     """
 
     def __init__(
@@ -392,29 +399,25 @@ class StockScores:
         cp: gbdt.GbdtModel | CpScorer,
         tof: gbdt.GbdtModel | TofScorer,
         configs: Sequence[PipelineConfig],
+        log_mode: bool = True,
     ) -> None:
         n = len(series)
         if n < 2 * CP_LAG_DAYS + 1:
             raise SeriesTooShortError(f"{series.stockname}: {n} bars < {2 * CP_LAG_DAYS + 1}")
-        if len({cfg.log_mode for cfg in configs}) != 1:
-            raise ConfigError("stock scores need configs that share one log_mode")
+        if not configs:
+            raise ConfigError(f"{series.stockname}: no config given to score the stock for")
         self.series = series
-        self.configs = tuple(configs)
-        self.log_mode = configs[0].log_mode
-        ts, cp_X = cp_feature_matrix(series, log_mode=self.log_mode)
+        ts, cp_X = cp_feature_matrix(series, log_mode=log_mode)
         self.cp_proba = np.full(n, np.nan)
         self.cp_proba[ts + CP_LAG_DAYS] = _score(cp, cp_X, ts)
         self.cp_proba.flags.writeable = False  # every config's trace shares it
 
-        keys = []
-        for cfg in configs:
-            _, _, window_start, days = _windows(self.cp_proba >= cfg.cp_threshold, cfg.entry_lag)
-            keys.append(window_start[days] * n + days)
-        self._keys = np.unique(np.concatenate(keys))
-        starts, days = np.divmod(self._keys, n)
-
+        self.windows = {cfg: _windows(self.cp_proba, cfg) for cfg in configs}
+        keys = [w.window_start[w.days] * n + w.days for w in self.windows.values()]
+        prefixes, which = np.unique(np.concatenate(keys), return_inverse=True)
+        starts, days = np.divmod(prefixes, n)
         closes, volumes = series.closes, series.volumes
-        if self.log_mode:
+        if log_mode:
             closes, volumes = _log_bars(closes, volumes)
         self.sums: dict[int, WindowSums] = {}
         rows = [np.empty((0, len(TOF_FEATURE_NAMES)))]
@@ -424,52 +427,35 @@ class StockScores:
             first, last = int(lengths[0]), int(lengths[-1])
             sums = self.sums[s] = WindowSums(closes[s : s + last], volumes[s : s + last])
             rows.append(sums.prefix_rows(first, last)[lengths - first])
-        self._probas = _score(tof, np.concatenate(rows), starts, days)
+        probas = _score(tof, np.concatenate(rows), starts, days)
+
+        at = 0
+        for w in self.windows.values():
+            w.tof_proba[w.days] = probas[which[at : at + len(w.days)]]
+            at += len(w.days)
+            for column in w:  # every run of the config shares them
+                column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.series)
-
-    def proba(self, starts: np.ndarray, days: np.ndarray) -> np.ndarray:
-        """The trend/flat answer about each prefix from row ``starts[i]`` to row ``days[i]``.
-
-        Raises ``ConfigError`` on a prefix that no config of the scores asks about.
-        """
-        keys = np.asarray(starts) * len(self) + np.asarray(days)
-        at = np.searchsorted(self._keys, keys)
-        lacking = np.flatnonzero(np.append(self._keys, -1)[at] != keys)  # -1: past the last key
-        if lacking.size:
-            i = int(lacking[0])
-            raise ConfigError(
-                f"{self.series.stockname}: no trend/flat answer about the prefix "
-                f"from row {int(starts[i])} to row {int(days[i])}"
-            )
-        return self._probas[at]
 
 
 def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace, StockStats]:
     """Walk the days of one config of ``scores`` in order, and trade."""
     series = scores.series
-    if cfg not in scores.configs:
+    if cfg not in scores.windows:
         raise ConfigError(f"{series.stockname}: the stock was not scored for {cfg}")
+    w = scores.windows[cfg]
     n = len(scores)
 
-    # 1. The changepoint signals and the windows they open, then the answer
-    #    about every prefix the walk asks about and its features from the sums.
-    cp_signal = (scores.cp_proba >= cfg.cp_threshold).astype(np.int64)
-    fired, window_id, window_start, days = _windows(cp_signal, cfg.entry_lag)
-    starts = window_start[days]
-    tof_proba = np.full(n, np.nan)
-    tof_proba[days] = scores.proba(starts, days)
-    tof_rows = []
-    for lo, hi in _runs(starts):
-        s = int(starts[lo])
-        sums = scores.sums[s]
-        tof_rows.extend(tof_features(sums, d - s + 1) for d in days[lo:hi].tolist())
-    tof_X = np.array(tof_rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))
+    # 1. Each scored day's trend/flat signal, and the direction a position
+    #    opened that day takes: the sign of its prefix's close slope.
+    starts, days = w.window_start[w.days].tolist(), w.days.tolist()
+    slopes = [tof_features(scores.sums[s], d - s + 1).reg_close for s, d in zip(starts, days)]
     tof_signal = np.full(n, -1, dtype=np.int64)
-    tof_signal[days] = tof_proba[days] >= cfg.tof_threshold
+    tof_signal[w.days] = w.tof_proba[w.days] >= cfg.tof_threshold
     trend_direction = np.zeros(n, dtype=np.int64)
-    trend_direction[days] = np.where(tof_X[:, 0] >= 0.0, 1, -1)
+    trend_direction[w.days] = np.where(np.array(slopes) >= 0.0, 1, -1)
 
     # 2. The position state machine, one window at a time. A window trades at
     #    most once: its first trend answer opens a position at that day's close,
@@ -478,7 +464,7 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
     direction = np.zeros(n, dtype=np.int64)
     state = np.full(n, "flat", dtype="<U10")
     positions: list[Position] = []
-    bounds = np.append(fired, n).tolist()
+    bounds = np.append(w.fired, n).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         trend_days = np.flatnonzero(tof_signal[lo:hi] == 1)
         if not trend_days.size:
@@ -503,10 +489,10 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
         stockname=series.stockname,
         dates=series.dates,
         cp_proba=scores.cp_proba,
-        cp_signal=cp_signal,
-        window_id=window_id,
-        window_start=window_start,
-        tof_proba=tof_proba,
+        cp_signal=w.cp_signal,
+        window_id=w.window_id,
+        window_start=w.window_start,
+        tof_proba=w.tof_proba,
         tof_signal=tof_signal,
         direction=direction,
         position_state=state,

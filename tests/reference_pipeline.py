@@ -121,6 +121,7 @@ def reference_run_pipeline(
     cp_model: gbdt.GbdtModel | RowCpScorer,
     tof_model: gbdt.GbdtModel | RowTofScorer,
     cfg: PipelineConfig | None = None,
+    log_mode: bool = True,
 ) -> tuple[RowTrace, StockStats]:
     cfg = cfg or PipelineConfig()
     n = len(series)
@@ -138,7 +139,7 @@ def reference_run_pipeline(
     closes = series.closes
     volumes = series.volumes
     dates = series.dates
-    ts, cp_X = cp_feature_matrix(series, log_mode=cfg.log_mode)
+    ts, cp_X = cp_feature_matrix(series, log_mode=log_mode)
     row_of_t = {int(t): i for i, t in enumerate(ts)}
 
     trace = RowTrace(stockname=series.stockname)
@@ -190,7 +191,7 @@ def reference_run_pipeline(
             row.window_id = window_id
             if d - window_start + 1 >= cfg.min_window_days:
                 prefix = (closes[window_start : d + 1], volumes[window_start : d + 1])
-                if cfg.log_mode:
+                if log_mode:
                     prefix = tuple(map(np.log, prefix))
                 tof_row = tof_features(WindowSums(*prefix), d - window_start + 1)
                 proba = tof_score(window_start, d, tof_row)

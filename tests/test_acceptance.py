@@ -282,7 +282,7 @@ def _oracle_regimes():
 
 def test_criterion_8_pipeline_oracle_and_no_look_ahead():
     series, windows = gen_series(_oracle_regimes(), seed=300, stockname="ORC")
-    cfg = PipelineConfig(log_mode=True)
+    cfg = PipelineConfig()
     cp = oracle_cp_scorer(windows, series)
     tof = oracle_tof_scorer(windows, series)
     trace, stats = run_pipeline(StockScores(series, cp, tof, [cfg]), cfg)

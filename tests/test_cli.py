@@ -295,6 +295,26 @@ def test_backtest_builds_the_cp_features_once_per_stock(workdir, tmp_path, monke
     assert stocks == ["SYN00", "SYN01"]
 
 
+def test_backtest_scores_in_the_prepared_feature_space(workdir, tmp_path, monkeypatch):
+    from trendlab import pipeline
+
+    prep = _copy_prepared(workdir, tmp_path / "prep")
+    report = prep / "prep_report.json"
+    report.write_text(report.read_text().replace('"log_mode": true', '"log_mode": false'))
+    spaces = []
+    cp_feature_matrix = pipeline.cp_feature_matrix
+
+    def recording(series, log_mode):
+        spaces.append(log_mode)
+        return cp_feature_matrix(series, log_mode=log_mode)
+
+    monkeypatch.setattr(pipeline, "cp_feature_matrix", recording)
+    argv = ["backtest", "--data", str(workdir / "data"), "--prepared", str(prep),
+            "--models", str(workdir / "models"), "-o", str(tmp_path / "r")]
+    assert main(argv) == 0
+    assert spaces == [False, False]
+
+
 def test_backtest_missing_model_names_path(workdir, tmp_path, capsys):
     data = workdir / "data"
     out = tmp_path / "r"
@@ -331,12 +351,51 @@ def test_backtest_fails_before_creating_out(workdir, tmp_path, models, code):
         # the data is read and split before the output directory is made
         ["prepare", "--data", "{data}", "--split-date", "1990-01-02"],
         ["prepare", "--data", "{data}", "--experts", "NOPE"],
+        ["baseline", "--data", "{data}", "--experts", "NOPE"],
     ],
-    ids=["prepare-no-data", "baseline-no-data", "prepare-degenerate-split", "prepare-no-expert"],
+    ids=["prepare-no-data", "baseline-no-data", "prepare-degenerate-split", "prepare-no-expert",
+         "baseline-no-expert"],
 )
 def test_prepare_and_baseline_fail_before_creating_out(workdir, tmp_path, argv):
     paths = {"missing": str(tmp_path / "missing"), "data": str(workdir / "data")}
     assert main([a.format(**paths) for a in argv] + ["-o", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _swap_models(models: Path) -> Path:
+    cp, tof = models / "cp_model.json", models / "tof_model.json"
+    cp_bytes = cp.read_bytes()
+    cp.write_bytes(tof.read_bytes())
+    tof.write_bytes(cp_bytes)
+    return cp
+
+
+def _rename_tof_features(models: Path) -> Path:
+    tof = models / "tof_model.json"
+    doc = json.loads(tof.read_text())
+    doc["feature_names"] = [f"f{i}" for i in range(len(TOF_FEATURE_NAMES))]
+    tof.write_text(json.dumps(doc))
+    return tof
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_swap_models, "not a cp model: it takes 5 features ['reg_close',"),
+     (_rename_tof_features, "not a tof model: it takes 5 features ['f0',")],
+    ids=["swapped", "foreign-feature-names"],
+)
+def test_backtest_rejects_a_model_of_another_stage_naming_it(
+    workdir, tmp_path, capsys, edit, message
+):
+    models = tmp_path / "models"
+    models.mkdir()
+    for path in (workdir / "models").glob("*_model.json"):
+        (models / path.name).write_bytes(path.read_bytes())
+    path = edit(models)
+    argv = ["backtest", "--data", str(workdir / "data"), "--prepared", str(workdir / "prep"),
+            "--models", str(models), "-o", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -40,9 +40,9 @@ from trendlab.pipeline import (
 from trendlab.synth import RegimeSpec, SamplerConfig, gen_series
 
 
-def _run(series, cp, tof, cfg=PipelineConfig()):
+def _run(series, cp, tof, cfg=PipelineConfig(), log_mode=True):
     """One config's run: the stock scored for that config alone, then walked."""
-    return run_pipeline(StockScores(series, cp, tof, [cfg]), cfg)
+    return run_pipeline(StockScores(series, cp, tof, [cfg], log_mode), cfg)
 
 
 def test_trend_profit_formulas():
@@ -161,7 +161,7 @@ def _oracle_universe(seed=12):
 
 def test_pipeline_oracle_matches_generator_ledger():
     series, windows = _oracle_universe()
-    cfg = PipelineConfig(log_mode=True)
+    cfg = PipelineConfig()
     trace, stats = _run(
         series,
         oracle_cp_scorer(windows, series),
@@ -185,7 +185,7 @@ def test_pipeline_oracle_matches_generator_ledger():
 
 def test_no_look_ahead_replay_truncation():
     series, windows = _oracle_universe(seed=21)
-    cfg = PipelineConfig(log_mode=True)
+    cfg = PipelineConfig()
     cp = oracle_cp_scorer(windows, series)
     tof = oracle_tof_scorer(windows, series)
     full_trace, _ = _run(series, cp, tof, cfg)
@@ -268,11 +268,10 @@ def test_batch_pipeline_matches_per_row_reference(
     for name, ((cp, tof), (row_cp, row_tof_scorer)) in scorer_pairs.items():
         for threshold in (0.3, 0.5, 0.8):
             cfg = PipelineConfig(
-                cp_threshold=threshold, log_mode=log_mode,
-                hold_until_changepoint=hold, min_window_days=min_window_days,
+                cp_threshold=threshold, hold_until_changepoint=hold, min_window_days=min_window_days
             )
-            got = _run(series, cp, tof, cfg)
-            want = reference_run_pipeline(series, row_cp, row_tof_scorer, cfg)
+            got = _run(series, cp, tof, cfg, log_mode)
+            want = reference_run_pipeline(series, row_cp, row_tof_scorer, cfg, log_mode)
             _assert_same_run(got, want, tmp_path)
             exits |= {p.exit_reason for p in got[0].positions}
     # the comparison covered the changepoint exit and, unless holding, the trend/flat exit
@@ -283,7 +282,7 @@ def test_batch_pipeline_matches_per_row_reference(
 def test_no_look_ahead_replay_trained_models(trained_models):
     series, _ = gen_series(SMALL_UNIVERSE, seed=[17, 2], stockname="TST")
     cp_model, tof_model = trained_models[True]
-    cfg = PipelineConfig(log_mode=True)
+    cfg = PipelineConfig()
     full_trace, _ = _run(series, cp_model, tof_model, cfg)
     assert full_trace.positions
     columns = ("cp_proba", "cp_signal", "window_id", "window_start", "tof_proba", "tof_signal")
@@ -357,49 +356,44 @@ def test_a_shared_table_gives_each_config_its_own_run(
 ):
     series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
     cp, tof = _table_stages(kind, trained_models, series, windows, log_mode)
-    configs = [
-        PipelineConfig(cp_threshold=t, min_window_days=m, log_mode=log_mode) for t, m in settings
-    ]
-    scores = StockScores(series, cp, tof, configs)
-    scored = 0
+    received = []
+
+    def wrapping_tof(starts, days, X):
+        received.extend(zip(starts.tolist(), days.tolist()))
+        return gbdt.predict_proba(tof, X) if kind == "models" else tof(starts, days, X)
+
+    configs = [PipelineConfig(cp_threshold=t, min_window_days=m) for t, m in settings]
+    scores = StockScores(series, cp, wrapping_tof, configs, log_mode)
+    asked = []
     for cfg in configs:
         got = run_pipeline(scores, cfg)
         # the run of the stock scored for this config alone
-        _assert_same_run(got, _run(series, cp, tof, cfg), tmp_path)
-        scored += np.count_nonzero(~np.isnan(got[0].tof_proba))
-    assert 0 < len(scores._keys) <= scored
+        _assert_same_run(got, _run(series, cp, tof, cfg, log_mode), tmp_path)
+        trace = got[0]
+        days = np.flatnonzero(~np.isnan(trace.tof_proba))
+        asked.extend(zip(trace.window_start[days].tolist(), days.tolist()))
+    # each distinct prefix any config asks about is scored, and scored once
+    assert 0 < len(received) == len(set(received))
+    assert set(received) == set(asked)
     if kind == "callables" and len(configs) > 1:
-        assert len(scores._keys) < scored  # the configs share prefixes
+        assert len(received) < len(asked)  # the configs share prefixes
 
 
-def test_a_table_raises_on_a_prefix_it_lacks():
-    series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
-    cp, tof = _table_stages("callables", None, series, windows, True)
-    scores = StockScores(series, cp, tof, [PipelineConfig(cp_threshold=0.8)])
-    lacking = "TST: no trend/flat answer about the prefix from row 3 to row 2"
-    with pytest.raises(ConfigError, match=lacking):
-        scores.proba(np.array([3]), np.array([2]))
-    never = StockScores(series, lambda ts, X: np.zeros(len(ts)), tof, [PipelineConfig()])
-    nothing = np.array([], dtype=np.int64)
-    assert never._keys.size == 0 and never.proba(nothing, nothing).size == 0
-    with pytest.raises(ConfigError, match="no trend/flat answer"):
-        never.proba(np.array([0]), np.array([9]))
-
-
-def test_a_table_needs_one_log_mode_and_its_own_series():
+def test_scores_walk_only_the_configs_they_were_scored_for():
     series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
     cp, tof = _table_stages("oracles", None, series, windows, True)
-    mixed = [PipelineConfig(log_mode=True), PipelineConfig(cp_threshold=0.7, log_mode=False)]
-    for configs in (mixed, []):
-        with pytest.raises(ConfigError, match="share one log_mode"):
-            StockScores(series, cp, tof, configs)
-    cfg = PipelineConfig(log_mode=False)
-    scores = StockScores(series, cp, tof, [cfg])
+    with pytest.raises(ConfigError, match="TST: no config given"):
+        StockScores(series, cp, tof, [])
+    cfg = PipelineConfig()
+    scores = StockScores(series, cp, tof, [cfg, cfg], log_mode=False)
     assert scores.series is series and len(scores) == len(series)
-    # a config the stock was not scored for: another log_mode, another threshold
-    for other in (replace(cfg, log_mode=True), replace(cfg, cp_threshold=0.3)):
+    assert list(scores.windows) == [cfg]
+    for other in (replace(cfg, cp_threshold=0.3), replace(cfg, min_window_days=9)):
         with pytest.raises(ConfigError, match="TST: the stock was not scored for"):
             run_pipeline(scores, other)
+    never = StockScores(series, lambda ts, X: np.zeros(len(ts)), tof, [cfg])
+    trace, stats = run_pipeline(never, cfg)
+    assert never.windows[cfg].days.size == 0 and stats.times_in == 0
 
 
 def test_scorer_must_return_one_probability_per_row():
@@ -451,7 +445,7 @@ def test_monotone_gating_higher_threshold_positions_subset():
 
     entries = {}
     for threshold in (0.5, 0.95):
-        cfg = PipelineConfig(cp_threshold=threshold, log_mode=True)
+        cfg = PipelineConfig(cp_threshold=threshold)
         trace, _ = _run(series, cp, tof, cfg)
         entries[threshold] = {p.entry_date for p in trace.positions}
     assert entries[0.95] <= entries[0.5]
@@ -466,9 +460,9 @@ def test_hold_until_changepoint_ignores_tof_flips():
         # says trend at first, then flips to flat forever within each window
         return np.where(days - starts <= 8, 1.0, 0.0)
 
-    closing = PipelineConfig(log_mode=True, hold_until_changepoint=False)
+    closing = PipelineConfig(hold_until_changepoint=False)
     trace_close, stats_close = _run(series, cp, flaky_tof, closing)
-    holding = PipelineConfig(log_mode=True, hold_until_changepoint=True)
+    holding = PipelineConfig(hold_until_changepoint=True)
     trace_hold, stats_hold = _run(series, cp, flaky_tof, holding)
     # closing mode exits early on the flip; holding mode rides to the next signal
     assert any(p.exit_reason == "tof_flat" for p in trace_close.positions)
@@ -482,7 +476,7 @@ def test_pipeline_price_scale_invariance():
         series.closes * 4.0, volumes=series.volumes, stockname="ORC",
         start=series.dates[0],
     )
-    cfg = PipelineConfig(log_mode=True)
+    cfg = PipelineConfig()
     _, stats = _run(
         series, oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series), cfg
     )
