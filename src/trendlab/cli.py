@@ -105,14 +105,19 @@ _float_list = _typed(lambda raw: [float(x) for x in raw.split(",")], "comma-sepa
 _parse_date_arg = _typed(Date.fromisoformat, "a date YYYY-MM-DD")
 
 
-def _threads(raw: str) -> int:
-    count = (os.cpu_count() or 1) if raw == "all" else int(raw)
-    if count < 1:
+def _at_least(low: int, raw: str) -> int:
+    if int(raw) < low:
         raise ValueError(raw)
-    return count
+    return int(raw)
 
 
-_parse_threads = _typed(_threads, 'a positive thread count or "all"')
+_parse_threads = _typed(
+    lambda raw: (os.cpu_count() or 1) if raw == "all" else _at_least(1, raw),
+    'a positive thread count or "all"',
+)
+_parse_seed = _typed(lambda raw: _at_least(0, raw), "a non-negative integer")
+_parse_draws = _typed(lambda raw: _at_least(1, raw), "a positive integer")
+_parse_folds = _typed(lambda raw: _at_least(2, raw), "an integer >= 2")
 _parse_weight = _typed(
     lambda raw: "auto" if raw.strip().lower() == "auto" else float(raw), 'a number or "auto"'
 )
@@ -139,7 +144,7 @@ MODEL_TYPES = {
     "scale_pos_weight": _parse_weight,
     "min_child_weight": float,
     "gamma": float,
-    "seed": int,
+    "seed": _parse_seed,
 }
 
 
@@ -580,6 +585,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     spans, skip_flags = pipeline.backtest_spans(quotes, split_date)
     truth_path = data_dir / "truth.json"  # the generator's windows, when there are any
     truth = _load_truth(truth_path, quotes) if truth_path.exists() else {}
+    if not label_paths and not truth:
+        raise FileNotFoundError(f"no labels_*.csv files and no truth.json windows in {data_dir}")
     # each expert's, the vote's and the truth's report; a name no window reaches is left out
     streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
     expert_names = sorted({e for by_expert in streams.values() for e in by_expert})
@@ -622,7 +629,7 @@ def _add_common(p: argparse.ArgumentParser, *, config: bool = True, seed: bool =
     if config:
         p.add_argument("--config", default=None, help="INI config file")
     if seed:
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_parse_seed, default=None)
     p.add_argument("-o", "--out", required=True, help="output directory")
 
 
@@ -688,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", required=True, type=_grid_file, help="INI file with a [grid] section"
     )
     p.add_argument("--mode", choices=("full", "randomized"), default="full")
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--draws", type=_parse_draws, default=None)
+    p.add_argument("--folds", type=_parse_folds, default=5)
     p.add_argument("--scoring", default="f1_macro", choices=evaluation.SCORING)
     _add_model_flags(p)
     p.set_defaults(func=cmd_gridsearch, parser=p, section="{which}_model")

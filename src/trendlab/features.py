@@ -3,6 +3,8 @@
 Changepoint rows pack 22 ratios around one trading day (5 closes back, 5
 forward, same for volumes, plus high/close and low/close); window rows pack
 the close and volume regression slope/R2 pair plus the prefix length.
+``prefix_features`` builds every window row, those of the training fractions
+(``build_tof_dataset``) and those a backtest scores (``pipeline.StockScores``).
 
 The feature CSVs, ``tof_test_meta.csv`` and ``fraction_accuracy.csv`` are
 written (and the first two read) here, beside the datasets they hold.
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InvariantError, ParseError, TooShortError, ZeroVolumeError
-from .labels import ExpertWindow, _prefix_fits, _row_keys
+from .labels import ExpertWindow, _prefix_fits, _row_keys, _runs
 from .market_data import TREND, QuoteSeries, _days
 
 CP_CONTEXT = 5
@@ -92,7 +94,7 @@ class WindowSums:
     """The close and volume fits of every prefix of one window, from running sums.
 
     ``closes`` and ``volumes`` are the window's bars in the feature space,
-    that is logs in log mode (``_log_bars`` takes and checks them). The sums
+    that is logs in log mode (``prefix_features`` takes and checks them). The sums
     are taken once, shifted by the window's first bar (``labels._prefix_fits``),
     so ``tof_features`` reads any prefix in O(1), and a prefix has the same
     bits however many bars follow it.
@@ -110,18 +112,12 @@ class WindowSums:
         self._matrix = np.stack((slopes, r2s), axis=1).reshape(4, -1).T
         self._fits = self._matrix.tolist()
 
-    def prefix_rows(self, first: int, last: int) -> np.ndarray:
-        """The features of the prefixes of ``first`` to ``last`` bars, one row each.
-
-        One slice of the fits, in ``TOF_FEATURE_NAMES`` order: row k holds the
-        bits of ``tof_features(self, first + k)``.
-        """
-        if not 2 <= first <= last <= len(self._fits):
-            raise TooShortError(
-                f"prefixes of {first} to {last} bars of a {len(self._fits)}-bar window"
-            )
-        lengths = np.arange(first, last + 1, dtype=np.float64)
-        return np.column_stack((self._matrix[first - 1 : last], lengths))
+    def prefix_rows(self, lengths: np.ndarray) -> np.ndarray:
+        """One gather of the fits: row k holds the bits of ``tof_features(self, lengths[k])``."""
+        if lengths.size and not 2 <= lengths.min() <= lengths.max() <= len(self._fits):
+            n = len(self._fits)
+            raise TooShortError(f"prefixes of {lengths.min()}..{lengths.max()} of a {n}-bar window")
+        return np.column_stack((self._matrix[lengths - 1], lengths.astype(np.float64)))
 
 
 def tof_features(window: WindowSums, length: int) -> TofRow:
@@ -143,34 +139,31 @@ def _log_bars(closes: np.ndarray, volumes: np.ndarray) -> tuple[np.ndarray, np.n
     return np.log(closes), np.log(volumes)
 
 
-MIN_LEN_TREND = 6
+def prefix_features(
+    series: QuoteSeries, starts: np.ndarray, lengths: np.ndarray, log_mode: bool = False
+) -> tuple[np.ndarray, dict[int, WindowSums]]:
+    """The window row of each prefix of ``lengths[i]`` bars from row ``starts[i]``.
 
-
-def _fraction_days(pct: int, n: int) -> int:
-    # round(p% of n) half up, in exact integer arithmetic
-    return max(2, (2 * pct * n + 100) // 200)
-
-
-def augment_fractions(
-    window: ExpertWindow, quotes: QuoteSeries, log_mode: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Window prefixes at 5,10,20..100% of its length, minus too-short rows.
-
-    Returns the fractions kept and one row of the five features per fraction.
-    Prefixes shorter than ``MIN_LEN_TREND`` days are dropped: the changepoint
-    stage already lags five days, so nothing shorter ever needs recognizing.
+    Returns the rows in input order, and the ``WindowSums`` they were read
+    from by window start: one per distinct start, over its longest prefix. A
+    prefix has the same bits from any window that holds it. Log mode takes
+    the logs of the whole series once, so every bar must be valid for them.
     """
-    i0 = quotes.index_of(window.start_date)
-    n = quotes.index_of(window.end_date) - i0 + 1
-    closes = quotes.closes[i0 : i0 + n]
-    volumes = quotes.volumes[i0 : i0 + n]
+    closes, volumes = series.closes, series.volumes
     if log_mode:
         closes, volumes = _log_bars(closes, volumes)
-    fractions = [pct for pct in FRACTIONS if MIN_LEN_TREND <= _fraction_days(pct, n) <= n]
-    sums = WindowSums(closes, volumes) if fractions else None
-    rows = [tof_features(sums, _fraction_days(pct, n)) for pct in fractions]
-    X = np.array(rows, dtype=np.float64).reshape(-1, len(TOF_FEATURE_NAMES))
-    return np.array(fractions, dtype=np.int64), X
+    order = np.argsort(starts, kind="stable")
+    X = np.empty((len(starts), len(TOF_FEATURE_NAMES)))
+    sums: dict[int, WindowSums] = {}
+    for lo, hi in _runs(starts[order]):
+        rows = order[lo:hi]
+        s, n = int(starts[rows[0]]), int(lengths[rows].max())
+        sums[s] = WindowSums(closes[s : s + n], volumes[s : s + n])
+        X[rows] = sums[s].prefix_rows(lengths[rows])
+    return X, sums
+
+
+MIN_LEN_TREND = 6
 
 
 @dataclass
@@ -258,19 +251,28 @@ def build_cp_dataset(
 def build_tof_dataset(
     windows: Sequence[ExpertWindow], quotes: QuoteSeries, log_mode: bool = False
 ) -> FeatureDataset:
-    """Fraction-augmented window rows, each dated by its window start."""
+    """Each window's prefixes at 5,10,20..100% of its length, dated by its start.
+
+    A prefix is round(p% of the length) days, half up; prefixes shorter than
+    ``MIN_LEN_TREND`` days are dropped: the changepoint stage already lags
+    five days, so nothing shorter ever needs recognizing.
+    """
     if not windows:
         raise EmptyInputError("no windows")
-    fractions, X = zip(*(augment_fractions(w, quotes, log_mode=log_mode) for w in windows))
-    counts = [len(f) for f in fractions]
+    starts = np.array([quotes.index_of(w.start_date) for w in windows], dtype=np.int64)
+    n = np.array([quotes.index_of(w.end_date) for w in windows], dtype=np.int64) - starts + 1
+    pct = np.array(FRACTIONS, dtype=np.int64)
+    lengths = (2 * pct * n[:, None] + 100) // 200  # exact integer arithmetic
+    window, fraction = np.nonzero(lengths >= MIN_LEN_TREND)
+    X, _ = prefix_features(quotes, starts[window], lengths[window, fraction], log_mode=log_mode)
     return FeatureDataset(
         kind="tof",
         feature_names=TOF_FEATURE_NAMES,
-        days=np.repeat(_days([w.start_date for w in windows]), counts),
-        stocknames=np.repeat(np.array([w.stockname for w in windows]), counts),
-        X=np.concatenate(X),
-        y=np.repeat(np.array([w.tendency == TREND for w in windows], dtype=np.int64), counts),
-        fractions=np.concatenate(fractions),
+        days=_days([w.start_date for w in windows])[window],
+        stocknames=np.array([w.stockname for w in windows])[window],
+        X=X,
+        y=np.array([w.tendency == TREND for w in windows], dtype=np.int64)[window],
+        fractions=pct[fraction],
     )
 
 

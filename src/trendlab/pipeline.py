@@ -32,8 +32,8 @@ import numpy as np
 
 from . import gbdt
 from .errors import ConfigError, SeriesTooShortError, ShapeError
-from .features import TOF_FEATURE_NAMES, WindowSums, _log_bars, cp_feature_matrix, tof_features
-from .labels import ExpertWindow, _runs
+from .features import cp_feature_matrix, prefix_features, tof_features
+from .labels import ExpertWindow
 from .market_data import TREND, QuoteSeries, _write_json
 
 BUSINESS_DAYS_PER_YEAR = 250
@@ -386,11 +386,11 @@ class StockScores:
     day's answer, NaN on days without one. Each config's threshold turns these
     answers into its ``Windows``, derived here once and kept in ``windows``,
     keyed by the config. ``tof`` answers each distinct (window start, day)
-    prefix of all configs in one more call: one ``WindowSums`` per start, over
-    the longest window a config gives it. A prefix has the same bits from any
-    window that holds it, so each config reads the answers and features it
-    would have scored alone. ``log_mode`` is the space both stages' features
-    are taken in.
+    prefix of all configs in one more call, on the rows ``features.prefix_features``
+    builds, as for training; ``sums`` keeps its ``WindowSums`` by start. A
+    prefix has the same bits from any window that holds it, so each config
+    reads the answers and features it would have scored alone. ``log_mode``
+    is the space both stages' features are taken in.
     """
 
     def __init__(
@@ -416,18 +416,8 @@ class StockScores:
         keys = [w.window_start[w.days] * n + w.days for w in self.windows.values()]
         prefixes, which = np.unique(np.concatenate(keys), return_inverse=True)
         starts, days = np.divmod(prefixes, n)
-        closes, volumes = series.closes, series.volumes
-        if log_mode:
-            closes, volumes = _log_bars(closes, volumes)
-        self.sums: dict[int, WindowSums] = {}
-        rows = [np.empty((0, len(TOF_FEATURE_NAMES)))]
-        for lo, hi in _runs(starts):
-            s = int(starts[lo])
-            lengths = days[lo:hi] - s + 1
-            first, last = int(lengths[0]), int(lengths[-1])
-            sums = self.sums[s] = WindowSums(closes[s : s + last], volumes[s : s + last])
-            rows.append(sums.prefix_rows(first, last)[lengths - first])
-        probas = _score(tof, np.concatenate(rows), starts, days)
+        tof_X, self.sums = prefix_features(series, starts, days - starts + 1, log_mode)
+        probas = _score(tof, tof_X, starts, days)
 
         at = 0
         for w in self.windows.values():

@@ -362,6 +362,16 @@ def test_prepare_and_baseline_fail_before_creating_out(workdir, tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_baseline_without_labels_or_truth_names_the_data_dir(workdir, tmp_path, capsys):
+    data = tmp_path / "quotes_only"
+    data.mkdir()
+    quotes = "quotes_SYN00.csv"
+    (data / quotes).write_bytes((workdir / "data" / quotes).read_bytes())
+    assert main(["baseline", "--data", str(data), "-o", str(tmp_path / "out")]) == 1
+    assert f"no labels_*.csv files and no truth.json windows in {data}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _swap_models(models: Path) -> Path:
     cp, tof = models / "cp_model.json", models / "tof_model.json"
     cp_bytes = cp.read_bytes()
@@ -909,6 +919,22 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "[grid]\nmax_depth = 2\n", "--draws needs --mode randomized"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--mode", "full",
           "--draws", "2"], "[grid]\nmax_depth = 2\n", "--draws needs --mode randomized"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--folds", "1"],
+         "[grid]\nmax_depth = 2\n", "argument --folds: expected an integer >= 2, got '1'"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--folds", "0"],
+         "[grid]\nmax_depth = 2\n", "argument --folds: expected an integer >= 2, got '0'"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--mode", "randomized",
+          "--draws", "0"], "[grid]\nmax_depth = 2\n",
+         "argument --draws: expected a positive integer, got '0'"),
+        (["synth", "--seed", "-1"], None,
+         "argument --seed: expected a non-negative integer, got '-1'"),
+        (["synth", "--config", "{ini}"], "[synth]\nseed = -1\n",
+         "argument --seed: expected a non-negative integer, got '-1'"),
+        (["train", "cp", "--prepared", "{prep}", "--config", "{ini}"], "[cp_model]\nseed = -2\n",
+         "argument --seed: expected a non-negative integer, got '-2'"),
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"],
+         "[grid]\nseed = 1,-1\n",
+         "{ini}: [grid] seed: expected a non-negative integer, got '-1'"),
     ],
     ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "threads-zero",
          "threads-negative", "threads-key", "grid-threads", "cp-threshold",
@@ -921,7 +947,8 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "oracle-and-models", "prepare-split-date-and-frac", "split-date-key-frac-flag",
          "split-frac-key-date-flag", "split-date-and-frac-keys", "baseline-split-date-and-frac",
          "baseline-prepared-and-split-date", "baseline-prepared-and-split-frac",
-         "draws-without-randomized", "draws-with-full"],
+         "draws-without-randomized", "draws-with-full", "folds-one", "folds-zero", "draws-zero",
+         "seed-negative", "seed-key", "model-seed-key", "grid-seed"],
 )
 def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):
     ini_path = tmp_path / "run.ini"

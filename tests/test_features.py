@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_series, segment_labels
+from reference_features import augment_fractions, reference_tof_dataset
 from reference_labels import reference_ols
 from trendlab.errors import (
     EmptyInputError,
@@ -22,13 +23,14 @@ from trendlab.errors import (
 from trendlab.features import (
     CP_FEATURE_NAMES,
     FRACTIONS,
+    MIN_LEN_TREND,
     TOF_FEATURE_NAMES,
     FeatureDataset,
     WindowSums,
-    augment_fractions,
     build_cp_dataset,
     build_tof_dataset,
     cp_feature_matrix,
+    prefix_features,
     read_feature_csv,
     read_tof_meta,
     tof_features,
@@ -36,8 +38,15 @@ from trendlab.features import (
     write_fraction_accuracy,
     write_tof_meta,
 )
-from trendlab.labels import _prefix_fits, extract_windows, log_close_slope
+from trendlab.labels import (
+    _prefix_fits,
+    extract_windows,
+    log_close_slope,
+    trigger_correction,
+    voted_windows,
+)
 from trendlab.market_data import FLAT, TREND
+from trendlab.synth import ExpertProfile, SamplerConfig, gen_expert_labels, gen_series
 
 
 def _cp_row(series, t, log_mode):
@@ -223,6 +232,10 @@ def test_build_tof_dataset_log_mode_rejects_a_zero_volume():
     with pytest.raises(ZeroVolumeError):
         build_tof_dataset(windows, series, log_mode=True)
     build_tof_dataset(windows, series, log_mode=False)
+    # the logs are taken over the whole series, so a bar outside every window counts too
+    head = extract_windows(segment_labels(series, [(2, FLAT), (6, TREND)]), series)[:1]
+    with pytest.raises(ZeroVolumeError):
+        build_tof_dataset(head, series, log_mode=True)
 
 
 # --- the running sums against a two-pass regression of each prefix ----------
@@ -348,19 +361,55 @@ def test_a_longer_window_gives_a_prefix_the_bits_of_its_own(window):
 @given(_window_and_prefix(), st.data())
 def test_prefix_rows_are_the_bits_of_tof_features(window, data):
     closes, volumes, last = window
-    first = data.draw(st.integers(2, last))
+    lengths = np.array(data.draw(st.lists(st.integers(2, last), max_size=20)), dtype=np.int64)
     sums = WindowSums(closes, volumes)
-    rows = sums.prefix_rows(first, last)
-    assert rows.shape == (last - first + 1, len(TOF_FEATURE_NAMES))
-    want = [tof_features(sums, k) for k in range(first, last + 1)]
+    rows = sums.prefix_rows(lengths)
+    assert rows.shape == (len(lengths), len(TOF_FEATURE_NAMES))
+    want = [tof_features(sums, k) for k in lengths.tolist()]
     assert rows.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 def test_prefix_rows_out_of_the_window_raise():
     sums = WindowSums([100.0, 101.0, 99.0], [10.0, 11.0, 12.0])
-    for first, last in ((1, 3), (2, 4), (3, 2)):
+    for lengths in ([1], [4], [2, 4], [3, 1, 2], [0]):
         with pytest.raises(TooShortError):
-            sums.prefix_rows(first, last)
+            sums.prefix_rows(np.array(lengths, dtype=np.int64))
+
+
+@st.composite
+def _prefixes(draw):
+    """A series, and (start, length) pairs of prefixes in it, in any order and with repeats."""
+    closes = draw(_columns(max_size=300))
+    volumes = draw(_columns(min_size=len(closes), max_size=len(closes)))
+    n = len(closes)
+    pair = st.integers(0, n - 2).flatmap(lambda s: st.tuples(st.just(s), st.integers(2, n - s)))
+    pairs = draw(st.lists(pair, max_size=30))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    return make_series(closes, volumes=volumes), draw(st.permutations(pairs))
+
+
+@given(_prefixes(), st.booleans())
+def test_prefix_features_are_the_bits_of_each_prefix_alone(prefixes, log_mode):
+    series, pairs = prefixes
+    starts = np.array([s for s, _ in pairs], dtype=np.int64)
+    lengths = np.array([k for _, k in pairs], dtype=np.int64)
+    X, sums = prefix_features(series, starts, lengths, log_mode=log_mode)
+    assert X.shape == (len(pairs), len(TOF_FEATURE_NAMES))
+    closes, volumes = series.closes, series.volumes
+    for row, (s, k) in zip(X, pairs):
+        bars = closes[s : s + k], volumes[s : s + k]
+        if log_mode:
+            bars = np.log(bars[0]), np.log(bars[1])
+        assert row.tobytes() == _bits(tof_features(WindowSums(*bars), k))
+        assert _bits(tof_features(sums[s], k)) == row.tobytes()  # the sums a walk reads
+    assert sorted(sums) == sorted(set(starts.tolist()))
+
+
+def test_prefix_features_reject_a_prefix_past_the_series_end():
+    series = make_series(100.0 + np.arange(10.0))
+    with pytest.raises(TooShortError):
+        prefix_features(series, np.array([4]), np.array([7]))
 
 
 @given(_window_and_prefix(), st.floats(-1e8, 1e8, allow_nan=False))
@@ -378,9 +427,15 @@ def _window_over(series):
     return extract_windows(rows, series)[0]
 
 
+def _fraction_rows(series, log_mode=False):
+    """The kept fractions and rows of one window over the whole series."""
+    ds = build_tof_dataset([_window_over(series)], series, log_mode=log_mode)
+    return ds.fractions, ds.X
+
+
 def test_augment_fractions_drops_short_prefixes():
     series = make_series(100 + np.arange(100.0))
-    fractions, X = augment_fractions(_window_over(series), series)
+    fractions, X = _fraction_rows(series)
     # 5% of 100 = 5 days < 6: dropped; the ten other fractions survive
     assert X.shape == (10, len(TOF_FEATURE_NAMES))
     assert fractions.tolist() == list(FRACTIONS[1:])
@@ -390,14 +445,14 @@ def test_augment_fractions_drops_short_prefixes():
 
 def test_augment_fractions_tiny_window_yields_nothing():
     series = make_series([100, 101, 102, 103.0])
-    fractions, X = augment_fractions(_window_over(series), series)
+    fractions, X = _fraction_rows(series)
     assert fractions.shape == (0,)
     assert X.shape == (0, len(TOF_FEATURE_NAMES))
 
 
 def test_augment_fractions_long_window_keeps_all_eleven():
     series = make_series(100 + np.arange(600.0))
-    fractions, X = augment_fractions(_window_over(series), series)
+    fractions, X = _fraction_rows(series)
     assert len(fractions) == len(X) == len(FRACTIONS) == 11
     assert X[0, 4] == 30
 
@@ -407,7 +462,7 @@ def test_augment_fractions_lengths_nondecreasing_and_min_six():
     for _ in range(20):
         n = int(rng.integers(2, 300))
         series = make_series(100 * np.exp(np.cumsum(rng.normal(0, 0.01, n))))
-        _, X = augment_fractions(_window_over(series), series)
+        _, X = _fraction_rows(series)
         lens = X[:, 4].tolist()
         assert all(a <= b for a, b in zip(lens, lens[1:]))
         assert all(length >= 6 for length in lens)
@@ -423,6 +478,60 @@ def test_build_tof_dataset_tags_rows():
     assert set(ds.stocknames) == {series.stockname}
     assert (ds.days == window.start_date.toordinal()).all()
     assert set(ds.y) == {1}
+
+
+# --- the one window-row path against windows cut one at a time --------------
+
+
+def _assert_same_dataset(got, want):
+    for column in ("X", "fractions", "days", "stocknames", "y"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.shape == b.shape, column
+        assert a.tobytes() == b.tobytes(), column
+
+
+def _synth_streams(seed):
+    """A synth stock and its window streams: truth, each expert, voted, voted and corrected."""
+    cfg = SamplerConfig(n_days=900, trend_length=(40, 120), flat_length=(20, 60))
+    series, truth = gen_series(cfg, seed=seed, stockname="SYN")
+    profile = ExpertProfile(jitter_days=3, disagree_prob=0.1, split_merge_prob=0.2)
+    experts = [
+        extract_windows(gen_expert_labels(truth, profile, [seed, j], series, name), series)
+        for j, name in enumerate("DGK")
+    ]
+    voted = voted_windows(experts, series)
+    streams = {"truth": truth, "voted": voted, "corrected": trigger_correction(voted, series)}
+    streams.update({f"expert{j}": windows for j, windows in enumerate(experts)})
+    streams["expert0-corrected"] = trigger_correction(experts[0], series)
+    return series, streams
+
+
+@pytest.mark.parametrize("log_mode", [True, False], ids=["log", "raw"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_build_tof_dataset_matches_the_per_window_reference(seed, log_mode):
+    series, streams = _synth_streams(seed)
+    for windows in streams.values():
+        _assert_same_dataset(
+            build_tof_dataset(windows, series, log_mode=log_mode),
+            reference_tof_dataset(windows, series, log_mode=log_mode),
+        )
+
+
+@pytest.mark.parametrize("log_mode", [True, False], ids=["log", "raw"])
+def test_build_tof_dataset_matches_the_reference_on_short_windows(log_mode):
+    rng = np.random.default_rng(21)
+    lengths = [1, 2, 5, MIN_LEN_TREND, 7, 11, 12, 13, 30, 59, 60, 61, 119, 120, 121, 3]
+    series = make_series(
+        100 * np.exp(np.cumsum(rng.normal(0, 0.02, sum(lengths)))),
+        volumes=rng.uniform(500.0, 1500.0, sum(lengths)),
+    )
+    segments = [(n, TREND if i % 2 else FLAT) for i, n in enumerate(lengths)]
+    windows = extract_windows(segment_labels(series, segments), series)
+    assert [w.end_date for w in windows][-1] == series.dates[-1]
+    got = build_tof_dataset(windows, series, log_mode=log_mode)
+    _assert_same_dataset(got, reference_tof_dataset(windows, series, log_mode=log_mode))
+    # each window's first kept row is its shortest prefix of MIN_LEN_TREND days or more
+    assert got.X[:, 4].min() == MIN_LEN_TREND
 
 
 def test_feature_csv_round_trip(tmp_path):
