@@ -512,8 +512,15 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         ]
     except ConfigError as exc:
         args.parser.error(str(exc))
-    if len({f"{t:.2f}" for t in args.cp_threshold}) < len(args.cp_threshold):
+    names = [f"{t:.2f}" for t in args.cp_threshold]
+    if len(set(names)) < len(names):
         args.parser.error("--cp-threshold values name outputs by two decimals; these collide")
+    for t, name in zip(args.cp_threshold, names):
+        if name in ("0.00", "1.00"):
+            args.parser.error(
+                f"--cp-threshold values name outputs by two decimals; {t} would be t{name}, "
+                "outside (0, 1)"
+            )
     data_dir = Path(args.data)
     prepared = Path(args.prepared)
     # the test span and feature space the models were prepared in

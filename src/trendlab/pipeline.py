@@ -17,7 +17,11 @@ when the next changepoint signal acts, or at the end of the series. No
 answer used on day d reads a bar after day d.
 
 The answers, the windows and the position state are stored per day as numpy
-columns of a ``SignalTrace``, with NaN for a missing answer.
+columns of a ``SignalTrace``, with NaN for a missing answer. The trace's text
+cells that no threshold changes are formatted once, by the ``StockScores``:
+each day's date and changepoint answer, and each distinct prefix's trend/flat
+answer. ``SignalTrace.to_csv`` joins that shared text with the run's own
+cells, the signals, window ids and position states.
 """
 
 from __future__ import annotations
@@ -118,7 +122,9 @@ class SignalTrace:
     first) and ``window_start`` is the row the current window starts at (-1
     before the first). ``direction`` is the open position's direction (0 when
     flat) and ``position_state`` one of "flat", "in", "enter", "exit" and
-    "exit_enter".
+    "exit_enter". ``lead`` holds each day's ``"<date>,<cp_proba>,"`` and
+    ``tof_text`` its ``tof_proba`` cell, as the CSV writes them: the text the
+    ``StockScores`` formatted once for every run of the stock.
     """
 
     stockname: str
@@ -132,27 +138,47 @@ class SignalTrace:
     direction: np.ndarray
     position_state: np.ndarray
     positions: list[Position]
+    lead: np.ndarray
+    tof_text: np.ndarray
 
     def to_csv(self, path: str | Path) -> None:
-        """One row per day: an empty cell for no answer and for window 0, floats as ``repr``."""
+        """One row per day: an empty cell for no answer and for window 0, floats as ``repr``.
 
-        def answers(probas: np.ndarray) -> list[str]:
-            return ["" if p != p else repr(p) for p in probas.tolist()]  # NaN != NaN
-
-        rows = zip(
-            [d.isoformat() for d in self.dates],
-            answers(self.cp_proba),
-            map(str, self.cp_signal.tolist()),
-            [str(w) if w else "" for w in self.window_id.tolist()],
-            answers(self.tof_proba),
-            ["" if s < 0 else str(s) for s in self.tof_signal.tolist()],
-            map(str, self.direction.tolist()),
-            self.position_state.tolist(),
+        The date and answer cells are the text the ``StockScores`` formatted;
+        this run's own cells are gathered from a table of the values they take.
+        """
+        top = int(self.window_id.max(initial=0))
+        ids = np.array([",", *(f"{i}," for i in range(1, top + 1))], dtype=object)
+        states, state_code = np.unique(self.position_state, return_inverse=True)
+        # ",<tof_signal>,<direction>,<position_state>\r\n" for every value of the three
+        tails = np.array(
+            [f",{s},{d},{p}\r\n" for s in ("", 0, 1) for d in (-1, 0, 1) for p in states.tolist()],
+            dtype=object,
         )
+        tail = ((self.tof_signal + 1) * 3 + self.direction + 1) * len(states) + state_code
+        signal = np.array(["0,", "1,"], dtype=object)[self.cp_signal]
+        cells = np.column_stack([self.lead, signal, ids[self.window_id], self.tof_text, tails[tail]])
         with Path(path).open("w", newline="", encoding="utf-8") as handle:
             # no cell needs CSV quoting: join each row as csv.writer would
             handle.write(",".join(TRACE_COLUMNS) + "\r\n")
-            handle.writelines(",".join(row) + "\r\n" for row in rows)
+            handle.write("".join(cells.ravel().tolist()))
+
+
+def _answer_text(probas: np.ndarray) -> np.ndarray:
+    """Each answer's trace cell, read-only: the float's ``repr``, empty for NaN."""
+    text = np.array(["" if p != p else repr(p) for p in probas.tolist()], dtype=object)  # NaN != NaN
+    text.flags.writeable = False
+    return text
+
+
+def _lead_text(dates: Sequence[Date], cp_proba: np.ndarray) -> np.ndarray:
+    """Each day's ``"<date>,<cp_proba>,"``, the first two cells of its trace row, read-only."""
+    lead = np.array(
+        [f"{d.isoformat()},{p}," for d, p in zip(dates, _answer_text(cp_proba).tolist())],
+        dtype=object,
+    )
+    lead.flags.writeable = False
+    return lead
 
 
 @dataclass(frozen=True)
@@ -356,7 +382,8 @@ class Windows(NamedTuple):
     trend/flat stage answers about, at least ``entry_lag`` rows past their
     window's start. The other columns hold one entry per day: ``window_id``
     is 0 and ``window_start`` -1 before the first window, and ``tof_proba``
-    is NaN on days without an answer.
+    is NaN on days without an answer. ``tof_text`` holds the trace cell of
+    each ``tof_proba``, empty for NaN.
     """
 
     cp_signal: np.ndarray
@@ -365,6 +392,7 @@ class Windows(NamedTuple):
     window_start: np.ndarray
     days: np.ndarray
     tof_proba: np.ndarray
+    tof_text: np.ndarray
 
 
 def _windows(cp_proba: np.ndarray, cfg: PipelineConfig) -> Windows:
@@ -375,7 +403,8 @@ def _windows(cp_proba: np.ndarray, cfg: PipelineConfig) -> Windows:
     window_start = np.append(-1, fired - CP_LAG_DAYS)[window_id]
     offsets = np.arange(len(cp_signal)) - window_start
     days = np.flatnonzero((window_id > 0) & (offsets >= cfg.entry_lag))
-    return Windows(cp_signal, fired, window_id, window_start, days, np.full(len(cp_proba), np.nan))
+    tof_proba, tof_text = np.full(len(cp_proba), np.nan), np.full(len(cp_proba), "", dtype=object)
+    return Windows(cp_signal, fired, window_id, window_start, days, tof_proba, tof_text)
 
 
 class StockScores:
@@ -391,6 +420,11 @@ class StockScores:
     prefix has the same bits from any window that holds it, so each config
     reads the answers and features it would have scored alone. ``log_mode``
     is the space both stages' features are taken in.
+
+    The trace text no threshold changes is formatted here, once: ``lead``
+    holds each day's ``"<date>,<cp_proba>,"``, and each distinct prefix's
+    answer is formatted once and gathered into every config's ``tof_text``
+    by the same index that gathers its answers.
     """
 
     def __init__(
@@ -411,6 +445,7 @@ class StockScores:
         self.cp_proba = np.full(n, np.nan)
         self.cp_proba[ts + CP_LAG_DAYS] = _score(cp, cp_X, ts)
         self.cp_proba.flags.writeable = False  # every config's trace shares it
+        self.lead = _lead_text(series.dates, self.cp_proba)
 
         self.windows = {cfg: _windows(self.cp_proba, cfg) for cfg in configs}
         keys = [w.window_start[w.days] * n + w.days for w in self.windows.values()]
@@ -418,10 +453,13 @@ class StockScores:
         starts, days = np.divmod(prefixes, n)
         tof_X, self.sums = prefix_features(series, starts, days - starts + 1, log_mode)
         probas = _score(tof, tof_X, starts, days)
+        text = _answer_text(probas)
 
         at = 0
         for w in self.windows.values():
-            w.tof_proba[w.days] = probas[which[at : at + len(w.days)]]
+            answers = which[at : at + len(w.days)]
+            w.tof_proba[w.days] = probas[answers]
+            w.tof_text[w.days] = text[answers]
             at += len(w.days)
             for column in w:  # every run of the config shares them
                 column.flags.writeable = False
@@ -487,6 +525,8 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
         direction=direction,
         position_state=state,
         positions=positions,
+        lead=scores.lead,
+        tof_text=w.tof_text,
     )
     return trace, StockStats.from_positions(series.stockname, positions)
 

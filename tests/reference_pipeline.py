@@ -10,6 +10,10 @@ The walk keeps one trace row object per day and writes the trace CSV from
 them, as the pipeline did before it stored the trace as columns. The
 differential tests hold the batch pipeline to the exact trace CSV bytes,
 positions and stats of this walk.
+
+``reference_trace_csv`` is the writer ``SignalTrace.to_csv`` used before the
+stock's scores formatted the text its runs share: it formats every cell of
+every day from a trace's numpy columns.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from trendlab.labels import ExpertWindow
 from trendlab.market_data import TREND, QuoteSeries
 from trendlab.pipeline import (
     CP_LAG_DAYS,
+    TRACE_COLUMNS,
     PipelineConfig,
     Position,
+    SignalTrace,
     StockStats,
     trend_profit,
 )
@@ -92,6 +98,28 @@ class RowTrace:
                         r.position_state,
                     ]
                 )
+
+
+def reference_trace_csv(trace: SignalTrace, path: str | Path) -> None:
+    """One row per day: an empty cell for no answer and for window 0, floats as ``repr``."""
+
+    def answers(probas: np.ndarray) -> list[str]:
+        return ["" if p != p else repr(p) for p in probas.tolist()]  # NaN != NaN
+
+    rows = zip(
+        [d.isoformat() for d in trace.dates],
+        answers(trace.cp_proba),
+        map(str, trace.cp_signal.tolist()),
+        [str(w) if w else "" for w in trace.window_id.tolist()],
+        answers(trace.tof_proba),
+        ["" if s < 0 else str(s) for s in trace.tof_signal.tolist()],
+        map(str, trace.direction.tolist()),
+        trace.position_state.tolist(),
+    )
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        # no cell needs CSV quoting: join each row as csv.writer would
+        handle.write(",".join(TRACE_COLUMNS) + "\r\n")
+        handle.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def row_oracle_cp_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> RowCpScorer:

@@ -295,6 +295,35 @@ def test_backtest_builds_the_cp_features_once_per_stock(workdir, tmp_path, monke
     assert stocks == ["SYN00", "SYN01"]
 
 
+def test_backtest_formats_each_stocks_trace_text_once(workdir, tmp_path, monkeypatch):
+    from trendlab import pipeline
+
+    formatted = []
+    for name in ("_lead_text", "_answer_text"):
+
+        def counting(*args, _name=name, _fn=getattr(pipeline, name)):
+            formatted.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    leads: dict[str, list] = {}
+    to_csv = pipeline.SignalTrace.to_csv
+
+    def recording(trace, path):
+        leads.setdefault(trace.stockname, []).append(trace.lead)
+        return to_csv(trace, path)
+
+    monkeypatch.setattr(pipeline.SignalTrace, "to_csv", recording)
+    argv = _backtest_argv(workdir, workdir / "data", "models")
+    assert main([*argv, "--cp-threshold", "0.3,0.5,0.8", "-o", str(tmp_path / "r")]) == 0
+    # per stock: the dates and cp answers (whose cells the lead formats), then
+    # the trend/flat answers of the distinct prefixes, whatever the threshold count
+    assert formatted == ["_lead_text", "_answer_text", "_answer_text"] * 2
+    assert sorted(leads) == ["SYN00", "SYN01"]
+    for traces in leads.values():
+        assert len(traces) == 3 and all(lead is traces[0] for lead in traces)
+
+
 def test_backtest_scores_in_the_prepared_feature_space(workdir, tmp_path, monkeypatch):
     from trendlab import pipeline
 
@@ -899,6 +928,12 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "--cp-threshold values name outputs by two decimals; these collide"),
         ([*ORACLE, "--cp-threshold", "0.5,0.5"], None,
          "--cp-threshold values name outputs by two decimals; these collide"),
+        ([*ORACLE, "--cp-threshold", "0.5,0.999"], None,
+         "--cp-threshold values name outputs by two decimals; 0.999 would be t1.00, "
+         "outside (0, 1)"),
+        ([*ORACLE, "--cp-threshold", "0.001"], None,
+         "--cp-threshold values name outputs by two decimals; 0.001 would be t0.00, "
+         "outside (0, 1)"),
         ([*ORACLE, "--models", "{prep}"], None, "give exactly one of --models and --oracle"),
         (["prepare", "--data", "{data}", "--split-date", "2012-01-02", "--split-frac", "0.5"],
          None, "--split-date and --split-frac exclude each other"),
@@ -944,6 +979,7 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "tof-threshold-range", "min-window-days-range", "prepare-split-frac-negative",
          "prepare-split-frac-one", "baseline-split-frac-two", "baseline-split-frac-zero",
          "split-frac-key", "cp-threshold-collision", "cp-threshold-repeat",
+         "cp-threshold-named-one", "cp-threshold-named-zero",
          "oracle-and-models", "prepare-split-date-and-frac", "split-date-key-frac-flag",
          "split-frac-key-date-flag", "split-date-and-frac-keys", "baseline-split-date-and-frac",
          "baseline-prepared-and-split-date", "baseline-prepared-and-split-frac",

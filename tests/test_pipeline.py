@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import replace
 from datetime import date as Date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_series
 from reference_ledger import lagged_regime_ledger
 from reference_pipeline import (
     reference_run_pipeline,
+    reference_trace_csv,
     row_oracle_cp_scorer,
     row_oracle_tof_scorer,
 )
@@ -25,8 +30,11 @@ from trendlab.pipeline import (
     CP_LAG_DAYS,
     PipelineConfig,
     Position,
+    SignalTrace,
     StockScores,
     StockStats,
+    _answer_text,
+    _lead_text,
     aggregate,
     backtest_span,
     backtest_spans,
@@ -370,6 +378,9 @@ def test_a_shared_table_gives_each_config_its_own_run(
         # the run of the stock scored for this config alone
         _assert_same_run(got, _run(series, cp, tof, cfg, log_mode), tmp_path)
         trace = got[0]
+        # the text every run of the stock, or of the config, shares
+        assert trace.lead is scores.lead and trace.tof_text is scores.windows[cfg].tof_text
+        assert not trace.lead.flags.writeable and not trace.tof_text.flags.writeable
         days = np.flatnonzero(~np.isnan(trace.tof_proba))
         asked.extend(zip(trace.window_start[days].tolist(), days.tolist()))
     # each distinct prefix any config asks about is scored, and scored once
@@ -590,6 +601,67 @@ def test_trace_csv_round_trip_columns(tmp_path):
     assert len(lines) == len(series) + 1
     states = {line.split(",")[-1] for line in lines[1:]}
     assert states <= {"flat", "enter", "in", "exit", "exit_enter"}
+
+
+# answers with long or edge reprs, or none; window ids past any small table
+_PROBAS = st.one_of(
+    st.just(float("nan")),
+    st.sampled_from([0.1 + 0.2, 5e-324, 0.0, 1.0, float(np.nextafter(1.0, 0.0)), 1 - 1e-9]),
+    st.floats(0.0, 1.0),
+)
+_STATES = ("flat", "in", "enter", "exit", "exit_enter")
+
+
+def _days(cells):
+    return st.lists(cells, min_size=11, max_size=11)
+
+
+@given(
+    cp_proba=_days(_PROBAS),
+    cp_signal=_days(st.integers(0, 1)),
+    window_id=_days(st.one_of(st.integers(0, 12), st.sampled_from([5000, 5001]))),
+    tof_proba=_days(_PROBAS),
+    tof_signal=_days(st.integers(-1, 1)),
+    direction=_days(st.integers(-1, 1)),
+    position_state=_days(st.sampled_from(_STATES)),
+)
+@example(
+    cp_proba=[np.nan, 0.1 + 0.2, 5e-324, 0.0, 1.0, 0.9999999999999999, 1 - 1e-9, 0.5, 0.25,
+              1e-300, np.nan],
+    cp_signal=[0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1],
+    window_id=[0, 1, 1, 2, 3, 9, 10, 11, 5000, 5000, 5001],
+    tof_proba=[np.nan, np.nan, 0.7, 0.1 + 0.2, 5e-324, 0.0, 1.0, 0.9999999999999999, 0.5,
+               np.nan, 0.3],
+    tof_signal=[-1, -1, 1, 0, 0, 0, 1, 1, 1, -1, 0],
+    direction=[0, 0, 1, 1, -1, 0, 0, 1, -1, 0, -1],
+    position_state=["flat", "flat", "enter", "in", "exit_enter", "exit", "flat", "enter", "in",
+                    "in", "exit"],
+)
+def test_trace_csv_writes_the_bytes_of_the_per_cell_writer(
+    cp_proba, cp_signal, window_id, tof_proba, tof_signal, direction, position_state
+):
+    dates = make_series(100 + np.arange(11.0)).dates
+    cp_proba, tof_proba = np.array(cp_proba), np.array(tof_proba)
+    trace = SignalTrace(
+        stockname="ACME",
+        dates=dates,
+        cp_proba=cp_proba,
+        cp_signal=np.array(cp_signal),
+        window_id=np.array(window_id),
+        window_start=np.full(11, -1),
+        tof_proba=tof_proba,
+        tof_signal=np.array(tof_signal),
+        direction=np.array(direction),
+        position_state=np.array(position_state, dtype="<U10"),
+        positions=[],
+        lead=_lead_text(dates, cp_proba),
+        tof_text=_answer_text(tof_proba),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        trace.to_csv(got)
+        reference_trace_csv(trace, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_clip_windows_to_span():
