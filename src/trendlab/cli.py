@@ -12,7 +12,11 @@ value are usage errors. ``synth``, ``train`` and ``gridsearch`` take ``--seed
 N``. ``backtest`` takes its test span and feature space from ``--prepared``;
 ``baseline --prepared`` takes the same test span.
 All artifacts are machine-readable (CSV/JSON) with a short human summary
-on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error.
+on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error. A usage
+error is a bad option, key or value; a settings type raises ``ConfigError``
+for a value out of range when built, and ``main`` alone turns that into
+exit 2. A runtime error is a file that is missing, malformed or cannot be
+written; it prints ``error:`` and a message naming the file.
 """
 
 from __future__ import annotations
@@ -116,8 +120,9 @@ _parse_threads = _typed(
     'a positive thread count or "all"',
 )
 _parse_seed = _typed(lambda raw: _at_least(0, raw), "a non-negative integer")
-_parse_draws = _typed(lambda raw: _at_least(1, raw), "a positive integer")
+_parse_positive = _typed(lambda raw: _at_least(1, raw), "a positive integer")
 _parse_folds = _typed(lambda raw: _at_least(2, raw), "an integer >= 2")
+_parse_days = _typed(lambda raw: _at_least(60, raw), "an integer >= 60")
 _parse_weight = _typed(
     lambda raw: "auto" if raw.strip().lower() == "auto" else float(raw), 'a number or "auto"'
 )
@@ -148,18 +153,21 @@ MODEL_TYPES = {
 }
 
 
-def _read_ini(path: Path, kind: str) -> configparser.ConfigParser:
-    if not path.exists():
-        raise FileNotFoundError(f"{kind} file not found: {path}")
+def _read_ini(path: Path) -> configparser.ConfigParser:
+    """The INI file in ``path``; an error naming it when it cannot be read as UTF-8 text."""
     cfg = configparser.ConfigParser()
-    cfg.read(path, encoding="utf-8")
-    return cfg
+    try:
+        if cfg.read(path, encoding="utf-8"):  # empty when the file cannot be opened
+            return cfg
+    except UnicodeDecodeError:
+        pass
+    raise TrendlabError(f"{path}: not a readable UTF-8 text file")
 
 
 def _grid_file(raw: str) -> dict[str, list]:
     """Type function of ``--grid``: its [grid] values, each parsed like the model flag."""
     path = Path(raw)
-    cfg = _read_ini(path, "grid")
+    cfg = _read_ini(path)
     if not cfg.has_section("grid"):
         raise argparse.ArgumentTypeError(f"{path}: no [grid] section")
     grid: dict[str, list] = {}
@@ -186,7 +194,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     command line leaves the option unset, so a flag overrides its key.
     """
     path = Path(args.config)
-    cfg = _read_ini(path, "config")
+    cfg = _read_ini(path)
     parser = args.parser
     for name in cfg.sections():
         if name not in SECTIONS:
@@ -273,10 +281,6 @@ def _window_streams(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.stocks < 1:
-        args.parser.error("--stocks must be >= 1")
-    if args.days < 60:
-        args.parser.error("--days must be >= 60")
     ranges = {
         "trend_length": args.trend_len,
         "flat_length": args.flat_len,
@@ -291,11 +295,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         disagree_prob=args.disagree_prob,
         split_merge_prob=args.split_merge_prob,
     )
-    try:
-        sampler.validate()
-        profile.validate()
-    except ConfigError as exc:
-        args.parser.error(str(exc))
     experts = _experts_list(args.experts) or ["D", "G"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -394,12 +393,7 @@ def _model_params(which: str, args: argparse.Namespace, prep_report: dict) -> gb
         if balance is None:
             raise TrendlabError("cannot auto-set scale_pos_weight: train set has no positives")
         values["scale_pos_weight"] = float(balance)
-    params = replace(base, **values)
-    try:
-        params.validate()
-    except ValueError as exc:
-        args.parser.error(str(exc))
-    return params
+    return replace(base, **values)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -454,8 +448,8 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     base = _model_params(which, args, prep_report)
     for combo in itertools.product(*args.grid.values()):
         try:
-            replace(base, **dict(zip(args.grid, combo))).validate()
-        except ValueError as exc:
+            replace(base, **dict(zip(args.grid, combo)))
+        except ConfigError as exc:
             args.parser.error(f"[grid] {exc}")
     names = CP_FEATURE_NAMES if which == "cp" else TOF_FEATURE_NAMES
     X, y = read_feature_csv(prepared / f"{which}_train.csv", names)
@@ -500,18 +494,15 @@ def _load_stage_model(path: Path, which: str, names: tuple[str, ...]) -> gbdt.Gb
 def cmd_backtest(args: argparse.Namespace) -> int:
     if args.oracle == bool(args.models):
         args.parser.error("give exactly one of --models and --oracle")
-    try:
-        configs = [
-            pipeline.PipelineConfig(
-                cp_threshold=threshold,
-                tof_threshold=args.tof_threshold,
-                min_window_days=args.min_window_days,
-                hold_until_changepoint=args.hold_until_changepoint,
-            )
-            for threshold in args.cp_threshold
-        ]
-    except ConfigError as exc:
-        args.parser.error(str(exc))
+    configs = [
+        pipeline.PipelineConfig(
+            cp_threshold=threshold,
+            tof_threshold=args.tof_threshold,
+            min_window_days=args.min_window_days,
+            hold_until_changepoint=args.hold_until_changepoint,
+        )
+        for threshold in args.cp_threshold
+    ]
     names = [f"{t:.2f}" for t in args.cp_threshold]
     if len(set(names)) < len(names):
         args.parser.error("--cp-threshold values name outputs by two decimals; these collide")
@@ -659,8 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled universe")
     _add_common(p)
-    p.add_argument("--stocks", type=int, default=5)
-    p.add_argument("--days", type=int, default=2500)
+    p.add_argument("--stocks", type=_parse_positive, default=5)
+    p.add_argument("--days", type=_parse_days, default=2500)
     p.add_argument("--experts", default=None, help="comma-separated expert names")
     p.add_argument("--jitter-days", dest="jitter_days", type=int, default=2)
     p.add_argument("--disagree-prob", dest="disagree_prob", type=float, default=0.05)
@@ -702,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", required=True, type=_grid_file, help="INI file with a [grid] section"
     )
     p.add_argument("--mode", choices=("full", "randomized"), default="full")
-    p.add_argument("--draws", type=_parse_draws, default=None)
+    p.add_argument("--draws", type=_parse_positive, default=None)
     p.add_argument("--folds", type=_parse_folds, default=5)
     p.add_argument("--scoring", default="f1_macro", choices=evaluation.SCORING)
     _add_model_flags(p)
@@ -752,13 +743,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             # unset option from its parser's defaults, through the option's type
             args.parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
-        return int(args.func(args) or 0)
+        try:
+            return int(args.func(args) or 0)
+        except ConfigError as exc:  # a settings type rejected a value
+            args.parser.error(str(exc))
     except SystemExit as exc:  # argparse's usage errors (and --help)
         return int(exc.code) if exc.code is not None else 0
     except configparser.Error as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (TrendlabError, FileNotFoundError, ValueError) as exc:
+    except (TrendlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,8 +57,8 @@ class SeriesTooShortError(TrendlabError):
     """A quote series is too short to produce a single changepoint row."""
 
 
-class ConfigError(TrendlabError):
-    """Invalid configuration value."""
+class ConfigError(TrendlabError, ValueError):
+    """A settings object was given a value outside its range."""
 
 
 class SingleClassWarning(UserWarning):

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ModelFormatError, ShapeError, SingleClassWarning
+from .errors import ConfigError, ModelFormatError, ShapeError, SingleClassWarning
 from .market_data import _read_json, _write_json
 
 
@@ -68,26 +68,26 @@ class GbdtParams:
     gamma: float = 0.0
     seed: int = 42
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a finite number")
+                raise ConfigError(f"{f.name} must be a finite number")
         if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+            raise ConfigError("n_estimators must be >= 1")
         if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+            raise ConfigError("max_depth must be >= 1")
         if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+            raise ConfigError("learning_rate must be > 0")
         if self.reg_lambda < 0.0 or self.reg_alpha < 0.0:
-            raise ValueError("regularization terms must be >= 0")
+            raise ConfigError("regularization terms must be >= 0")
         if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
+            raise ConfigError("subsample must be in (0, 1]")
         if self.scale_pos_weight <= 0.0:
-            raise ValueError("scale_pos_weight must be > 0")
+            raise ConfigError("scale_pos_weight must be > 0")
         if self.min_child_weight < 0.0 or self.gamma < 0.0:
-            raise ValueError("min_child_weight and gamma must be >= 0")
+            raise ConfigError("min_child_weight and gamma must be >= 0")
         if int(self.seed) < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass
@@ -382,7 +382,6 @@ def _check_matrix(X: object) -> np.ndarray:
 def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
     """Train a boosted binary classifier on targets in {0, 1}."""
     params = params or GbdtParams()
-    params.validate()
     Xa = _check_matrix(X)
     if not np.isfinite(Xa).all():
         raise ShapeError("feature matrix contains NaN or infinite values")
@@ -524,10 +523,8 @@ def model_from_dict(doc: dict) -> GbdtModel:
         names = doc.get("feature_names")
         if names and len(names) != n_features:
             raise ValueError(f"{len(names)} feature names for {n_features} features")
-        params = GbdtParams(**doc["params"])
-        params.validate()
         return GbdtModel(
-            params=params,
+            params=GbdtParams(**doc["params"]),
             n_features=n_features,
             trees=[_node_from_dict(t, n_features) for t in doc["trees"]],
             base_logit=_finite(doc["base_logit"]),

@@ -45,13 +45,15 @@ class RegimeSpec:
     volatility: float
     volume_trend: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("up", "down", "flat"):
             raise ConfigError(f"unknown regime kind {self.kind!r}")
         if self.length < 1:
             raise ConfigError("regime length must be >= 1")
-        if self.volatility < 0.0:
-            raise ConfigError("volatility must be >= 0")
+        if not 0.0 <= self.volatility < math.inf:
+            raise ConfigError("volatility must be finite and >= 0")
+        if not math.isfinite(self.drift):
+            raise ConfigError("drift must be finite")
         if self.kind == "up" and self.drift <= 0.0:
             raise ConfigError("up regimes need positive drift")
         if self.kind == "down" and self.drift >= 0.0:
@@ -70,7 +72,7 @@ class SamplerConfig:
     drift_range: tuple[float, float] = (0.0015, 0.004)
     volatility_range: tuple[float, float] = (0.004, 0.012)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_days < 1:
             raise ConfigError("n_days must be >= 1")
         lo, hi = self.trend_length
@@ -78,8 +80,14 @@ class SamplerConfig:
             raise ConfigError(f"trend lengths must stay within {TREND_LENGTH_BOUNDS}")
         if self.flat_length[0] < 1 or self.flat_length[0] > self.flat_length[1]:
             raise ConfigError("bad flat_length bounds")
+        for name in ("drift_range", "volatility_range"):
+            lo, hi = getattr(self, name)
+            if not -math.inf < lo <= hi < math.inf:
+                raise ConfigError(f"{name} must be two finite numbers, low <= high")
         if self.drift_range[0] <= 0.0:
             raise ConfigError("drift_range must be positive (sign is drawn per regime)")
+        if self.volatility_range[0] < 0.0:
+            raise ConfigError("volatility_range must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,7 @@ class ExpertProfile:
     disagree_prob: float = 0.0
     split_merge_prob: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.jitter_days < 0:
             raise ConfigError("jitter_days must be >= 0")
         for p in (self.disagree_prob, self.split_merge_prob):
@@ -110,7 +118,6 @@ def business_dates(start: Date, n: int) -> list[Date]:
 
 
 def sample_regimes(cfg: SamplerConfig, rng: np.random.Generator) -> list[RegimeSpec]:
-    cfg.validate()
     regimes: list[RegimeSpec] = []
     total = 0
     is_flat = bool(rng.random() < START_FLAT_PROB)
@@ -161,8 +168,6 @@ def gen_series(
     regimes = list(regimes)
     if not regimes:
         raise ConfigError("need at least one regime")
-    for r in regimes:
-        r.validate()
 
     n_days = sum(r.length for r in regimes)
     dates = business_dates(START_DATE, n_days)
@@ -243,7 +248,6 @@ def gen_expert_labels(
     Jittered internal boundaries stay within jitter_days rows of their true
     position and every window keeps at least one day.
     """
-    profile.validate()
     if not true_windows:
         raise EmptyInputError("no true windows")
     rng = np.random.default_rng(seed)

@@ -876,9 +876,10 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
 @pytest.mark.parametrize(
     "argv, ini, message",
     [
-        (["synth", "--stocks", "two"], None, "argument --stocks: invalid int value: 'two'"),
+        (["synth", "--stocks", "two"], None,
+         "argument --stocks: expected a positive integer, got 'two'"),
         (["synth", "--config", "{ini}"], "[synth]\nstocks = two\n",
-         "argument --stocks: invalid int value: 'two'"),
+         "argument --stocks: expected a positive integer, got 'two'"),
         (["synth", "--trend-len", "5"], None, "argument --trend-len"),
         (["prepare", "--data", "{data}", "--split-date", "2020-13-01"], None, "'2020-13-01'"),
         (["train", "cp", "--prepared", "{prep}", "--threads", "abc"], None, "'abc'"),
@@ -900,6 +901,15 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"], "[grid]\nmax_dept = 3\n",
          "{ini}: [grid] max_dept is not a model parameter"),
         (["synth", "--disagree-prob", "2"], None, "probabilities must lie in [0, 1]"),
+        (["synth", "--drift", "0.01,0.001"], None,
+         "drift_range must be two finite numbers, low <= high"),
+        (["synth", "--drift=nan,0.01"], None, "drift_range must be two finite numbers, low <= high"),
+        (["synth", "--volatility=0.01,inf"], None,
+         "volatility_range must be two finite numbers, low <= high"),
+        (["synth", "--volatility=-0.01,0.01"], None, "volatility_range must be >= 0"),
+        (["synth", "--days", "59"], None, "argument --days: expected an integer >= 60, got '59'"),
+        (["synth", "--config", "{ini}"], "[synth]\nstocks = 0\n",
+         "argument --stocks: expected a positive integer, got '0'"),
         (["synth", "--trend-len", "10,20"], None, "trend lengths must stay within (40, 600)"),
         (["train", "cp", "--prepared", "{prep}", "--n-estimators", "0"], None,
          "n_estimators must be >= 1"),
@@ -974,7 +984,8 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
     ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "threads-zero",
          "threads-negative", "threads-key", "grid-threads", "cp-threshold",
          "unknown-key", "unknown-section", "log-mode-key", "grid-key", "disagree-prob-range",
-         "trend-len-range", "n-estimators-range", "learning-rate-nan", "grid-depth-range",
+         "drift-reversed", "drift-nan", "volatility-inf", "volatility-negative", "days-range",
+         "stocks-key-zero", "trend-len-range", "n-estimators-range", "learning-rate-nan", "grid-depth-range",
          "grid-learning-rate-nan", "cp-threshold-range", "cp-threshold-nan",
          "tof-threshold-range", "min-window-days-range", "prepare-split-frac-negative",
          "prepare-split-frac-one", "baseline-split-frac-two", "baseline-split-frac-zero",
@@ -993,6 +1004,54 @@ def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, 
         ini_path.write_text(ini)
     assert main([a.format(**paths) for a in argv] + ["-o", str(tmp_path / "out")]) == 2
     assert message.format(**paths) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize(
+    "command", ["synth", "prepare", "train", "gridsearch", "backtest", "baseline"]
+)
+def test_an_output_path_that_cannot_be_a_directory_exits_1_naming_it(
+    workdir, tmp_path, capsys, command, inside
+):
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[grid]\nmax_depth = 2\n")
+    out = grid / "out" if inside else grid
+    data, prep = str(workdir / "data"), str(workdir / "prep")
+    argv = {
+        "synth": ["synth", "--stocks", "1", "--days", "60"],
+        "prepare": ["prepare", "--data", data],
+        "train": ["train", "tof", "--prepared", prep, "--n-estimators", "1"],
+        "gridsearch": ["gridsearch", "tof", "--prepared", prep, "--grid", str(grid)],
+        "backtest": _backtest_argv(workdir, data, "oracle"),
+        "baseline": ["baseline", "--data", data],
+    }[command]
+    assert main([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{out}'" in err
+    assert "Traceback" not in err
+    assert grid.read_text() == "[grid]\nmax_depth = 2\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "gridsearch"])
+def test_a_config_file_that_cannot_be_read_exits_1_naming_it(
+    workdir, tmp_path, capsys, command, kind
+):
+    path = tmp_path / "run.ini"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[synth]\nexperts = \xff\n")
+    data, prep = str(workdir / "data"), str(workdir / "prep")
+    argv = {
+        "synth": ["synth", "--config", str(path)],
+        "prepare": ["prepare", "--data", data, "--config", str(path)],
+        "train": ["train", "tof", "--prepared", prep, "--config", str(path)],
+        "gridsearch": ["gridsearch", "tof", "--prepared", prep, "--grid", str(path)],
+    }[command]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: not a readable UTF-8 text file" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from reference_gbdt import reference_apply_tree, reference_fit, reference_staged_margins
 
 from trendlab import gbdt
-from trendlab.errors import ModelFormatError, ParseError, ShapeError, SingleClassWarning
+from trendlab.errors import (
+    ConfigError,
+    ModelFormatError,
+    ParseError,
+    ShapeError,
+    SingleClassWarning,
+)
 from trendlab.gbdt import (
     GbdtModel,
     GbdtParams,
@@ -272,11 +278,11 @@ def test_shape_and_class_guards():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        GbdtParams(n_estimators=0).validate()
+        GbdtParams(n_estimators=0)
     with pytest.raises(ValueError):
-        GbdtParams(subsample=0.0).validate()
+        GbdtParams(subsample=0.0)
     with pytest.raises(ValueError):
-        GbdtParams(scale_pos_weight=0.0).validate()
+        GbdtParams(scale_pos_weight=0.0)
 
 
 @pytest.mark.parametrize(
@@ -287,7 +293,29 @@ def test_params_validation():
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_params_reject_non_finite_floats(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-        GbdtParams(**{name: value}).validate()
+        GbdtParams(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("n_estimators", 0), ("max_depth", 0), ("learning_rate", 0.0), ("reg_lambda", -1.0),
+     ("reg_alpha", -1.0), ("subsample", 1.5), ("scale_pos_weight", -1.0),
+     ("min_child_weight", -1.0), ("gamma", -0.1), ("seed", -1)],
+)
+def test_params_check_themselves_when_built_or_replaced(name, value):
+    with pytest.raises(ConfigError):
+        GbdtParams(**{name: value})
+    with pytest.raises(ValueError):  # a ConfigError is a ValueError
+        replace(GbdtParams(), **{name: value})
+
+
+def test_load_model_names_a_file_whose_params_are_out_of_range(tmp_path):
+    doc = model_to_dict(GbdtModel(params=GbdtParams(), n_features=1, trees=[]))
+    doc["params"]["subsample"] = 0.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: .*subsample"):
+        load_model(path)
 
 
 def test_default_params_match_reference_defaults():

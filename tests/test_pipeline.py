@@ -390,6 +390,18 @@ def test_a_shared_table_gives_each_config_its_own_run(
         assert len(received) < len(asked)  # the configs share prefixes
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("cp_threshold", 1.0), ("cp_threshold", float("nan")), ("tof_threshold", 0.0),
+     ("min_window_days", 1)],
+)
+def test_config_checks_itself_when_built_or_replaced(name, value):
+    with pytest.raises(ConfigError):
+        PipelineConfig(**{name: value})
+    with pytest.raises(ValueError):  # a ConfigError is a ValueError
+        replace(PipelineConfig(), **{name: value})
+
+
 def test_scores_walk_only_the_configs_they_were_scored_for():
     series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
     cp, tof = _table_stages("oracles", None, series, windows, True)

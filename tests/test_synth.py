@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import is_dataclass, replace
 from datetime import date as Date
 
 import numpy as np
@@ -169,9 +171,39 @@ def test_business_dates_skip_weekends():
 
 def test_expert_profile_validation():
     with pytest.raises(ConfigError):
-        ExpertProfile(jitter_days=-1).validate()
+        ExpertProfile(jitter_days=-1)
     with pytest.raises(ConfigError):
-        ExpertProfile(disagree_prob=1.5).validate()
+        ExpertProfile(disagree_prob=1.5)
+
+
+@pytest.mark.parametrize(
+    "valid, name, value",
+    [
+        (RegimeSpec("up", 10, 0.01, 0.01), "kind", "sideways"),
+        (RegimeSpec("up", 10, 0.01, 0.01), "length", 0),
+        (RegimeSpec("up", 10, 0.01, 0.01), "drift", -0.01),
+        (RegimeSpec("up", 10, 0.01, 0.01), "volatility", -0.01),
+        (RegimeSpec("up", 10, 0.01, 0.01), "volatility", math.nan),
+        (RegimeSpec("up", 10, 0.01, 0.01), "drift", math.inf),
+        (SamplerConfig(n_days=100), "n_days", 0),
+        (SamplerConfig(n_days=100), "trend_length", (10, 20)),
+        (SamplerConfig(n_days=100), "flat_length", (30, 20)),
+        (SamplerConfig(n_days=100), "drift_range", (0.0, 0.01)),
+        (SamplerConfig(n_days=100), "drift_range", (0.01, 0.001)),
+        (SamplerConfig(n_days=100), "drift_range", (math.nan, 0.01)),
+        (SamplerConfig(n_days=100), "volatility_range", (0.01, math.inf)),
+        (SamplerConfig(n_days=100), "volatility_range", (-0.01, 0.01)),
+        (SamplerConfig(n_days=100), "volatility_range", (0.02, 0.01)),
+        (ExpertProfile(), "jitter_days", -1),
+        (ExpertProfile(), "split_merge_prob", math.nan),
+    ],
+    ids=lambda v: type(v).__name__ if is_dataclass(v) else str(v),
+)
+def test_settings_check_themselves_when_built_or_replaced(valid, name, value):
+    with pytest.raises(ConfigError):
+        type(valid)(**{**vars(valid), name: value})
+    with pytest.raises(ValueError):  # a ConfigError is a ValueError
+        replace(valid, **{name: value})
 
 
 _DATES = st.dates(Date(1990, 1, 1), Date(2040, 12, 31))
