@@ -4,8 +4,8 @@ Every command takes an output directory. ``synth``, ``prepare``, ``train``
 and ``gridsearch`` read ``--config PATH``, a flat ``key = value`` INI file:
 ``synth`` reads ``[synth]``, ``prepare`` reads ``[data]``, and ``train`` and
 ``gridsearch`` read ``[cp_model]`` or ``[tof_model]``. Every option of these
-commands but the paths and gridsearch's ``--mode``, ``--draws``, ``--folds``
-and ``--scoring`` is also a key: its flag name with ``_`` (``trend_len =
+commands but the paths and gridsearch's ``--draws``, ``--folds`` and
+``--scoring`` is also a key: its flag name with ``_`` (``trend_len =
 40,80``; ``log_mode = false`` for ``--raw``). A flag overrides its key, which
 overrides the built-in default. An unknown section, an unknown key and a bad
 value are usage errors. ``synth``, ``train`` and ``gridsearch`` take ``--seed
@@ -72,7 +72,7 @@ DEFAULT_SPLIT_FRAC = 0.7
 SECTIONS = ("synth", "data", "cp_model", "tof_model", "grid")
 # Options no config key sets besides the required paths: train reads the same
 # model section as gridsearch, so the search options stay flags.
-FLAG_ONLY = ("help", "config", "mode", "draws", "folds", "scoring")
+FLAG_ONLY = ("help", "config", "draws", "folds", "scoring")
 
 
 # --- type functions -----------------------------------------------------------
@@ -155,7 +155,7 @@ MODEL_TYPES = {
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
     """The INI file in ``path``; an error naming it when it cannot be read as UTF-8 text."""
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)  # a value is its text, "%" too
     try:
         if cfg.read(path, encoding="utf-8"):  # empty when the file cannot be opened
             return cfg
@@ -190,8 +190,9 @@ def _grid_file(raw: str) -> dict[str, list]:
 def _config_defaults(args: argparse.Namespace) -> dict:
     """The command's config section as defaults of its parser.
 
-    String values are converted by each option's own type function when the
-    command line leaves the option unset, so a flag overrides its key.
+    Each value is converted here by its option's own type function, so a bad
+    value names the file; argparse uses a default only for an option the
+    command line leaves unset, so a flag overrides its key.
     """
     path = Path(args.config)
     cfg = _read_ini(path)
@@ -211,12 +212,12 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     for key, raw in cfg.items(section):
         if key not in actions:
             parser.error(f"{path}: [{section}] has no key {key!r}")
-        if actions[key].nargs == 0:  # a two-state flag takes no value to convert
-            try:
-                raw = _parse_bool(raw)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"{path}: [{section}] {key}: {exc}")
-        defaults[key] = raw
+        # a two-state flag's key holds a boolean; an option without a type, text
+        convert = _parse_bool if actions[key].nargs == 0 else actions[key].type or str
+        try:
+            defaults[key] = convert(raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"{path}: [{section}] {key}: {exc}")
     return defaults
 
 
@@ -438,10 +439,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_gridsearch(args: argparse.Namespace) -> int:
-    if args.mode == "randomized" and args.draws is None:
-        args.parser.error("randomized mode needs --draws")
-    if args.mode == "full" and args.draws is not None:
-        args.parser.error("--draws needs --mode randomized")
     which = args.which
     prepared = Path(args.prepared)
     prep_report = load_prep_report(prepared / "prep_report.json")
@@ -461,7 +458,6 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         y,
         args.grid,
         base_params=base,
-        mode=args.mode,
         n_draws=args.draws,
         k=args.folds,
         scoring=args.scoring,
@@ -692,8 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", required=True, type=_grid_file, help="INI file with a [grid] section"
     )
-    p.add_argument("--mode", choices=("full", "randomized"), default="full")
-    p.add_argument("--draws", type=_parse_positive, default=None)
+    p.add_argument("--draws", type=_parse_positive, default=None, help="score N random grid points")
     p.add_argument("--folds", type=_parse_folds, default=5)
     p.add_argument("--scoring", default="f1_macro", choices=evaluation.SCORING)
     _add_model_flags(p)
@@ -740,7 +735,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # flag, then config key, then built-in default: argparse fills an
-            # unset option from its parser's defaults, through the option's type
+            # unset option from its parser's defaults
             args.parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         try:

@@ -151,10 +151,10 @@ def save_train_metrics(
 SCORING = ("f1_macro", "auc", "accuracy", "f1_minority")
 
 
-def _score(name: str, y_true: np.ndarray, proba: np.ndarray, threshold: float = 0.5) -> float:
+def _score(name: str, y_true: np.ndarray, proba: np.ndarray) -> float:
     if name == "auc":
         return roc_auc(proba, y_true)
-    pred = (proba >= threshold).astype(np.int64)
+    pred = (proba >= 0.5).astype(np.int64)
     report = class_report(pred, y_true)
     if name == "f1_macro":
         return report.f1_macro
@@ -260,14 +260,13 @@ def grid_search(
     y: object,
     grid: Mapping[str, Sequence[object]],
     base_params: gbdt.GbdtParams | None = None,
-    mode: str = "full",
     n_draws: int | None = None,
     k: int = 5,
     scoring: str = "f1_macro",
     seed: int = 0,
     workers: int = 1,
 ) -> SearchResult:
-    """Score every grid point (or seeded draws without replacement) by CV.
+    """Score every grid point, or ``n_draws`` seeded draws without replacement, by CV.
 
     ``grid`` maps GbdtParams field names to candidate values; everything not
     in the grid comes from ``base_params``. Every grid point uses the same
@@ -279,14 +278,12 @@ def grid_search(
     if not names or any(len(v) == 0 for v in grid.values()):
         raise ValueError("grid must name at least one parameter with at least one value")
     combos = list(itertools.product(*[list(grid[name]) for name in names]))
-    if mode == "randomized":
-        if n_draws is None or n_draws < 1:
-            raise ValueError("randomized mode needs n_draws >= 1")
+    if n_draws is not None:
+        if n_draws < 1:
+            raise ValueError("n_draws must be >= 1")
         rng = np.random.default_rng(seed)
         pick = rng.choice(len(combos), size=min(n_draws, len(combos)), replace=False)
         combos = [combos[int(i)] for i in pick]
-    elif mode != "full":
-        raise ValueError(f'mode must be "full" or "randomized", got {mode!r}')
 
     base = base_params or gbdt.GbdtParams()
     Xa = np.asarray(X, dtype=np.float64)

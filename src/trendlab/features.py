@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvariantError, ParseError, TooShortError, ZeroVolumeError
 from .labels import ExpertWindow, _prefix_fits, _row_keys, _runs
-from .market_data import TREND, QuoteSeries, _days
+from .market_data import TREND, QuoteSeries, _csv_errors, _days
 
 CP_CONTEXT = 5
 
@@ -316,7 +316,9 @@ def read_feature_csv(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray
     expected = list(names) + ["target"]
     row = np.dtype([("X", np.float64, (len(names),)), ("y", np.int64)])
     with path.open(newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), None)
+        reader = csv.reader(handle)
+        with _csv_errors(path, reader):
+            header = next(reader, None)
         if header != expected:
             raise ParseError(f"{path}: expected header {expected}, got {header}")
         with warnings.catch_warnings():
@@ -360,7 +362,9 @@ def read_tof_meta(path: str | Path, n_rows: int) -> tuple[np.ndarray, np.ndarray
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+        reader = csv.reader(handle)
+        with _csv_errors(path, reader):
+            rows = list(reader)
     header = rows.pop(0) if rows else None
     if header != list(TOF_META_COLUMNS):
         raise ParseError(f"{path}: expected header {','.join(TOF_META_COLUMNS)}, got {header}")

@@ -444,20 +444,6 @@ def predict_row_proba(model: GbdtModel, row: Sequence[float]) -> float:
     return float(predict_proba(model, [row])[0])
 
 
-def staged_margins(model: GbdtModel, X: object) -> np.ndarray:
-    """Margins after each boosting round, shape (n_trees + 1, n_rows)."""
-    Xa = _check_matrix(X)
-    Xt = np.ascontiguousarray(Xa.T)
-    apply_tree = _tree_evaluator(model.params)
-    out = np.empty((len(model.trees) + 1, len(Xa)), dtype=np.float64)
-    margins = np.full(len(Xa), model.base_logit, dtype=np.float64)
-    out[0] = margins
-    for i, tree in enumerate(model.trees):
-        margins = margins + apply_tree(tree, Xt)
-        out[i + 1] = margins
-    return out
-
-
 # --- serialization ---------------------------------------------------------
 
 FORMAT_NAME = "trendlab.gbdt"

@@ -8,16 +8,18 @@ a plain decimal point:
   ``type in {Trend, Flat, N/A}``; the five quote columns may additionally be
   present, in which case they are cross-checked against already-loaded quotes.
 
-Every JSON artifact goes through ``_write_json``/``_read_json``, at the bottom of the imports.
+Every JSON artifact goes through ``_write_json``/``_read_json``, at the bottom of the imports,
+and every CSV reader iterates under ``_csv_errors``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +54,20 @@ def _read_json(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a JSON object")
     return doc
+
+
+@contextmanager
+def _csv_errors(path: Path, reader: Iterator[list[str]]) -> Iterator[None]:
+    """``ParseError`` naming ``path`` for text ``reader`` meets that is not UTF-8 or not CSV.
+
+    A decode error comes from a block of the file, so it names no line.
+    """
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # a NUL byte on Python 3.10, or a field over the size limit
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _days(dates: Sequence[Date]) -> np.ndarray:
@@ -226,11 +242,12 @@ def _read_rows(
     add_row, add_line = rows.append, lines.append
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None) or []
-        for row in reader:
-            if row:
-                add_row(row)
-                add_line(reader.line_num)
+        with _csv_errors(path, reader):
+            header = next(reader, None) or []
+            for row in reader:
+                if row:
+                    add_row(row)
+                    add_line(reader.line_num)
     positions = {name: i for i, name in enumerate(header)}
     missing = [c for c in required if c not in positions]
     if missing:
@@ -273,6 +290,8 @@ def load_quotes(path: str | Path) -> QuoteSeries:
         series = QuoteSeries(
             stockname, [dates[i] for i in order], *(series.column(c)[order] for c in OHLCV_COLUMNS)
         )
+    except InvariantError as exc:
+        raise InvariantError(f"{path}: {exc}") from None
     return series
 
 

@@ -476,19 +476,14 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
     w = scores.windows[cfg]
     n = len(scores)
 
-    # 1. Each scored day's trend/flat signal, and the direction a position
-    #    opened that day takes: the sign of its prefix's close slope.
-    starts, days = w.window_start[w.days].tolist(), w.days.tolist()
-    slopes = [tof_features(scores.sums[s], d - s + 1).reg_close for s, d in zip(starts, days)]
     tof_signal = np.full(n, -1, dtype=np.int64)
     tof_signal[w.days] = w.tof_proba[w.days] >= cfg.tof_threshold
-    trend_direction = np.zeros(n, dtype=np.int64)
-    trend_direction[w.days] = np.where(np.array(slopes) >= 0.0, 1, -1)
 
-    # 2. The position state machine, one window at a time. A window trades at
-    #    most once: its first trend answer opens a position at that day's close,
-    #    and the position closes on the window's next flat answer (unless
-    #    holding), on the day the next changepoint acts, or at the series end.
+    # The position state machine, one window at a time. A window trades at
+    # most once: its first trend answer opens a position at that day's close,
+    # in the direction of the sign of its prefix's close slope, and the
+    # position closes on the window's next flat answer (unless holding), on
+    # the day the next changepoint acts, or at the series end.
     direction = np.zeros(n, dtype=np.int64)
     state = np.full(n, "flat", dtype="<U10")
     positions: list[Position] = []
@@ -505,7 +500,8 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
             exit_row, reason = hi, "changepoint"
         else:
             exit_row, reason = n - 1, "series_end"
-        sign = int(trend_direction[entry])
+        start = int(w.window_start[entry])
+        sign = 1 if tof_features(scores.sums[start], entry - start + 1).reg_close >= 0.0 else -1
         positions.append(_position(series, entry, exit_row, sign, reason))
         # the exit day shows no direction, except at the series end
         direction[entry : exit_row + (reason == "series_end")] = sign

@@ -11,8 +11,8 @@ tests hold ``gbdt.fit`` to the exact ``model_to_dict`` of this fit.
 ``reference_apply_tree`` is the tree evaluator ``gbdt`` used before it took
 a feature-major matrix and evaluated shallow models as one select per split:
 a stack walk over the row-major matrix that sends each node's own rows down
-to its children. The differential tests hold ``predict_proba`` and
-``staged_margins`` to the bits of this walk, with either evaluator.
+to its children. The differential tests hold each tree's evaluation and
+``predict_proba`` to the bits of this walk, with either evaluator.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ def reference_apply_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_staged_margins(model: GbdtModel, X) -> np.ndarray:
-    """Margins after each boosting round from the stack walk, shape (n_trees + 1, n_rows)."""
+def reference_margins(model: GbdtModel, X) -> np.ndarray:
+    """Each row's margin from the stack walk, the trees added in order."""
     Xa = np.asarray(X, dtype=np.float64)
-    out = np.empty((len(model.trees) + 1, len(Xa)), dtype=np.float64)
-    out[0] = model.base_logit
-    for i, tree in enumerate(model.trees):
-        out[i + 1] = out[i] + reference_apply_tree(tree, Xa)
-    return out
+    margins = np.full(len(Xa), model.base_logit, dtype=np.float64)
+    for tree in model.trees:
+        margins = margins + reference_apply_tree(tree, Xa)
+    return margins
 
 
 def _feature_best_split(values, g, h, reg_lambda, gamma, min_child_weight):

@@ -161,10 +161,6 @@ def test_gridsearch_end_to_end(workdir, tmp_path):
     assert main(
         ["gridsearch", "tof", "--prepared", str(prep), "--grid", str(empty), "-o", str(out)]
     ) == 2
-    assert main(
-        ["gridsearch", "tof", "--prepared", str(prep), "--grid", str(grid_file),
-         "-o", str(out), "--mode", "randomized"]
-    ) == 2  # randomized without --draws
 
     def scores_without_timings(path: Path) -> list[list[str]]:
         lines = path.read_text().splitlines()
@@ -172,14 +168,13 @@ def test_gridsearch_end_to_end(workdir, tmp_path):
 
     randomized = main(
         ["gridsearch", "tof", "--prepared", str(prep), "--grid", str(grid_file),
-         "-o", str(tmp_path / "s2"), "--folds", "2", "--mode", "randomized",
-         "--draws", "2", "--seed", "4"]
+         "-o", str(tmp_path / "s2"), "--folds", "2", "--draws", "2", "--seed", "4"]
     )
     assert randomized == 0
+    assert len(scores_without_timings(tmp_path / "s2" / "search_tof.csv")) == 1 + 2
     assert main(
         ["gridsearch", "tof", "--prepared", str(prep), "--grid", str(grid_file),
-         "-o", str(tmp_path / "s3"), "--folds", "2", "--mode", "randomized",
-         "--draws", "2", "--seed", "4"]
+         "-o", str(tmp_path / "s3"), "--folds", "2", "--draws", "2", "--seed", "4"]
     ) == 0
     assert scores_without_timings(tmp_path / "s3" / "search_tof.csv") == scores_without_timings(
         tmp_path / "s2" / "search_tof.csv"
@@ -531,6 +526,39 @@ def test_backtest_rejects_a_bad_tof_test_meta_file(workdir, tmp_path, capsys, ed
     assert not (tmp_path / "r").exists()
 
 
+# Bytes that are not UTF-8 text or not CSV: a 0xff byte, a NUL (a csv.Error on
+# Python 3.10) and a field over the csv module's size limit.
+BAD_CELLS = {"byte-0xff": b"\xff", "nul": b"\x00", "long-field": b"9" * 140_000}
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS.values(), ids=BAD_CELLS.keys())
+@pytest.mark.parametrize(
+    "command, name",
+    [("baseline", "quotes_SYN00.csv"), ("prepare", "labels_SYN00_D.csv"),
+     ("backtest", "tof_test_meta.csv")],
+)
+def test_a_csv_file_that_is_not_utf_8_or_not_csv_exits_1_naming_it(
+    workdir, tmp_path, capsys, command, name, cell
+):
+    data, prep = tmp_path / "data", _copy_prepared(workdir, tmp_path / "prep")
+    data.mkdir()
+    for path in (workdir / "data").iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    path = (prep if command == "backtest" else data) / name
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = cell + lines[3]  # in front of a row's date
+    path.write_bytes(b"\n".join(lines))
+    argv = {
+        "baseline": ["baseline", "--data", str(data)],
+        "prepare": ["prepare", "--data", str(data)],
+        "backtest": ["backtest", "--data", str(data), "--prepared", str(prep),
+                     "--models", str(workdir / "models")],
+    }[command]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "name, cell, command",
     [("tof_test.csv", "nan", "backtest"), ("tof_train.csv", "inf", "train")],
@@ -879,7 +907,7 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
         (["synth", "--stocks", "two"], None,
          "argument --stocks: expected a positive integer, got 'two'"),
         (["synth", "--config", "{ini}"], "[synth]\nstocks = two\n",
-         "argument --stocks: expected a positive integer, got 'two'"),
+         "{ini}: [synth] stocks: expected a positive integer, got 'two'"),
         (["synth", "--trend-len", "5"], None, "argument --trend-len"),
         (["prepare", "--data", "{data}", "--split-date", "2020-13-01"], None, "'2020-13-01'"),
         (["train", "cp", "--prepared", "{prep}", "--threads", "abc"], None, "'abc'"),
@@ -888,7 +916,8 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--threads", "-1"],
          "[grid]\nmax_depth = 2\n", "argument --threads: expected a positive thread count"),
         (["train", "tof", "--prepared", "{prep}", "--config", "{ini}"],
-         "[tof_model]\nthreads = 0\n", "argument --threads: expected a positive thread count"),
+         "[tof_model]\nthreads = 0\n",
+         "{ini}: [tof_model] threads: expected a positive thread count"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"],
          "[grid]\nthreads = 1,2\n", "{ini}: [grid] threads is not a model parameter"),
         ([*ORACLE, "--cp-threshold", "0.5,abc"], None, "'0.5,abc'"),
@@ -898,6 +927,8 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "{ini}: no command reads section [sinth]"),
         (["prepare", "--data", "{data}", "--config", "{ini}"], "[data]\nlog_mode = maybe\n",
          "{ini}: [data] log_mode: not a boolean: 'maybe'"),
+        (["synth", "--config", "{ini}"], "[synth]\nstocks = 2%\n",
+         "{ini}: [synth] stocks: expected a positive integer, got '2%'"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"], "[grid]\nmax_dept = 3\n",
          "{ini}: [grid] max_dept is not a model parameter"),
         (["synth", "--disagree-prob", "2"], None, "probabilities must lie in [0, 1]"),
@@ -909,7 +940,7 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
         (["synth", "--volatility=-0.01,0.01"], None, "volatility_range must be >= 0"),
         (["synth", "--days", "59"], None, "argument --days: expected an integer >= 60, got '59'"),
         (["synth", "--config", "{ini}"], "[synth]\nstocks = 0\n",
-         "argument --stocks: expected a positive integer, got '0'"),
+         "{ini}: [synth] stocks: expected a positive integer, got '0'"),
         (["synth", "--trend-len", "10,20"], None, "trend lengths must stay within (40, 600)"),
         (["train", "cp", "--prepared", "{prep}", "--n-estimators", "0"], None,
          "n_estimators must be >= 1"),
@@ -933,7 +964,7 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
         (["baseline", "--data", "{data}", "--split-frac", "0"], None,
          "argument --split-frac: expected a fraction strictly inside (0, 1), got '0'"),
         (["prepare", "--data", "{data}", "--config", "{ini}"], "[data]\nsplit_frac = 1.0\n",
-         "argument --split-frac: expected a fraction strictly inside (0, 1), got '1.0'"),
+         "{ini}: [data] split_frac: expected a fraction strictly inside (0, 1), got '1.0'"),
         ([*ORACLE, "--cp-threshold", "0.501,0.504"], None,
          "--cp-threshold values name outputs by two decimals; these collide"),
         ([*ORACLE, "--cp-threshold", "0.5,0.5"], None,
@@ -960,30 +991,26 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          None, "--prepared sets the split date; drop --split-date and --split-frac"),
         (["baseline", "--data", "{data}", "--prepared", "{prep}", "--split-frac", "0.5"],
          None, "--prepared sets the split date; drop --split-date and --split-frac"),
-        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--draws", "2"],
-         "[grid]\nmax_depth = 2\n", "--draws needs --mode randomized"),
-        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--mode", "full",
-          "--draws", "2"], "[grid]\nmax_depth = 2\n", "--draws needs --mode randomized"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--folds", "1"],
          "[grid]\nmax_depth = 2\n", "argument --folds: expected an integer >= 2, got '1'"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--folds", "0"],
          "[grid]\nmax_depth = 2\n", "argument --folds: expected an integer >= 2, got '0'"),
-        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--mode", "randomized",
-          "--draws", "0"], "[grid]\nmax_depth = 2\n",
+        (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}", "--draws", "0"],
+         "[grid]\nmax_depth = 2\n",
          "argument --draws: expected a positive integer, got '0'"),
         (["synth", "--seed", "-1"], None,
          "argument --seed: expected a non-negative integer, got '-1'"),
         (["synth", "--config", "{ini}"], "[synth]\nseed = -1\n",
-         "argument --seed: expected a non-negative integer, got '-1'"),
+         "{ini}: [synth] seed: expected a non-negative integer, got '-1'"),
         (["train", "cp", "--prepared", "{prep}", "--config", "{ini}"], "[cp_model]\nseed = -2\n",
-         "argument --seed: expected a non-negative integer, got '-2'"),
+         "{ini}: [cp_model] seed: expected a non-negative integer, got '-2'"),
         (["gridsearch", "tof", "--prepared", "{prep}", "--grid", "{ini}"],
          "[grid]\nseed = 1,-1\n",
          "{ini}: [grid] seed: expected a non-negative integer, got '-1'"),
     ],
     ids=["stocks-flag", "stocks-key", "trend-len", "split-date", "threads", "threads-zero",
          "threads-negative", "threads-key", "grid-threads", "cp-threshold",
-         "unknown-key", "unknown-section", "log-mode-key", "grid-key", "disagree-prob-range",
+         "unknown-key", "unknown-section", "log-mode-key", "percent-key", "grid-key", "disagree-prob-range",
          "drift-reversed", "drift-nan", "volatility-inf", "volatility-negative", "days-range",
          "stocks-key-zero", "trend-len-range", "n-estimators-range", "learning-rate-nan", "grid-depth-range",
          "grid-learning-rate-nan", "cp-threshold-range", "cp-threshold-nan",
@@ -994,7 +1021,7 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "oracle-and-models", "prepare-split-date-and-frac", "split-date-key-frac-flag",
          "split-frac-key-date-flag", "split-date-and-frac-keys", "baseline-split-date-and-frac",
          "baseline-prepared-and-split-date", "baseline-prepared-and-split-frac",
-         "draws-without-randomized", "draws-with-full", "folds-one", "folds-zero", "draws-zero",
+         "folds-one", "folds-zero", "draws-zero",
          "seed-negative", "seed-key", "model-seed-key", "grid-seed"],
 )
 def test_bad_values_exit_2_with_a_message(workdir, tmp_path, capsys, argv, ini, message):

@@ -216,9 +216,7 @@ def test_grid_search_full_vs_randomized_coverage():
     grid = {"max_depth": [1, 2, 3], "learning_rate": [0.1, 0.3]}
     base = GbdtParams(n_estimators=2)
     full = grid_search(X, y, grid, base_params=base, k=2, seed=0)
-    rand = grid_search(
-        X, y, grid, base_params=base, mode="randomized", n_draws=6, k=2, seed=0
-    )
+    rand = grid_search(X, y, grid, base_params=base, n_draws=6, k=2, seed=0)
     full_set = {tuple(sorted(e.params.items())) for e in full.entries}
     rand_set = {tuple(sorted(e.params.items())) for e in rand.entries}
     assert full_set == rand_set
@@ -229,15 +227,16 @@ def test_grid_search_reproducible_and_validates():
     X, y = _toy_imbalanced(n_neg=40, n_pos=10)
     grid = {"max_depth": [1, 2, 3, 4]}
     base = GbdtParams(n_estimators=2)
-    a = grid_search(X, y, grid, base_params=base, mode="randomized", n_draws=2, k=2, seed=3)
-    b = grid_search(X, y, grid, base_params=base, mode="randomized", n_draws=2, k=2, seed=3)
+    a = grid_search(X, y, grid, base_params=base, n_draws=2, k=2, seed=3)
+    b = grid_search(X, y, grid, base_params=base, n_draws=2, k=2, seed=3)
     assert [e.params for e in a.entries] == [e.params for e in b.entries]
+    assert len(a.entries) == 2
     with pytest.raises(ValueError):
         grid_search(X, y, {}, k=2)
     with pytest.raises(ValueError):
         grid_search(X, y, {"max_depth": []}, k=2)
     with pytest.raises(ValueError):
-        grid_search(X, y, grid, mode="bogus", k=2)
+        grid_search(X, y, grid, n_draws=0, k=2)
 
 
 def test_grid_search_best_is_max_and_csv(tmp_path):
@@ -271,12 +270,12 @@ def _search_table(result):
     return entries, result.best_params, result.best_score
 
 
-@pytest.mark.parametrize("mode", ["full", "randomized"])
-def test_grid_search_same_at_one_and_two_workers(mode, monkeypatch):
+@pytest.mark.parametrize("n_draws", [None, 3], ids=["full", "randomized"])
+def test_grid_search_same_at_one_and_two_workers(n_draws, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool even on one CPU
     X, y = _toy_imbalanced(n_neg=60, n_pos=15)
     grid = {"max_depth": [1, 3], "learning_rate": [0.1, 0.5]}
-    args = dict(base_params=GbdtParams(n_estimators=4), mode=mode, n_draws=3, k=3, seed=2)
+    args = dict(base_params=GbdtParams(n_estimators=4), n_draws=n_draws, k=3, seed=2)
     one = grid_search(X, y, grid, workers=1, **args)
     two = grid_search(X, y, grid, workers=2, **args)
     assert _search_table(one) == _search_table(two)

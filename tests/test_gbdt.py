@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_gbdt import reference_apply_tree, reference_fit, reference_staged_margins
+from reference_gbdt import reference_apply_tree, reference_fit, reference_margins
 
 from trendlab import gbdt
 from trendlab.errors import (
@@ -33,7 +33,6 @@ from trendlab.gbdt import (
     predict_proba,
     predict_row_proba,
     save_model,
-    staged_margins,
 )
 
 
@@ -202,11 +201,10 @@ def test_training_loss_non_increasing():
             scale_pos_weight=spw,
         )
         model = fit(X, y, params)
-        margins = staged_margins(model, X)
         w = np.where(y == 1, spw, 1.0)
         losses = []
-        for stage in margins:
-            p = 1.0 / (1.0 + np.exp(-stage))
+        for m in range(len(model.trees) + 1):
+            p = predict_proba(replace(model, trees=model.trees[:m]), X)
             eps = 1e-12
             losses.append(float(np.sum(-w * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))))
         for a, b in zip(losses, losses[1:]):
@@ -622,11 +620,12 @@ def test_tree_evaluators_are_bitwise_the_walk(
     params = GbdtParams(max_depth=max_depth)
     model = GbdtModel(params=params, n_features=n_features, trees=trees, base_logit=0.1)
     X = random_cells(rng, n_rows, n_features)
-    want = reference_staged_margins(model, X)
-    got = staged_margins(model, X)
-    assert got.shape == want.shape == (n_trees + 1, n_rows)
-    assert got.tobytes() == want.tobytes()
-    assert predict_proba(model, X).tobytes() == gbdt._sigmoid(want[-1]).tobytes()
+    apply_tree, Xt = gbdt._tree_evaluator(params), np.ascontiguousarray(X.T)
+    for tree in trees:
+        got = np.broadcast_to(apply_tree(tree, Xt), n_rows)  # a lone leaf gives a scalar
+        assert got.tobytes() == reference_apply_tree(tree, X).tobytes()
+    want = gbdt._sigmoid(reference_margins(model, X))
+    assert predict_proba(model, X).tobytes() == want.tobytes()
 
 
 def test_shallow_models_select_and_deep_ones_walk():

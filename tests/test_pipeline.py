@@ -20,9 +20,9 @@ from reference_pipeline import (
     row_oracle_cp_scorer,
     row_oracle_tof_scorer,
 )
-from trendlab import gbdt
+from trendlab import gbdt, pipeline
 from trendlab.errors import ConfigError, SeriesTooShortError, ShapeError
-from trendlab.features import build_cp_dataset, build_tof_dataset
+from trendlab.features import build_cp_dataset, build_tof_dataset, tof_features
 from trendlab.labels import ExpertWindow
 from trendlab.market_data import FLAT, TREND
 from trendlab.pipeline import (
@@ -335,6 +335,29 @@ def test_each_stage_is_scored_in_one_call(trained_models, monkeypatch):
     trace, _ = _run(series, *trained_models[True])
     assert len(rows) == 2
     assert rows[1] == np.count_nonzero(~np.isnan(trace.tof_proba))
+
+
+@pytest.mark.parametrize("hold", [False, True], ids=["closing", "holding"])
+def test_the_walk_reads_one_prefix_per_position(trained_models, monkeypatch, hold):
+    series, _ = gen_series(SMALL_UNIVERSE, seed=[17, 1], stockname="TST")
+    configs = [PipelineConfig(cp_threshold=t, hold_until_changepoint=hold) for t in (0.3, 0.5, 0.8)]
+    scores = StockScores(series, *trained_models[True], configs)
+    lengths = []
+
+    def counting_tof_features(window, length):
+        lengths.append(length)
+        return tof_features(window, length)
+
+    monkeypatch.setattr(pipeline, "tof_features", counting_tof_features)
+    positions = 0
+    for cfg in configs:
+        lengths.clear()
+        trace, _ = run_pipeline(scores, cfg)
+        # each position's direction comes from the prefix that ends on its entry day
+        entries = [p.entry_row for p in trace.positions]
+        assert lengths == [e - trace.window_start[e] + 1 for e in entries]
+        positions += len(entries)
+    assert positions
 
 
 # --- one StockScores for several configs ---
