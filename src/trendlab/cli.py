@@ -297,6 +297,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         split_merge_prob=args.split_merge_prob,
     )
     experts = _experts_list(args.experts) or ["D", "G"]
+    if len(set(experts)) < len(experts):  # one label file per (stock, expert) name
+        args.parser.error(f"--experts names an expert twice: {','.join(experts)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -81,7 +81,7 @@ def cp_feature_matrix(
 
 
 class TofRow(NamedTuple):
-    """Regression features of one window prefix, in ``TOF_FEATURE_NAMES`` order."""
+    """The five columns of one window row, in ``TOF_FEATURE_NAMES`` order."""
 
     reg_close: float
     close_r2: float
@@ -90,44 +90,10 @@ class TofRow(NamedTuple):
     len_trend: int
 
 
-class WindowSums:
-    """The close and volume fits of every prefix of one window, from running sums.
-
-    ``closes`` and ``volumes`` are the window's bars in the feature space,
-    that is logs in log mode (``prefix_features`` takes and checks them). The sums
-    are taken once, shifted by the window's first bar (``labels._prefix_fits``),
-    so ``tof_features`` reads any prefix in O(1), and a prefix has the same
-    bits however many bars follow it.
-    """
-
-    __slots__ = ("_matrix", "_fits")
-
-    def __init__(self, closes: Sequence[float], volumes: Sequence[float]) -> None:
-        closes = np.asarray(closes, dtype=np.float64)
-        volumes = np.asarray(volumes, dtype=np.float64)
-        if len(closes) < 2 or len(volumes) != len(closes):
-            raise TooShortError(f"need >= 2 aligned points, got {len(closes)}/{len(volumes)}")
-        slopes, r2s = _prefix_fits(np.stack((closes, volumes)))
-        # one row per prefix: close slope, close R2, volume slope, volume R2
-        self._matrix = np.stack((slopes, r2s), axis=1).reshape(4, -1).T
-        self._fits = self._matrix.tolist()
-
-    def prefix_rows(self, lengths: np.ndarray) -> np.ndarray:
-        """One gather of the fits: row k holds the bits of ``tof_features(self, lengths[k])``."""
-        if lengths.size and not 2 <= lengths.min() <= lengths.max() <= len(self._fits):
-            n = len(self._fits)
-            raise TooShortError(f"prefixes of {lengths.min()}..{lengths.max()} of a {n}-bar window")
-        return np.column_stack((self._matrix[lengths - 1], lengths.astype(np.float64)))
-
-
-def tof_features(window: WindowSums, length: int) -> TofRow:
-    """Slope/R2 of the close and volume over the window's first ``length`` bars, plus ``length``.
-
-    An O(1) read of the fits ``WindowSums`` took when it was built.
-    """
-    if not 2 <= length <= len(window._fits):
-        raise TooShortError(f"a prefix of {length} bars of a {len(window._fits)}-bar window")
-    return TofRow(*window._fits[length - 1], length)
+def tof_features(row: np.ndarray) -> TofRow:
+    """The columns of one ``prefix_features`` row, by name."""
+    *fits, length = row.tolist()
+    return TofRow(*fits, int(length))
 
 
 def _log_bars(closes: np.ndarray, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,26 +107,32 @@ def _log_bars(closes: np.ndarray, volumes: np.ndarray) -> tuple[np.ndarray, np.n
 
 def prefix_features(
     series: QuoteSeries, starts: np.ndarray, lengths: np.ndarray, log_mode: bool = False
-) -> tuple[np.ndarray, dict[int, WindowSums]]:
-    """The window row of each prefix of ``lengths[i]`` bars from row ``starts[i]``.
+) -> np.ndarray:
+    """The window row of each prefix of ``lengths[i]`` bars from row ``starts[i]``, in input order.
 
-    Returns the rows in input order, and the ``WindowSums`` they were read
-    from by window start: one per distinct start, over its longest prefix. A
-    prefix has the same bits from any window that holds it. Log mode takes
-    the logs of the whole series once, so every bar must be valid for them.
+    Each distinct start fits its longest prefix once (``labels._prefix_fits``,
+    on sums shifted by the start's bar), and its rows are gathered from those
+    fits, so a prefix has the same bits from any window that holds it. Log
+    mode takes the logs of the whole series once, so every bar must be valid
+    for them. A prefix of under 2 bars, or one past the series end, raises
+    ``TooShortError``.
     """
     closes, volumes = series.closes, series.volumes
     if log_mode:
         closes, volumes = _log_bars(closes, volumes)
     order = np.argsort(starts, kind="stable")
     X = np.empty((len(starts), len(TOF_FEATURE_NAMES)))
-    sums: dict[int, WindowSums] = {}
     for lo, hi in _runs(starts[order]):
         rows = order[lo:hi]
-        s, n = int(starts[rows[0]]), int(lengths[rows].max())
-        sums[s] = WindowSums(closes[s : s + n], volumes[s : s + n])
-        X[rows] = sums[s].prefix_rows(lengths[rows])
-    return X, sums
+        s, k = int(starts[rows[0]]), lengths[rows]
+        n = int(k.max())
+        if not 0 <= s <= s + n <= len(closes) or k.min() < 2:
+            raise TooShortError(f"prefixes of {k.min()}..{n} bars from row {s} of {len(closes)}")
+        # one row per fit: close slope, close R2, volume slope, volume R2
+        fits = np.stack(_prefix_fits(np.stack((closes[s : s + n], volumes[s : s + n]))), axis=1)
+        X[rows, :4] = fits.reshape(4, n)[:, k - 1].T
+    X[:, 4] = lengths
+    return X
 
 
 MIN_LEN_TREND = 6
@@ -264,7 +236,7 @@ def build_tof_dataset(
     pct = np.array(FRACTIONS, dtype=np.int64)
     lengths = (2 * pct * n[:, None] + 100) // 200  # exact integer arithmetic
     window, fraction = np.nonzero(lengths >= MIN_LEN_TREND)
-    X, _ = prefix_features(quotes, starts[window], lengths[window, fraction], log_mode=log_mode)
+    X = prefix_features(quotes, starts[window], lengths[window, fraction], log_mode=log_mode)
     return FeatureDataset(
         kind="tof",
         feature_names=TOF_FEATURE_NAMES,

@@ -70,7 +70,11 @@ class GbdtParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if f.type == "int" and not integral:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be a finite number")
         if self.n_estimators < 1:
             raise ConfigError("n_estimators must be >= 1")
@@ -86,7 +90,7 @@ class GbdtParams:
             raise ConfigError("scale_pos_weight must be > 0")
         if self.min_child_weight < 0.0 or self.gamma < 0.0:
             raise ConfigError("min_child_weight and gamma must be >= 0")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
 
@@ -505,7 +509,9 @@ def model_from_dict(doc: dict) -> GbdtModel:
     if doc.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported {FORMAT_NAME} version {doc.get('version')!r}")
     try:
-        n_features = int(doc["n_features"])
+        n_features = doc["n_features"]
+        if type(n_features) is not int:  # a bool, a float or a string would pass int()
+            raise ModelFormatError(f"n_features {n_features!r}, not an integer")
         names = doc.get("feature_names")
         if names and len(names) != n_features:
             raise ValueError(f"{len(names)} feature names for {n_features} features")

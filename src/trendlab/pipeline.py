@@ -381,9 +381,9 @@ class Windows(NamedTuple):
     ``fired`` holds the days a changepoint acts on and ``days`` those the
     trend/flat stage answers about, at least ``entry_lag`` rows past their
     window's start. The other columns hold one entry per day: ``window_id``
-    is 0 and ``window_start`` -1 before the first window, and ``tof_proba``
-    is NaN on days without an answer. ``tof_text`` holds the trace cell of
-    each ``tof_proba``, empty for NaN.
+    is 0 and ``window_start`` -1 before the first window, and ``tof_row`` is
+    the row of ``StockScores.tof_X`` behind the day's answer, the prefix from
+    the window start to that day, or -1 on a day without one.
     """
 
     cp_signal: np.ndarray
@@ -391,8 +391,7 @@ class Windows(NamedTuple):
     window_id: np.ndarray
     window_start: np.ndarray
     days: np.ndarray
-    tof_proba: np.ndarray
-    tof_text: np.ndarray
+    tof_row: np.ndarray
 
 
 def _windows(cp_proba: np.ndarray, cfg: PipelineConfig) -> Windows:
@@ -403,8 +402,8 @@ def _windows(cp_proba: np.ndarray, cfg: PipelineConfig) -> Windows:
     window_start = np.append(-1, fired - CP_LAG_DAYS)[window_id]
     offsets = np.arange(len(cp_signal)) - window_start
     days = np.flatnonzero((window_id > 0) & (offsets >= cfg.entry_lag))
-    tof_proba, tof_text = np.full(len(cp_proba), np.nan), np.full(len(cp_proba), "", dtype=object)
-    return Windows(cp_signal, fired, window_id, window_start, days, tof_proba, tof_text)
+    tof_row = np.full(len(cp_proba), -1)
+    return Windows(cp_signal, fired, window_id, window_start, days, tof_row)
 
 
 class StockScores:
@@ -416,15 +415,18 @@ class StockScores:
     answers into its ``Windows``, derived here once and kept in ``windows``,
     keyed by the config. ``tof`` answers each distinct (window start, day)
     prefix of all configs in one more call, on the rows ``features.prefix_features``
-    builds, as for training; ``sums`` keeps its ``WindowSums`` by start. A
-    prefix has the same bits from any window that holds it, so each config
-    reads the answers and features it would have scored alone. ``log_mode``
-    is the space both stages' features are taken in.
+    builds, as for training. ``tof_X`` keeps those rows, ``tof_proba`` their
+    answers and ``tof_text`` the answers' trace cells, each read-only, and
+    each config's ``tof_row`` points a day at the row behind its answer. Row
+    -1 of ``tof_proba`` and ``tof_text`` is the missing answer, NaN and
+    empty, so ``tof_row`` gathers a full column from either. A prefix has the
+    same bits from any window that holds it, so each config reads the
+    answers and features it would have scored alone. ``log_mode`` is the
+    space both stages' features are taken in.
 
     The trace text no threshold changes is formatted here, once: ``lead``
-    holds each day's ``"<date>,<cp_proba>,"``, and each distinct prefix's
-    answer is formatted once and gathered into every config's ``tof_text``
-    by the same index that gathers its answers.
+    holds each day's ``"<date>,<cp_proba>,"``, and ``tof_text`` each
+    distinct prefix's answer.
     """
 
     def __init__(
@@ -451,15 +453,15 @@ class StockScores:
         keys = [w.window_start[w.days] * n + w.days for w in self.windows.values()]
         prefixes, which = np.unique(np.concatenate(keys), return_inverse=True)
         starts, days = np.divmod(prefixes, n)
-        tof_X, self.sums = prefix_features(series, starts, days - starts + 1, log_mode)
-        probas = _score(tof, tof_X, starts, days)
-        text = _answer_text(probas)
+        self.tof_X = prefix_features(series, starts, days - starts + 1, log_mode)
+        self.tof_X.flags.writeable = False
+        self.tof_proba = np.append(_score(tof, self.tof_X, starts, days), np.nan)
+        self.tof_proba.flags.writeable = False
+        self.tof_text = _answer_text(self.tof_proba)
 
         at = 0
         for w in self.windows.values():
-            answers = which[at : at + len(w.days)]
-            w.tof_proba[w.days] = probas[answers]
-            w.tof_text[w.days] = text[answers]
+            w.tof_row[w.days] = which[at : at + len(w.days)]
             at += len(w.days)
             for column in w:  # every run of the config shares them
                 column.flags.writeable = False
@@ -476,8 +478,9 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
     w = scores.windows[cfg]
     n = len(scores)
 
+    tof_proba = scores.tof_proba[w.tof_row]
     tof_signal = np.full(n, -1, dtype=np.int64)
-    tof_signal[w.days] = w.tof_proba[w.days] >= cfg.tof_threshold
+    tof_signal[w.days] = tof_proba[w.days] >= cfg.tof_threshold
 
     # The position state machine, one window at a time. A window trades at
     # most once: its first trend answer opens a position at that day's close,
@@ -500,8 +503,7 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
             exit_row, reason = hi, "changepoint"
         else:
             exit_row, reason = n - 1, "series_end"
-        start = int(w.window_start[entry])
-        sign = 1 if tof_features(scores.sums[start], entry - start + 1).reg_close >= 0.0 else -1
+        sign = 1 if tof_features(scores.tof_X[w.tof_row[entry]]).reg_close >= 0.0 else -1
         positions.append(_position(series, entry, exit_row, sign, reason))
         # the exit day shows no direction, except at the series end
         direction[entry : exit_row + (reason == "series_end")] = sign
@@ -516,13 +518,13 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
         cp_signal=w.cp_signal,
         window_id=w.window_id,
         window_start=w.window_start,
-        tof_proba=w.tof_proba,
+        tof_proba=tof_proba,
         tof_signal=tof_signal,
         direction=direction,
         position_state=state,
         positions=positions,
         lead=scores.lead,
-        tof_text=w.tof_text,
+        tof_text=scores.tof_text[w.tof_row],
     )
     return trace, StockStats.from_positions(series.stockname, positions)
 

@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from reference_features import WindowSums, tof_features
 from trendlab import gbdt
 from trendlab.errors import SeriesTooShortError
-from trendlab.features import TofRow, WindowSums, cp_feature_matrix, tof_features
+from trendlab.features import TofRow, cp_feature_matrix
 from trendlab.labels import ExpertWindow
 from trendlab.market_data import TREND, QuoteSeries
 from trendlab.pipeline import (

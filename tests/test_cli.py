@@ -942,6 +942,7 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
         (["synth", "--config", "{ini}"], "[synth]\nstocks = 0\n",
          "{ini}: [synth] stocks: expected a positive integer, got '0'"),
         (["synth", "--trend-len", "10,20"], None, "trend lengths must stay within (40, 600)"),
+        (["synth", "--experts", "D,G, D"], None, "--experts names an expert twice: D,G,D"),
         (["train", "cp", "--prepared", "{prep}", "--n-estimators", "0"], None,
          "n_estimators must be >= 1"),
         (["train", "tof", "--prepared", "{prep}", "--learning-rate", "nan"], None,
@@ -1012,7 +1013,8 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "threads-negative", "threads-key", "grid-threads", "cp-threshold",
          "unknown-key", "unknown-section", "log-mode-key", "percent-key", "grid-key", "disagree-prob-range",
          "drift-reversed", "drift-nan", "volatility-inf", "volatility-negative", "days-range",
-         "stocks-key-zero", "trend-len-range", "n-estimators-range", "learning-rate-nan", "grid-depth-range",
+         "stocks-key-zero", "trend-len-range", "experts-repeat", "n-estimators-range",
+         "learning-rate-nan", "grid-depth-range",
          "grid-learning-rate-nan", "cp-threshold-range", "cp-threshold-nan",
          "tof-threshold-range", "min-window-days-range", "prepare-split-frac-negative",
          "prepare-split-frac-one", "baseline-split-frac-two", "baseline-split-frac-zero",

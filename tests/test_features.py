@@ -11,7 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_series, segment_labels
-from reference_features import augment_fractions, reference_tof_dataset
+from reference_features import WindowSums, augment_fractions, reference_tof_dataset
+from reference_features import tof_features as reference_tof_features
 from reference_labels import reference_ols
 from trendlab.errors import (
     EmptyInputError,
@@ -26,7 +27,6 @@ from trendlab.features import (
     MIN_LEN_TREND,
     TOF_FEATURE_NAMES,
     FeatureDataset,
-    WindowSums,
     build_cp_dataset,
     build_tof_dataset,
     cp_feature_matrix,
@@ -144,13 +144,16 @@ def test_cp_feature_matrix_matches_per_row():
             assert np.array_equal(X[i], _cp_row(series, int(t), log_mode))
 
 
-def _tof(closes, volumes, log_mode):
-    """The features of the whole of ``closes``/``volumes`` as one window prefix."""
-    closes = np.asarray(closes, dtype=np.float64)
-    volumes = np.asarray(volumes, dtype=np.float64)
-    if log_mode:
-        closes, volumes = np.log(closes), np.log(volumes)
-    return tof_features(WindowSums(closes, volumes), len(closes))
+def _tof(closes, volumes, log_mode, length=None, window=False):
+    """The row ``prefix_features`` builds of the first ``length`` bars (default all), by name.
+
+    With ``window`` the whole series is asked for beside the prefix, so the
+    fit spans every bar and the prefix's row is read from it.
+    """
+    series = make_series(closes, volumes=np.asarray(volumes, dtype=np.float64))
+    lengths = [len(series) if length is None else length] + [len(series)] * window
+    X = prefix_features(series, np.zeros(len(lengths), dtype=np.int64), np.array(lengths), log_mode)
+    return tof_features(X[0])
 
 
 def test_tof_features_exact_line():
@@ -205,13 +208,10 @@ def test_tof_reg_close_sign_matches_covariance():
 
 def test_tof_features_too_short():
     with pytest.raises(TooShortError):
-        WindowSums([100.0], [10.0])
-    with pytest.raises(TooShortError):
-        WindowSums([100.0, 101.0], [10.0])
-    window = WindowSums([100.0, 101.0, 99.0], [10.0, 11.0, 12.0])
+        _tof([100.0], [10.0], log_mode=False)
     for length in (0, 1, 4):
         with pytest.raises(TooShortError):
-            tof_features(window, length)
+            _tof([100.0, 101.0, 99.0], [10.0, 11.0, 12.0], log_mode=False, length=length)
 
 
 @pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, np.inf])
@@ -240,8 +240,8 @@ def test_build_tof_dataset_log_mode_rejects_a_zero_volume():
 
 # --- the running sums against a two-pass regression of each prefix ----------
 #
-# ``WindowSums`` reads every prefix of a window from running sums taken once,
-# where ``reference_ols`` regresses each prefix on its own. The two round
+# ``prefix_features`` reads every prefix of a start from running sums taken
+# once, where ``reference_ols`` regresses each prefix on its own. The two round
 # differently, so the features are held to stated absolute bounds: 1e-12 on
 # R2, and on a slope 1e-12 of the prefix's value range over its length (the
 # slope's own scale). Properties of the sums themselves hold bit for bit.
@@ -293,11 +293,10 @@ def test_prefix_fits_are_within_bounds_of_the_reference(y, data):
 @given(_columns(max_size=600), st.data(), st.booleans())
 def test_tof_features_are_within_bounds_of_the_reference(closes, data, log_mode):
     volumes = data.draw(_columns(min_size=len(closes), max_size=len(closes)))
+    k = data.draw(st.integers(2, len(closes)))
+    row = _tof(closes, volumes, log_mode, k)
     if log_mode:
         closes, volumes = np.log(closes), np.log(volumes)
-    window = WindowSums(closes, volumes)
-    k = data.draw(st.integers(2, len(closes)))
-    row = tof_features(window, k)
     assert row.len_trend == k
     _assert_near_reference(row.reg_close, row.close_r2, closes[:k])
     _assert_near_reference(row.reg_vol, row.vol_r2, volumes[:k])
@@ -321,7 +320,8 @@ def test_log_slices_give_the_bits_of_per_slice_logs(closes, data):
         s = data.draw(st.integers(0, len(closes) - 2))
         d = data.draw(st.integers(s + 1, len(closes) - 1))
         assert np.array_equal(log_closes[s : d + 1], np.log(closes[s : d + 1]))
-        got = tof_features(WindowSums(log_closes[s : d + 1], log_volumes[s : d + 1]), d - s + 1)
+        window = WindowSums(log_closes[s : d + 1], log_volumes[s : d + 1])
+        got = reference_tof_features(window, d - s + 1)
         assert got == _tof(closes[s : d + 1], volumes[s : d + 1], log_mode=True)
 
 
@@ -340,40 +340,22 @@ def _bits(row):
 @given(_window_and_prefix(), st.data())
 def test_a_prefix_reads_no_bar_after_its_last_day(window, data):
     closes, volumes, k = window
-    want = tof_features(WindowSums(closes, volumes), k)
+    want = _tof(closes, volumes, False, k, window=True)
     later = data.draw(st.integers(k, len(closes)))  # change every bar from here on
     if later < len(closes):
         factor = data.draw(st.floats(-1e6, 1e6, allow_nan=False))
         closes, volumes = closes.copy(), volumes.copy()
         closes[later:] = closes[later:] * factor + 1.0
         volumes[later:] = volumes[later:] - factor
-    got = tof_features(WindowSums(closes, volumes), k)
+    got = _tof(closes, volumes, False, k, window=True)
     assert _bits(got) == _bits(want)
 
 
 @given(_window_and_prefix())
 def test_a_longer_window_gives_a_prefix_the_bits_of_its_own(window):
     closes, volumes, k = window
-    whole = tof_features(WindowSums(closes, volumes), k)
-    assert _bits(whole) == _bits(tof_features(WindowSums(closes[:k], volumes[:k]), k))
-
-
-@given(_window_and_prefix(), st.data())
-def test_prefix_rows_are_the_bits_of_tof_features(window, data):
-    closes, volumes, last = window
-    lengths = np.array(data.draw(st.lists(st.integers(2, last), max_size=20)), dtype=np.int64)
-    sums = WindowSums(closes, volumes)
-    rows = sums.prefix_rows(lengths)
-    assert rows.shape == (len(lengths), len(TOF_FEATURE_NAMES))
-    want = [tof_features(sums, k) for k in lengths.tolist()]
-    assert rows.tobytes() == np.array(want, dtype=np.float64).tobytes()
-
-
-def test_prefix_rows_out_of_the_window_raise():
-    sums = WindowSums([100.0, 101.0, 99.0], [10.0, 11.0, 12.0])
-    for lengths in ([1], [4], [2, 4], [3, 1, 2], [0]):
-        with pytest.raises(TooShortError):
-            sums.prefix_rows(np.array(lengths, dtype=np.int64))
+    whole = _tof(closes, volumes, False, k, window=True)
+    assert _bits(whole) == _bits(_tof(closes[:k], volumes[:k], False))
 
 
 @st.composite
@@ -394,22 +376,29 @@ def test_prefix_features_are_the_bits_of_each_prefix_alone(prefixes, log_mode):
     series, pairs = prefixes
     starts = np.array([s for s, _ in pairs], dtype=np.int64)
     lengths = np.array([k for _, k in pairs], dtype=np.int64)
-    X, sums = prefix_features(series, starts, lengths, log_mode=log_mode)
+    X = prefix_features(series, starts, lengths, log_mode=log_mode)
     assert X.shape == (len(pairs), len(TOF_FEATURE_NAMES))
     closes, volumes = series.closes, series.volumes
+    if log_mode:
+        closes, volumes = np.log(closes), np.log(volumes)
     for row, (s, k) in zip(X, pairs):
-        bars = closes[s : s + k], volumes[s : s + k]
-        if log_mode:
-            bars = np.log(bars[0]), np.log(bars[1])
-        assert row.tobytes() == _bits(tof_features(WindowSums(*bars), k))
-        assert _bits(tof_features(sums[s], k)) == row.tobytes()  # the sums a walk reads
-    assert sorted(sums) == sorted(set(starts.tolist()))
+        want = reference_tof_features(WindowSums(closes[s : s + k], volumes[s : s + k]), k)
+        assert row.tobytes() == _bits(want)
+        assert tof_features(row) == want  # the names a walk reads the row by
+        # the same bits from the window that runs on to the series end
+        rest = WindowSums(closes[s:], volumes[s:])
+        assert row.tobytes() == _bits(reference_tof_features(rest, k))
 
 
 def test_prefix_features_reject_a_prefix_past_the_series_end():
     series = make_series(100.0 + np.arange(10.0))
     with pytest.raises(TooShortError):
         prefix_features(series, np.array([4]), np.array([7]))
+    # a prefix under 2 bars, or past the end, raises whatever else is asked beside it
+    cases = [(0, [1]), (7, [4]), (7, [2, 4]), (7, [3, 1, 2]), (0, [0]), (10, [2]), (-1, [2])]
+    for start, lengths in cases:
+        with pytest.raises(TooShortError):
+            prefix_features(series, np.full(len(lengths), start), np.array(lengths))
 
 
 @given(_window_and_prefix(), st.floats(-1e8, 1e8, allow_nan=False))
@@ -418,7 +407,7 @@ def test_a_constant_prefix_has_no_slope_and_no_fit(window, value):
     closes, volumes = closes.copy(), volumes.copy()
     closes[:k] = value
     volumes[:k] = -value
-    row = tof_features(WindowSums(closes, volumes), k)
+    row = _tof(closes, volumes, False, k, window=True)
     assert row == (0.0, 0.0, 0.0, 0.0, k)
 
 

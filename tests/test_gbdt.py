@@ -298,13 +298,39 @@ def test_params_reject_non_finite_floats(name, value):
     "name, value",
     [("n_estimators", 0), ("max_depth", 0), ("learning_rate", 0.0), ("reg_lambda", -1.0),
      ("reg_alpha", -1.0), ("subsample", 1.5), ("scale_pos_weight", -1.0),
-     ("min_child_weight", -1.0), ("gamma", -0.1), ("seed", -1)],
+     ("min_child_weight", -1.0), ("gamma", -0.1), ("seed", -1),
+     # a count that is not an integer
+     ("n_estimators", 2.7), ("n_estimators", True), ("max_depth", 3.0), ("max_depth", "3"),
+     ("seed", 1.5), ("seed", False), ("seed", None)],
 )
 def test_params_check_themselves_when_built_or_replaced(name, value):
     with pytest.raises(ConfigError):
         GbdtParams(**{name: value})
     with pytest.raises(ValueError):  # a ConfigError is a ValueError
         replace(GbdtParams(), **{name: value})
+
+
+def test_params_take_numpy_integers():
+    params = GbdtParams(n_estimators=np.int64(3), max_depth=np.int32(2), seed=np.uint8(7))
+    assert (params.n_estimators, params.max_depth, params.seed) == (3, 2, 7)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_features", 3.9), ("n_features", 3.0), ("n_features", "3"), ("n_features", True),
+     ("max_depth", 2.5), ("n_estimators", "100")],
+    ids=repr,
+)
+def test_load_model_rejects_a_count_that_is_not_an_integer_naming_the_file(tmp_path, key, value):
+    doc = model_to_dict(GbdtModel(params=GbdtParams(), n_features=3, trees=[]))
+    if key == "n_features":
+        doc[key] = value
+    else:
+        doc["params"][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: .*{key}.*integer"):
+        load_model(path)
 
 
 def test_load_model_names_a_file_whose_params_are_out_of_range(tmp_path):

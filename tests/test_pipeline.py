@@ -13,6 +13,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_series
+from reference_features import WindowSums
+from reference_features import tof_features as reference_tof_features
 from reference_ledger import lagged_regime_ledger
 from reference_pipeline import (
     reference_run_pipeline,
@@ -344,9 +346,9 @@ def test_the_walk_reads_one_prefix_per_position(trained_models, monkeypatch, hol
     scores = StockScores(series, *trained_models[True], configs)
     lengths = []
 
-    def counting_tof_features(window, length):
-        lengths.append(length)
-        return tof_features(window, length)
+    def counting_tof_features(row):
+        lengths.append(tof_features(row).len_trend)
+        return tof_features(row)
 
     monkeypatch.setattr(pipeline, "tof_features", counting_tof_features)
     positions = 0
@@ -357,6 +359,39 @@ def test_the_walk_reads_one_prefix_per_position(trained_models, monkeypatch, hol
         entries = [p.entry_row for p in trace.positions]
         assert lengths == [e - trace.window_start[e] + 1 for e in entries]
         positions += len(entries)
+    assert positions
+
+
+@pytest.mark.parametrize("log_mode", [True, False])
+def test_each_answer_and_direction_is_read_from_its_scored_row(trained_models, log_mode):
+    series, _ = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
+    cp_model, tof_model = trained_models[log_mode]
+    configs = [PipelineConfig(cp_threshold=t) for t in (0.3, 0.5, 0.8)]
+    scores = StockScores(series, cp_model, tof_model, configs, log_mode)
+    assert not scores.tof_X.flags.writeable
+    bars = series.closes, series.volumes
+    if log_mode:
+        bars = np.log(bars[0]), np.log(bars[1])
+    positions = 0
+    for cfg in configs:
+        w = scores.windows[cfg]
+        trace, _ = run_pipeline(scores, cfg)
+        days = np.flatnonzero(w.tof_row >= 0)
+        np.testing.assert_array_equal(days, w.days)
+        np.testing.assert_array_equal(np.isnan(trace.tof_proba), w.tof_row < 0)
+        rows = scores.tof_X[w.tof_row[days]]
+        want = gbdt.predict_proba(tof_model, rows)
+        assert trace.tof_proba[days].tobytes() == want.tobytes()
+        # each day's row is its prefix from the window start, as one window would build it
+        for d in days[:: max(1, len(days) // 40)].tolist():
+            start = int(w.window_start[d])
+            prefix = WindowSums(bars[0][start : d + 1], bars[1][start : d + 1])
+            want_row = np.array(reference_tof_features(prefix, d - start + 1), dtype=np.float64)
+            assert scores.tof_X[w.tof_row[d]].tobytes() == want_row.tobytes()
+        for p in trace.positions:
+            reg_close = scores.tof_X[w.tof_row[p.entry_row], 0]
+            assert p.direction == (1 if reg_close >= 0.0 else -1)
+        positions += len(trace.positions)
     assert positions
 
 
@@ -401,9 +436,11 @@ def test_a_shared_table_gives_each_config_its_own_run(
         # the run of the stock scored for this config alone
         _assert_same_run(got, _run(series, cp, tof, cfg, log_mode), tmp_path)
         trace = got[0]
-        # the text every run of the stock, or of the config, shares
-        assert trace.lead is scores.lead and trace.tof_text is scores.windows[cfg].tof_text
-        assert not trace.lead.flags.writeable and not trace.tof_text.flags.writeable
+        # the text every run of the stock shares: each answer's cell is formatted once
+        assert trace.lead is scores.lead and not trace.lead.flags.writeable
+        assert not scores.tof_text.flags.writeable
+        formatted = {id(cell) for cell in scores.tof_text.tolist()}
+        assert all(id(cell) in formatted for cell in trace.tof_text.tolist())
         days = np.flatnonzero(~np.isnan(trace.tof_proba))
         asked.extend(zip(trace.window_start[days].tolist(), days.tolist()))
     # each distinct prefix any config asks about is scored, and scored once

@@ -137,3 +137,28 @@ def test_every_reader_gives_a_value_or_an_error_naming_the_file(files, tmp_path,
 
     _read(kind, files[kind], rows)  # the file as written reads
     mutated_file_reads()
+
+
+def test_a_label_merge_across_files_gives_a_value_or_an_error_naming_one(files, tmp_path):
+    # two files of one (stock, expert) that overlap by a third of the rows
+    header, *rows = files["labels"].read_bytes().splitlines(keepends=True)
+    third = len(rows) // 3
+    parts = (header + b"".join(rows[: 2 * third]), header + b"".join(rows[third:]))
+    paths = (tmp_path / "first" / "labels.csv", tmp_path / "second" / "labels.csv")
+    for path, part in zip(paths, parts):
+        path.parent.mkdir()
+        path.write_bytes(part)
+    (merged,) = merge_label_files(paths).values()  # the files as cut merge
+    assert len(merged) == len(rows)
+
+    @settings(max_examples=100)
+    @given(st.sampled_from((0, 1)), st.lists(EDITS, min_size=1, max_size=3))
+    def mutated_merge_reads(which, edits):
+        paths[which].write_bytes(_mutate(parts[which], edits))
+        paths[1 - which].write_bytes(parts[1 - which])
+        try:
+            merge_label_files(paths)
+        except TrendlabError as exc:
+            assert any(str(path) in str(exc) for path in paths), exc
+
+    mutated_merge_reads()

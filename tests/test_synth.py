@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_features import WindowSums, tof_features
 from trendlab.errors import ConfigError, ParseError
-from trendlab.features import WindowSums, tof_features
 from trendlab.labels import ExpertWindow, count_contradictions, extract_windows
 from trendlab.market_data import FLAT, OHLCV_COLUMNS, TREND
 from trendlab.synth import (
