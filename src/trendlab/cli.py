@@ -518,12 +518,19 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     quotes, _ = _load_universe(data_dir)
     spans, skip_flags = pipeline.backtest_spans(quotes, split_date)
 
+    # Both stages are scored once per stock, and every threshold walks those scores.
     if args.oracle:
         truth_path = data_dir / "truth.json"
         truth = _load_truth(truth_path, quotes)
         untold = sorted(spans.keys() - truth.keys())
         if untold:
             raise TrendlabError(f"{truth_path}: no windows for stock {untold[0]}")
+        scores = {}
+        for stock, sliced in spans.items():
+            windows = pipeline.clip_windows_to_span(truth[stock], sliced)
+            cp_oracle = pipeline.oracle_cp_scorer(windows, sliced)
+            tof_oracle = pipeline.oracle_tof_scorer(windows, sliced)
+            scores[stock] = pipeline.StockScores(sliced, cp_oracle, tof_oracle, configs, log_mode)
     else:
         cp_model, tof_model = (
             _load_stage_model(Path(args.models) / f"{which}_model.json", which, names)
@@ -532,22 +539,15 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         # the tof test rows with their window fractions, for fraction_accuracy.csv
         tof_X, tof_y = read_feature_csv(prepared / "tof_test.csv", TOF_FEATURE_NAMES)
         _, _, fractions = read_tof_meta(prepared / "tof_test_meta.csv", len(tof_y))
+        # each stage of every stock in one predict_proba call
+        scores = pipeline.score_stocks(spans, cp_model, tof_model, configs, log_mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # One pass over the stocks: both stages are scored once per stock, and
-    # every threshold walks those scores.
     stats_by_threshold: list[list[pipeline.StockStats]] = [[] for _ in configs]
-    for stock, sliced in spans.items():
-        if args.oracle:
-            windows = pipeline.clip_windows_to_span(truth[stock], sliced)
-            cp_arg = pipeline.oracle_cp_scorer(windows, sliced)
-            tof_arg = pipeline.oracle_tof_scorer(windows, sliced)
-        else:
-            cp_arg, tof_arg = cp_model, tof_model
-        scores = pipeline.StockScores(sliced, cp_arg, tof_arg, configs, log_mode)
+    for stock, stock_scores in scores.items():
         for cfg, stats_list in zip(configs, stats_by_threshold):
-            trace, stats = pipeline.run_pipeline(scores, cfg)
+            trace, stats = pipeline.run_pipeline(stock_scores, cfg)
             trace.to_csv(out_dir / f"trace_{stock}_t{cfg.cp_threshold:.2f}.csv")
             stats_list.append(stats)
 

@@ -44,6 +44,7 @@ bits of its leaf.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -74,8 +75,10 @@ class GbdtParams:
             integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if f.type == "int" and not integral:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be a finite number")
+            # a bool is an int, and so a Real, but not a number here
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if f.type == "float" and not (real and math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.n_estimators < 1:
             raise ConfigError("n_estimators must be >= 1")
         if self.max_depth < 1:

@@ -19,7 +19,7 @@ import json
 from contextlib import contextmanager
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -258,26 +258,47 @@ def _read_rows(
     return positions, rows, lines
 
 
-def load_quotes(path: str | Path) -> QuoteSeries:
-    """Load one stock's quotes, sort by date and validate every invariant."""
-    path = Path(path)
-    positions, rows, lines = _read_rows(path, QUOTE_COLUMNS)
+def _raise_first_bad_quote_row(
+    path: Path, positions: dict[str, int], rows: list[list[str]], lines: list[int]
+) -> NoReturn:
+    """Raise the error of the first bad row of a quotes file, in file order.
+
+    A row's stockname is checked first, then its date, then its values in
+    ``OHLCV_COLUMNS`` order.
+    """
     at_date, at_name = positions["date"], positions["stockname"]
     at_values = [positions[c] for c in OHLCV_COLUMNS]
-    dates: list[Date] = []
-    columns: list[list[float]] = [[] for _ in OHLCV_COLUMNS]
-    stockname: str | None = None
+    stockname = rows[0][at_name].strip()
     for line, row in zip(lines, rows):
         name = row[at_name].strip()
-        if stockname is None:
-            stockname = name
-        elif name != stockname:
+        if name != stockname:
             raise InvariantError(f"{path}:{line}: mixed stocknames {stockname!r}/{name!r}")
-        dates.append(_parse_date(row[at_date], path, line))
-        for values, at, c in zip(columns, at_values, OHLCV_COLUMNS):
-            values.append(_parse_float(row[at], path, line, c))
-    if stockname is None:
+        _parse_date(row[at_date], path, line)
+        for at, c in zip(at_values, OHLCV_COLUMNS):
+            _parse_float(row[at], path, line, c)
+    raise AssertionError(f"{path}: no bad row")
+
+
+def load_quotes(path: str | Path) -> QuoteSeries:
+    """Load one stock's quotes, sort by date and validate every invariant.
+
+    Each column is parsed in one pass over its cells. When a cell is bad the
+    rows are read again, one at a time, for the first bad row in file order.
+    """
+    path = Path(path)
+    positions, rows, lines = _read_rows(path, QUOTE_COLUMNS)
+    if not rows:
         raise ParseError(f"{path}: no data rows")
+    cells = list(zip(*rows))
+    names = {name.strip() for name in set(cells[positions["stockname"]])}
+    if len(names) > 1:
+        _raise_first_bad_quote_row(path, positions, rows, lines)
+    (stockname,) = names
+    try:
+        dates = list(map(Date.fromisoformat, map(str.strip, cells[positions["date"]])))
+        columns = [list(map(float, cells[positions[c]])) for c in OHLCV_COLUMNS]
+    except ValueError:
+        _raise_first_bad_quote_row(path, positions, rows, lines)
     series = QuoteSeries(stockname, dates, *columns)
     try:
         series.validate()

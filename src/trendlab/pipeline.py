@@ -1,20 +1,23 @@
-"""Two-stage simulation and profit accounting: score a stock once, then walk each config.
+"""Two-stage simulation and profit accounting: score the stocks once, then walk each config.
 
 Signals become available as they would in real time: the changepoint
 features for row t need five future bars, so a positive changepoint answer
 for row t acts on day t+5 and starts a window at row t. Neither stage's
-answers depend on the changepoint threshold, so a ``StockScores`` scores a
-stock once for every config of a sweep: every changepoint row in one call,
-then each config's ``Windows`` (its threshold's signals and the windows they
-open), then, in one more call, each distinct (window start, day) prefix of
-those windows from the window's first possible entry day
-(``PipelineConfig.entry_lag``) on. ``run_pipeline`` then walks one config's
-windows over those answers. The first positive trend/flat answer in a window
-opens a position at that day's close, with the direction latched from the
-sign of the prefix's close-slope feature. A position closes when the
-trend/flat answer flips back to flat (unless ``hold_until_changepoint``),
-when the next changepoint signal acts, or at the end of the series. No
-answer used on day d reads a bar after day d.
+answers depend on the changepoint threshold, so ``score_stocks`` scores each
+stock once for every config of a sweep, in three steps over all the stocks
+of a backtest. It scores every stock's changepoint rows, in one call of a
+model; derives each stock's ``Windows`` for each config (its threshold's
+signals and the windows they open) and scores every stock's distinct
+(window start, day) prefixes of those windows from the window's first
+possible entry day (``PipelineConfig.entry_lag``) on, in one more call; and
+hands each stock's share of the answers to its ``StockScores``. A scorer
+callable is called once per stock instead. ``run_pipeline`` then walks one
+config's windows over one stock's answers. The first positive trend/flat
+answer in a window opens a position at that day's close, with the
+direction latched from the sign of the prefix's close-slope feature. A
+position closes when the trend/flat answer flips back to flat (unless
+``hold_until_changepoint``), when the next changepoint signal acts, or at
+the end of the series. No answer used on day d reads a bar after day d.
 
 The answers, the windows and the position state are stored per day as numpy
 columns of a ``SignalTrace``, with NaN for a missing answer. The trace's text
@@ -325,19 +328,27 @@ def backtest_spans(
 
 
 def _score(
-    model: gbdt.GbdtModel | CpScorer | TofScorer, X: np.ndarray, *keys: np.ndarray
-) -> np.ndarray:
-    """One stage's probabilities for every row of ``X``, in one call."""
+    model: gbdt.GbdtModel | CpScorer | TofScorer,
+    Xs: Sequence[np.ndarray],
+    keys: Sequence[tuple[np.ndarray, ...]],
+) -> list[np.ndarray]:
+    """One stage's probabilities for each stock's rows ``Xs``.
+
+    A model scores the stacked rows of every stock in one call; a scorer is
+    called once per stock, with that stock's ``keys`` and rows.
+    """
     if isinstance(model, gbdt.GbdtModel):
-        probas = gbdt.predict_proba(model, X)
+        stacked = gbdt.predict_proba(model, np.concatenate(Xs))
+        answers = np.split(stacked, np.cumsum([len(X) for X in Xs[:-1]]))
     else:
-        probas = np.asarray(model(*keys, X), dtype=np.float64)
-    if probas.shape != (len(X),):
-        raise ShapeError(f"scorer returned shape {probas.shape} for {len(X)} rows")
-    # NaN marks a missing answer in the trace, so a scorer may not return one
-    if not np.all((probas >= 0.0) & (probas <= 1.0)):
-        raise ShapeError("scorer returned a probability that is not a number in [0, 1]")
-    return probas
+        answers = [np.asarray(model(*k, X), dtype=np.float64) for X, k in zip(Xs, keys)]
+    for X, probas in zip(Xs, answers):
+        if probas.shape != (len(X),):
+            raise ShapeError(f"scorer returned shape {probas.shape} for {len(X)} rows")
+        # NaN marks a missing answer in the trace, so a scorer may not return one
+        if not np.all((probas >= 0.0) & (probas <= 1.0)):
+            raise ShapeError("scorer returned a probability that is not a number in [0, 1]")
+    return answers
 
 
 def _position(
@@ -409,25 +420,35 @@ def _windows(cp_proba: np.ndarray, cfg: PipelineConfig) -> Windows:
 class StockScores:
     """Both stages' answers about one stock, scored once for every config of a sweep.
 
-    ``cp`` answers each changepoint row in one call. The answer about row t
-    becomes actionable on day t + CP_LAG_DAYS, and ``cp_proba`` holds each
-    day's answer, NaN on days without one. Each config's threshold turns these
-    answers into its ``Windows``, derived here once and kept in ``windows``,
-    keyed by the config. ``tof`` answers each distinct (window start, day)
-    prefix of all configs in one more call, on the rows ``features.prefix_features``
-    builds, as for training. ``tof_X`` keeps those rows, ``tof_proba`` their
-    answers and ``tof_text`` the answers' trace cells, each read-only, and
-    each config's ``tof_row`` points a day at the row behind its answer. Row
-    -1 of ``tof_proba`` and ``tof_text`` is the missing answer, NaN and
-    empty, so ``tof_row`` gathers a full column from either. A prefix has the
-    same bits from any window that holds it, so each config reads the
-    answers and features it would have scored alone. ``log_mode`` is the
-    space both stages' features are taken in.
+    ``score_stocks`` builds them, for one stock or many; ``StockScores(series,
+    cp, tof, configs, log_mode)`` is its one-stock case. ``cp`` answers each
+    changepoint row. The answer about row t becomes actionable on day
+    t + CP_LAG_DAYS, and ``cp_proba`` holds each day's answer, NaN on days
+    without one. Each config's threshold turns these answers into its
+    ``Windows``, derived once and kept in ``windows``, keyed by the config.
+    ``tof`` answers each distinct (window start, day) prefix of all configs,
+    on the rows ``features.prefix_features`` builds, as for training.
+    ``tof_X`` keeps those rows, ``tof_proba`` their answers and ``tof_text``
+    the answers' trace cells, each read-only, and each config's ``tof_row``
+    points a day at the row behind its answer. Row -1 of ``tof_proba`` and
+    ``tof_text`` is the missing answer, NaN and empty, so ``tof_row`` gathers
+    a full column from either. A prefix has the same bits from any window
+    that holds it, so each config reads the answers and features it would
+    have scored alone. ``log_mode`` is the space both stages' features are
+    taken in.
 
-    The trace text no threshold changes is formatted here, once: ``lead``
-    holds each day's ``"<date>,<cp_proba>,"``, and ``tof_text`` each
-    distinct prefix's answer.
+    The trace text no threshold changes is formatted once: ``lead`` holds
+    each day's ``"<date>,<cp_proba>,"``, and ``tof_text`` each distinct
+    prefix's answer.
     """
+
+    series: QuoteSeries
+    cp_proba: np.ndarray
+    lead: np.ndarray
+    windows: dict[PipelineConfig, Windows]
+    tof_X: np.ndarray
+    tof_proba: np.ndarray
+    tof_text: np.ndarray
 
     def __init__(
         self,
@@ -437,37 +458,70 @@ class StockScores:
         configs: Sequence[PipelineConfig],
         log_mode: bool = True,
     ) -> None:
+        (scores,) = score_stocks({series.stockname: series}, cp, tof, configs, log_mode).values()
+        vars(self).update(vars(scores))
+
+    def __len__(self) -> int:
+        return len(self.series)
+
+
+def score_stocks(
+    spans: Mapping[str, QuoteSeries],
+    cp: gbdt.GbdtModel | CpScorer,
+    tof: gbdt.GbdtModel | TofScorer,
+    configs: Sequence[PipelineConfig],
+    log_mode: bool = True,
+) -> dict[str, StockScores]:
+    """Each stock's ``StockScores`` by name, every stage scored over all the stocks at once.
+
+    A model stage scores the stacked rows of every stock in one
+    ``gbdt.predict_proba`` call: first every changepoint row, then every
+    stock's distinct trend/flat prefixes. A scorer is called once per stock
+    and stage, with that stock's rows. A row's answer does not depend on the
+    rows scored beside it, so each stock gets the bits it would get alone.
+    """
+    for series in spans.values():
         n = len(series)
         if n < 2 * CP_LAG_DAYS + 1:
             raise SeriesTooShortError(f"{series.stockname}: {n} bars < {2 * CP_LAG_DAYS + 1}")
         if not configs:
             raise ConfigError(f"{series.stockname}: no config given to score the stock for")
-        self.series = series
-        ts, cp_X = cp_feature_matrix(series, log_mode=log_mode)
-        self.cp_proba = np.full(n, np.nan)
-        self.cp_proba[ts + CP_LAG_DAYS] = _score(cp, cp_X, ts)
-        self.cp_proba.flags.writeable = False  # every config's trace shares it
-        self.lead = _lead_text(series.dates, self.cp_proba)
+    if not spans:
+        return {}
+    scores = {stock: object.__new__(StockScores) for stock in spans}
+    cp_rows = [cp_feature_matrix(series, log_mode=log_mode) for series in spans.values()]
+    cp_answers = _score(cp, [X for _, X in cp_rows], [(ts,) for ts, _ in cp_rows])
 
-        self.windows = {cfg: _windows(self.cp_proba, cfg) for cfg in configs}
-        keys = [w.window_start[w.days] * n + w.days for w in self.windows.values()]
-        prefixes, which = np.unique(np.concatenate(keys), return_inverse=True)
-        starts, days = np.divmod(prefixes, n)
-        self.tof_X = prefix_features(series, starts, days - starts + 1, log_mode)
-        self.tof_X.flags.writeable = False
-        self.tof_proba = np.append(_score(tof, self.tof_X, starts, days), np.nan)
-        self.tof_proba.flags.writeable = False
-        self.tof_text = _answer_text(self.tof_proba)
+    # each stock's windows and the distinct prefixes they ask about
+    prefixes = []
+    for s, series, (ts, _), answers in zip(scores.values(), spans.values(), cp_rows, cp_answers):
+        n = len(series)
+        s.series = series
+        s.cp_proba = np.full(n, np.nan)
+        s.cp_proba[ts + CP_LAG_DAYS] = answers
+        s.cp_proba.flags.writeable = False  # every config's trace shares it
+        s.lead = _lead_text(series.dates, s.cp_proba)
+        s.windows = {cfg: _windows(s.cp_proba, cfg) for cfg in configs}
+        keys = [w.window_start[w.days] * n + w.days for w in s.windows.values()]
+        distinct, which = np.unique(np.concatenate(keys), return_inverse=True)
+        starts, days = np.divmod(distinct, n)
+        s.tof_X = prefix_features(series, starts, days - starts + 1, log_mode)
+        s.tof_X.flags.writeable = False
+        prefixes.append((starts, days, which))
+    tof_keys = [(starts, days) for starts, days, _ in prefixes]
+    tof_answers = _score(tof, [s.tof_X for s in scores.values()], tof_keys)
 
+    for s, (_, _, which), answers in zip(scores.values(), prefixes, tof_answers):
+        s.tof_proba = np.append(answers, np.nan)
+        s.tof_proba.flags.writeable = False
+        s.tof_text = _answer_text(s.tof_proba)
         at = 0
-        for w in self.windows.values():
+        for w in s.windows.values():
             w.tof_row[w.days] = which[at : at + len(w.days)]
             at += len(w.days)
             for column in w:  # every run of the config shares them
                 column.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.series)
+    return scores
 
 
 def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace, StockStats]:

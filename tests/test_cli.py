@@ -271,7 +271,72 @@ def test_backtest_scores_each_cp_row_once(workdir, short_stock_data, tmp_path, m
         if n_test > 2 * CP_CONTEXT:
             expected.append(n_test - 2 * CP_CONTEXT)
     assert len(expected) == 2  # SHORT has no test span
-    assert cp_rows == expected
+    assert cp_rows == [sum(expected)]  # one call over every stock's rows
+
+
+@pytest.mark.parametrize("copies", [0, 3])
+def test_a_models_backtest_calls_predict_proba_three_times_whatever_the_stock_count(
+    workdir, tmp_path, monkeypatch, copies
+):
+    from trendlab import gbdt
+
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in (workdir / "data").iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    quotes = (workdir / "data" / "quotes_SYN00.csv").read_bytes()
+    for k in range(copies):
+        (data / f"quotes_CPY{k}.csv").write_bytes(quotes.replace(b"SYN00", f"CPY{k}".encode()))
+    widths = []
+    predict_proba = gbdt.predict_proba
+
+    def counting(model, X):
+        widths.append(X.shape[1])
+        return predict_proba(model, X)
+
+    monkeypatch.setattr(gbdt, "predict_proba", counting)
+    argv = _backtest_argv(workdir, data, "models")
+    out = tmp_path / "r"
+    assert main([*argv, "--cp-threshold", "0.3,0.5,0.8", "-o", str(out)]) == 0
+    assert len(list(out.glob("trace_*.csv"))) == 3 * (2 + copies)
+    # every stock's cp rows, every stock's trend/flat prefixes, the fraction-accuracy rows
+    assert widths == [len(CP_FEATURE_NAMES), len(TOF_FEATURE_NAMES), len(TOF_FEATURE_NAMES)]
+
+
+@pytest.mark.parametrize("source", ["models", "oracle"])
+def test_backtest_writes_the_outputs_of_each_stock_scored_alone(
+    workdir, short_stock_data, tmp_path, source
+):
+    from trendlab import gbdt, pipeline, synth
+    from trendlab.labels import load_prep_report
+    from trendlab.market_data import load_quotes
+
+    out = tmp_path / "r"
+    argv = _backtest_argv(workdir, short_stock_data, source)
+    assert main([*argv, "--cp-threshold", "0.3,0.5,0.8", "-o", str(out)]) == 0
+    prep = load_prep_report(workdir / "prep" / "prep_report.json")
+    quotes = [load_quotes(path) for path in short_stock_data.glob("quotes_*.csv")]
+    spans, _ = pipeline.backtest_spans({q.stockname: q for q in quotes}, prep["split_date"])
+    configs = [pipeline.PipelineConfig(cp_threshold=t) for t in (0.3, 0.5, 0.8)]
+    truth = synth.load_truth(short_stock_data / "truth.json")
+    stats_by_threshold = {cfg: [] for cfg in configs}
+    for stock, span in spans.items():
+        if source == "oracle":
+            windows = pipeline.clip_windows_to_span(truth[stock], span)
+            cp = pipeline.oracle_cp_scorer(windows, span)
+            tof = pipeline.oracle_tof_scorer(windows, span)
+        else:
+            cp, tof = (gbdt.load_model(workdir / "models" / f"{w}_model.json") for w in ("cp", "tof"))
+        scores = pipeline.StockScores(span, cp, tof, configs, prep["log_mode"])
+        for cfg in configs:
+            trace, stats = pipeline.run_pipeline(scores, cfg)
+            trace.to_csv(tmp_path / "alone.csv")
+            name = f"trace_{stock}_t{cfg.cp_threshold:.2f}.csv"
+            assert (out / name).read_bytes() == (tmp_path / "alone.csv").read_bytes(), name
+            stats_by_threshold[cfg].append(stats.to_dict())
+    for cfg, stats in stats_by_threshold.items():
+        doc = json.loads((out / f"backtest_report_t{cfg.cp_threshold:.2f}.json").read_text())
+        assert doc["per_stock"] == stats
 
 
 def test_backtest_builds_the_cp_features_once_per_stock(workdir, tmp_path, monkeypatch):
@@ -311,9 +376,10 @@ def test_backtest_formats_each_stocks_trace_text_once(workdir, tmp_path, monkeyp
     monkeypatch.setattr(pipeline.SignalTrace, "to_csv", recording)
     argv = _backtest_argv(workdir, workdir / "data", "models")
     assert main([*argv, "--cp-threshold", "0.3,0.5,0.8", "-o", str(tmp_path / "r")]) == 0
-    # per stock: the dates and cp answers (whose cells the lead formats), then
-    # the trend/flat answers of the distinct prefixes, whatever the threshold count
-    assert formatted == ["_lead_text", "_answer_text", "_answer_text"] * 2
+    # once per stock: the dates and cp answers (whose cells the lead formats),
+    # then, after every stock's prefixes are scored, the trend/flat answers of
+    # its distinct prefixes, whatever the threshold count
+    assert formatted == ["_lead_text", "_answer_text"] * 2 + ["_answer_text"] * 2
     assert sorted(leads) == ["SYN00", "SYN01"]
     for traces in leads.values():
         assert len(traces) == 3 and all(lead is traces[0] for lead in traces)

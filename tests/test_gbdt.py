@@ -310,6 +310,36 @@ def test_params_check_themselves_when_built_or_replaced(name, value):
         replace(GbdtParams(), **{name: value})
 
 
+FLOAT_PARAMS = ["learning_rate", "reg_lambda", "reg_alpha", "subsample", "scale_pos_weight",
+                "min_child_weight", "gamma"]
+
+
+@pytest.mark.parametrize("name", FLOAT_PARAMS)
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, [0.1], complex(1)], ids=repr)
+def test_params_reject_a_float_that_is_not_a_number(name, value):
+    # a bool would pass as 1.0 or 0.0, and a string would reach math.isfinite
+    with pytest.raises(ConfigError, match=rf"^{name} must be a finite number, got "):
+        GbdtParams(**{name: value})
+
+
+def test_params_take_any_real_number_as_a_float():
+    params = GbdtParams(learning_rate=np.float32(0.5), subsample=1, gamma=np.int64(2))
+    assert (params.learning_rate, params.subsample, params.gamma) == (0.5, 1, 2)
+
+
+@pytest.mark.parametrize("value", [True, "0.1"], ids=repr)
+@pytest.mark.parametrize("name", ["learning_rate", "subsample"])
+def test_load_model_rejects_a_float_param_that_is_not_a_number_naming_the_file(
+    tmp_path, name, value
+):
+    doc = model_to_dict(GbdtModel(params=GbdtParams(), n_features=1, trees=[]))
+    doc["params"][name] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: .*{name}.*finite"):
+        load_model(path)
+
+
 def test_params_take_numpy_integers():
     params = GbdtParams(n_estimators=np.int64(3), max_depth=np.int32(2), seed=np.uint8(7))
     assert (params.n_estimators, params.max_depth, params.seed) == (3, 2, 7)

@@ -7,15 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_series
+from reference_market_data import reference_load_quotes
 from trendlab.errors import (
     DefectFileError,
     DuplicateDateError,
     InvariantError,
     ParseError,
+    TrendlabError,
 )
 from trendlab.market_data import (
     OHLCV_COLUMNS,
@@ -344,6 +346,65 @@ def test_load_quotes_reports_first_bad_row_in_file_order(tmp_path):
     )
     with pytest.raises(InvariantError, match="negative volume on 2014-10-16"):
         load_quotes(p)
+
+
+# Cell texts that a quote column parses, rejects, or parses to a value validate rejects.
+CELLS = ("", "x", "nan", "-inf", "1e309", "-1", "0", " 7 ", "1_0", "0x10", "2012-02-30",
+         "20120103", "2012-01-03", "OTHER", " ACME ", '"1"')
+# A cell replaced, a row swapped with or copied over another, a blank line put in.
+QUOTE_EDITS = st.tuples(
+    st.sampled_from(("cell", "swap", "copy", "blank")),
+    st.integers(0, 39),
+    st.integers(0, 39),
+    st.integers(0, len(QUOTE_HEADER.split(",")) - 1),
+    st.sampled_from(CELLS),
+)
+
+
+def _quote_outcome(load, path: Path) -> tuple:
+    """The series ``load`` reads, bit for bit, or the type and message of its error."""
+    try:
+        series = load(path)
+    except TrendlabError as exc:
+        return type(exc), str(exc)
+    return series.stockname, series.dates, *(series.column(c).tobytes() for c in OHLCV_COLUMNS)
+
+
+def test_load_quotes_matches_the_per_row_reference_on_mutated_files(tmp_path):
+    path = tmp_path / "quotes.csv"
+    save_quotes(make_series(100 + np.sin(np.arange(40.0))), path)
+    header, *original = path.read_text(encoding="utf-8").splitlines()
+    outcomes = set()
+
+    @settings(max_examples=300)
+    @given(st.lists(QUOTE_EDITS, min_size=1, max_size=4))
+    # two bad cells in one row: the stockname is checked before the date, the
+    # date before the values, and the values in column order
+    @example([("cell", 3, 0, 0, "x"), ("cell", 3, 0, 6, "OTHER")])
+    @example([("cell", 3, 0, 4, "x"), ("cell", 3, 0, 0, "2012-02-30")])
+    @example([("cell", 3, 0, 5, "x"), ("cell", 3, 0, 1, "x"), ("blank", 2, 0, 0, "")])
+    # the first bad row in file order, whichever check finds it
+    @example([("cell", 9, 0, 1, "x"), ("cell", 4, 0, 6, "OTHER")])
+    @example([("cell", 9, 0, 6, "OTHER"), ("cell", 4, 0, 5, "x")])
+    def mutated_file_loads_alike(edits):
+        rows = [line.split(",") for line in original]
+        for kind, i, j, column, cell in edits:
+            if kind == "cell":
+                rows[i][column] = cell
+            elif kind == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            elif kind == "copy":
+                rows[j] = list(rows[i])
+            else:
+                rows.insert(i, [])
+        path.write_text("\n".join([header, *map(",".join, rows)]) + "\n", encoding="utf-8")
+        got = _quote_outcome(load_quotes, path)
+        assert got == _quote_outcome(reference_load_quotes, path)
+        outcomes.add(got[0] if isinstance(got[0], type) else "loaded")
+
+    mutated_file_loads_alike()
+    # the edits reached every kind of outcome: a series and each error
+    assert {"loaded", ParseError, InvariantError, DuplicateDateError} <= outcomes
 
 
 def test_rows_shorter_than_the_header_are_parse_errors(tmp_path):

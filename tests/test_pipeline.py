@@ -26,7 +26,7 @@ from trendlab import gbdt, pipeline
 from trendlab.errors import ConfigError, SeriesTooShortError, ShapeError
 from trendlab.features import build_cp_dataset, build_tof_dataset, tof_features
 from trendlab.labels import ExpertWindow
-from trendlab.market_data import FLAT, TREND
+from trendlab.market_data import FLAT, TREND, QuoteSeries
 from trendlab.pipeline import (
     BUSINESS_DAYS_PER_YEAR,
     CP_LAG_DAYS,
@@ -45,6 +45,7 @@ from trendlab.pipeline import (
     oracle_cp_scorer,
     oracle_tof_scorer,
     run_pipeline,
+    score_stocks,
     trend_profit,
 )
 from trendlab.synth import RegimeSpec, SamplerConfig, gen_series
@@ -393,6 +394,120 @@ def test_each_answer_and_direction_is_read_from_its_scored_row(trained_models, l
             assert p.direction == (1 if reg_close >= 0.0 else -1)
         positions += len(trace.positions)
     assert positions
+
+
+# --- every stock of a backtest scored at once ---
+
+
+@pytest.fixture(scope="module")
+def deep_models():
+    """Depth-7 cp/tof models in log space, so both stages run the walking tree evaluator."""
+    train_series, train_windows = gen_series(
+        SamplerConfig(n_days=1500, trend_length=(40, 90), flat_length=(20, 60)),
+        seed=[17, 0], stockname="TRN",
+    )
+    cp_ds = build_cp_dataset(train_series, train_windows, log_mode=True)
+    balance = float((cp_ds.y == 0).sum() / (cp_ds.y == 1).sum())
+    params = gbdt.GbdtParams(n_estimators=4, max_depth=7)
+    cp = gbdt.fit(cp_ds.X, cp_ds.y, replace(params, scale_pos_weight=balance))
+    tof_ds = build_tof_dataset(train_windows, train_series, log_mode=True)
+    return cp, gbdt.fit(tof_ds.X, tof_ds.y, params)
+
+
+def _backtest_stocks() -> dict[str, QuoteSeries]:
+    """Three synth stocks of different lengths and a flat one, by name."""
+    spans = {
+        f"S{k}": gen_series(replace(SMALL_UNIVERSE, n_days=days), seed=[17, 10 + k],
+                            stockname=f"S{k}")[0]
+        for k, days in enumerate((350, 200, 420))
+    }
+    spans["FLAT"] = make_series(np.full(120, 100.0), stockname="FLAT")
+    return spans
+
+
+def _assert_same_scores(got: StockScores, want: StockScores) -> None:
+    assert got.series is want.series and got.windows.keys() == want.windows.keys()
+    for name in ("cp_proba", "tof_X", "tof_proba"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
+    for name in ("lead", "tof_text"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    for cfg, w in got.windows.items():
+        for name, a, b in zip(w._fields, w, want.windows[cfg]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("depth, log_mode", [(3, True), (3, False), (7, True)])
+def test_score_stocks_gives_each_stock_the_bits_it_gets_alone(
+    trained_models, deep_models, monkeypatch, depth, log_mode
+):
+    cp, tof = deep_models if depth == 7 else trained_models[log_mode]
+    spans = _backtest_stocks()
+    # thresholds above every answer about the flat stock, so it asks about no prefix
+    configs = [PipelineConfig(cp_threshold=t) for t in (0.6, 0.75, 0.9)]
+    alone = {stock: StockScores(series, cp, tof, configs, log_mode) for stock, series in spans.items()}
+    assert np.nanmax(alone["FLAT"].cp_proba) < 0.6
+    assert alone["FLAT"].tof_X.shape == (0, 5)
+    assert all(alone[s].tof_X.shape[0] for s in spans if s != "FLAT")
+
+    rows = []
+    predict_proba = gbdt.predict_proba
+
+    def counting(model, X):
+        rows.append(len(X))
+        return predict_proba(model, X)
+
+    monkeypatch.setattr(gbdt, "predict_proba", counting)
+    scores = score_stocks(spans, cp, tof, configs, log_mode)
+    assert list(scores) == list(spans)
+    for stock, want in alone.items():
+        _assert_same_scores(scores[stock], want)
+    # one call per stage, over the rows of every stock
+    assert rows == [
+        sum(np.count_nonzero(~np.isnan(s.cp_proba)) for s in alone.values()),
+        sum(len(s.tof_X) for s in alone.values()),
+    ]
+
+
+def test_score_stocks_calls_a_scorer_once_per_stock_with_its_rows():
+    spans = _backtest_stocks()
+    calls = []
+
+    def cp(ts, X):  # the close five days later is up by 2%
+        calls.append(("cp", len(ts)))
+        return np.where(X[:, 9] > 0.02, 0.9, 0.1)
+
+    def tof(starts, days, X):
+        calls.append(("tof", len(starts)))
+        return np.where(X[:, 1] > 0.5, 0.9, 0.1)
+
+    configs = [PipelineConfig(cp_threshold=t) for t in (0.5, 0.95)]
+    scores = score_stocks(spans, cp, tof, configs)
+    # each stock's rows in its own call, even the flat stock's none
+    assert calls == [("cp", len(s) - 2 * CP_LAG_DAYS) for s in spans.values()] + [
+        ("tof", len(s.tof_X)) for s in scores.values()
+    ]
+    assert scores["FLAT"].tof_X.shape == (0, 5)
+    assert all(len(scores[s].tof_X) for s in spans if s != "FLAT")
+    for stock, series in spans.items():
+        _assert_same_scores(scores[stock], StockScores(series, cp, tof, configs))
+    assert score_stocks({}, cp, tof, configs) == {}
+
+
+def test_score_stocks_checks_every_stock_before_scoring():
+    spans = _backtest_stocks()
+    spans["TINY"] = make_series(100 + np.arange(10.0), stockname="TINY")
+
+    def never(*args):
+        raise AssertionError("scored before the checks")
+
+    with pytest.raises(SeriesTooShortError, match="TINY: 10 bars < 11"):
+        score_stocks(spans, never, never, [PipelineConfig()])
+    del spans["TINY"]
+    with pytest.raises(ConfigError, match="S0: no config given"):
+        score_stocks(spans, never, never, [])
 
 
 # --- one StockScores for several configs ---
