@@ -26,13 +26,14 @@ import configparser
 import itertools
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date as Date
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import evaluation, gbdt, pipeline, synth
-from .errors import ConfigError, ModelFormatError, TrendlabError
+from .errors import ConfigError, ModelFormatError, TrendlabError, ZeroVolumeError
 from .features import (
     CP_FEATURE_NAMES,
     TOF_FEATURE_NAMES,
@@ -230,16 +231,24 @@ def _experts_list(raw: str | None) -> list[str] | None:
 # --- data discovery ---------------------------------------------------------
 
 
-def _load_universe(data_dir: Path) -> tuple[dict[str, QuoteSeries], list[Path]]:
-    quote_paths = sorted(data_dir.glob("quotes_*.csv"))
+def _load_universe(data_dir: Path) -> tuple[dict[str, QuoteSeries], dict[str, Path], list[Path]]:
     label_paths = sorted(data_dir.glob("labels_*.csv"))
-    if not quote_paths:
-        raise FileNotFoundError(f"no quotes_*.csv files in {data_dir}")
-    quotes = {}
-    for p in quote_paths:
+    quotes, quote_paths = {}, {}
+    for p in sorted(data_dir.glob("quotes_*.csv")):
         series = load_quotes(p)
-        quotes[series.stockname] = series
-    return quotes, label_paths
+        quotes[series.stockname], quote_paths[series.stockname] = series, p
+    if not quotes:
+        raise FileNotFoundError(f"no quotes_*.csv files in {data_dir}")
+    return quotes, quote_paths, label_paths
+
+
+@contextmanager
+def _naming_quotes_file(quote_paths: Mapping[str, Path]) -> Iterator[None]:
+    """Prefix a ``ZeroVolumeError`` with the path of its stock's quotes file."""
+    try:
+        yield
+    except ZeroVolumeError as exc:
+        raise ZeroVolumeError(exc.stockname, f"{quote_paths[exc.stockname]}: {exc}") from None
 
 
 def _split_date(args: argparse.Namespace, quotes: dict[str, QuoteSeries]) -> Date:
@@ -331,7 +340,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     log_mode, averaging, correction = args.log_mode, args.averaging, args.trigger_correction
 
-    quotes, label_paths = _load_universe(data_dir)
+    quotes, quote_paths, label_paths = _load_universe(data_dir)
     split_date = _split_date(args, quotes)
     if not label_paths:
         raise FileNotFoundError(f"no labels_*.csv files in {data_dir}")
@@ -347,8 +356,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         for windows in window_streams:
             if correction:
                 windows = trigger_correction(windows, series)
-            cp_parts.append(build_cp_dataset(series, windows, log_mode=log_mode))
-            tof_parts.append(build_tof_dataset(windows, series, log_mode=log_mode))
+            with _naming_quotes_file(quote_paths):
+                cp_parts.append(build_cp_dataset(series, windows, log_mode=log_mode))
+                tof_parts.append(build_tof_dataset(windows, series, log_mode=log_mode))
 
     cp_ds = FeatureDataset.concat(cp_parts).deduplicate()
     tof_ds = FeatureDataset.concat(tof_parts).deduplicate()
@@ -515,32 +525,28 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     # the test span and feature space the models were prepared in
     prep_report = load_prep_report(prepared / "prep_report.json")
     split_date, log_mode = prep_report["split_date"], prep_report["log_mode"]
-    quotes, _ = _load_universe(data_dir)
+    quotes, quote_paths, _ = _load_universe(data_dir)
     spans, skip_flags = pipeline.backtest_spans(quotes, split_date)
 
-    # Both stages are scored once per stock, and every threshold walks those scores.
     if args.oracle:
         truth_path = data_dir / "truth.json"
         truth = _load_truth(truth_path, quotes)
         untold = sorted(spans.keys() - truth.keys())
         if untold:
             raise TrendlabError(f"{truth_path}: no windows for stock {untold[0]}")
-        scores = {}
-        for stock, sliced in spans.items():
-            windows = pipeline.clip_windows_to_span(truth[stock], sliced)
-            cp_oracle = pipeline.oracle_cp_scorer(windows, sliced)
-            tof_oracle = pipeline.oracle_tof_scorer(windows, sliced)
-            scores[stock] = pipeline.StockScores(sliced, cp_oracle, tof_oracle, configs, log_mode)
+        cp, tof = pipeline.oracle_cp_scorer(truth), pipeline.oracle_tof_scorer(truth)
     else:
-        cp_model, tof_model = (
+        cp, tof = (
             _load_stage_model(Path(args.models) / f"{which}_model.json", which, names)
             for which, names in (("cp", CP_FEATURE_NAMES), ("tof", TOF_FEATURE_NAMES))
         )
         # the tof test rows with their window fractions, for fraction_accuracy.csv
         tof_X, tof_y = read_feature_csv(prepared / "tof_test.csv", TOF_FEATURE_NAMES)
         _, _, fractions = read_tof_meta(prepared / "tof_test_meta.csv", len(tof_y))
-        # each stage of every stock in one predict_proba call
-        scores = pipeline.score_stocks(spans, cp_model, tof_model, configs, log_mode)
+    # Both stages are scored once for every stock and threshold, a model stage
+    # in one predict_proba call over every stock; each threshold walks those scores.
+    with _naming_quotes_file(quote_paths):
+        scores = pipeline.score_stocks(spans, cp, tof, configs, log_mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -564,7 +570,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         )
 
     if not args.oracle:
-        hits = (gbdt.predict_proba(tof_model, tof_X) >= args.tof_threshold) == tof_y
+        hits = (gbdt.predict_proba(tof, tof_X) >= args.tof_threshold) == tof_y
         write_fraction_accuracy(fractions, hits, out_dir / "fraction_accuracy.csv")
     return 0
 
@@ -573,7 +579,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if args.prepared is not None and (args.split_date, args.split_frac) != (None, None):
         args.parser.error("--prepared sets the split date; drop --split-date and --split-frac")
     data_dir = Path(args.data)
-    quotes, label_paths = _load_universe(data_dir)
+    quotes, _, label_paths = _load_universe(data_dir)
     if args.prepared is None:
         split_date = _split_date(args, quotes)
     else:

@@ -30,7 +30,11 @@ class DegenerateSplitError(TrendlabError):
 
 
 class ZeroVolumeError(TrendlabError):
-    """A volume ratio is undefined (zero volume where a ratio or log is needed)."""
+    """A zero volume where a ratio or log needs a positive one, in the stock ``stockname``."""
+
+    def __init__(self, stockname: str, message: str) -> None:
+        super().__init__(message)
+        self.stockname = stockname
 
 
 class TooShortError(TrendlabError):

@@ -4,7 +4,7 @@ Changepoint rows pack 22 ratios around one trading day (5 closes back, 5
 forward, same for volumes, plus high/close and low/close); window rows pack
 the close and volume regression slope/R2 pair plus the prefix length.
 ``prefix_features`` builds every window row, those of the training fractions
-(``build_tof_dataset``) and those a backtest scores (``pipeline.StockScores``).
+(``build_tof_dataset``) and those a backtest scores (``pipeline.score_stocks``).
 
 The feature CSVs, ``tof_test_meta.csv`` and ``fraction_accuracy.csv`` are
 written (and the first two read) here, beside the datasets they hold.
@@ -25,24 +25,23 @@ from .errors import EmptyInputError, InvariantError, ParseError, TooShortError, 
 from .labels import ExpertWindow, _prefix_fits, _row_keys, _runs
 from .market_data import TREND, QuoteSeries, _csv_errors, _days
 
-CP_CONTEXT = 5
+CP_CONTEXT = 5  # bars on each side of a changepoint row
+CP_MIN_BARS = 2 * CP_CONTEXT + 1  # the fewest bars that hold a changepoint row
 
-CP_FEATURE_NAMES: tuple[str, ...] = (
-    tuple(f"close_back_{k}" for k in range(1, 6))
-    + tuple(f"close_fwd_{k}" for k in range(1, 6))
-    + tuple(f"vol_back_{k}" for k in range(1, 6))
-    + tuple(f"vol_fwd_{k}" for k in range(1, 6))
-    + ("high", "low")
-)
+# each bar's ratio to the row's, CP_CONTEXT rows back and forward, then high and low to close
+CP_FEATURE_NAMES: tuple[str, ...] = tuple(
+    f"{bar}_{side}_{k}"
+    for bar in ("close", "vol")
+    for side in ("back", "fwd")
+    for k in range(1, CP_CONTEXT + 1)
+) + ("high", "low")
 
 TOF_FEATURE_NAMES: tuple[str, ...] = ("reg_close", "close_r2", "reg_vol", "vol_r2", "len_trend")
 
 FRACTIONS: tuple[int, ...] = (5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 
-def cp_feature_matrix(
-    series: QuoteSeries, log_mode: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def cp_feature_matrix(series: QuoteSeries, log_mode: bool) -> tuple[np.ndarray, np.ndarray]:
     """The 22 ratio features of every row with +/-5 rows of context.
 
     Returns ``(ts, X)`` where ``ts`` are row indices into the series and ``X``
@@ -50,31 +49,22 @@ def cp_feature_matrix(
     volume on every row of ``ts``, log mode on every row of the series.
     """
     n = len(series)
-    if n < 2 * CP_CONTEXT + 1:
+    if n < CP_MIN_BARS:
         return np.empty(0, dtype=np.int64), np.empty((0, len(CP_FEATURE_NAMES)))
     closes = series.closes
     volumes = series.volumes
     highs = series.column("high")
     lows = series.column("low")
     ts = np.arange(CP_CONTEXT, n - CP_CONTEXT, dtype=np.int64)
+    _check_volumes(series, 0 if log_mode else CP_CONTEXT)
 
-    if np.any(volumes[ts] <= 0.0):
-        raise ZeroVolumeError("zero volume at a context-complete row")
-    if log_mode and np.any(volumes <= 0.0):
-        raise ZeroVolumeError("zero volume makes log ratios undefined")
-
-    cols: list[np.ndarray] = []
-    for k in range(1, CP_CONTEXT + 1):
-        cols.append(closes[ts - k] / closes[ts])
-    for k in range(1, CP_CONTEXT + 1):
-        cols.append(closes[ts + k] / closes[ts])
-    for k in range(1, CP_CONTEXT + 1):
-        cols.append(volumes[ts - k] / volumes[ts])
-    for k in range(1, CP_CONTEXT + 1):
-        cols.append(volumes[ts + k] / volumes[ts])
-    cols.append(highs[ts] / closes[ts])
-    cols.append(lows[ts] / closes[ts])
-    X = np.column_stack(cols)
+    cols = [
+        bars[ts + side * k] / bars[ts]
+        for bars in (closes, volumes)
+        for side in (-1, 1)
+        for k in range(1, CP_CONTEXT + 1)
+    ]  # in CP_FEATURE_NAMES order
+    X = np.column_stack([*cols, highs[ts] / closes[ts], lows[ts] / closes[ts]])
     if log_mode:
         X = np.log(X)
     return ts, X
@@ -96,17 +86,25 @@ def tof_features(row: np.ndarray) -> TofRow:
     return TofRow(*fits, int(length))
 
 
-def _log_bars(closes: np.ndarray, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_volumes(series: QuoteSeries, skip: int) -> None:
+    """Raise ``ZeroVolumeError`` naming the first zero volume not within ``skip`` rows of an end."""
+    bad = np.flatnonzero(series.volumes[skip : len(series) - skip] <= 0.0)
+    if bad.size:  # loading accepts it: only a feature that divides by it or takes its log fails
+        day = series.dates[skip + int(bad[0])]
+        raise ZeroVolumeError(series.stockname, f"{series.stockname}: zero volume on {day}")
+
+
+def _log_bars(series: QuoteSeries) -> tuple[np.ndarray, np.ndarray]:
     """The logs of the closes and volumes, which must be positive (and the closes finite)."""
-    if np.any(volumes <= 0.0):
-        raise ZeroVolumeError("zero volume makes log regression undefined")
+    _check_volumes(series, 0)
+    closes, volumes = series.closes, series.volumes
     if not np.all(np.isfinite(closes) & (closes > 0.0)):
         raise InvariantError("log regression needs positive, finite closes")
     return np.log(closes), np.log(volumes)
 
 
 def prefix_features(
-    series: QuoteSeries, starts: np.ndarray, lengths: np.ndarray, log_mode: bool = False
+    series: QuoteSeries, starts: np.ndarray, lengths: np.ndarray, log_mode: bool
 ) -> np.ndarray:
     """The window row of each prefix of ``lengths[i]`` bars from row ``starts[i]``, in input order.
 
@@ -117,9 +115,7 @@ def prefix_features(
     for them. A prefix of under 2 bars, or one past the series end, raises
     ``TooShortError``.
     """
-    closes, volumes = series.closes, series.volumes
-    if log_mode:
-        closes, volumes = _log_bars(closes, volumes)
+    closes, volumes = _log_bars(series) if log_mode else (series.closes, series.volumes)
     order = np.argsort(starts, kind="stable")
     X = np.empty((len(starts), len(TOF_FEATURE_NAMES)))
     for lo, hi in _runs(starts[order]):
@@ -197,7 +193,7 @@ class FeatureDataset:
 
 
 def build_cp_dataset(
-    series: QuoteSeries, windows: Sequence[ExpertWindow], log_mode: bool = False
+    series: QuoteSeries, windows: Sequence[ExpertWindow], log_mode: bool
 ) -> FeatureDataset:
     """Changepoint rows for every labeled date with full +/-5-row context.
 
@@ -221,7 +217,7 @@ def build_cp_dataset(
 
 
 def build_tof_dataset(
-    windows: Sequence[ExpertWindow], quotes: QuoteSeries, log_mode: bool = False
+    windows: Sequence[ExpertWindow], quotes: QuoteSeries, log_mode: bool
 ) -> FeatureDataset:
     """Each window's prefixes at 5,10,20..100% of its length, dated by its start.
 

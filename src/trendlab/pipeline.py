@@ -3,17 +3,15 @@
 Signals become available as they would in real time: the changepoint
 features for row t need five future bars, so a positive changepoint answer
 for row t acts on day t+5 and starts a window at row t. Neither stage's
-answers depend on the changepoint threshold, so ``score_stocks`` scores each
-stock once for every config of a sweep, in three steps over all the stocks
-of a backtest. It scores every stock's changepoint rows, in one call of a
-model; derives each stock's ``Windows`` for each config (its threshold's
-signals and the windows they open) and scores every stock's distinct
-(window start, day) prefixes of those windows from the window's first
-possible entry day (``PipelineConfig.entry_lag``) on, in one more call; and
-hands each stock's share of the answers to its ``StockScores``. A scorer
-callable is called once per stock instead. ``run_pipeline`` then walks one
-config's windows over one stock's answers. The first positive trend/flat
-answer in a window opens a position at that day's close, with the
+answers depend on the changepoint threshold, so ``score_stocks``, the one
+builder of ``StockScores``, scores every stock of a backtest once for all
+the configs of a sweep: every changepoint row, then every distinct (window
+start, day) prefix of each config's ``Windows`` from the window's first
+possible entry day (``PipelineConfig.entry_lag``) on. A model scores a stage
+of every stock in one call; a scorer, once per stock with its series, so one
+oracle of every stock's true windows answers any stock. ``run_pipeline``
+then walks one config's windows over one stock's answers. The first positive
+trend/flat answer in a window opens a position at that day's close, with the
 direction latched from the sign of the prefix's close-slope feature. A
 position closes when the trend/flat answer flips back to flat (unless
 ``hold_until_changepoint``), when the next changepoint signal acts, or at
@@ -39,18 +37,18 @@ import numpy as np
 
 from . import gbdt
 from .errors import ConfigError, SeriesTooShortError, ShapeError
-from .features import cp_feature_matrix, prefix_features, tof_features
+from .features import CP_CONTEXT, CP_MIN_BARS, cp_feature_matrix, prefix_features, tof_features
 from .labels import ExpertWindow
 from .market_data import TREND, QuoteSeries, _write_json
 
 BUSINESS_DAYS_PER_YEAR = 250
-CP_LAG_DAYS = 5
+CP_LAG_DAYS = CP_CONTEXT  # a changepoint answer acts once its forward bars are known
 
-# Batch scorers: one probability per row. ``score(ts, X)`` gets the cp rows'
-# series indices; ``score(starts, days, X)`` gets each trend/flat prefix's window
-# start and last day.
-CpScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-TofScorer = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# Batch scorers: one probability per row of ``series``. ``score(series, ts, X)``
+# gets the cp rows' indices; ``score(series, starts, days, X)`` gets each
+# trend/flat prefix's window start and last day.
+CpScorer = Callable[[QuoteSeries, np.ndarray, np.ndarray], np.ndarray]
+TofScorer = Callable[[QuoteSeries, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -303,7 +301,7 @@ def save_baseline(
 def backtest_span(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
     """The rows of ``series`` from ``split_date`` on; None when too few to score."""
     sliced = series[bisect.bisect_left(series.dates, split_date) :]
-    return sliced if len(sliced) >= 2 * CP_LAG_DAYS + 1 else None
+    return sliced if len(sliced) >= CP_MIN_BARS else None
 
 
 def backtest_spans(
@@ -335,7 +333,7 @@ def _score(
     """One stage's probabilities for each stock's rows ``Xs``.
 
     A model scores the stacked rows of every stock in one call; a scorer is
-    called once per stock, with that stock's ``keys`` and rows.
+    called once per stock, with that stock's ``keys`` (its series first) and rows.
     """
     if isinstance(model, gbdt.GbdtModel):
         stacked = gbdt.predict_proba(model, np.concatenate(Xs))
@@ -370,20 +368,24 @@ def _position(
     )
 
 
-def oracle_cp_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> CpScorer:
-    """Fires with probability 1 exactly on the true window start rows."""
-    fires = np.zeros(len(quotes))
-    fires[[quotes.index_of(w.start_date) for w in windows]] = 1.0
-    return lambda ts, X: fires[ts]
+def _true_rows(truth: Mapping[str, Sequence[ExpertWindow]], series: QuoteSeries) -> np.ndarray:
+    """Per row of ``series``: 1 on a start, and 1 in a trend, of its stock's true windows."""
+    rows = np.zeros((2, len(series)))
+    for w in reversed(clip_windows_to_span(truth[series.stockname], series)):
+        lo, hi = series.index_of(w.start_date), series.index_of(w.end_date)
+        rows[0, lo] = 1.0
+        rows[1, lo : hi + 1] = 1.0 if w.tendency == TREND else 0.0  # the first window decides
+    return rows
 
 
-def oracle_tof_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> TofScorer:
-    """Answers 1 iff the window containing the prefix start is a trend."""
-    is_trend = np.zeros(len(quotes))
-    for w in reversed(windows):  # the first window that holds a row decides it
-        lo, hi = quotes.index_of(w.start_date), quotes.index_of(w.end_date)
-        is_trend[lo : hi + 1] = 1.0 if w.tendency == TREND else 0.0
-    return lambda starts, days, X: is_trend[starts]
+def oracle_cp_scorer(truth: Mapping[str, Sequence[ExpertWindow]]) -> CpScorer:
+    """Fires with probability 1 exactly on the true window start rows of any stock in ``truth``."""
+    return lambda series, ts, X: _true_rows(truth, series)[0, ts]
+
+
+def oracle_tof_scorer(truth: Mapping[str, Sequence[ExpertWindow]]) -> TofScorer:
+    """Answers 1 iff the true window holding the prefix start is a trend, for any stock."""
+    return lambda series, starts, days, X: _true_rows(truth, series)[1, starts]
 
 
 class Windows(NamedTuple):
@@ -417,25 +419,23 @@ def _windows(cp_proba: np.ndarray, cfg: PipelineConfig) -> Windows:
     return Windows(cp_signal, fired, window_id, window_start, days, tof_row)
 
 
+@dataclass(frozen=True, eq=False)
 class StockScores:
     """Both stages' answers about one stock, scored once for every config of a sweep.
 
-    ``score_stocks`` builds them, for one stock or many; ``StockScores(series,
-    cp, tof, configs, log_mode)`` is its one-stock case. ``cp`` answers each
-    changepoint row. The answer about row t becomes actionable on day
-    t + CP_LAG_DAYS, and ``cp_proba`` holds each day's answer, NaN on days
-    without one. Each config's threshold turns these answers into its
-    ``Windows``, derived once and kept in ``windows``, keyed by the config.
-    ``tof`` answers each distinct (window start, day) prefix of all configs,
-    on the rows ``features.prefix_features`` builds, as for training.
-    ``tof_X`` keeps those rows, ``tof_proba`` their answers and ``tof_text``
-    the answers' trace cells, each read-only, and each config's ``tof_row``
-    points a day at the row behind its answer. Row -1 of ``tof_proba`` and
-    ``tof_text`` is the missing answer, NaN and empty, so ``tof_row`` gathers
-    a full column from either. A prefix has the same bits from any window
-    that holds it, so each config reads the answers and features it would
-    have scored alone. ``log_mode`` is the space both stages' features are
-    taken in.
+    ``score_stocks`` is the one builder, for one stock or many. ``cp_proba``
+    holds each day's changepoint answer, NaN on days without one: the answer
+    about row t becomes actionable on day t + CP_LAG_DAYS. Each config's
+    threshold turns these answers into its ``Windows``, derived once and kept
+    in ``windows``, keyed by the config. ``tof_X`` holds the rows
+    ``features.prefix_features`` builds, as for training, for each distinct
+    (window start, day) prefix of all configs, ``tof_proba`` their answers
+    and ``tof_text`` the answers' trace cells, each read-only, and each
+    config's ``tof_row`` points a day at the row behind its answer. Row -1 of
+    ``tof_proba`` and ``tof_text`` is the missing answer, NaN and empty, so
+    ``tof_row`` gathers a full column from either. A prefix has the same bits
+    from any window that holds it, so each config reads the answers and
+    features it would have scored alone.
 
     The trace text no threshold changes is formatted once: ``lead`` holds
     each day's ``"<date>,<cp_proba>,"``, and ``tof_text`` each distinct
@@ -450,17 +450,6 @@ class StockScores:
     tof_proba: np.ndarray
     tof_text: np.ndarray
 
-    def __init__(
-        self,
-        series: QuoteSeries,
-        cp: gbdt.GbdtModel | CpScorer,
-        tof: gbdt.GbdtModel | TofScorer,
-        configs: Sequence[PipelineConfig],
-        log_mode: bool = True,
-    ) -> None:
-        (scores,) = score_stocks({series.stockname: series}, cp, tof, configs, log_mode).values()
-        vars(self).update(vars(scores))
-
     def __len__(self) -> int:
         return len(self.series)
 
@@ -470,57 +459,61 @@ def score_stocks(
     cp: gbdt.GbdtModel | CpScorer,
     tof: gbdt.GbdtModel | TofScorer,
     configs: Sequence[PipelineConfig],
-    log_mode: bool = True,
+    log_mode: bool,
 ) -> dict[str, StockScores]:
     """Each stock's ``StockScores`` by name, every stage scored over all the stocks at once.
 
-    A model stage scores the stacked rows of every stock in one
-    ``gbdt.predict_proba`` call: first every changepoint row, then every
-    stock's distinct trend/flat prefixes. A scorer is called once per stock
-    and stage, with that stock's rows. A row's answer does not depend on the
-    rows scored beside it, so each stock gets the bits it would get alone.
+    Both stages' features are taken in ``log_mode``, the space the models were
+    trained in. A model stage scores the stacked rows of every stock in one
+    ``gbdt.predict_proba`` call: every changepoint row, then every stock's
+    distinct trend/flat prefixes. A scorer is called once per stock and stage,
+    with the stock's series and rows. A row's answer does not depend on the
+    rows beside it, so a stock gets the bits of ``score_stocks({name: series},
+    ...)[name]``.
     """
     for series in spans.values():
         n = len(series)
-        if n < 2 * CP_LAG_DAYS + 1:
-            raise SeriesTooShortError(f"{series.stockname}: {n} bars < {2 * CP_LAG_DAYS + 1}")
+        if n < CP_MIN_BARS:
+            raise SeriesTooShortError(f"{series.stockname}: {n} bars < {CP_MIN_BARS}")
         if not configs:
             raise ConfigError(f"{series.stockname}: no config given to score the stock for")
     if not spans:
         return {}
-    scores = {stock: object.__new__(StockScores) for stock in spans}
-    cp_rows = [cp_feature_matrix(series, log_mode=log_mode) for series in spans.values()]
-    cp_answers = _score(cp, [X for _, X in cp_rows], [(ts,) for ts, _ in cp_rows])
+    cp_rows = [cp_feature_matrix(series, log_mode) for series in spans.values()]
+    cp_keys = [(series, ts) for series, (ts, _) in zip(spans.values(), cp_rows)]
+    cp_answers = _score(cp, [X for _, X in cp_rows], cp_keys)
 
     # each stock's windows and the distinct prefixes they ask about
-    prefixes = []
-    for s, series, (ts, _), answers in zip(scores.values(), spans.values(), cp_rows, cp_answers):
+    parts, tof_keys = [], []
+    for series, (ts, _), answers in zip(spans.values(), cp_rows, cp_answers):
         n = len(series)
-        s.series = series
-        s.cp_proba = np.full(n, np.nan)
-        s.cp_proba[ts + CP_LAG_DAYS] = answers
-        s.cp_proba.flags.writeable = False  # every config's trace shares it
-        s.lead = _lead_text(series.dates, s.cp_proba)
-        s.windows = {cfg: _windows(s.cp_proba, cfg) for cfg in configs}
-        keys = [w.window_start[w.days] * n + w.days for w in s.windows.values()]
+        cp_proba = np.full(n, np.nan)
+        cp_proba[ts + CP_LAG_DAYS] = answers
+        cp_proba.flags.writeable = False  # every config's trace shares it
+        lead = _lead_text(series.dates, cp_proba)
+        windows = {cfg: _windows(cp_proba, cfg) for cfg in configs}
+        keys = [w.window_start[w.days] * n + w.days for w in windows.values()]
         distinct, which = np.unique(np.concatenate(keys), return_inverse=True)
-        starts, days = np.divmod(distinct, n)
-        s.tof_X = prefix_features(series, starts, days - starts + 1, log_mode)
-        s.tof_X.flags.writeable = False
-        prefixes.append((starts, days, which))
-    tof_keys = [(starts, days) for starts, days, _ in prefixes]
-    tof_answers = _score(tof, [s.tof_X for s in scores.values()], tof_keys)
-
-    for s, (_, _, which), answers in zip(scores.values(), prefixes, tof_answers):
-        s.tof_proba = np.append(answers, np.nan)
-        s.tof_proba.flags.writeable = False
-        s.tof_text = _answer_text(s.tof_proba)
         at = 0
-        for w in s.windows.values():
+        for w in windows.values():
             w.tof_row[w.days] = which[at : at + len(w.days)]
             at += len(w.days)
             for column in w:  # every run of the config shares them
                 column.flags.writeable = False
+        starts, days = np.divmod(distinct, n)
+        tof_X = prefix_features(series, starts, days - starts + 1, log_mode)
+        tof_X.flags.writeable = False
+        parts.append(
+            dict(series=series, cp_proba=cp_proba, lead=lead, windows=windows, tof_X=tof_X)
+        )
+        tof_keys.append((series, starts, days))
+    tof_answers = _score(tof, [part["tof_X"] for part in parts], tof_keys)
+
+    scores = {}
+    for stock, part, answers in zip(spans, parts, tof_answers):
+        tof_proba = np.append(answers, np.nan)
+        tof_proba.flags.writeable = False
+        scores[stock] = StockScores(**part, tof_proba=tof_proba, tof_text=_answer_text(tof_proba))
     return scores
 
 

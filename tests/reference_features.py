@@ -80,10 +80,8 @@ def augment_fractions(
     """
     i0 = quotes.index_of(window.start_date)
     n = quotes.index_of(window.end_date) - i0 + 1
-    closes = quotes.closes[i0 : i0 + n]
-    volumes = quotes.volumes[i0 : i0 + n]
-    if log_mode:
-        closes, volumes = _log_bars(closes, volumes)
+    bars = quotes[i0 : i0 + n]
+    closes, volumes = _log_bars(bars) if log_mode else (bars.closes, bars.volumes)
     fractions = [pct for pct in FRACTIONS if MIN_LEN_TREND <= _fraction_days(pct, n) <= n]
     sums = WindowSums(closes, volumes) if fractions else None
     rows = [tof_features(sums, _fraction_days(pct, n)) for pct in fractions]

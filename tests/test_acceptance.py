@@ -28,13 +28,12 @@ from trendlab.labels import (
 from trendlab.pipeline import (
     CP_LAG_DAYS,
     PipelineConfig,
-    StockScores,
     StockStats,
     aggregate,
-    clip_windows_to_span,
     oracle_cp_scorer,
     oracle_tof_scorer,
     run_pipeline,
+    score_stocks,
     trend_profit,
 )
 from trendlab.synth import (
@@ -283,9 +282,9 @@ def _oracle_regimes():
 def test_criterion_8_pipeline_oracle_and_no_look_ahead():
     series, windows = gen_series(_oracle_regimes(), seed=300, stockname="ORC")
     cfg = PipelineConfig()
-    cp = oracle_cp_scorer(windows, series)
-    tof = oracle_tof_scorer(windows, series)
-    trace, stats = run_pipeline(StockScores(series, cp, tof, [cfg]), cfg)
+    # one oracle answers the series and each truncation of it, from the windows clipped to it
+    cp, tof = oracle_cp_scorer({"ORC": windows}), oracle_tof_scorer({"ORC": windows})
+    trace, stats = run_pipeline(score_stocks({"ORC": series}, cp, tof, [cfg], True)["ORC"], cfg)
     ledger = lagged_regime_ledger(windows, series, entry_lag=cfg.entry_lag)
     assert stats.times_in == len(ledger) > 0
     assert stats.profit == pytest.approx(sum(e.profit for e in ledger), abs=1e-9)
@@ -298,13 +297,7 @@ def test_criterion_8_pipeline_oracle_and_no_look_ahead():
     for d in rng.integers(20, len(series) - 1, size=20):
         d = int(d)
         truncated = series[: d + 1]
-        windows_t = clip_windows_to_span(windows, truncated)
-        scores_t = StockScores(
-            truncated,
-            oracle_cp_scorer(windows_t, truncated),
-            oracle_tof_scorer(windows_t, truncated),
-            [cfg],
-        )
+        scores_t = score_stocks({"ORC": truncated}, cp, tof, [cfg], True)["ORC"]
         trace_t, _ = run_pipeline(scores_t, cfg)
         known = slice(d - CP_LAG_DAYS + 1)
         for column in ("cp_proba", "cp_signal", "tof_proba", "tof_signal"):

@@ -322,12 +322,10 @@ def test_backtest_writes_the_outputs_of_each_stock_scored_alone(
     stats_by_threshold = {cfg: [] for cfg in configs}
     for stock, span in spans.items():
         if source == "oracle":
-            windows = pipeline.clip_windows_to_span(truth[stock], span)
-            cp = pipeline.oracle_cp_scorer(windows, span)
-            tof = pipeline.oracle_tof_scorer(windows, span)
+            cp, tof = pipeline.oracle_cp_scorer(truth), pipeline.oracle_tof_scorer(truth)
         else:
             cp, tof = (gbdt.load_model(workdir / "models" / f"{w}_model.json") for w in ("cp", "tof"))
-        scores = pipeline.StockScores(span, cp, tof, configs, prep["log_mode"])
+        scores = pipeline.score_stocks({stock: span}, cp, tof, configs, prep["log_mode"])[stock]
         for cfg in configs:
             trace, stats = pipeline.run_pipeline(scores, cfg)
             trace.to_csv(tmp_path / "alone.csv")
@@ -882,6 +880,35 @@ def test_truth_json_and_quotes_must_name_the_same_stocks(workdir, tmp_path, caps
     err = capsys.readouterr().err
     assert f"error: {truth}: " in err and "SYN01" in err
     assert not (tmp_path / "out").exists()
+
+
+def _zero_one_volume(data: Path) -> tuple[Path, str]:
+    """Set the volume of a row near the end of SYN01's quotes to 0; the file and the row's date."""
+    quotes = data / "quotes_SYN01.csv"
+    lines = quotes.read_text().splitlines(keepends=True)
+    cells = lines[-40].split(",")
+    cells[5] = "0"
+    lines[-40] = ",".join(cells)
+    quotes.write_text("".join(lines))
+    return quotes, cells[0]
+
+
+@pytest.mark.parametrize(
+    "command", [["prepare"], ["prepare", "--raw"], ["backtest"]],
+    ids=["prepare-log", "prepare-raw", "backtest-oracle"],
+)
+def test_a_zero_volume_exits_1_naming_the_quotes_file_and_the_date(
+    workdir, tmp_path, capsys, command
+):
+    data = _copy_data(workdir, tmp_path / "data")
+    quotes, day = _zero_one_volume(data)
+    argv = (_backtest_argv(workdir, data, "oracle") if command == ["backtest"]
+            else [*command, "--data", str(data)])
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {quotes}: SYN01: zero volume on {day}\n"
+    assert not (tmp_path / "out").exists()
+    # loading accepts a zero volume, and the labels' own profits read no volume
+    assert main(["baseline", "--data", str(data), "-o", str(tmp_path / "baseline")]) == 0
 
 
 def _first_window(edit):

@@ -90,10 +90,10 @@ def test_cp_features_arithmetic():
 
 
 def test_cp_features_skips_rows_without_context():
-    ts, X = cp_feature_matrix(make_series([100.0] * 12))
+    ts, X = cp_feature_matrix(make_series([100.0] * 12), log_mode=False)
     assert ts.tolist() == [5, 6]
     assert X.shape == (2, len(CP_FEATURE_NAMES))
-    ts, X = cp_feature_matrix(make_series([100.0] * 10))
+    ts, X = cp_feature_matrix(make_series([100.0] * 10), log_mode=False)
     assert ts.size == 0
     assert X.shape == (0, len(CP_FEATURE_NAMES))
 
@@ -109,6 +109,23 @@ def test_cp_features_zero_volume_errors():
     centre_zero = make_series([100.0] * 11, volumes=[100.0] * 5 + [0.0] + [100.0] * 5)
     with pytest.raises(ZeroVolumeError):
         cp_feature_matrix(centre_zero, log_mode=False)
+
+
+def test_a_zero_volume_error_names_the_stock_and_the_first_bad_date():
+    volumes = np.full(16, 100.0)
+    volumes[[2, 7, 9]] = 0.0
+    series = make_series(100.0 + np.arange(16.0), volumes=volumes, stockname="ZERO")
+    days = series.dates
+    # log mode takes the log of every volume, raw mode divides by those of rows 5..10
+    for log_mode, row in ((True, 2), (False, 7)):
+        with pytest.raises(ZeroVolumeError, match=f"^ZERO: zero volume on {days[row]}$") as err:
+            cp_feature_matrix(series, log_mode=log_mode)
+        assert err.value.stockname == "ZERO"
+    with pytest.raises(ZeroVolumeError, match=f"^ZERO: zero volume on {days[2]}$"):
+        prefix_features(series, np.array([10]), np.array([4]), log_mode=True)
+    windows = extract_windows(segment_labels(series, [(16, FLAT)]), series)
+    with pytest.raises(ZeroVolumeError, match=f"^ZERO: zero volume on {days[2]}$"):
+        build_tof_dataset(windows, series, log_mode=True)
 
 
 def test_cp_log_equals_log_of_raw():
@@ -393,12 +410,12 @@ def test_prefix_features_are_the_bits_of_each_prefix_alone(prefixes, log_mode):
 def test_prefix_features_reject_a_prefix_past_the_series_end():
     series = make_series(100.0 + np.arange(10.0))
     with pytest.raises(TooShortError):
-        prefix_features(series, np.array([4]), np.array([7]))
+        prefix_features(series, np.array([4]), np.array([7]), log_mode=False)
     # a prefix under 2 bars, or past the end, raises whatever else is asked beside it
     cases = [(0, [1]), (7, [4]), (7, [2, 4]), (7, [3, 1, 2]), (0, [0]), (10, [2]), (-1, [2])]
     for start, lengths in cases:
         with pytest.raises(TooShortError):
-            prefix_features(series, np.full(len(lengths), start), np.array(lengths))
+            prefix_features(series, np.full(len(lengths), start), np.array(lengths), log_mode=False)
 
 
 @given(_window_and_prefix(), st.floats(-1e8, 1e8, allow_nan=False))
@@ -664,7 +681,7 @@ def test_concat_keeps_row_order_and_skips_empty_parts():
     assert both.X.shape == (3, len(TOF_FEATURE_NAMES))
     series = make_series(np.linspace(10.0, 20.0, 40))
     windows = extract_windows(segment_labels(series, [(20, TREND), (20, TREND)]), series)
-    cp = build_cp_dataset(series, windows)
+    cp = build_cp_dataset(series, windows, log_mode=False)
     assert FeatureDataset.concat([cp, cp]).fractions is None
     with pytest.raises(InvariantError):
         FeatureDataset.concat([a, cp])

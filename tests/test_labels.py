@@ -74,7 +74,7 @@ def test_new_trigger_matches_window_starts():
     windows = extract_windows(
         segment_labels(series, [(CP_CONTEXT + 3, TREND), (2 + CP_CONTEXT, FLAT)]), series
     )
-    ds = build_cp_dataset(series, windows)
+    ds = build_cp_dataset(series, windows, log_mode=False)
     assert ds.y.tolist() == [0, 0, 0, 1, 0]
     assert ds.days.tolist() == _days(series.dates[CP_CONTEXT:-CP_CONTEXT]).tolist()
 
@@ -82,12 +82,12 @@ def test_new_trigger_matches_window_starts():
 def test_new_trigger_single_window_all_zero():
     series = make_series([100] * (4 + 2 * CP_CONTEXT))
     windows = extract_windows(segment_labels(series, [(len(series), TREND)]), series)
-    ds = build_cp_dataset(series, windows)
+    ds = build_cp_dataset(series, windows, log_mode=False)
     assert ds.y.tolist() == [0, 0, 0, 0]
     assert ds.days.tolist() == _days(series.dates[CP_CONTEXT:-CP_CONTEXT]).tolist()
     # the span ends with the last window
     shorter = [replace(windows[0], end_date=series.dates[CP_CONTEXT + 1])]
-    assert build_cp_dataset(series, shorter).days.tolist() == ds.days[:2].tolist()
+    assert build_cp_dataset(series, shorter, log_mode=False).days.tolist() == ds.days[:2].tolist()
 
 
 def test_new_trigger_three_windows():
@@ -95,7 +95,7 @@ def test_new_trigger_three_windows():
     series = make_series([100] * (6 + 2 * CP_CONTEXT))
     segments = [(CP_CONTEXT + 2, TREND), (2, FLAT), (2 + CP_CONTEXT, TREND)]
     windows = extract_windows(segment_labels(series, segments), series)
-    ds = build_cp_dataset(series, windows)
+    ds = build_cp_dataset(series, windows, log_mode=False)
     expected_starts = [series.dates[CP_CONTEXT + 2], series.dates[CP_CONTEXT + 4]]
     assert ds.days[ds.y == 1].tolist() == _days(expected_starts).tolist()
 
@@ -111,7 +111,7 @@ def test_new_trigger_count_property():
         series = make_series(100 + rng.normal(0, 1, size=int(lengths.sum())) ** 2 + 50)
         rows = segment_labels(series, list(zip(lengths, tendencies)))
         windows = extract_windows(rows, series)
-        ds = build_cp_dataset(series, windows)
+        ds = build_cp_dataset(series, windows, log_mode=False)
         assert int(ds.y.sum()) == len(windows) - 1
 
 

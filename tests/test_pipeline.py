@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import date as Date
 from pathlib import Path
 
@@ -51,9 +51,20 @@ from trendlab.pipeline import (
 from trendlab.synth import RegimeSpec, SamplerConfig, gen_series
 
 
+def _scores(series, cp, tof, configs, log_mode=True) -> StockScores:
+    """The scores of one stock scored alone."""
+    return score_stocks({series.stockname: series}, cp, tof, configs, log_mode)[series.stockname]
+
+
+def _oracles(windows, series):
+    """The two oracle scorers of one stock's true windows."""
+    truth = {series.stockname: windows}
+    return oracle_cp_scorer(truth), oracle_tof_scorer(truth)
+
+
 def _run(series, cp, tof, cfg=PipelineConfig(), log_mode=True):
     """One config's run: the stock scored for that config alone, then walked."""
-    return run_pipeline(StockScores(series, cp, tof, [cfg], log_mode), cfg)
+    return run_pipeline(_scores(series, cp, tof, [cfg], log_mode), cfg)
 
 
 def test_trend_profit_formulas():
@@ -134,13 +145,13 @@ def test_stock_stats_additivity():
 def test_run_pipeline_too_short():
     series = make_series(100 + np.arange(10.0))
     with pytest.raises(SeriesTooShortError):
-        _run(series, lambda ts, X: np.zeros(len(ts)), lambda s, d, X: np.zeros(len(d)))
+        _run(series, lambda _, ts, X: np.zeros(len(ts)), lambda _, s, d, X: np.zeros(len(d)))
 
 
 def test_run_pipeline_never_firing_cp_means_no_positions():
     series = make_series(100 + np.arange(60.0))
     trace, stats = _run(
-        series, lambda ts, X: np.zeros(len(ts)), lambda s, d, X: np.ones(len(d))
+        series, lambda _, ts, X: np.zeros(len(ts)), lambda _, s, d, X: np.ones(len(d))
     )
     assert stats.times_in == 0
     assert stats.profit == 0.0
@@ -151,7 +162,7 @@ def test_run_pipeline_never_firing_cp_means_no_positions():
 def test_run_pipeline_always_cp_flat_tof_means_no_positions():
     series = make_series(100 + np.arange(60.0))
     trace, stats = _run(
-        series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d))
+        series, lambda _, ts, X: np.ones(len(ts)), lambda _, s, d, X: np.zeros(len(d))
     )
     assert stats.times_in == 0
     assert trace.cp_signal.any()
@@ -175,8 +186,7 @@ def test_pipeline_oracle_matches_generator_ledger():
     cfg = PipelineConfig()
     trace, stats = _run(
         series,
-        oracle_cp_scorer(windows, series),
-        oracle_tof_scorer(windows, series),
+        *_oracles(windows, series),
         cfg,
     )
     ledger = lagged_regime_ledger(windows, series, entry_lag=cfg.entry_lag)
@@ -197,17 +207,12 @@ def test_pipeline_oracle_matches_generator_ledger():
 def test_no_look_ahead_replay_truncation():
     series, windows = _oracle_universe(seed=21)
     cfg = PipelineConfig()
-    cp = oracle_cp_scorer(windows, series)
-    tof = oracle_tof_scorer(windows, series)
+    cp, tof = _oracles(windows, series)
     full_trace, _ = _run(series, cp, tof, cfg)
     rng = np.random.default_rng(3)
     for d in rng.integers(20, len(series) - 1, size=8):
         truncated = series[: int(d) + 1]
-        windows_t = clip_windows_to_span(windows, truncated)
-        trace_t, _ = _run(
-            truncated, oracle_cp_scorer(windows_t, truncated),
-            oracle_tof_scorer(windows_t, truncated), cfg,
-        )
+        trace_t, _ = _run(truncated, cp, tof, cfg)  # the oracles clip the windows to it
         known = slice(int(d) - CP_LAG_DAYS + 1)
         assert full_trace.dates[known] == trace_t.dates[known]
         for column in ("cp_proba", "cp_signal", "tof_proba", "tof_signal"):
@@ -264,16 +269,18 @@ def test_batch_pipeline_matches_per_row_reference(
     def row_tof(start, t, row):
         return min(1.0, abs(row.reg_close) * 200.0) if (t - start) % 7 else 0.25
 
-    def batch_tof(starts, days, X):
+    def batch_tof(series, starts, days, X):
         return np.where((days - starts) % 7 != 0, np.minimum(1.0, np.abs(X[:, 0]) * 200.0), 0.25)
 
     scorer_pairs = {
         "models": ((cp_model, tof_model), (cp_model, tof_model)),
         "oracles": (
-            (oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)),
+            _oracles(windows, series),
             (row_oracle_cp_scorer(windows, series), row_oracle_tof_scorer(windows, series)),
         ),
-        "callables": ((lambda ts, X: probas[ts], batch_tof), (lambda t, row: float(probas[t]), row_tof)),
+        "callables": (
+            (lambda _, ts, X: probas[ts], batch_tof), (lambda t, row: float(probas[t]), row_tof)
+        ),
     }
     exits = set()
     for name, ((cp, tof), (row_cp, row_tof_scorer)) in scorer_pairs.items():
@@ -312,16 +319,16 @@ def test_no_look_ahead_replay_trained_models(trained_models):
 
 def test_each_stage_is_scored_in_one_call(trained_models, monkeypatch):
     series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 3], stockname="TST")
-    cp, tof = oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)
+    cp, tof = _oracles(windows, series)
     calls = {"cp": 0, "tof": 0}
 
-    def counting_cp(ts, X):
+    def counting_cp(series, ts, X):
         calls["cp"] += 1
-        return cp(ts, X)
+        return cp(series, ts, X)
 
-    def counting_tof(starts, days, X):
+    def counting_tof(series, starts, days, X):
         calls["tof"] += 1
-        return tof(starts, days, X)
+        return tof(series, starts, days, X)
 
     trace, _ = _run(series, counting_cp, counting_tof)
     assert calls == {"cp": 1, "tof": 1}
@@ -344,7 +351,7 @@ def test_each_stage_is_scored_in_one_call(trained_models, monkeypatch):
 def test_the_walk_reads_one_prefix_per_position(trained_models, monkeypatch, hold):
     series, _ = gen_series(SMALL_UNIVERSE, seed=[17, 1], stockname="TST")
     configs = [PipelineConfig(cp_threshold=t, hold_until_changepoint=hold) for t in (0.3, 0.5, 0.8)]
-    scores = StockScores(series, *trained_models[True], configs)
+    scores = _scores(series, *trained_models[True], configs)
     lengths = []
 
     def counting_tof_features(row):
@@ -368,7 +375,7 @@ def test_each_answer_and_direction_is_read_from_its_scored_row(trained_models, l
     series, _ = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
     cp_model, tof_model = trained_models[log_mode]
     configs = [PipelineConfig(cp_threshold=t) for t in (0.3, 0.5, 0.8)]
-    scores = StockScores(series, cp_model, tof_model, configs, log_mode)
+    scores = _scores(series, cp_model, tof_model, configs, log_mode)
     assert not scores.tof_X.flags.writeable
     bars = series.closes, series.volumes
     if log_mode:
@@ -447,7 +454,7 @@ def test_score_stocks_gives_each_stock_the_bits_it_gets_alone(
     spans = _backtest_stocks()
     # thresholds above every answer about the flat stock, so it asks about no prefix
     configs = [PipelineConfig(cp_threshold=t) for t in (0.6, 0.75, 0.9)]
-    alone = {stock: StockScores(series, cp, tof, configs, log_mode) for stock, series in spans.items()}
+    alone = {stock: _scores(series, cp, tof, configs, log_mode) for stock, series in spans.items()}
     assert np.nanmax(alone["FLAT"].cp_proba) < 0.6
     assert alone["FLAT"].tof_X.shape == (0, 5)
     assert all(alone[s].tof_X.shape[0] for s in spans if s != "FLAT")
@@ -475,16 +482,16 @@ def test_score_stocks_calls_a_scorer_once_per_stock_with_its_rows():
     spans = _backtest_stocks()
     calls = []
 
-    def cp(ts, X):  # the close five days later is up by 2%
+    def cp(series, ts, X):  # the close five days later is up by 2%
         calls.append(("cp", len(ts)))
         return np.where(X[:, 9] > 0.02, 0.9, 0.1)
 
-    def tof(starts, days, X):
+    def tof(series, starts, days, X):
         calls.append(("tof", len(starts)))
         return np.where(X[:, 1] > 0.5, 0.9, 0.1)
 
     configs = [PipelineConfig(cp_threshold=t) for t in (0.5, 0.95)]
-    scores = score_stocks(spans, cp, tof, configs)
+    scores = score_stocks(spans, cp, tof, configs, True)
     # each stock's rows in its own call, even the flat stock's none
     assert calls == [("cp", len(s) - 2 * CP_LAG_DAYS) for s in spans.values()] + [
         ("tof", len(s.tof_X)) for s in scores.values()
@@ -492,8 +499,8 @@ def test_score_stocks_calls_a_scorer_once_per_stock_with_its_rows():
     assert scores["FLAT"].tof_X.shape == (0, 5)
     assert all(len(scores[s].tof_X) for s in spans if s != "FLAT")
     for stock, series in spans.items():
-        _assert_same_scores(scores[stock], StockScores(series, cp, tof, configs))
-    assert score_stocks({}, cp, tof, configs) == {}
+        _assert_same_scores(scores[stock], _scores(series, cp, tof, configs))
+    assert score_stocks({}, cp, tof, configs, True) == {}
 
 
 def test_score_stocks_checks_every_stock_before_scoring():
@@ -504,10 +511,54 @@ def test_score_stocks_checks_every_stock_before_scoring():
         raise AssertionError("scored before the checks")
 
     with pytest.raises(SeriesTooShortError, match="TINY: 10 bars < 11"):
-        score_stocks(spans, never, never, [PipelineConfig()])
+        score_stocks(spans, never, never, [PipelineConfig()], True)
     del spans["TINY"]
     with pytest.raises(ConfigError, match="S0: no config given"):
-        score_stocks(spans, never, never, [])
+        score_stocks(spans, never, never, [], True)
+
+
+def test_a_scorer_reads_each_stocks_own_series():
+    spans = _backtest_stocks()
+
+    def cp(series, ts, X):  # the fractional part of each row's close
+        return np.modf(series.closes[ts])[0]
+
+    def tof(series, starts, days, X):  # that of the close's growth over the prefix
+        return np.modf(series.closes[days] / series.closes[starts] * 10.0)[0]
+
+    configs = [PipelineConfig(cp_threshold=t) for t in (0.5, 0.9)]
+    scores = score_stocks(spans, cp, tof, configs, True)
+    for stock, series in spans.items():
+        _assert_same_scores(scores[stock], _scores(series, cp, tof, configs))
+    # the stocks' answers about the same row differ, so no stock was answered from another's bars
+    rows = slice(2 * CP_LAG_DAYS, 120)
+    answers = {scores[s].cp_proba[rows].tobytes() for s in spans}
+    assert len(answers) == len(spans)
+    assert all(len(scores[s].tof_X) for s in spans if s != "FLAT")
+
+
+def test_one_oracle_gives_each_stock_the_bits_it_gets_alone():
+    generated = {
+        f"S{k}": gen_series(replace(SMALL_UNIVERSE, n_days=days), seed=[17, 10 + k],
+                            stockname=f"S{k}")
+        for k, days in enumerate((350, 200, 420))
+    }
+    truth = {stock: windows for stock, (_, windows) in generated.items()}
+    # test spans that start inside a window, so the oracles clip the true windows to them
+    spans = {
+        stock: series[31 * (k + 1) :] for k, (stock, (series, _)) in enumerate(generated.items())
+    }
+    cp, tof = oracle_cp_scorer(truth), oracle_tof_scorer(truth)
+    configs = [PipelineConfig(cp_threshold=t, min_window_days=m) for t, m in ((0.5, 6), (0.5, 9))]
+    scores = score_stocks(spans, cp, tof, configs, True)
+    assert list(scores) == list(spans)
+    for stock, span in spans.items():
+        _assert_same_scores(scores[stock], _scores(span, cp, tof, configs))
+        # the answers fire on the stock's own window starts, clipped to its span
+        starts = [span.index_of(w.start_date) for w in clip_windows_to_span(truth[stock], span)]
+        rows = [t for t in starts if CP_LAG_DAYS <= t < len(span) - CP_LAG_DAYS]
+        assert (np.flatnonzero(scores[stock].cp_proba == 1.0) - CP_LAG_DAYS).tolist() == rows
+        assert len(scores[stock].tof_X)
 
 
 # --- one StockScores for several configs ---
@@ -516,13 +567,13 @@ def test_score_stocks_checks_every_stock_before_scoring():
 def _table_stages(kind, trained_models, series, windows, log_mode):
     if kind == "models":
         return trained_models[log_mode]
-    tof = oracle_tof_scorer(windows, series)
+    oracle_cp, tof = _oracles(windows, series)
     if kind == "oracles":  # 0/1 answers: every threshold gives the same windows
-        return oracle_cp_scorer(windows, series), tof
+        return oracle_cp, tof
     probas = np.random.default_rng(6).choice(
         [0.2, 0.4, 0.6, 0.9], size=len(series), p=[0.88, 0.05, 0.04, 0.03]
     )
-    return (lambda ts, X: probas[ts]), tof
+    return (lambda _, ts, X: probas[ts]), tof
 
 
 @pytest.mark.parametrize("log_mode", [True, False])
@@ -539,12 +590,12 @@ def test_a_shared_table_gives_each_config_its_own_run(
     cp, tof = _table_stages(kind, trained_models, series, windows, log_mode)
     received = []
 
-    def wrapping_tof(starts, days, X):
+    def wrapping_tof(series, starts, days, X):
         received.extend(zip(starts.tolist(), days.tolist()))
-        return gbdt.predict_proba(tof, X) if kind == "models" else tof(starts, days, X)
+        return gbdt.predict_proba(tof, X) if kind == "models" else tof(series, starts, days, X)
 
     configs = [PipelineConfig(cp_threshold=t, min_window_days=m) for t, m in settings]
-    scores = StockScores(series, cp, wrapping_tof, configs, log_mode)
+    scores = _scores(series, cp, wrapping_tof, configs, log_mode)
     asked = []
     for cfg in configs:
         got = run_pipeline(scores, cfg)
@@ -581,15 +632,17 @@ def test_scores_walk_only_the_configs_they_were_scored_for():
     series, windows = gen_series(SMALL_UNIVERSE, seed=[17, 4], stockname="TST")
     cp, tof = _table_stages("oracles", None, series, windows, True)
     with pytest.raises(ConfigError, match="TST: no config given"):
-        StockScores(series, cp, tof, [])
+        _scores(series, cp, tof, [])
     cfg = PipelineConfig()
-    scores = StockScores(series, cp, tof, [cfg, cfg], log_mode=False)
+    scores = _scores(series, cp, tof, [cfg, cfg], log_mode=False)
     assert scores.series is series and len(scores) == len(series)
+    with pytest.raises(FrozenInstanceError):  # score_stocks sets every field once
+        scores.cp_proba = np.zeros(len(series))
     assert list(scores.windows) == [cfg]
     for other in (replace(cfg, cp_threshold=0.3), replace(cfg, min_window_days=9)):
         with pytest.raises(ConfigError, match="TST: the stock was not scored for"):
             run_pipeline(scores, other)
-    never = StockScores(series, lambda ts, X: np.zeros(len(ts)), tof, [cfg])
+    never = _scores(series, lambda _, ts, X: np.zeros(len(ts)), tof, [cfg])
     trace, stats = run_pipeline(never, cfg)
     assert never.windows[cfg].days.size == 0 and stats.times_in == 0
 
@@ -597,25 +650,23 @@ def test_scores_walk_only_the_configs_they_were_scored_for():
 def test_scorer_must_return_one_probability_per_row():
     series = make_series(100 + np.arange(60.0))
     with pytest.raises(ShapeError):
-        _run(series, lambda ts, X: 0.0, lambda s, d, X: np.zeros(len(d)))
+        _run(series, lambda _, ts, X: 0.0, lambda _, s, d, X: np.zeros(len(d)))
     with pytest.raises(ShapeError):
-        _run(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.zeros(len(d) + 1))
+        _run(series, lambda _, ts, X: np.ones(len(ts)), lambda _, s, d, X: np.zeros(len(d) + 1))
 
 
 def test_scorer_must_return_probabilities():
     # NaN marks a missing answer in the trace columns, so a scorer's NaN is an error
     series = make_series(100 + np.arange(60.0))
     with pytest.raises(ShapeError, match=r"\[0, 1\]"):
-        _run(series, lambda ts, X: np.full(len(ts), np.nan), lambda s, d, X: np.ones(len(d)))
+        _run(series, lambda _, ts, X: np.full(len(ts), np.nan), lambda _, s, d, X: np.ones(len(d)))
     with pytest.raises(ShapeError, match=r"\[0, 1\]"):
-        _run(series, lambda ts, X: np.ones(len(ts)), lambda s, d, X: np.full(len(d), 1.5))
+        _run(series, lambda _, ts, X: np.ones(len(ts)), lambda _, s, d, X: np.full(len(d), 1.5))
 
 
 def test_trace_columns_mark_missing_answers():
     series, windows = _oracle_universe(seed=42)
-    trace, _ = _run(
-        series, oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)
-    )
+    trace, _ = _run(series, *_oracles(windows, series))
     assert trace.dates == series.dates
     assert all(len(getattr(trace, c)) == len(series) for c in ("cp_proba", "position_state"))
     # the answer about row t (t >= CP_LAG_DAYS) acts on day t + CP_LAG_DAYS
@@ -635,10 +686,10 @@ def test_monotone_gating_higher_threshold_positions_subset():
     series = make_series(closes)
     probas = rng.choice([0.3, 0.7, 0.97], size=300, p=[0.7, 0.2, 0.1])
 
-    def cp(ts, X):
+    def cp(series, ts, X):
         return probas[ts]
 
-    def tof(starts, days, X):
+    def tof(series, starts, days, X):
         return np.ones(len(days))  # invariant to the window start: gating is the only difference
 
     entries = {}
@@ -652,9 +703,9 @@ def test_monotone_gating_higher_threshold_positions_subset():
 
 def test_hold_until_changepoint_ignores_tof_flips():
     series, windows = _oracle_universe(seed=51)
-    cp = oracle_cp_scorer(windows, series)
+    cp, _ = _oracles(windows, series)
 
-    def flaky_tof(starts, days, X):
+    def flaky_tof(series, starts, days, X):
         # says trend at first, then flips to flat forever within each window
         return np.where(days - starts <= 8, 1.0, 0.0)
 
@@ -675,9 +726,7 @@ def test_pipeline_price_scale_invariance():
         start=series.dates[0],
     )
     cfg = PipelineConfig()
-    _, stats = _run(
-        series, oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series), cfg
-    )
+    _, stats = _run(series, *_oracles(windows, series), cfg)
     windows_scaled = [
         ExpertWindow(
             stockname="ORC", expert="truth",
@@ -686,10 +735,7 @@ def test_pipeline_price_scale_invariance():
         )
         for w in windows
     ]
-    _, stats_scaled = _run(
-        scaled, oracle_cp_scorer(windows_scaled, scaled),
-        oracle_tof_scorer(windows_scaled, scaled), cfg,
-    )
+    _, stats_scaled = _run(scaled, *_oracles(windows_scaled, scaled), cfg)
     assert stats_scaled.profit == pytest.approx(stats.profit, abs=1e-12)
     assert stats_scaled.days_in == stats.days_in
 
@@ -778,9 +824,7 @@ def test_expert_baseline_average_underperforms_best_expert():
 
 def test_trace_csv_round_trip_columns(tmp_path):
     series, windows = _oracle_universe(seed=41)
-    trace, _ = _run(
-        series, oracle_cp_scorer(windows, series), oracle_tof_scorer(windows, series)
-    )
+    trace, _ = _run(series, *_oracles(windows, series))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()

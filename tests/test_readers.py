@@ -162,3 +162,32 @@ def test_a_label_merge_across_files_gives_a_value_or_an_error_naming_one(files, 
             assert any(str(path) in str(exc) for path in paths), exc
 
     mutated_merge_reads()
+
+
+@pytest.mark.parametrize("with_quotes", [False, True], ids=["labels-alone", "with-quotes"])
+def test_a_merge_of_mutated_label_files_gives_a_value_or_an_error_naming_one(
+    files, tmp_path, with_quotes
+):
+    data = files["labels"].parent
+    originals = [path.read_bytes() for path in sorted(data.glob("labels_*.csv"))]
+    paths = [tmp_path / path.name for path in sorted(data.glob("labels_*.csv"))]
+    quotes = None
+    if with_quotes:
+        quotes = [load_quotes(path) for path in sorted(data.glob("quotes_*.csv"))]
+    for path, original in zip(paths, originals):
+        path.write_bytes(original)
+    assert len(merge_label_files(paths, quotes=quotes)) == len(paths) == 4  # the files as written
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.integers(0, len(paths) - 1), EDITS), min_size=1, max_size=4))
+    def mutated_merge_reads(edits):
+        for path, original in zip(paths, originals):
+            path.write_bytes(original)
+        for which, edit in edits:  # one file may take several edits
+            paths[which].write_bytes(_mutate(paths[which].read_bytes(), [edit]))
+        try:
+            merge_label_files(paths, quotes=quotes)
+        except TrendlabError as exc:
+            assert any(str(path) in str(exc) for path in paths), exc
+
+    mutated_merge_reads()

@@ -50,7 +50,8 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_walkthrough(walkthrough_commands())
     blocks = library_blocks()
-    assert any("StockScores(series, cp, tof, configs)" in block for block in blocks)
+    assert any("score_stocks({name: series}, cp, tof, configs, log_mode=True)[name]" in block
+               for block in blocks)
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
