@@ -232,10 +232,15 @@ def _experts_list(raw: str | None) -> list[str] | None:
 
 
 def _load_universe(data_dir: Path) -> tuple[dict[str, QuoteSeries], dict[str, Path], list[Path]]:
+    """Each stock's quotes and quotes file, keyed by the stockname inside it, and the label files."""
     label_paths = sorted(data_dir.glob("labels_*.csv"))
     quotes, quote_paths = {}, {}
     for p in sorted(data_dir.glob("quotes_*.csv")):
         series = load_quotes(p)
+        if series.stockname in quote_paths:
+            raise TrendlabError(
+                f"{quote_paths[series.stockname]} and {p} both hold quotes of stock {series.stockname}"
+            )
         quotes[series.stockname], quote_paths[series.stockname] = series, p
     if not quotes:
         raise FileNotFoundError(f"no quotes_*.csv files in {data_dir}")

@@ -36,7 +36,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import gbdt
-from .errors import ConfigError, SeriesTooShortError, ShapeError
+from .errors import ConfigError, SeriesTooShortError, ShapeError, TrendlabError
 from .features import CP_CONTEXT, CP_MIN_BARS, cp_feature_matrix, prefix_features, tof_features
 from .labels import ExpertWindow
 from .market_data import TREND, QuoteSeries, _write_json
@@ -370,6 +370,8 @@ def _position(
 
 def _true_rows(truth: Mapping[str, Sequence[ExpertWindow]], series: QuoteSeries) -> np.ndarray:
     """Per row of ``series``: 1 on a start, and 1 in a trend, of its stock's true windows."""
+    if series.stockname not in truth:
+        raise TrendlabError(f"no true windows for stock {series.stockname}")
     rows = np.zeros((2, len(series)))
     for w in reversed(clip_windows_to_span(truth[series.stockname], series)):
         lo, hi = series.index_of(w.start_date), series.index_of(w.end_date)

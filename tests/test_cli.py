@@ -911,6 +911,26 @@ def test_a_zero_volume_exits_1_naming_the_quotes_file_and_the_date(
     assert main(["baseline", "--data", str(data), "-o", str(tmp_path / "baseline")]) == 0
 
 
+@pytest.mark.parametrize("command", ["prepare", "backtest", "baseline"])
+def test_two_quotes_files_of_one_stock_exit_1_naming_both(workdir, tmp_path, capsys, command):
+    data = _copy_data(workdir, tmp_path / "data")
+    # SYN01's rows under SYN00's name, in a file that sorts after SYN00's own
+    lines = (data / "quotes_SYN01.csv").read_text().splitlines(keepends=True)
+    renamed = [lines[0]] + [line.replace(",SYN01", ",SYN00") for line in lines[1:]]
+    (data / "quotes_SYN00b.csv").write_text("".join(renamed))
+    argv = {
+        "prepare": ["prepare", "--data", str(data)],
+        "backtest": _backtest_argv(workdir, data, "oracle"),
+        "baseline": ["baseline", "--data", str(data)],
+    }[command]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    first, second = data / "quotes_SYN00.csv", data / "quotes_SYN00b.csv"
+    assert capsys.readouterr().err == (
+        f"error: {first} and {second} both hold quotes of stock SYN00\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def _first_window(edit):
     def apply(doc: dict) -> None:
         edit(next(iter(doc["stocks"].values()))["windows"][0])

@@ -570,17 +570,32 @@ def awkward_matrix(seed=13, n=400):
     return X, y
 
 
-def assert_same_model(X, y, params):
-    assert model_to_dict(fit(X, y, params)) == model_to_dict(reference_fit(X, y, params))
+def assert_same_model(X, y, params, block_cells=None):
+    """``fit`` gives the reference's model, at ``_BLOCK_CELLS = block_cells`` if given."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_cells is not None:
+            mp.setattr(gbdt, "_BLOCK_CELLS", block_cells)
+        got = model_to_dict(fit(X, y, params))
+    with np.errstate(all="ignore"):  # the reference warns where fit drops a cell silently
+        assert got == model_to_dict(reference_fit(X, y, params))
 
 
+# Every block holds one feature, as in a fit on _BLOCK_CELLS rows or more,
+# beside the default, where the test matrices fit in one block.
+BLOCK_CELLS = pytest.mark.parametrize(
+    "block_cells", [None, 1], ids=["default-blocks", "one-feature-blocks"]
+)
+
+
+@BLOCK_CELLS
 @pytest.mark.parametrize("depth", range(1, 8))
-def test_presorted_search_matches_reference_at_every_depth(depth):
+def test_presorted_search_matches_reference_at_every_depth(depth, block_cells):
     X, y = awkward_matrix()
     assert 0.02 < y.mean() < 0.2
-    assert_same_model(X, y, GbdtParams(n_estimators=6, max_depth=depth))
+    assert_same_model(X, y, GbdtParams(n_estimators=6, max_depth=depth), block_cells)
 
 
+@BLOCK_CELLS
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -592,21 +607,23 @@ def test_presorted_search_matches_reference_at_every_depth(depth):
         {"scale_pos_weight": 150.0},
         {"scale_pos_weight": 150.0, "subsample": 0.5, "max_depth": 6},
         {"reg_lambda": 0.0, "min_child_weight": 0.0},
+        # only one-node levels
+        {"max_depth": 1},
+        {"max_depth": 1, "subsample": 0.5, "reg_lambda": 0.0, "min_child_weight": 0.0},
     ],
     ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
 )
-def test_presorted_search_matches_reference_across_params(overrides):
+def test_presorted_search_matches_reference_across_params(overrides, block_cells):
     X, y = awkward_matrix(seed=17)
     params = replace(GbdtParams(n_estimators=8, max_depth=4, seed=5), **overrides)
-    assert_same_model(X, y, params)
+    assert_same_model(X, y, params, block_cells)
 
 
-def test_presorted_search_matches_reference_over_several_blocks(monkeypatch):
+def test_presorted_search_matches_reference_over_several_blocks():
     # small blocks, so even five features are searched as several blocks
-    monkeypatch.setattr(gbdt, "_BLOCK_CELLS", 600)
     X, y = awkward_matrix(seed=19)
     params = GbdtParams(n_estimators=6, max_depth=5, subsample=0.8)
-    assert_same_model(X, y, params)
+    assert_same_model(X, y, params, block_cells=600)
 
 
 @given(
@@ -616,9 +633,10 @@ def test_presorted_search_matches_reference_over_several_blocks(monkeypatch):
     st.integers(1, 4),
     st.sampled_from([0.0, 1.0, 3.0]),
     st.sampled_from([0.6, 1.0]),
+    st.sampled_from([None, 1]),
 )
 def test_presorted_search_matches_reference_on_few_distinct_values(
-    seed, n_rows, n_features, n_values, min_child_weight, subsample
+    seed, n_rows, n_features, n_values, min_child_weight, subsample, block_cells
 ):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, n_values, size=(n_rows, n_features)).astype(float)
@@ -629,7 +647,52 @@ def test_presorted_search_matches_reference_on_few_distinct_values(
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingleClassWarning)
-        assert_same_model(X, y, params)
+        assert_same_model(X, y, params, block_cells)
+
+
+BIG = np.finfo(np.float64).max
+# Cells whose midpoints overflow (near +-BIG), round onto the lower value
+# (adjacent floats around 1.0, and 0 next to 5e-324), or compare equal (+-0.0).
+EXTREME_VALUES = (
+    BIG, np.nextafter(BIG, 0.0), 1.5e308, -BIG, -np.nextafter(BIG, 0.0), -1.5e308,
+    np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 0.0, -0.0, 5e-324, -5e-324, 1e-300,
+)
+# No L2 term and no hessian floor; at a learning rate of 50 the margins
+# saturate after one tree, so hessians reach 0 and gains 0/0 (NaN) win nodes.
+NAN_GAINS = {"reg_lambda": 0.0, "min_child_weight": 0.0}
+SATURATED = {**NAN_GAINS, "learning_rate": 50.0}
+EXTREME_PARAMS = {
+    "no-l2": NAN_GAINS,
+    "nan-gains": SATURATED,
+    "subsample": {"subsample": 0.7},
+    "nan-gains-subsample": {**SATURATED, "subsample": 0.7},
+    "heavy-positives": {"scale_pos_weight": 1e6},
+    "heavy-positives-nan-gains": {**SATURATED, "scale_pos_weight": 1e6},
+}
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from(sorted(EXTREME_PARAMS)),
+    st.sampled_from([None, 1]),
+)
+def test_presorted_search_matches_reference_on_extreme_values(
+    seed, n_rows, n_features, max_depth, overrides, block_cells
+):
+    rng = np.random.default_rng(seed)
+    X = rng.choice(EXTREME_VALUES, size=(n_rows, n_features))
+    free = rng.random(X.shape) < 0.2
+    X[free] = rng.normal(0.0, 1.0, int(free.sum()))
+    y = rng.integers(0, 2, size=n_rows)
+    params = replace(
+        GbdtParams(n_estimators=3, max_depth=max_depth, seed=seed), **EXTREME_PARAMS[overrides]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingleClassWarning)
+        assert_same_model(X, y, params, block_cells)
 
 
 # --- the select and walk evaluators against the reference walk ---

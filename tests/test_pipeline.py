@@ -23,7 +23,7 @@ from reference_pipeline import (
     row_oracle_tof_scorer,
 )
 from trendlab import gbdt, pipeline
-from trendlab.errors import ConfigError, SeriesTooShortError, ShapeError
+from trendlab.errors import ConfigError, SeriesTooShortError, ShapeError, TrendlabError
 from trendlab.features import build_cp_dataset, build_tof_dataset, tof_features
 from trendlab.labels import ExpertWindow
 from trendlab.market_data import FLAT, TREND, QuoteSeries
@@ -559,6 +559,20 @@ def test_one_oracle_gives_each_stock_the_bits_it_gets_alone():
         rows = [t for t in starts if CP_LAG_DAYS <= t < len(span) - CP_LAG_DAYS]
         assert (np.flatnonzero(scores[stock].cp_proba == 1.0) - CP_LAG_DAYS).tolist() == rows
         assert len(scores[stock].tof_X)
+
+
+@pytest.mark.parametrize("stage", ["cp", "tof"])
+def test_an_oracle_asked_about_a_stock_it_lacks_names_the_stock(stage):
+    series, windows = gen_series(replace(SMALL_UNIVERSE, n_days=350), seed=[17, 10],
+                                 stockname="S0")
+    cp, tof = _oracles(windows, series)
+    assert len(_scores(series, cp, tof, [PipelineConfig()]).tof_X)  # both stages are asked
+    if stage == "cp":
+        cp = oracle_cp_scorer({"S1": windows})
+    else:
+        tof = oracle_tof_scorer({"S1": windows})
+    with pytest.raises(TrendlabError, match="^no true windows for stock S0$"):
+        _scores(series, cp, tof, [PipelineConfig()])
 
 
 # --- one StockScores for several configs ---
