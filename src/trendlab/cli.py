@@ -7,10 +7,11 @@ and ``gridsearch`` read ``--config PATH``, a flat ``key = value`` INI file:
 commands but the paths and gridsearch's ``--draws``, ``--folds`` and
 ``--scoring`` is also a key: its flag name with ``_`` (``trend_len =
 40,80``; ``log_mode = false`` for ``--raw``). A flag overrides its key, which
-overrides the built-in default. An unknown section, an unknown key and a bad
-value are usage errors. ``synth``, ``train`` and ``gridsearch`` take ``--seed
-N``. ``backtest`` takes its test span and feature space from ``--prepared``;
-``baseline --prepared`` takes the same test span.
+overrides the built-in default. A file without the command's section, an
+unknown section, an unknown key and a bad value are usage errors. ``synth``,
+``train`` and ``gridsearch`` take ``--seed N``. ``backtest`` takes its test
+span and feature space from ``--prepared``; ``baseline --prepared`` takes the
+same test span.
 All artifacts are machine-readable (CSV/JSON) with a short human summary
 on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error. A usage
 error is a bad option, key or value; a settings type raises ``ConfigError``
@@ -58,6 +59,7 @@ from .labels import (
 )
 from .market_data import (
     QuoteSeries,
+    _date,
     load_quotes,
     merge_label_files,
     save_labels,
@@ -189,7 +191,7 @@ def _grid_file(raw: str) -> dict[str, list]:
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:
-    """The command's config section as defaults of its parser.
+    """The command's config section as defaults of its parser, which the file must hold.
 
     Each value is converted here by its option's own type function, so a bad
     value names the file; argparse uses a default only for an option the
@@ -203,7 +205,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
             parser.error(f"{path}: no command reads section [{name}]")
     section = args.section.format(which=getattr(args, "which", None))
     if not cfg.has_section(section):
-        return {}
+        parser.error(f"{path}: no [{section}] section, the one this command reads")
     actions = {
         a.dest: a
         for a in parser._actions
@@ -262,9 +264,9 @@ def _split_date(args: argparse.Namespace, quotes: dict[str, QuoteSeries]) -> Dat
         if args.split_frac is not None:
             args.parser.error("--split-date and --split-frac exclude each other")
         return args.split_date
-    all_dates = sorted({d for s in quotes.values() for d in s.dates})
+    days = sorted({d for s in quotes.values() for d in s.days.tolist()})
     frac = DEFAULT_SPLIT_FRAC if args.split_frac is None else args.split_frac
-    return all_dates[min(len(all_dates) - 1, int(len(all_dates) * frac))]
+    return _date(days[min(len(days) - 1, int(len(days) * frac))])
 
 
 def _load_truth(path: Path, quotes: dict[str, QuoteSeries]) -> dict[str, list[ExpertWindow]]:

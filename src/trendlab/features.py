@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvariantError, ParseError, TooShortError, ZeroVolumeError
 from .labels import ExpertWindow, _prefix_fits, _row_keys, _runs
-from .market_data import TREND, QuoteSeries, _csv_errors, _days
+from .market_data import TREND, QuoteSeries, _csv_errors, _date, _day, _day_text, _days
 
 CP_CONTEXT = 5  # bars on each side of a changepoint row
 CP_MIN_BARS = 2 * CP_CONTEXT + 1  # the fewest bars that hold a changepoint row
@@ -90,7 +90,7 @@ def _check_volumes(series: QuoteSeries, skip: int) -> None:
     """Raise ``ZeroVolumeError`` naming the first zero volume not within ``skip`` rows of an end."""
     bad = np.flatnonzero(series.volumes[skip : len(series) - skip] <= 0.0)
     if bad.size:  # loading accepts it: only a feature that divides by it or takes its log fails
-        day = series.dates[skip + int(bad[0])]
+        day = _date(series.days[skip + bad[0]])
         raise ZeroVolumeError(series.stockname, f"{series.stockname}: zero volume on {day}")
 
 
@@ -203,8 +203,8 @@ def build_cp_dataset(
     if not windows:
         raise EmptyInputError("no windows")
     ts, X = cp_feature_matrix(series, log_mode=log_mode)
-    days = _days(series.dates)[ts]
-    keep = (days >= windows[0].start_date.toordinal()) & (days <= windows[-1].end_date.toordinal())
+    days = series.days[ts]
+    keep = (days >= _day(windows[0].start_date)) & (days <= _day(windows[-1].end_date))
     days = days[keep]
     return FeatureDataset(
         kind="cp",
@@ -227,8 +227,9 @@ def build_tof_dataset(
     """
     if not windows:
         raise EmptyInputError("no windows")
-    starts = np.array([quotes.index_of(w.start_date) for w in windows], dtype=np.int64)
-    n = np.array([quotes.index_of(w.end_date) for w in windows], dtype=np.int64) - starts + 1
+    start_days = _days([w.start_date for w in windows])
+    starts = quotes.rows_of(start_days)
+    n = quotes.rows_of(_days([w.end_date for w in windows])) - starts + 1
     pct = np.array(FRACTIONS, dtype=np.int64)
     lengths = (2 * pct * n[:, None] + 100) // 200  # exact integer arithmetic
     window, fraction = np.nonzero(lengths >= MIN_LEN_TREND)
@@ -236,7 +237,7 @@ def build_tof_dataset(
     return FeatureDataset(
         kind="tof",
         feature_names=TOF_FEATURE_NAMES,
-        days=_days([w.start_date for w in windows])[window],
+        days=start_days[window],
         stocknames=np.array([w.stockname for w in windows])[window],
         X=X,
         y=np.array([w.tendency == TREND for w in windows], dtype=np.int64)[window],
@@ -312,7 +313,7 @@ TOF_META_COLUMNS = ("date", "stockname", "fraction")
 
 def write_tof_meta(ds: FeatureDataset, path: str | Path) -> None:
     """Write ``tof_test_meta.csv``: each trend/flat row's date, stock and window fraction."""
-    dates = [Date.fromordinal(day).isoformat() for day in ds.days.tolist()]
+    dates = _day_text(ds.days)
     stocks = ds.stocknames.tolist()
     if any("\r" in stock for stock in stocks):  # the "\n" line end quotes no bare "\r"
         raise InvariantError("a stockname holds a carriage return")
@@ -339,7 +340,7 @@ def read_tof_meta(path: str | Path, n_rows: int) -> tuple[np.ndarray, np.ndarray
     if len(rows) != n_rows:
         raise ParseError(f"{path}: {len(rows)} rows for the {n_rows} rows of its feature file")
     try:
-        days = np.array([Date.fromisoformat(d).toordinal() for d, _, _ in rows], dtype=np.int64)
+        days = _days([Date.fromisoformat(d) for d, _, _ in rows])
         fractions = np.array([int(f) for _, _, f in rows], dtype=np.int64)
     except ValueError:
         raise ParseError(f"{path}: a row is not a date, a stockname and an integer") from None

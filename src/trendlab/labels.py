@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DegenerateSplitError, EmptyInputError, InvariantError, ParseError
 from .market_data import FLAT, TREND, LabelSeries, QuoteSeries, _read_json, _write_json
+from .market_data import _date, _day, _days
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,13 @@ def _runs(*columns: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def _window_rows(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> tuple[list, list]:
+    """The rows of ``quotes`` each window starts and ends on."""
+    starts = quotes.rows_of(_days([w.start_date for w in windows]))
+    ends = quotes.rows_of(_days([w.end_date for w in windows]))
+    return starts.tolist(), ends.tolist()
+
+
 def extract_windows(labels: LabelSeries, quotes: QuoteSeries) -> list[ExpertWindow]:
     """Segment one expert's labels of one stock into windows.
 
@@ -102,7 +110,7 @@ def extract_windows(labels: LabelSeries, quotes: QuoteSeries) -> list[ExpertWind
     """
     if not len(labels):
         raise EmptyInputError("no label rows")
-    rows = [quotes.index_of(d) for d in labels.dates]
+    rows = quotes.rows_of(labels.days)  # every labelled day must have a quote
     windows: list[ExpertWindow] = []
     for first, end in _runs(labels.id_select):
         trend = bool(labels.trend[first])
@@ -110,8 +118,8 @@ def extract_windows(labels: LabelSeries, quotes: QuoteSeries) -> list[ExpertWind
             ExpertWindow(
                 stockname=labels.stockname,
                 expert=labels.expert,
-                start_date=labels.dates[first],
-                end_date=labels.dates[end - 1],
+                start_date=_date(labels.days[first]),
+                end_date=_date(labels.days[end - 1]),
                 tendency=TREND if trend else FLAT,
                 direction=_trend_direction(quotes, rows[first], rows[end - 1]) if trend else 0,
             )
@@ -136,8 +144,8 @@ def voted_windows(
     codes = np.zeros((len(window_lists), n), dtype=np.int64)
     covered = np.zeros((len(window_lists), n), dtype=bool)
     for e, windows in enumerate(window_lists):
-        for w in windows:
-            i0, i1 = quotes.index_of(w.start_date), quotes.index_of(w.end_date)
+        starts, ends = _window_rows(windows, quotes)
+        for w, i0, i1 in zip(windows, starts, ends):
             codes[e, i0 : i1 + 1] = w.direction
             covered[e, i0 : i1 + 1] = True
     n_votes = covered.sum(axis=0)
@@ -147,13 +155,13 @@ def voted_windows(
     mean = codes.sum(axis=0)[rows] / n_votes[rows]
     voted = np.copysign(np.floor(np.abs(mean) + 0.5), mean).astype(np.int64)
 
-    dates = quotes.dates
+    days = quotes.days
     return [
         ExpertWindow(
             stockname=stockname,
             expert="voted",
-            start_date=dates[rows[first]],
-            end_date=dates[rows[end - 1]],
+            start_date=_date(days[rows[first]]),
+            end_date=_date(days[rows[end - 1]]),
             tendency=FLAT if voted[first] == 0 else TREND,
             direction=int(voted[first]),
         )
@@ -182,8 +190,7 @@ def trigger_correction(
         raise EmptyInputError("no windows")
     closes = quotes.closes
     n = len(quotes)
-    starts = [quotes.index_of(w.start_date) for w in windows]
-    ends = [quotes.index_of(w.end_date) for w in windows]
+    starts, ends = _window_rows(windows, quotes)
 
     for _ in range(n + 1):
         moved = False
@@ -207,9 +214,9 @@ def trigger_correction(
         if not moved:
             break
 
-    dates = quotes.dates
+    days = quotes.days
     return [
-        replace(w, start_date=dates[starts[i]], end_date=dates[ends[i]])
+        replace(w, start_date=_date(days[starts[i]]), end_date=_date(days[ends[i]]))
         for i, w in enumerate(windows)
     ]
 
@@ -310,7 +317,7 @@ def split_by_date(
     """
     if len(days) != len(targets):
         raise InvariantError("days and targets disagree in length")
-    train = np.asarray(days) < split_date.toordinal()
+    train = np.asarray(days) < _day(split_date)
     train_idx = np.flatnonzero(train)
     test_idx = np.flatnonzero(~train)
     if train_idx.size == 0 or test_idx.size == 0:

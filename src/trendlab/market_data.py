@@ -70,21 +70,46 @@ def _csv_errors(path: Path, reader: Iterator[list[str]]) -> Iterator[None]:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _days(dates: Sequence[Date]) -> np.ndarray:
-    """Day numbers of dates (their ordinals), for vectorised order tests."""
-    return np.fromiter(map(Date.toordinal, dates), np.int64, len(dates))
+# A day is a date's ordinal (``date.toordinal``) as an int64. The helpers below
+# are the only places a date becomes a day, or a day a date or text again.
+_day, _date = Date.toordinal, Date.fromordinal
+_EPOCH = _day(Date(1970, 1, 1))  # day 0 of numpy's datetime64
+
+
+def _days(dates: Iterable[Date]) -> np.ndarray:
+    """The day numbers of ``dates``, as an int64 array."""
+    return np.fromiter(map(_day, dates), np.int64)
+
+
+def _day_text(days: np.ndarray) -> list[str]:
+    """Each day's date as ``YYYY-MM-DD``, the text ``date.isoformat`` gives."""
+    return np.datetime_as_string((days - _EPOCH).astype("datetime64[D]")).tolist()
+
+
+def _unordered_at(days: np.ndarray) -> Date | None:
+    """The date of the first day that does not come after the one before it, if any."""
+    late = np.flatnonzero(days[1:] <= days[:-1])
+    return _date(days[late[0] + 1]) if late.size else None
+
+
+def _of_days(cls: type, *fields: object):
+    """A ``QuoteSeries`` or ``LabelSeries`` over int64 days, from arrays it keeps uncopied."""
+    made = object.__new__(cls)
+    made._init(*fields)
+    return made
 
 
 class QuoteSeries:
     """Date-sorted daily quotes of one stock, stored as read-only columns.
 
-    The dates and the five float64 columns of ``OHLCV_COLUMNS`` are fixed at
-    construction: ``dates`` and ``column`` hand out the stored objects without
-    copying, and ``series[i:j]`` is a series whose columns are views of this
-    one's. Construction does not validate the quotes; ``validate`` does.
+    ``days`` (int64 day numbers, ``date.toordinal``) and the five float64
+    columns of ``OHLCV_COLUMNS`` are fixed at construction: ``days`` and
+    ``column`` hand out the stored arrays without copying, and ``series[i:j]``
+    is a series whose columns are views of this one's. ``rows_of`` finds the
+    rows of days. Construction does not validate the quotes; ``validate`` does.
     """
 
-    __slots__ = ("stockname", "_dates", "_columns", "_index")
+    __slots__ = ("stockname", "_ordinals", "_columns")
 
     def __init__(
         self,
@@ -96,38 +121,36 @@ class QuoteSeries:
         close: Sequence[float],
         volume: Sequence[float],
     ) -> None:
-        columns = {}
-        for name, values in zip(OHLCV_COLUMNS, (open, high, low, close, volume)):
-            array = np.array(values, dtype=np.float64)
-            array.flags.writeable = False
-            columns[name] = array
-        self._init(stockname, tuple(dates), columns)
+        values = (open, high, low, close, volume)
+        columns = {name: np.array(v, dtype=np.float64) for name, v in zip(OHLCV_COLUMNS, values)}
+        self._init(stockname, _days(dates), columns)
 
-    def _init(self, stockname: str, dates: tuple[Date, ...], columns: dict) -> None:
-        if any(col.shape != (len(dates),) for col in columns.values()):
+    def _init(self, stockname: str, days: np.ndarray, columns: dict) -> None:
+        for array in (days, *columns.values()):
+            array.flags.writeable = False
+        if any(col.shape != days.shape for col in columns.values()):
             raise InvariantError(f"{stockname}: quote columns disagree in length")
         self.stockname = stockname
-        self._dates = dates
+        self._ordinals = days
         self._columns = columns
-        self._index = {d: i for i, d in enumerate(dates)}
 
     def __len__(self) -> int:
-        return len(self._dates)
+        return len(self._ordinals)
 
     def __getitem__(self, rows: slice) -> "QuoteSeries":
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise TypeError("a QuoteSeries is indexed by a contiguous slice only")
-        view = object.__new__(QuoteSeries)
-        view._init(
-            self.stockname,
-            self._dates[rows],
-            {name: col[rows] for name, col in self._columns.items()},
-        )
-        return view
+        columns = {name: col[rows] for name, col in self._columns.items()}
+        return _of_days(QuoteSeries, self.stockname, self._ordinals[rows], columns)
+
+    @property
+    def days(self) -> np.ndarray:
+        return self._ordinals
 
     @property
     def dates(self) -> tuple[Date, ...]:
-        return self._dates
+        """The dates of ``days``, made on each call."""
+        return tuple(map(_date, self._ordinals.tolist()))
 
     def column(self, name: str) -> np.ndarray:
         return self._columns[name]
@@ -140,14 +163,16 @@ class QuoteSeries:
     def volumes(self) -> np.ndarray:
         return self.column("volume")
 
-    def index_of(self, d: Date) -> int:
-        try:
-            return self._index[d]
-        except KeyError:
-            raise InvariantError(f"{self.stockname}: no quote for {d}") from None
+    def rows_of(self, days: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The row of each of ``days``; ``InvariantError`` naming the stock on a day it lacks."""
+        days = np.asarray(days, dtype=np.int64)
+        missing = days[~np.isin(days, self._ordinals)]
+        if missing.size:
+            raise InvariantError(f"{self.stockname}: no quote for {_date(missing[0])}")
+        return np.searchsorted(self._ordinals, days)
 
     def validate(self) -> None:
-        """Check every row, then the date order; the first bad row is reported."""
+        """Check every row, then the day order; the first bad row is reported."""
         columns = [self._columns[name] for name in OHLCV_COLUMNS]
         o, h, lo, c, v = columns
         finite = np.logical_and.reduce([np.isfinite(col) for col in columns])
@@ -156,36 +181,34 @@ class QuoteSeries:
         bad = np.flatnonzero(~finite | nonpositive | (v < 0.0) | misordered)
         if bad.size:
             i = int(bad[0])
-            d = self._dates[i]
+            name, d = self.stockname, _date(self._ordinals[i])
             if not finite[i]:
-                raise InvariantError(f"{self.stockname}: non-finite quote on {d}")
+                raise InvariantError(f"{name}: non-finite quote on {d}")
             if nonpositive[i]:
-                raise InvariantError(f"non-positive price on {d}")
+                raise InvariantError(f"{name}: non-positive price on {d}")
             if v[i] < 0.0:
-                raise InvariantError(f"negative volume on {d}")
+                raise InvariantError(f"{name}: negative volume on {d}")
             raise InvariantError(
-                f"OHLC ordering violated on {d}: "
+                f"{name}: OHLC ordering violated on {d}: "
                 f"open={float(o[i])} high={float(h[i])} low={float(lo[i])} close={float(c[i])}"
             )
-        days = _days(self._dates)
-        unordered = np.flatnonzero(days[1:] <= days[:-1])
-        if unordered.size:
+        unordered = _unordered_at(self._ordinals)
+        if unordered:
             raise DuplicateDateError(
-                f"{self.stockname}: dates not strictly increasing at "
-                f"{self._dates[int(unordered[0]) + 1]}"
+                f"{self.stockname}: dates not strictly increasing at {unordered}"
             )
 
 
 class LabelSeries:
     """One expert's labels of one stock, stored as read-only columns.
 
-    ``dates`` is a tuple of strictly increasing dates; ``id_select`` (int64)
-    and ``trend`` (bool, false for Flat) are read-only arrays with one entry
-    per date. A window is a run of equal ``id_select``. N/A labels are
-    loaded as Flat.
+    ``days`` holds strictly increasing int64 day numbers (``date.toordinal``);
+    ``id_select`` (int64) and ``trend`` (bool, false for Flat) are read-only
+    arrays with one entry per day. A window is a run of equal ``id_select``.
+    N/A labels are loaded as Flat.
     """
 
-    __slots__ = ("stockname", "expert", "dates", "id_select", "trend")
+    __slots__ = ("stockname", "expert", "days", "id_select", "trend")
 
     def __init__(
         self,
@@ -195,21 +218,30 @@ class LabelSeries:
         id_select: Sequence[int],
         trend: Sequence[bool],
     ) -> None:
-        self.stockname = stockname
-        self.expert = expert
-        self.dates = tuple(dates)
-        self.id_select = np.array(id_select, dtype=np.int64)
-        self.trend = np.array(trend, dtype=bool)
-        for column in (self.id_select, self.trend):
+        columns = np.array(id_select, dtype=np.int64), np.array(trend, dtype=bool)
+        self._init(stockname, expert, _days(dates), *columns)
+
+    def _init(self, stockname: str, expert: str, *columns: np.ndarray) -> None:
+        """Keep ``columns``, the days, ids and trend flags, as read-only arrays."""
+        days, self.id_select, self.trend = columns
+        for column in columns:
             column.flags.writeable = False
-            if column.shape != (len(self.dates),):
+            if column.shape != days.shape:
                 raise InvariantError(f"{stockname}/{expert}: label columns disagree in length")
-        days = _days(self.dates)
-        if np.any(days[1:] <= days[:-1]):
-            raise InvariantError(f"{stockname}/{expert}: label dates not strictly increasing")
+        unordered = _unordered_at(days)
+        if unordered:
+            raise InvariantError(
+                f"{stockname}/{expert}: label dates not strictly increasing at {unordered}"
+            )
+        self.stockname, self.expert, self.days = stockname, expert, days
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.days)
+
+    @property
+    def dates(self) -> tuple[Date, ...]:
+        """The dates of ``days``, made on each call."""
+        return tuple(map(_date, self.days.tolist()))
 
 
 def _parse_date(raw: str, path: Path, line: int) -> Date:
@@ -295,22 +327,25 @@ def load_quotes(path: str | Path) -> QuoteSeries:
         _raise_first_bad_quote_row(path, positions, rows, lines)
     (stockname,) = names
     try:
-        dates = list(map(Date.fromisoformat, map(str.strip, cells[positions["date"]])))
-        columns = [list(map(float, cells[positions[c]])) for c in OHLCV_COLUMNS]
+        days = _days(map(Date.fromisoformat, map(str.strip, cells[positions["date"]])))
+        columns = {
+            c: np.array(list(map(float, cells[positions[c]])), dtype=np.float64)
+            for c in OHLCV_COLUMNS
+        }
     except ValueError:
         _raise_first_bad_quote_row(path, positions, rows, lines)
-    series = QuoteSeries(stockname, dates, *columns)
+    series = _of_days(QuoteSeries, stockname, days, columns)
     try:
         series.validate()
     except DuplicateDateError:
         # every row is valid but the file is not in date order: sort it
-        order = sorted(range(len(dates)), key=dates.__getitem__)
-        for prev, cur in zip(order, order[1:]):
-            if dates[cur] == dates[prev]:
-                raise DuplicateDateError(f"{path}: two rows for {dates[cur]}") from None
-        series = QuoteSeries(
-            stockname, [dates[i] for i in order], *(series.column(c)[order] for c in OHLCV_COLUMNS)
-        )
+        order = np.argsort(days, kind="stable")
+        days = days[order]
+        repeat = _unordered_at(days)  # in sorted days, the first repeat
+        if repeat:
+            raise DuplicateDateError(f"{path}: two rows for {repeat}") from None
+        columns = {c: col[order] for c, col in columns.items()}
+        series = _of_days(QuoteSeries, stockname, days, columns)
     except InvariantError as exc:
         raise InvariantError(f"{path}: {exc}") from None
     return series
@@ -329,9 +364,9 @@ def save_quotes(series: QuoteSeries, path: str | Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(QUOTE_COLUMNS)
         columns = [series.column(c).tolist() for c in OHLCV_COLUMNS]
-        for d, o, h, lo, c, v in zip(series.dates, *columns):
+        for d, o, h, lo, c, v in zip(_day_text(series.days), *columns):
             writer.writerow(
-                [d.isoformat(), repr(o), repr(h), repr(lo), repr(c), _format_number(v), series.stockname]
+                [d, repr(o), repr(h), repr(lo), repr(c), _format_number(v), series.stockname]
             )
 
 
@@ -344,8 +379,8 @@ def _parse_trend(raw: str, path: Path, line: int) -> bool:
 
 def _read_labels(
     path: Path,
-) -> tuple[str, str, list[Date], list[int], list[bool], np.ndarray | None]:
-    """One label file's rows in file order, plus its embedded quotes if it has any."""
+) -> tuple[str, str, np.ndarray, list[int], list[bool], np.ndarray | None]:
+    """One label file's days, ids and trend flags in file order, plus its embedded quotes if any."""
     positions, rows, lines = _read_rows(path, LABEL_COLUMNS)
     at_date, at_name, at_id, at_type, at_user = (positions[c] for c in LABEL_COLUMNS)
     has_quotes = all(c in positions for c in OHLCV_COLUMNS)
@@ -376,19 +411,18 @@ def _read_labels(
     if stockname is None or expert is None:
         raise ParseError(f"{path}: no data rows")
     embedded = np.array(quotes, dtype=np.float64) if has_quotes else None
-    return stockname, expert, dates, ids, trend, embedded
+    return stockname, expert, _days(dates), ids, trend, embedded
 
 
 def _label_series(
     stockname: str,
     expert: str,
-    dates: Sequence[Date],
+    days: np.ndarray,
     id_select: Sequence[int],
     trend: Sequence[bool],
     path: Path,
 ) -> LabelSeries:
-    """Sort label rows by date and drop exact repeats; a date labelled twice differently raises."""
-    days = _days(dates)
+    """Sort label rows by day and drop exact repeats; a day labelled twice differently raises."""
     order = np.argsort(days, kind="stable")
     days = days[order]
     ids = np.asarray(id_select, dtype=np.int64)[order]
@@ -397,13 +431,11 @@ def _label_series(
     clash = repeat[(ids[repeat] != ids[repeat - 1]) | (flags[repeat] != flags[repeat - 1])]
     if clash.size:
         raise InvariantError(
-            f"{path}: expert {expert} labels {dates[order[clash[0]]]}/{stockname} twice"
+            f"{path}: expert {expert} labels {_date(days[clash[0]])}/{stockname} twice"
         )
     keep = np.ones(len(days), dtype=bool)
     keep[repeat] = False
-    return LabelSeries(
-        stockname, expert, [dates[i] for i in order[keep]], ids[keep], flags[keep]
-    )
+    return _of_days(LabelSeries, stockname, expert, days[keep], ids[keep], flags[keep])
 
 
 def save_labels(labels: LabelSeries, path: str | Path) -> None:
@@ -412,8 +444,10 @@ def save_labels(labels: LabelSeries, path: str | Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(LABEL_COLUMNS)
         writer.writerows(
-            (d.isoformat(), labels.stockname, i, TREND if t else FLAT, labels.expert)
-            for d, i, t in zip(labels.dates, labels.id_select.tolist(), labels.trend.tolist())
+            (d, labels.stockname, i, TREND if t else FLAT, labels.expert)
+            for d, i, t in zip(
+                _day_text(labels.days), labels.id_select.tolist(), labels.trend.tolist()
+            )
         )
 
 
@@ -452,22 +486,22 @@ def merge_label_files(
         quoted.add(series.stockname)
         if len(series):
             columns = [series.column(c) for c in OHLCV_COLUMNS]
-            register(series.stockname, _days(series.dates), np.column_stack(columns))
+            register(series.stockname, series.days, np.column_stack(columns))
 
     merged: dict[tuple[str, str], LabelSeries] = {}
     for raw_path in paths:
         path = Path(raw_path)
-        stockname, expert, dates, ids, trend, embedded = _read_labels(path)
+        stockname, expert, label_days, ids, trend, embedded = _read_labels(path)
         if quoted is not None and stockname not in quoted:
             raise InvariantError(f"{path}: labels stock {stockname}, which has no quotes")
         if embedded is not None:
-            days, values = _last_per_day(_days(dates), embedded)
+            days, values = _last_per_day(label_days, embedded)
             if stockname in registry:
                 known_days, known_values = registry[stockname]
                 at = np.minimum(np.searchsorted(known_days, days), len(known_days) - 1)
                 clash = (known_days[at] == days) & np.any(known_values[at] != values, axis=1)
                 if clash.any():
-                    day = Date.fromordinal(int(days[np.argmax(clash)]))
+                    day = _date(days[np.argmax(clash)])
                     raise DefectFileError(
                         f"{path}: quotes for {day}/{stockname} contradict "
                         "already-loaded quotes; file rejected"
@@ -476,8 +510,8 @@ def merge_label_files(
         key = (stockname, expert)
         if key in merged:
             earlier = merged[key]
-            dates = [*earlier.dates, *dates]
+            label_days = np.concatenate([earlier.days, label_days])
             ids = np.concatenate([earlier.id_select, ids])
             trend = np.concatenate([earlier.trend, trend])
-        merged[key] = _label_series(stockname, expert, dates, ids, trend, path)
+        merged[key] = _label_series(stockname, expert, label_days, ids, trend, path)
     return merged

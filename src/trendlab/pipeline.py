@@ -27,7 +27,6 @@ cells, the signals, window ids and position states.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
@@ -38,8 +37,8 @@ import numpy as np
 from . import gbdt
 from .errors import ConfigError, SeriesTooShortError, ShapeError, TrendlabError
 from .features import CP_CONTEXT, CP_MIN_BARS, cp_feature_matrix, prefix_features, tof_features
-from .labels import ExpertWindow
-from .market_data import TREND, QuoteSeries, _write_json
+from .labels import ExpertWindow, _window_rows
+from .market_data import TREND, QuoteSeries, _date, _day, _day_text, _days, _write_json
 
 BUSINESS_DAYS_PER_YEAR = 250
 CP_LAG_DAYS = CP_CONTEXT  # a changepoint answer acts once its forward bars are known
@@ -117,7 +116,8 @@ TRACE_COLUMNS = (
 class SignalTrace:
     """One stock's per-day answers as columns, plus the positions they opened.
 
-    Every column has one entry per day of the series. ``cp_proba`` and
+    Every column has one entry per day of the series; ``days`` holds the
+    days themselves, as ``QuoteSeries.days`` does. ``cp_proba`` and
     ``tof_proba`` are NaN on days without an answer, and ``tof_signal`` is -1
     there. ``window_id`` counts the changepoints that have acted (0 before the
     first) and ``window_start`` is the row the current window starts at (-1
@@ -129,7 +129,7 @@ class SignalTrace:
     """
 
     stockname: str
-    dates: tuple[Date, ...]
+    days: np.ndarray
     cp_proba: np.ndarray
     cp_signal: np.ndarray
     window_id: np.ndarray
@@ -172,10 +172,10 @@ def _answer_text(probas: np.ndarray) -> np.ndarray:
     return text
 
 
-def _lead_text(dates: Sequence[Date], cp_proba: np.ndarray) -> np.ndarray:
+def _lead_text(days: np.ndarray, cp_proba: np.ndarray) -> np.ndarray:
     """Each day's ``"<date>,<cp_proba>,"``, the first two cells of its trace row, read-only."""
     lead = np.array(
-        [f"{d.isoformat()},{p}," for d, p in zip(dates, _answer_text(cp_proba).tolist())],
+        [f"{d},{p}," for d, p in zip(_day_text(days), _answer_text(cp_proba).tolist())],
         dtype=object,
     )
     lead.flags.writeable = False
@@ -300,7 +300,7 @@ def save_baseline(
 
 def backtest_span(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
     """The rows of ``series`` from ``split_date`` on; None when too few to score."""
-    sliced = series[bisect.bisect_left(series.dates, split_date) :]
+    sliced = series[int(np.searchsorted(series.days, _day(split_date))) :]
     return sliced if len(sliced) >= CP_MIN_BARS else None
 
 
@@ -357,8 +357,8 @@ def _position(
     return Position(
         stockname=series.stockname,
         direction=direction,
-        entry_date=series.dates[entry_row],
-        exit_date=series.dates[exit_row],
+        entry_date=_date(series.days[entry_row]),
+        exit_date=_date(series.days[exit_row]),
         entry_close=entry_close,
         exit_close=exit_close,
         entry_row=entry_row,
@@ -373,8 +373,8 @@ def _true_rows(truth: Mapping[str, Sequence[ExpertWindow]], series: QuoteSeries)
     if series.stockname not in truth:
         raise TrendlabError(f"no true windows for stock {series.stockname}")
     rows = np.zeros((2, len(series)))
-    for w in reversed(clip_windows_to_span(truth[series.stockname], series)):
-        lo, hi = series.index_of(w.start_date), series.index_of(w.end_date)
+    windows = clip_windows_to_span(truth[series.stockname], series)
+    for w, lo, hi in reversed(list(zip(windows, *_window_rows(windows, series)))):
         rows[0, lo] = 1.0
         rows[1, lo : hi + 1] = 1.0 if w.tendency == TREND else 0.0  # the first window decides
     return rows
@@ -492,7 +492,7 @@ def score_stocks(
         cp_proba = np.full(n, np.nan)
         cp_proba[ts + CP_LAG_DAYS] = answers
         cp_proba.flags.writeable = False  # every config's trace shares it
-        lead = _lead_text(series.dates, cp_proba)
+        lead = _lead_text(series.days, cp_proba)
         windows = {cfg: _windows(cp_proba, cfg) for cfg in configs}
         keys = [w.window_start[w.days] * n + w.days for w in windows.values()]
         distinct, which = np.unique(np.concatenate(keys), return_inverse=True)
@@ -562,7 +562,7 @@ def run_pipeline(scores: StockScores, cfg: PipelineConfig) -> tuple[SignalTrace,
 
     trace = SignalTrace(
         stockname=series.stockname,
-        dates=series.dates,
+        days=series.days,
         cp_proba=scores.cp_proba,
         cp_signal=w.cp_signal,
         window_id=w.window_id,
@@ -586,23 +586,23 @@ def clip_windows_to_span(
     Window dates need not exist in ``quotes``; boundaries snap inward to the
     nearest covered row, so this re-bases windows onto a sliced series.
     """
-    dates = quotes.dates
-    out: list[ExpertWindow] = []
-    for w in windows:
-        s = bisect.bisect_left(dates, w.start_date)  # first row at or after the start
-        e = bisect.bisect_right(dates, w.end_date) - 1  # last row at or before the end
-        if s <= e:
-            out.append(replace(w, start_date=dates[s], end_date=dates[e]))
-    return out
+    days = quotes.days
+    # the first row at or after each start, and the last row at or before each end
+    starts = np.searchsorted(days, _days([w.start_date for w in windows])).tolist()
+    ends = (np.searchsorted(days, _days([w.end_date for w in windows]), side="right") - 1).tolist()
+    return [
+        replace(w, start_date=_date(days[s]), end_date=_date(days[e]))
+        for w, s, e in zip(windows, starts, ends)
+        if s <= e
+    ]
 
 
 def expert_position_stats(series: QuoteSeries, windows: Sequence[ExpertWindow]) -> StockStats:
     """Positions an expert's labels imply: every trend window held end to end."""
-    index_of = series.index_of
+    trends = [w for w in windows if w.tendency == TREND]
     positions = [
-        _position(series, index_of(w.start_date), index_of(w.end_date), w.direction, "window_end")
-        for w in windows
-        if w.tendency == TREND
+        _position(series, lo, hi, w.direction, "window_end")
+        for w, lo, hi in zip(trends, *_window_rows(trends, series))
     ]
     return StockStats.from_positions(series.stockname, positions)
 

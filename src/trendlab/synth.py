@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from datetime import date as Date, timedelta
+from datetime import date as Date
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, InvariantError, ParseError
-from .labels import ExpertWindow
-from .market_data import FLAT, TREND, LabelSeries, QuoteSeries, _read_json, _write_json
+from .labels import ExpertWindow, _window_rows
+from .market_data import FLAT, TREND, LabelSeries, QuoteSeries, _of_days, _read_json, _write_json
 
 SUBSTEPS = 8
 VOLUME_NOISE = 0.2
@@ -108,13 +108,8 @@ class ExpertProfile:
 
 def business_dates(start: Date, n: int) -> list[Date]:
     """n consecutive weekdays starting at (or after) start."""
-    out: list[Date] = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+    first = np.busday_offset(np.datetime64(start, "D"), 0, roll="forward")
+    return np.busday_offset(first, np.arange(n)).tolist()
 
 
 def sample_regimes(cfg: SamplerConfig, rng: np.random.Generator) -> list[RegimeSpec]:
@@ -252,12 +247,8 @@ def gen_expert_labels(
         raise EmptyInputError("no true windows")
     rng = np.random.default_rng(seed)
     segments = [
-        _Segment(
-            start=series.index_of(w.start_date),
-            end=series.index_of(w.end_date),
-            tendency=w.tendency,
-        )
-        for w in true_windows
+        _Segment(start, end, w.tendency)
+        for w, start, end in zip(true_windows, *_window_rows(true_windows, series))
     ]
 
     if profile.split_merge_prob > 0.0:
@@ -287,11 +278,12 @@ def gen_expert_labels(
                 starts[i] = min(max(true_start + delta, lo), hi)
 
     lengths = np.diff([*starts, span_end + 1])
-    return LabelSeries(
+    return _of_days(
+        LabelSeries,
         series.stockname,
         name,
-        series.dates[starts[0] : span_end + 1],
-        np.repeat(np.arange(1, len(segments) + 1), lengths),
+        series.days[starts[0] : span_end + 1],
+        np.repeat(np.arange(1, len(segments) + 1, dtype=np.int64), lengths),
         np.repeat([s.tendency == TREND for s in segments], lengths),
     )
 

@@ -7,7 +7,7 @@ from datetime import date as Date
 import numpy as np
 from hypothesis import settings
 
-from trendlab.market_data import TREND, LabelSeries, QuoteSeries
+from trendlab.market_data import TREND, LabelSeries, QuoteSeries, _days
 from trendlab.synth import business_dates
 
 # Property tests draw the same examples on every run and have no time limit,
@@ -36,6 +36,11 @@ def make_series(
         close=closes,
         volume=volumes,
     )
+
+
+def row_of(series: QuoteSeries, d: Date) -> int:
+    """The row of ``series`` that holds date ``d``."""
+    return int(series.rows_of(_days([d]))[0])
 
 
 def label_rows(series: QuoteSeries, id_selects, tendencies, expert: str = "A") -> LabelSeries:

@@ -78,8 +78,8 @@ def augment_fractions(
     Prefixes shorter than ``MIN_LEN_TREND`` days are dropped: the changepoint
     stage already lags five days, so nothing shorter ever needs recognizing.
     """
-    i0 = quotes.index_of(window.start_date)
-    n = quotes.index_of(window.end_date) - i0 + 1
+    i0, i1 = quotes.rows_of(_days([window.start_date, window.end_date])).tolist()
+    n = i1 - i0 + 1
     bars = quotes[i0 : i0 + n]
     closes, volumes = _log_bars(bars) if log_mode else (bars.closes, bars.volumes)
     fractions = [pct for pct in FRACTIONS if MIN_LEN_TREND <= _fraction_days(pct, n) <= n]

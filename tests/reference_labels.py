@@ -28,7 +28,7 @@ import numpy as np
 
 from trendlab.errors import DefectFileError, EmptyInputError, InvariantError, ParseError
 from trendlab.labels import ExpertWindow, log_close_slope
-from trendlab.market_data import FLAT, LABEL_COLUMNS, OHLCV_COLUMNS, TREND, QuoteSeries
+from trendlab.market_data import FLAT, LABEL_COLUMNS, OHLCV_COLUMNS, TREND, QuoteSeries, _days
 
 
 def reference_ols(y: np.ndarray) -> tuple[float, float]:
@@ -166,8 +166,7 @@ def reference_extract_windows(rows: Sequence[RowLabel], quotes: QuoteSeries) -> 
     if not rows:
         raise EmptyInputError("no label rows")
     rows = sorted(rows, key=lambda r: r.date)
-    for row in rows:
-        quotes.index_of(row.date)
+    quotes.rows_of(_days([row.date for row in rows]))
     windows: list[ExpertWindow] = []
     run_start = 0
     for i in range(1, len(rows) + 1):
@@ -176,7 +175,7 @@ def reference_extract_windows(rows: Sequence[RowLabel], quotes: QuoteSeries) -> 
             direction = 0
             if first.tendency == TREND:
                 slope = log_close_slope(
-                    quotes, quotes.index_of(first.date), quotes.index_of(last.date)
+                    quotes, *quotes.rows_of(_days([first.date, last.date])).tolist()
                 )
                 direction = 1 if slope >= 0.0 else -1
             windows.append(
@@ -192,9 +191,11 @@ def reference_direction_codes(
     windows: Sequence[ExpertWindow], quotes: QuoteSeries
 ) -> dict[Date, int]:
     codes: dict[Date, int] = {}
+    dates = quotes.dates
     for w in windows:
-        for i in range(quotes.index_of(w.start_date), quotes.index_of(w.end_date) + 1):
-            codes[quotes.dates[i]] = w.direction
+        i0, i1 = quotes.rows_of(_days([w.start_date, w.end_date])).tolist()
+        for i in range(i0, i1 + 1):
+            codes[dates[i]] = w.direction
     return codes
 
 
@@ -214,7 +215,8 @@ def reference_voted_windows(
     for i in range(1, len(voted) + 1):
         boundary = i == len(voted)
         if not boundary:
-            gap = quotes.index_of(voted[i][0]) != quotes.index_of(voted[i - 1][0]) + 1
+            prev, cur = quotes.rows_of(_days([voted[i - 1][0], voted[i][0]])).tolist()
+            gap = cur != prev + 1
             boundary = gap or voted[i][1] != voted[run_start][1]
         if boundary:
             code = voted[run_start][1]

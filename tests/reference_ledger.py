@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from trendlab.labels import ExpertWindow
-from trendlab.market_data import TREND, QuoteSeries
+from trendlab.market_data import TREND, QuoteSeries, _days
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,8 @@ def lagged_regime_ledger(
     """
     n = len(series)
     closes = series.closes
-    detectable = [
-        (series.index_of(w.start_date), w)
-        for w in windows
-        if 5 <= series.index_of(w.start_date) <= n - 6
-    ]
+    starts = series.rows_of(_days([w.start_date for w in windows])).tolist()
+    detectable = [(s, w) for s, w in zip(starts, windows) if 5 <= s <= n - 6]
     entries: list[LedgerEntry] = []
     for i, (s, w) in enumerate(detectable):
         entry = s + entry_lag

@@ -18,8 +18,9 @@ every day from a trace's numpy columns.
 
 from __future__ import annotations
 
+import bisect
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from pathlib import Path
 from typing import Callable, Sequence
@@ -29,9 +30,9 @@ import numpy as np
 from reference_features import WindowSums, tof_features
 from trendlab import gbdt
 from trendlab.errors import SeriesTooShortError
-from trendlab.features import TofRow, cp_feature_matrix
+from trendlab.features import CP_MIN_BARS, TofRow, cp_feature_matrix
 from trendlab.labels import ExpertWindow
-from trendlab.market_data import TREND, QuoteSeries
+from trendlab.market_data import TREND, QuoteSeries, _days
 from trendlab.pipeline import (
     CP_LAG_DAYS,
     TRACE_COLUMNS,
@@ -108,7 +109,7 @@ def reference_trace_csv(trace: SignalTrace, path: str | Path) -> None:
         return ["" if p != p else repr(p) for p in probas.tolist()]  # NaN != NaN
 
     rows = zip(
-        [d.isoformat() for d in trace.dates],
+        [Date.fromordinal(d).isoformat() for d in trace.days.tolist()],
         answers(trace.cp_proba),
         map(str, trace.cp_signal.tolist()),
         [str(w) if w else "" for w in trace.window_id.tolist()],
@@ -125,14 +126,14 @@ def reference_trace_csv(trace: SignalTrace, path: str | Path) -> None:
 
 def row_oracle_cp_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> RowCpScorer:
     """Fires with probability 1 exactly on the true window start rows."""
-    starts = {quotes.index_of(w.start_date) for w in windows}
+    starts = set(quotes.rows_of(_days([w.start_date for w in windows])).tolist())
     return lambda t, row: 1.0 if t in starts else 0.0
 
 
 def row_oracle_tof_scorer(windows: Sequence[ExpertWindow], quotes: QuoteSeries) -> RowTofScorer:
     """Answers 1 iff the window containing the prefix start is a trend."""
     bounds = [
-        (quotes.index_of(w.start_date), quotes.index_of(w.end_date), w.tendency == TREND)
+        (*quotes.rows_of(_days([w.start_date, w.end_date])).tolist(), w.tendency == TREND)
         for w in windows
     ]
 
@@ -255,3 +256,23 @@ def reference_run_pipeline(
         trace.rows[-1].direction = trace.positions[-1].direction
 
     return trace, StockStats.from_positions(series.stockname, trace.positions)
+
+
+def reference_backtest_span(series: QuoteSeries, split_date: Date) -> QuoteSeries | None:
+    """``pipeline.backtest_span`` by ``bisect`` over the dates."""
+    sliced = series[bisect.bisect_left(series.dates, split_date) :]
+    return sliced if len(sliced) >= CP_MIN_BARS else None
+
+
+def reference_clip_windows_to_span(
+    windows: Sequence[ExpertWindow], quotes: QuoteSeries
+) -> list[ExpertWindow]:
+    """``pipeline.clip_windows_to_span`` by ``bisect`` over the dates, one window at a time."""
+    dates = quotes.dates
+    out: list[ExpertWindow] = []
+    for w in windows:
+        s = bisect.bisect_left(dates, w.start_date)  # first row at or after the start
+        e = bisect.bisect_right(dates, w.end_date) - 1  # last row at or before the end
+        if s <= e:
+            out.append(replace(w, start_date=dates[s], end_date=dates[e]))
+    return out

@@ -1239,6 +1239,55 @@ def test_flag_over_config_over_default(workdir, tmp_path, argv, ini, key, flag, 
     assert got == [balance.get(w, w) for w in want]
 
 
+# Every command that reads --config: its arguments, its section, a key of that
+# section, the flag that sets the same value, and an output the value shows in.
+CONFIG_COMMANDS = {
+    "synth": (["synth", "--days", "60"], "synth", "stocks = 1", ["--stocks", "1"], "truth.json"),
+    "prepare": (["prepare", "--data", "{data}"], "data", "trigger_correction = yes",
+                ["--trigger-correction"], "prep_report.json"),
+    **{
+        f"train-{which}": (["train", which, "--prepared", "{prep}", "--n-estimators", "1"],
+                           f"{which}_model", "max_depth = 1", ["--max-depth", "1"],
+                           f"{which}_model.json")
+        for which in ("cp", "tof")
+    },
+    **{
+        f"gridsearch-{which}": (["gridsearch", which, "--prepared", "{prep}", "--grid", "{grid}",
+                                 "--folds", "2", "--n-estimators", "1"],
+                                f"{which}_model", "max_depth = 1", ["--max-depth", "1"],
+                                f"search_{which}_best.json")
+        for which in ("cp", "tof")
+    },
+}
+CONFIG_SECTIONS = {section: key for _, section, key, _, _ in CONFIG_COMMANDS.values()}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_COMMANDS))
+def test_a_config_file_must_hold_the_command_section(workdir, tmp_path, capsys, command):
+    argv, section, key, flag, output = CONFIG_COMMANDS[command]
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[grid]\nlearning_rate = 0.1,0.3\n")
+    argv = [a.format(data=workdir / "data", prep=workdir / "prep", grid=grid) for a in argv]
+    sections = list(CONFIG_SECTIONS)
+    other = sections[(sections.index(section) + 1) % len(sections)]
+    # a file holding only another command's section is a usage error naming the file
+    alien = tmp_path / "alien.ini"
+    alien.write_text(f"[{other}]\n{CONFIG_SECTIONS[other]}\n")
+    assert main([*argv, "--config", str(alien), "-o", str(tmp_path / "alien")]) == 2
+    assert f"{alien}: no [{section}] section" in capsys.readouterr().err
+    assert not (tmp_path / "alien").exists()
+    # a file holding every command's section applies the command's key, as its flag does
+    shared = tmp_path / "shared.ini"
+    shared.write_text("".join(f"[{name}]\n{line}\n" for name, line in CONFIG_SECTIONS.items()))
+    assert main([*argv, "--config", str(shared), "-o", str(tmp_path / "keyed")]) == 0
+    assert main([*argv, *flag, "-o", str(tmp_path / "flagged")]) == 0
+    assert main([*argv, "-o", str(tmp_path / "default")]) == 0
+    keyed, flagged, default = (
+        (tmp_path / run / output).read_bytes() for run in ("keyed", "flagged", "default")
+    )
+    assert keyed == flagged != default
+
+
 @pytest.mark.parametrize("command", ["prepare", "baseline"])
 def test_label_file_for_a_stock_without_quotes_exits_1(workdir, tmp_path, capsys, command):
     data = tmp_path / "data"

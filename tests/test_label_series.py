@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_series
+from conftest import make_series, row_of
 from reference_labels import (
     reference_extract_windows,
     reference_group_rows,
@@ -253,9 +253,9 @@ def _labelled(draw, expert: str = "A", series=None):
 
 
 def _assert_partition(windows, labels, series):
-    rows = [(series.index_of(w.start_date), series.index_of(w.end_date)) for w in windows]
-    assert rows[0][0] == series.index_of(labels.dates[0])
-    assert rows[-1][1] == series.index_of(labels.dates[-1])
+    rows = [(row_of(series, w.start_date), row_of(series, w.end_date)) for w in windows]
+    assert rows[0][0] == row_of(series, labels.dates[0])
+    assert rows[-1][1] == row_of(series, labels.dates[-1])
     assert all(lo <= hi for lo, hi in rows)
     assert all(nxt[0] == prev[1] + 1 for prev, nxt in zip(rows, rows[1:]))
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_series, segment_labels
+from conftest import make_series, row_of, segment_labels
 from reference_labels import vote_experts
 from trendlab.errors import DegenerateSplitError, EmptyInputError, ParseError
 from trendlab.features import CP_CONTEXT, build_cp_dataset
@@ -148,8 +148,8 @@ def test_trigger_correction_moves_up_start_to_local_minimum():
     corrected = trigger_correction(windows, series)
     lo, hi = 10 - 5, 10 + 5
     brute = lo + int(np.argmin(series.closes[lo : hi + 1]))
-    assert series.index_of(corrected[1].start_date) == brute == 8
-    assert series.index_of(corrected[0].end_date) == 7
+    assert row_of(series, corrected[1].start_date) == brute == 8
+    assert row_of(series, corrected[0].end_date) == 7
 
 
 def test_trigger_correction_fixed_point_unchanged():
@@ -171,7 +171,7 @@ def test_trigger_correction_down_start_moves_to_maximum():
     series, windows = _windows_for_correction(closes, [(10, FLAT), (13, TREND)])
     assert windows[1].direction == -1
     corrected = trigger_correction(windows, series)
-    assert series.index_of(corrected[1].start_date) == 12
+    assert row_of(series, corrected[1].start_date) == 12
 
 
 def test_trigger_correction_preserves_contiguity_and_is_idempotent():
@@ -188,9 +188,9 @@ def test_trigger_correction_preserves_contiguity_and_is_idempotent():
         corrected = trigger_correction(windows, series)
         # contiguity: each window starts right after the previous one ends
         for prev, cur in zip(corrected, corrected[1:]):
-            assert series.index_of(cur.start_date) == series.index_of(prev.end_date) + 1
+            assert row_of(series, cur.start_date) == row_of(series, prev.end_date) + 1
         for w in corrected:
-            assert series.index_of(w.end_date) >= series.index_of(w.start_date)
+            assert row_of(series, w.end_date) >= row_of(series, w.start_date)
         assert trigger_correction(corrected, series) == corrected
 
 
@@ -199,8 +199,8 @@ def test_trigger_correction_respects_series_boundary():
     series, windows = _windows_for_correction(closes, [(2, FLAT), (11, TREND)])
     corrected = trigger_correction(windows, series)
     # search range is clamped: previous window keeps >= 1 day
-    assert series.index_of(corrected[0].start_date) == 0
-    assert series.index_of(corrected[1].start_date) >= 1
+    assert row_of(series, corrected[0].start_date) == 0
+    assert row_of(series, corrected[1].start_date) >= 1
 
 
 @pytest.mark.parametrize("low_row, start_row", [(12, 15), (17, 17)])
@@ -214,7 +214,7 @@ def test_trigger_correction_never_crosses_unlabelled_rows(low_row, start_row):
         [1] * 10 + [2] * 15, [False] * 10 + [True] * 15,
     )
     corrected = trigger_correction(extract_windows(labels, series), series)
-    spans = [(series.index_of(w.start_date), series.index_of(w.end_date)) for w in corrected]
+    spans = [(row_of(series, w.start_date), row_of(series, w.end_date)) for w in corrected]
     assert spans == [(0, 9), (start_row, 29)]
     assert trigger_correction(corrected, series) == corrected
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_series
+from conftest import make_series, row_of
 from reference_market_data import reference_load_quotes
 from trendlab.errors import (
     DefectFileError,
@@ -161,7 +161,7 @@ def test_slice_shares_memory_and_columns_are_read_only():
     part = series[10:20]
     assert len(part) == 10
     assert part.dates == series.dates[10:20]
-    assert part.index_of(series.dates[10]) == 0
+    assert row_of(part, series.dates[10]) == 0
     for c in OHLCV_COLUMNS:
         assert np.shares_memory(part.column(c), series.column(c))
         assert np.array_equal(part.column(c), series.column(c)[10:20])
@@ -170,7 +170,24 @@ def test_slice_shares_memory_and_columns_are_read_only():
     with pytest.raises(ValueError):
         series.closes[0] = 1.0
     assert series.column("close") is series.column("close")
-    assert series.dates is series.dates
+
+
+def test_days_are_a_read_only_column_that_a_slice_views():
+    series = make_series(np.linspace(10.0, 20.0, 30))
+    part = series[10:20]
+    assert series.days.dtype == np.int64
+    assert series.days is series.days
+    assert np.shares_memory(part.days, series.days)
+    assert part.days.tolist() == series.days[10:20].tolist()
+    for days in (series.days, part.days):
+        assert not days.flags.writeable
+        with pytest.raises(ValueError):
+            days[0] = 0
+    # the dates are made from the days
+    assert series.dates == tuple(Date.fromordinal(d) for d in series.days.tolist())
+    labels = LabelSeries("ACME", "D", series.dates[:3], [1, 1, 2], [True, True, False])
+    assert labels.days.tolist() == series.days[:3].tolist()
+    assert not labels.days.flags.writeable
 
 
 def columns(labels: LabelSeries) -> tuple:
@@ -221,8 +238,13 @@ def test_label_file_sorts_rows_and_drops_exact_repeats(tmp_path):
 
 def test_label_series_rejects_unsorted_dates_and_ragged_columns():
     dates = [Date(2014, 10, 15), Date(2014, 10, 14)]
-    with pytest.raises(InvariantError, match="not strictly increasing"):
+    first = "^ACME/D: label dates not strictly increasing at 2014-10-14$"
+    with pytest.raises(InvariantError, match=first):
         LabelSeries("ACME", "D", dates, [1, 1], [True, True])
+    # the first date out of order is named, a repeat too
+    later = [Date(2014, 10, 14), Date(2014, 10, 16), Date(2014, 10, 16), Date(2014, 10, 15)]
+    with pytest.raises(InvariantError, match="increasing at 2014-10-16$"):
+        LabelSeries("ACME", "D", later, [1] * 4, [True] * 4)
     with pytest.raises(InvariantError, match="disagree in length"):
         LabelSeries("ACME", "D", dates[1:], [1, 1], [True, True])
 
@@ -314,6 +336,36 @@ def test_merge_retained_rows_unique_per_date_stock_expert(tmp_path):
     assert list(merged) == [("ACME", "D"), ("ACME", "G")]
     for labels in merged.values():
         assert len(set(labels.dates)) == len(labels) == 3
+
+
+@pytest.mark.parametrize(
+    "bar, fault",
+    [
+        ((10.0, 12.0, 9.0, float("nan"), 1000.0), "non-finite quote"),
+        ((10.0, 12.0, -9.0, 11.0, 1000.0), "non-positive price"),
+        ((10.0, 12.0, 9.0, 11.0, -1.0), "negative volume"),
+        ((10.0, 10.5, 9.0, 11.0, 1000.0), "OHLC ordering violated"),
+    ],
+    ids=["non-finite", "non-positive", "negative-volume", "ohlc-order"],
+)
+def test_every_validate_message_names_the_stock(bar, fault):
+    series = QuoteSeries("ACME", [Date(2020, 1, 1)], *([value] for value in bar))
+    with pytest.raises(InvariantError, match=f"^ACME: {fault} on 2020-01-01"):
+        series.validate()
+
+
+def test_rows_of_finds_each_day_and_names_the_stock_and_a_day_it_lacks():
+    series = make_series(np.linspace(10.0, 20.0, 10))  # 2012-01-02 to 2012-01-13, weekdays
+    days = series.days
+    assert series.rows_of(days[::-1]).tolist() == list(range(9, -1, -1))
+    assert series.rows_of([]).tolist() == []
+    assert series[3:6].rows_of(days[3:6]).tolist() == [0, 1, 2]
+    # a weekend, a day before the first bar and a day after the last one
+    for missing in (Date(2012, 1, 7), Date(2012, 1, 1), Date(2012, 1, 16)):
+        with pytest.raises(InvariantError, match=f"^ACME: no quote for {missing}$"):
+            series.rows_of([days[0], missing.toordinal(), days[-1]])
+    with pytest.raises(InvariantError, match="^ACME: no quote for 2012-01-02$"):
+        series[1:].rows_of(days[:1])
 
 
 def test_validate_catches_negative_volume():

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_series
+from conftest import make_series, row_of
 from reference_features import WindowSums
 from reference_features import tof_features as reference_tof_features
 from reference_ledger import lagged_regime_ledger
 from reference_pipeline import (
+    reference_backtest_span,
+    reference_clip_windows_to_span,
     reference_run_pipeline,
     reference_trace_csv,
     row_oracle_cp_scorer,
@@ -214,7 +216,7 @@ def test_no_look_ahead_replay_truncation():
         truncated = series[: int(d) + 1]
         trace_t, _ = _run(truncated, cp, tof, cfg)  # the oracles clip the windows to it
         known = slice(int(d) - CP_LAG_DAYS + 1)
-        assert full_trace.dates[known] == trace_t.dates[known]
+        np.testing.assert_array_equal(full_trace.days[known], trace_t.days[known])
         for column in ("cp_proba", "cp_signal", "tof_proba", "tof_signal"):
             np.testing.assert_array_equal(
                 getattr(full_trace, column)[known], getattr(trace_t, column)[known]
@@ -308,7 +310,7 @@ def test_no_look_ahead_replay_trained_models(trained_models):
     for d in rng.integers(20, len(series) - 1, size=15):
         d = int(d)
         trace_t, _ = _run(series[: d + 1], cp_model, tof_model, cfg)
-        assert full_trace.dates[: d + 1] == trace_t.dates
+        np.testing.assert_array_equal(full_trace.days[: d + 1], trace_t.days)
         for column in columns:
             np.testing.assert_array_equal(
                 getattr(full_trace, column)[: d + 1], getattr(trace_t, column)
@@ -555,7 +557,7 @@ def test_one_oracle_gives_each_stock_the_bits_it_gets_alone():
     for stock, span in spans.items():
         _assert_same_scores(scores[stock], _scores(span, cp, tof, configs))
         # the answers fire on the stock's own window starts, clipped to its span
-        starts = [span.index_of(w.start_date) for w in clip_windows_to_span(truth[stock], span)]
+        starts = [row_of(span, w.start_date) for w in clip_windows_to_span(truth[stock], span)]
         rows = [t for t in starts if CP_LAG_DAYS <= t < len(span) - CP_LAG_DAYS]
         assert (np.flatnonzero(scores[stock].cp_proba == 1.0) - CP_LAG_DAYS).tolist() == rows
         assert len(scores[stock].tof_X)
@@ -681,7 +683,7 @@ def test_scorer_must_return_probabilities():
 def test_trace_columns_mark_missing_answers():
     series, windows = _oracle_universe(seed=42)
     trace, _ = _run(series, *_oracles(windows, series))
-    assert trace.dates == series.dates
+    assert trace.days is series.days
     assert all(len(getattr(trace, c)) == len(series) for c in ("cp_proba", "position_state"))
     # the answer about row t (t >= CP_LAG_DAYS) acts on day t + CP_LAG_DAYS
     assert np.isnan(trace.cp_proba[: 2 * CP_LAG_DAYS]).all()
@@ -885,11 +887,11 @@ def _days(cells):
 def test_trace_csv_writes_the_bytes_of_the_per_cell_writer(
     cp_proba, cp_signal, window_id, tof_proba, tof_signal, direction, position_state
 ):
-    dates = make_series(100 + np.arange(11.0)).dates
+    days = make_series(100 + np.arange(11.0)).days
     cp_proba, tof_proba = np.array(cp_proba), np.array(tof_proba)
     trace = SignalTrace(
         stockname="ACME",
-        dates=dates,
+        days=days,
         cp_proba=cp_proba,
         cp_signal=np.array(cp_signal),
         window_id=np.array(window_id),
@@ -899,7 +901,7 @@ def test_trace_csv_writes_the_bytes_of_the_per_cell_writer(
         direction=np.array(direction),
         position_state=np.array(position_state, dtype="<U10"),
         positions=[],
-        lead=_lead_text(dates, cp_proba),
+        lead=_lead_text(days, cp_proba),
         tof_text=_answer_text(tof_proba),
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -907,6 +909,32 @@ def test_trace_csv_writes_the_bytes_of_the_per_cell_writer(
         trace.to_csv(got)
         reference_trace_csv(trace, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+@given(
+    n=st.integers(0, 30),
+    bounds=st.lists(st.tuples(st.integers(-20, 60), st.integers(0, 30)), max_size=8),
+    split=st.integers(-20, 60),
+)
+# windows from before the first bar, from a Saturday to a Sunday, and past the last bar;
+# a split on a bar's day and one on a Saturday
+@example(n=30, bounds=[(-3, 5), (5, 1), (12, 2), (13, 30)], split=4)
+@example(n=30, bounds=[(-3, 5), (5, 1), (12, 2), (13, 30)], split=5)
+def test_span_and_clip_match_the_bisect_code_they_replace(n, bounds, split):
+    series = make_series(100 + np.arange(float(n)))  # weekdays from Monday 2012-01-02
+    first = Date(2012, 1, 2).toordinal()
+    windows = [
+        ExpertWindow(series.stockname, "E", Date.fromordinal(first + start),
+                     Date.fromordinal(first + start + length), TREND, 1)
+        for start, length in bounds
+    ]
+    assert clip_windows_to_span(windows, series) == reference_clip_windows_to_span(windows, series)
+    split_date = Date.fromordinal(first + split)
+    span, want = backtest_span(series, split_date), reference_backtest_span(series, split_date)
+    assert (span is None) == (want is None)
+    if span is not None:
+        assert span.days.tolist() == want.days.tolist()
+        assert clip_windows_to_span(windows, span) == reference_clip_windows_to_span(windows, span)
 
 
 def test_clip_windows_to_span():

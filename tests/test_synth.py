@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import row_of
 from reference_features import WindowSums, tof_features
 from trendlab.errors import ConfigError, ParseError
 from trendlab.labels import ExpertWindow, count_contradictions, extract_windows
@@ -93,7 +94,7 @@ def test_identity_profile_round_trips_exactly():
 def test_jittered_boundaries_stay_within_bound():
     cfg = SamplerConfig(n_days=900, trend_length=(40, 120), flat_length=(20, 60))
     series, truth = gen_series(cfg, seed=10)
-    true_starts = {series.index_of(w.start_date) for w in truth}
+    true_starts = {row_of(series, w.start_date) for w in truth}
     for seed in range(5):
         rows = gen_expert_labels(
             truth, ExpertProfile(jitter_days=3), seed=seed, series=series, name="D"
@@ -101,7 +102,7 @@ def test_jittered_boundaries_stay_within_bound():
         recovered = extract_windows(rows, series)
         assert len(recovered) == len(truth)
         for w in recovered:
-            start = series.index_of(w.start_date)
+            start = row_of(series, w.start_date)
             assert min(abs(start - s) for s in true_starts) <= 3
 
 
@@ -156,7 +157,7 @@ def test_split_merge_changes_window_count():
     assert recovered[0].start_date == truth[0].start_date
     assert recovered[-1].end_date == truth[-1].end_date
     for prev, cur in zip(recovered, recovered[1:]):
-        assert series.index_of(cur.start_date) == series.index_of(prev.end_date) + 1
+        assert row_of(series, cur.start_date) == row_of(series, prev.end_date) + 1
 
 
 def test_business_dates_skip_weekends():
