@@ -367,8 +367,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
                 cp_parts.append(build_cp_dataset(series, windows, log_mode=log_mode))
                 tof_parts.append(build_tof_dataset(windows, series, log_mode=log_mode))
 
-    cp_ds = FeatureDataset.concat(cp_parts).deduplicate()
-    tof_ds = FeatureDataset.concat(tof_parts).deduplicate()
+    cp_ds, tof_ds = FeatureDataset.concat(cp_parts), FeatureDataset.concat(tof_parts)
+    del cp_parts, tof_parts  # the concatenated copies hold every row
+    cp_ds, tof_ds = cp_ds.deduplicate(), tof_ds.deduplicate()
 
     cp_split = split_by_date(cp_ds.days, cp_ds.y, split_date)
     tof_split = split_by_date(tof_ds.days, tof_ds.y, split_date)

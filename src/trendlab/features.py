@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InvariantError, ParseError, TooShortError, ZeroVolumeError
-from .labels import ExpertWindow, _prefix_fits, _row_keys, _runs
+from .labels import ExpertWindow, _prefix_fits, _row_groups, _runs
 from .market_data import TREND, QuoteSeries, _csv_errors, _date, _day, _day_text, _days
 
 CP_CONTEXT = 5  # bars on each side of a changepoint row
@@ -172,8 +172,12 @@ class FeatureDataset:
         )
 
     def deduplicate(self) -> "FeatureDataset":
-        """Drop rows whose (feature vector, target) already occurred."""
-        _, first = np.unique(_row_keys(self.X, self.y), return_index=True)
+        """Drop rows whose (feature vector, target) already occurred.
+
+        It compares rows by their exact bytes, so ``-0.0`` and ``0.0``
+        differ, and keeps each first row.
+        """
+        _, first = np.unique(_row_groups(self.X, self.y), return_index=True)
         return self.take(np.sort(first))
 
     @classmethod
@@ -245,17 +249,26 @@ def build_tof_dataset(
     )
 
 
+WRITE_BLOCK_ROWS = 1024  # rows turned into Python numbers at a time
+
+
 def write_feature_csv(X: np.ndarray, y: np.ndarray, names: Sequence[str], path: str | Path) -> None:
-    """Bare interchange format: the named feature columns plus ``target``."""
+    """Bare interchange format: the named feature columns plus ``target``.
+
+    Rows are formatted a block at a time, so only one block is ever held as
+    Python floats.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(list(names) + ["target"])
-        # numbers need no CSV quoting: join each row as csv.writer would
-        handle.writelines(
-            ",".join(map(repr, row)) + f",{target}\r\n"
-            for row, target in zip(
-                np.asarray(X, dtype=np.float64).tolist(), np.asarray(y, dtype=np.int64).tolist()
+        for start in range(0, len(X), WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            # numbers need no CSV quoting: join each row as csv.writer would
+            handle.writelines(
+                ",".join(map(repr, row)) + f",{target}\r\n"
+                for row, target in zip(X[block].tolist(), y[block].tolist())
             )
-        )
 
 
 def _data_lines(handle: Iterable[str], path: Path) -> Iterator[str]:

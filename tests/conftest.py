@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from datetime import date as Date
 
 import numpy as np
@@ -60,3 +61,22 @@ def segment_labels(series: QuoteSeries, segments, expert: str = "A") -> LabelSer
         tendencies.extend([tendency] * length)
     assert len(ids) == len(series)
     return label_rows(series, ids, tendencies, expert=expert)
+
+
+def half_repeated(n: int = 20_000, n_cols: int = 22) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` rows of which the second half repeat rows (and targets) of the first."""
+    rng = np.random.default_rng(27)
+    X = rng.normal(size=(n // 2, n_cols))
+    y = rng.integers(0, 2, n // 2)
+    again = rng.integers(0, n // 2, n - n // 2)
+    return np.concatenate([X, X[again]]), np.concatenate([y, y[again]])
+
+
+def traced_peak(call, *args) -> int:
+    """The most bytes ``call(*args)`` held at once, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -15,6 +15,8 @@ for bit.
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +32,20 @@ from trendlab.features import (
 )
 from trendlab.labels import ExpertWindow, _prefix_fits
 from trendlab.market_data import TREND, QuoteSeries, _days
+
+
+def reference_write_feature_csv(
+    X: np.ndarray, y: np.ndarray, names: Sequence[str], path: str | Path
+) -> None:
+    """The named feature columns plus ``target``, every row formatted in one pass."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(list(names) + ["target"])
+        handle.writelines(
+            ",".join(map(repr, row)) + f",{target}\r\n"
+            for row, target in zip(
+                np.asarray(X, dtype=np.float64).tolist(), np.asarray(y, dtype=np.int64).tolist()
+            )
+        )
 
 
 class WindowSums:

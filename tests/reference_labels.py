@@ -13,6 +13,13 @@ one and to the type of every error it raises.
 centres ``arange(n)`` and the series on their means. The prefix fits that
 ``labels._prefix_fits`` reads from running sums are held to it within
 stated absolute bounds.
+
+``reference_row_keys`` is how repeated rows were found before
+``labels._row_groups``: each row and its target copied into one void-dtype
+byte key, which ``np.unique`` sorts. ``reference_first_rows`` and
+``reference_count_contradictions`` are ``FeatureDataset.deduplicate`` and
+``count_contradictions`` on those keys; the differential tests hold the
+hashed grouping to them.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from trendlab.errors import DefectFileError, EmptyInputError, InvariantError, ParseError
-from trendlab.labels import ExpertWindow, log_close_slope
+from trendlab.labels import ContradictionStats, ExpertWindow, log_close_slope
 from trendlab.market_data import FLAT, LABEL_COLUMNS, OHLCV_COLUMNS, TREND, QuoteSeries, _days
 
 
@@ -44,6 +51,39 @@ def reference_ols(y: np.ndarray) -> tuple[float, float]:
     resid = y - (ym + slope * xc)
     r2 = 1.0 - float(np.dot(resid, resid)) / sstot
     return slope, min(1.0, max(0.0, r2))
+
+
+def reference_row_keys(X: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """One opaque scalar per row of ``X`` holding its exact bytes (and its target's)."""
+    parts = [np.ascontiguousarray(X).view(np.uint8)]
+    if y is not None:
+        parts.append(np.ascontiguousarray(y, dtype=np.int64).reshape(-1, 1).view(np.uint8))
+    raw = np.ascontiguousarray(np.concatenate(parts, axis=1))
+    return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
+
+
+def reference_first_rows(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows ``deduplicate`` keeps: each first (feature vector, target), in row order."""
+    _, first = np.unique(reference_row_keys(X, y), return_index=True)
+    return np.sort(first)
+
+
+def reference_count_contradictions(X: np.ndarray, y: Sequence[int]) -> ContradictionStats:
+    """Rows that share their exact bytes with a row of the other target."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    _, group = np.unique(reference_row_keys(X), return_inverse=True)
+    _, first = np.unique(reference_row_keys(X, y), return_index=True)
+    n_targets = np.bincount(group[first], minlength=len(X))
+    contradicting = n_targets[group] > 1
+    n_pos = int((y == 1).sum())
+    contradicting_positives = int(y[contradicting].sum())
+    return ContradictionStats(
+        n_contradicting_rows=int(contradicting.sum()),
+        pct_of_positives=100.0 * contradicting_positives / n_pos if n_pos else 0.0,
+        n_rows=len(X),
+        n_positive_rows=n_pos,
+    )
 
 
 def vote_experts(codes: Sequence[int]) -> int:

@@ -10,8 +10,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_series, segment_labels
-from reference_features import WindowSums, augment_fractions, reference_tof_dataset
+from conftest import half_repeated, make_series, segment_labels, traced_peak
+from reference_features import (
+    WindowSums,
+    augment_fractions,
+    reference_tof_dataset,
+    reference_write_feature_csv,
+)
 from reference_features import tof_features as reference_tof_features
 from reference_labels import reference_ols
 from trendlab.errors import (
@@ -26,6 +31,7 @@ from trendlab.features import (
     FRACTIONS,
     MIN_LEN_TREND,
     TOF_FEATURE_NAMES,
+    WRITE_BLOCK_ROWS,
     FeatureDataset,
     build_cp_dataset,
     build_tof_dataset,
@@ -559,6 +565,27 @@ def test_feature_csv_header_only_reads_empty(tmp_path):
     X, y = read_feature_csv(path, TOF_FEATURE_NAMES)
     assert X.shape == (0, 5) and X.dtype == np.float64
     assert y.shape == (0,) and y.dtype == np.int64
+
+
+_B = WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_feature_csv_writes_the_bytes_of_the_one_pass_writer(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    X = rng.normal(0, 1e3, size=(n_rows, len(TOF_FEATURE_NAMES)))
+    cells = X.reshape(-1)[::7]
+    cells[:] = rng.choice([0.0, -0.0, 0.1, 1e-300, 1e300, np.inf, -np.nan], size=len(cells))
+    y = rng.integers(0, 2, size=n_rows)
+    write_feature_csv(X, y, TOF_FEATURE_NAMES, tmp_path / "blocks.csv")
+    reference_write_feature_csv(X, y, TOF_FEATURE_NAMES, tmp_path / "one_pass.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one_pass.csv").read_bytes()
+
+
+def test_feature_csv_writer_holds_less_than_the_matrix(tmp_path):
+    X, y = half_repeated()
+    peak = traced_peak(write_feature_csv, X, y, CP_FEATURE_NAMES, tmp_path / "cp.csv")
+    assert peak < 1.0 * X.nbytes, f"{peak / X.nbytes:.2f} x the matrix"
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_series, row_of, segment_labels
-from reference_labels import vote_experts
+from conftest import half_repeated, make_series, row_of, segment_labels, traced_peak
+from reference_labels import (
+    reference_count_contradictions,
+    reference_first_rows,
+    reference_row_keys,
+    vote_experts,
+)
+from trendlab import labels
 from trendlab.errors import DegenerateSplitError, EmptyInputError, ParseError
-from trendlab.features import CP_CONTEXT, build_cp_dataset
+from trendlab.features import CP_CONTEXT, FeatureDataset, build_cp_dataset
 from trendlab.labels import (
     ContradictionStats,
     DatasetSplit,
@@ -241,6 +247,111 @@ def test_contradiction_summary_format():
         n_contradicting_rows=12443, pct_of_positives=100.0, n_rows=20000, n_positive_rows=6000
     )
     assert stats.summary() == "12 443/ 100%"
+
+
+# bit patterns: 0.0, -0.0, 1.0, 2.5, inf, the quiet NaN, another NaN payload, a negative NaN
+_SPECIAL_WORDS = (
+    0x0000000000000000, 0x8000000000000000, 0x3FF0000000000000, 0x4004000000000000,
+    0x7FF0000000000000, 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+)
+
+
+def _matrix(words) -> np.ndarray:
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def _planted_rows(draw):
+    """Rows drawn from a few distinct rows, so most are repeats, each with a 0/1 target."""
+    n_cols = draw(st.integers(1, 4))
+    word = st.sampled_from(_SPECIAL_WORDS) | st.integers(0, 2**64 - 1)
+    pool = draw(st.lists(st.lists(word, min_size=n_cols, max_size=n_cols), min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(0, 1)), max_size=14))
+    X = _matrix([pool[i] for i, _ in picks] or np.empty((0, n_cols)))
+    return X, np.array([t for _, t in picks], dtype=np.int64)
+
+
+_NAMED_ROWS = {
+    "no-rows": (np.empty((0, 3)), []),
+    "one-row": ([[1.0, 2.0]], [1]),
+    "planted-repeats": (
+        [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, 2.0], [3.0, 4.0]], [0, 1, 0, 0, 1]
+    ),
+    "same-x-other-target": ([[1.0, 2.0], [1.0, 2.0], [5.0, 6.0], [1.0, 2.0]], [0, 1, 1, 0]),
+    "signed-zeros": ([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]], [1, 1, 0, 1]),
+    "nan-payloads": (
+        _matrix([[_SPECIAL_WORDS[5]], [_SPECIAL_WORDS[6]], [_SPECIAL_WORDS[5]]]), [1, 0, 0]
+    ),
+}
+
+
+def _check_grouping(X, y) -> None:
+    """``deduplicate`` and ``count_contradictions`` agree with the byte-key reference."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    n = len(y)
+    ds = FeatureDataset("cp", ("f",) * X.shape[1], np.arange(n), np.full(n, "S"), X, y)
+    kept = ds.deduplicate()
+    first = reference_first_rows(X, y)
+    assert np.array_equal(kept.days, first)
+    assert np.array_equal(kept.X.view(np.uint64), X[first].view(np.uint64))
+    assert np.array_equal(kept.y, y[first])
+    assert count_contradictions(X, y) == reference_count_contradictions(X, y)
+
+
+@pytest.mark.parametrize("case", list(_NAMED_ROWS))
+def test_row_grouping_matches_the_byte_key_reference_on_named_rows(case):
+    _check_grouping(*_NAMED_ROWS[case])
+
+
+def test_row_grouping_tells_signed_zeros_and_nan_payloads_apart():
+    X, y = _NAMED_ROWS["signed-zeros"]
+    ds = FeatureDataset("cp", ("a", "b"), np.arange(4), np.full(4, "S"), np.array(X), np.array(y))
+    assert ds.deduplicate().days.tolist() == [0, 1, 2]
+    assert count_contradictions(X, y).n_contradicting_rows == 2
+    X, y = _NAMED_ROWS["nan-payloads"]
+    assert count_contradictions(X, y).n_contradicting_rows == 2
+
+
+@given(_planted_rows())
+def test_row_grouping_matches_the_byte_key_reference(rows):
+    _check_grouping(*rows)
+
+
+@pytest.mark.parametrize(
+    "fake_hash",
+    [
+        lambda columns, n: np.zeros(n, dtype=np.uint64),
+        lambda columns, n: columns[0] & np.uint64(1),
+    ],
+    ids=["constant", "low-bit-of-first-word"],
+)
+@given(_planted_rows())
+def test_row_grouping_stays_exact_when_hashes_collide(fake_hash, rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(labels, "_word_hash", fake_hash)
+        # a constant hash leaves the rows in order, so the repeat of row 0 sits after row 1
+        group = labels._row_groups(np.array([[1.0], [2.0], [1.0]]))
+        assert group[0] == group[2] != group[1]
+        _check_grouping(*rows)
+        # ids are equal exactly where the reference keys are: the same partition
+        X, y = rows
+        _, reference = np.unique(reference_row_keys(X, y), return_inverse=True)
+        group = labels._row_groups(X, y)
+        pairs = len(set(zip(group.tolist(), reference.tolist())))
+        assert pairs == len(set(group.tolist())) == len(set(reference.tolist()))
+
+
+def test_count_contradictions_holds_less_than_the_matrix():
+    X, y = half_repeated()
+    peak = traced_peak(count_contradictions, X, y)
+    assert peak < 1.0 * X.nbytes, f"{peak / X.nbytes:.2f} x the matrix"
+
+
+def test_deduplicate_holds_less_than_one_and_a_half_matrices():
+    X, y = half_repeated()
+    ds = FeatureDataset("cp", ("f",) * X.shape[1], np.arange(len(X)), np.full(len(X), "S"), X, y)
+    peak = traced_peak(ds.deduplicate)
+    assert peak < 1.5 * X.nbytes, f"{peak / X.nbytes:.2f} x the matrix"
 
 
 def test_split_by_date_partitions_strictly():
