@@ -11,7 +11,11 @@ overrides the built-in default. A file without the command's section, an
 unknown section, an unknown key and a bad value are usage errors. ``synth``,
 ``train`` and ``gridsearch`` take ``--seed N``. ``backtest`` takes its test
 span and feature space from ``--prepared``; ``baseline --prepared`` takes the
-same test span.
+same test span. ``--experts`` (``synth``, ``prepare``, ``baseline``) is a
+comma list of expert names, or ``all``, the default: every expert of the
+label files (``synth`` writes D and G). A value without a name is a usage
+error; a name that no label file of ``prepare``'s or ``baseline``'s data
+directory holds is a runtime error naming it and the directory.
 All artifacts are machine-readable (CSV/JSON) with a short human summary
 on stdout. Exit codes: 0 success, 2 usage error, 1 runtime error. A usage
 error is a bad option, key or value; a settings type raises ``ConfigError``
@@ -140,6 +144,17 @@ def _fraction(raw: str) -> float:
 
 _parse_split_frac = _typed(_fraction, "a fraction strictly inside (0, 1)")
 
+
+def _expert_names(raw: str) -> list[str] | None:
+    """The names in a comma list of one or more, or None (every expert) for ``all``."""
+    names = [e.strip() for e in raw.split(",") if e.strip()]
+    if not names:
+        raise ValueError(raw)
+    return None if raw.strip().lower() == "all" else names
+
+
+_parse_experts = _typed(_expert_names, 'comma-separated expert names or "all"')
+
 # The type of every GbdtParams field, shared by the model flags, the
 # [cp_model]/[tof_model] keys and the [grid] values.
 MODEL_TYPES = {
@@ -224,12 +239,6 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     return defaults
 
 
-def _experts_list(raw: str | None) -> list[str] | None:
-    if raw is None or raw.strip() == "" or raw.strip().lower() == "all":
-        return None
-    return [e.strip() for e in raw.split(",") if e.strip()]
-
-
 # --- data discovery ---------------------------------------------------------
 
 
@@ -279,18 +288,22 @@ def _load_truth(path: Path, quotes: dict[str, QuoteSeries]) -> dict[str, list[Ex
 
 
 def _window_streams(
-    quotes: dict[str, QuoteSeries], label_paths: list[Path], experts: list[str] | None
+    quotes: dict[str, QuoteSeries],
+    label_paths: list[Path],
+    experts: list[str] | None,
+    data_dir: Path,
 ) -> dict[str, dict[str, list[ExpertWindow]]]:
-    """Each labelled stock's window stream per expert, both sorted by name."""
+    """Each labelled stock's window stream per named expert (None: all), both sorted by name."""
     labels = merge_label_files(label_paths, quotes=quotes.values())
+    missing = sorted(set(experts or ()) - {expert for _, expert in labels})
+    if missing:
+        raise TrendlabError(f"{data_dir}: no labels_*.csv file holds expert {','.join(missing)}")
     streams: dict[str, dict[str, list[ExpertWindow]]] = {}
     for stock, expert in sorted(labels):
         if experts is None or expert in experts:
             streams.setdefault(stock, {})[expert] = extract_windows(
                 labels[(stock, expert)], quotes[stock]
             )
-    if label_paths and not streams:
-        raise TrendlabError("no label rows left after the expert filter")
     return streams
 
 
@@ -312,7 +325,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         disagree_prob=args.disagree_prob,
         split_merge_prob=args.split_merge_prob,
     )
-    experts = _experts_list(args.experts) or ["D", "G"]
+    experts = args.experts or ["D", "G"]
     if len(set(experts)) < len(experts):  # one label file per (stock, expert) name
         args.parser.error(f"--experts names an expert twice: {','.join(experts)}")
     out_dir = Path(args.out)
@@ -351,7 +364,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     split_date = _split_date(args, quotes)
     if not label_paths:
         raise FileNotFoundError(f"no labels_*.csv files in {data_dir}")
-    streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
+    streams = _window_streams(quotes, label_paths, args.experts, data_dir)
 
     cp_parts: list[FeatureDataset] = []
     tof_parts: list[FeatureDataset] = []
@@ -598,7 +611,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if not label_paths and not truth:
         raise FileNotFoundError(f"no labels_*.csv files and no truth.json windows in {data_dir}")
     # each expert's, the vote's and the truth's report; a name no window reaches is left out
-    streams = _window_streams(quotes, label_paths, _experts_list(args.experts))
+    streams = _window_streams(quotes, label_paths, args.experts, data_dir)
     expert_names = sorted({e for by_expert in streams.values() for e in by_expert})
     window_maps = {
         expert: {stock: by_e[expert] for stock, by_e in streams.items() if expert in by_e}
@@ -664,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--stocks", type=_parse_positive, default=5)
     p.add_argument("--days", type=_parse_days, default=2500)
-    p.add_argument("--experts", default=None, help="comma-separated expert names")
+    p.add_argument("--experts", type=_parse_experts, help="comma-separated expert names")
     p.add_argument("--jitter-days", dest="jitter_days", type=int, default=2)
     p.add_argument("--disagree-prob", dest="disagree_prob", type=float, default=0.05)
     p.add_argument("--split-merge-prob", dest="split_merge_prob", type=float, default=0.05)
@@ -677,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="build train/test datasets from data files")
     _add_common(p, seed=False)
     p.add_argument("--data", required=True, help="directory with quotes_*/labels_* CSVs")
-    p.add_argument("--experts", default=None)
+    p.add_argument("--experts", type=_parse_experts, default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
     p.add_argument("--split-frac", dest="split_frac", type=_parse_split_frac, default=None)
     p.add_argument("--log-mode", dest="log_mode", action="store_true", default=True)
@@ -733,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="profit of the expert labels themselves")
     _add_common(p, config=False, seed=False)
     p.add_argument("--data", required=True)
-    p.add_argument("--experts", default=None)
+    p.add_argument("--experts", type=_parse_experts, default=None)
     p.add_argument("--split-date", dest="split_date", type=_parse_date_arg, default=None)
     p.add_argument("--split-frac", dest="split_frac", type=_parse_split_frac, default=None)
     p.add_argument(

@@ -18,7 +18,7 @@ class DuplicateDateError(InvariantError):
 
 
 class DefectFileError(TrendlabError):
-    """A label file carries quotes that contradict already-loaded quotes."""
+    """A label file carries quotes that contradict each other or already-loaded quotes."""
 
 
 class EmptyInputError(TrendlabError):

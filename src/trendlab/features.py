@@ -174,8 +174,9 @@ class FeatureDataset:
     def deduplicate(self) -> "FeatureDataset":
         """Drop rows whose (feature vector, target) already occurred.
 
-        It compares rows by their exact bytes, so ``-0.0`` and ``0.0``
-        differ, and keeps each first row.
+        Rows are grouped by one stable sort of their exact bytes and target
+        (``labels._row_groups``), so ``-0.0`` and ``0.0`` differ; it keeps
+        each first row.
         """
         _, first = np.unique(_row_groups(self.X, self.y), return_index=True)
         return self.take(np.sort(first))

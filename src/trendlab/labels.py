@@ -243,73 +243,51 @@ class ContradictionStats:
         }
 
 
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying permutes uint64
-
-
-def _word_hash(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """One uint64 per row mixed from its words, column by column; equal rows hash equal."""
-    h = np.zeros(n, dtype=np.uint64)
-    for column in columns:
-        h ^= column
-        h *= _HASH_MULTIPLIER
-        h ^= h >> np.uint64(29)
-    return h
-
-
-def _word_changes(columns: Sequence[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """Where a row of ``order`` has a word unlike the row before it."""
-    changes = np.zeros(len(order), dtype=bool)
-    for column in columns:
-        words = column[order]
-        changes[1:] |= words[1:] != words[:-1]
-    return changes
-
-
 def _row_groups(X: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """An int64 group id per row of ``X``, equal for rows with equal bytes (and targets).
 
     Rows are compared by their exact bytes, so ``-0.0`` and ``0.0`` differ,
-    as do two NaN payloads. Each row is read as 8-byte words (the float64
-    bit patterns, then the int64 target): the rows are sorted by a hash of
-    their words and split wherever sorted neighbours differ in a word. A
-    hash collision shows as more word changes than hash changes; only then
-    are the rows re-sorted by hash and every word, which is exact.
+    as do two NaN payloads. Each row's 8-byte words are read, without a
+    copy, as one byte string, and one stable sort of those strings (after
+    the target, when one is given) puts equal rows side by side. A group
+    starts wherever sorted neighbours differ in a word.
     """
     words = np.ascontiguousarray(X, dtype=np.float64).view(np.uint64)
+    keys = [words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]]
     columns = list(words.T)
     if y is not None:
-        columns.append(np.asarray(y, dtype=np.int64).view(np.uint64))
-    h = _word_hash(columns, len(words))
-    order = np.argsort(h, kind="stable")
-    changes = _word_changes(columns, order)
-    sorted_h = h[order]
-    if np.count_nonzero(changes) > np.count_nonzero(sorted_h[1:] != sorted_h[:-1]):
-        order = np.lexsort([*reversed(columns), h])
-        changes = _word_changes(columns, order)
+        target = np.asarray(y, dtype=np.int64)
+        keys.append(target)  # lexsort's last key leads
+        columns.append(target.view(np.uint64))
+    order = np.lexsort(keys)
+    starts = np.zeros(len(order), dtype=bool)  # a sorted row with a word unlike the row before
+    for column in columns:
+        sorted_words = column[order]
+        starts[1:] |= sorted_words[1:] != sorted_words[:-1]
     group = np.empty(len(words), dtype=np.int64)
-    group[order] = np.cumsum(changes)
+    group[order] = np.cumsum(starts)
     return group
 
 
 def count_contradictions(X: np.ndarray, y: Sequence[int]) -> ContradictionStats:
     """Count rows that share a feature vector with a row of the opposite target.
 
-    It compares rows by their exact bytes, so ``-0.0`` and ``0.0`` differ.
+    The targets are 0 or 1. Rows are grouped by their exact bytes, so
+    ``-0.0`` and ``0.0`` differ, with one stable sort (``_row_groups``); a
+    row contradicts when its group holds both targets.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(y) != len(X):
         raise InvariantError("feature matrix and targets disagree")
     group = _row_groups(X)
-    _, first = np.unique(_row_groups(X, y), return_index=True)
-    n_targets = np.bincount(group[first], minlength=len(X))
-    contradicting = n_targets[group] > 1
-    n_pos = int((y == 1).sum())
-    contradicting_positives = int(y[contradicting].sum())
-    pct = 100.0 * contradicting_positives / n_pos if n_pos else 0.0
+    size = np.bincount(group)
+    positives = np.bincount(group[y == 1], minlength=len(size))
+    mixed = (positives > 0) & (positives < size)
+    n_pos = int(positives.sum())
     return ContradictionStats(
-        n_contradicting_rows=int(contradicting.sum()),
-        pct_of_positives=pct,
+        n_contradicting_rows=int(size[mixed].sum()),
+        pct_of_positives=100.0 * int(positives[mixed].sum()) / n_pos if n_pos else 0.0,
         n_rows=len(X),
         n_positive_rows=n_pos,
     )

@@ -6,7 +6,8 @@ a plain decimal point:
 * quotes:  ``date,open,high,low,close,volume,stockname``
 * labels:  ``date,stockname,id_select,type,username`` with
   ``type in {Trend, Flat, N/A}``; the five quote columns may additionally be
-  present, in which case they are cross-checked against already-loaded quotes.
+  present, in which case they are cross-checked against each other and against
+  already-loaded quotes.
 
 Every JSON artifact goes through ``_write_json``/``_read_json``, at the bottom of the imports,
 and every CSV reader iterates under ``_csv_errors``.
@@ -451,10 +452,15 @@ def save_labels(labels: LabelSeries, path: str | Path) -> None:
         )
 
 
-def _last_per_day(days: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct days in order, each with the values of its last row."""
-    last = len(days) - 1 - np.unique(days[::-1], return_index=True)[1]
-    return days[last], values[last]
+def _one_row_per_day(days: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Distinct days in order, each with its first row's values, and the days with unlike rows."""
+    order = np.argsort(days, kind="stable")
+    days, values = days[order], values[order]
+    repeat = days[1:] == days[:-1]
+    keep = np.ones(len(days), dtype=bool)
+    keep[1:] = ~repeat
+    unlike = repeat & np.any(values[1:] != values[:-1], axis=1)
+    return days[keep], values[keep], days[1:][unlike]
 
 
 def merge_label_files(
@@ -467,19 +473,22 @@ def merge_label_files(
     are dropped; a date one expert labels twice differently raises
     ``InvariantError``, and so does a file whose stock is not in ``quotes``,
     when ``quotes`` is given. A file is a defect, rejected with
-    ``DefectFileError``, when one of its embedded quotes contradicts the quote
-    already registered for the same date and stock, either from ``quotes`` or
-    from an earlier file.
+    ``DefectFileError``, when it embeds a quote for a date and stock that
+    differs from another quote of that date and stock: one of its own, or one
+    from ``quotes`` or an earlier file.
     """
-    # stockname -> (distinct days, OHLCV rows); a later row of a day wins
+    # stockname -> (distinct days, OHLCV rows) of every quote registered so far
     registry: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def register(stockname: str, days: np.ndarray, values: np.ndarray) -> None:
+    def register(stockname: str, days: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Add quote rows of one stock; the days on which two of its rows differ."""
         if stockname in registry:
             known_days, known_values = registry[stockname]
             days = np.concatenate([known_days, days])
             values = np.concatenate([known_values, values])
-        registry[stockname] = _last_per_day(days, values)
+        days, values, unlike = _one_row_per_day(days, values)
+        registry[stockname] = days, values
+        return unlike
 
     quoted = None if quotes is None else set()
     for series in quotes or ():
@@ -495,18 +504,12 @@ def merge_label_files(
         if quoted is not None and stockname not in quoted:
             raise InvariantError(f"{path}: labels stock {stockname}, which has no quotes")
         if embedded is not None:
-            days, values = _last_per_day(label_days, embedded)
-            if stockname in registry:
-                known_days, known_values = registry[stockname]
-                at = np.minimum(np.searchsorted(known_days, days), len(known_days) - 1)
-                clash = (known_days[at] == days) & np.any(known_values[at] != values, axis=1)
-                if clash.any():
-                    day = _date(days[np.argmax(clash)])
-                    raise DefectFileError(
-                        f"{path}: quotes for {day}/{stockname} contradict "
-                        "already-loaded quotes; file rejected"
-                    )
-            register(stockname, days, values)
+            unlike = register(stockname, label_days, embedded)
+            if unlike.size:
+                raise DefectFileError(
+                    f"{path}: quotes for {_date(unlike[0])}/{stockname} differ from "
+                    "each other or from already-loaded quotes; file rejected"
+                )
         key = (stockname, expert)
         if key in merged:
             earlier = merged[key]

@@ -19,7 +19,7 @@ stated absolute bounds.
 byte key, which ``np.unique`` sorts. ``reference_first_rows`` and
 ``reference_count_contradictions`` are ``FeatureDataset.deduplicate`` and
 ``count_contradictions`` on those keys; the differential tests hold the
-hashed grouping to them.
+sorted grouping to them.
 """
 
 from __future__ import annotations
@@ -142,6 +142,7 @@ def reference_load_label_file(path: Path) -> tuple[list[RowLabel], dict]:
         has_quotes = all(c in reader.fieldnames for c in OHLCV_COLUMNS)
         rows: list[RowLabel] = []
         quotes: dict[tuple[Date, str], tuple[float, ...]] = {}
+        unlike: Date | None = None  # the first date given two different quotes
         pair = None
         for line, row in enumerate(reader, start=2):
             name = row["stockname"].strip()
@@ -157,11 +158,13 @@ def reference_load_label_file(path: Path) -> tuple[list[RowLabel], dict]:
             d = _parse_date(row["date"], path, line)
             rows.append(RowLabel(d, name, id_select, _map_tendency(row["type"], path, line), user))
             if has_quotes:
-                quotes[(d, name)] = tuple(
-                    _parse_float(row[c], path, line, c) for c in OHLCV_COLUMNS
-                )
+                bar = tuple(_parse_float(row[c], path, line, c) for c in OHLCV_COLUMNS)
+                if quotes.setdefault((d, name), bar) != bar and unlike is None:
+                    unlike = d
     if pair is None:
         raise ParseError(f"{path}: no data rows")
+    if unlike is not None:
+        raise DefectFileError(f"{path}: quotes for {unlike} differ from each other")
     return rows, quotes
 
 

@@ -450,6 +450,19 @@ def test_prepare_and_baseline_fail_before_creating_out(workdir, tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["prepare", "baseline"])
+def test_an_expert_no_label_file_holds_exits_1_naming_it_and_the_data_dir(
+    workdir, tmp_path, capsys, command
+):
+    data = workdir / "data"
+    argv = [command, "--data", str(data), "--experts", "D,Z", "-o", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {data}: no labels_*.csv file holds expert Z" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_baseline_without_labels_or_truth_names_the_data_dir(workdir, tmp_path, capsys):
     data = tmp_path / "quotes_only"
     data.mkdir()
@@ -1056,6 +1069,14 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "{ini}: [synth] stocks: expected a positive integer, got '0'"),
         (["synth", "--trend-len", "10,20"], None, "trend lengths must stay within (40, 600)"),
         (["synth", "--experts", "D,G, D"], None, "--experts names an expert twice: D,G,D"),
+        (["synth", "--experts", ","], None,
+         "argument --experts: expected comma-separated expert names or \"all\", got ','"),
+        (["prepare", "--data", "{data}", "--experts", " , "], None,
+         "argument --experts: expected comma-separated expert names or \"all\", got ' , '"),
+        (["baseline", "--data", "{data}", "--experts", ""], None,
+         "argument --experts: expected comma-separated expert names or \"all\", got ''"),
+        (["prepare", "--data", "{data}", "--config", "{ini}"], "[data]\nexperts = ,\n",
+         "{ini}: [data] experts: expected comma-separated expert names or \"all\", got ','"),
         (["train", "cp", "--prepared", "{prep}", "--n-estimators", "0"], None,
          "n_estimators must be >= 1"),
         (["train", "tof", "--prepared", "{prep}", "--learning-rate", "nan"], None,
@@ -1126,7 +1147,9 @@ ORACLE = ["backtest", "--data", "{data}", "--prepared", "{prep}", "--oracle"]
          "threads-negative", "threads-key", "grid-threads", "cp-threshold",
          "unknown-key", "unknown-section", "log-mode-key", "percent-key", "grid-key", "disagree-prob-range",
          "drift-reversed", "drift-nan", "volatility-inf", "volatility-negative", "days-range",
-         "stocks-key-zero", "trend-len-range", "experts-repeat", "n-estimators-range",
+         "stocks-key-zero", "trend-len-range", "experts-repeat", "synth-experts-no-name",
+         "prepare-experts-no-name", "baseline-experts-empty", "experts-key-no-name",
+         "n-estimators-range",
          "learning-rate-nan", "grid-depth-range",
          "grid-learning-rate-nan", "cp-threshold-range", "cp-threshold-nan",
          "tof-threshold-range", "min-window-days-range", "prepare-split-frac-negative",

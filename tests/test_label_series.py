@@ -163,10 +163,19 @@ def _error_cases(series) -> dict[str, tuple[list[str], type | None]]:
             ],
             DefectFileError,
         ),
-        "quotes_last_row_of_a_day_counts": (
+        "quotes_differ_in_one_file": (
             [
                 LABEL_Q_HEADER
                 + f"{d[0]},S,1,Trend,D,9.0,9.0,9.0,9.0,9\n"
+                + f"{d[0]},S,1,Trend,D,{_quote_cells(series, 0)}\n"
+            ],
+            DefectFileError,
+        ),
+        "quotes_repeat_in_one_file": (
+            [
+                LABEL_Q_HEADER
+                + f"{d[0]},S,1,Trend,D,{_quote_cells(series, 0)}\n"
+                + f"{d[1]},S,1,Trend,D,{_quote_cells(series, 1)}\n"
                 + f"{d[0]},S,1,Trend,D,{_quote_cells(series, 0)}\n"
             ],
             None,

@@ -282,12 +282,21 @@ _NAMED_ROWS = {
     "nan-payloads": (
         _matrix([[_SPECIAL_WORDS[5]], [_SPECIAL_WORDS[6]], [_SPECIAL_WORDS[5]]]), [1, 0, 0]
     ),
+    "differ-in-last-word": (
+        [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]], [1, 0, 0, 0]
+    ),
 }
 
 
 def _check_grouping(X, y) -> None:
-    """``deduplicate`` and ``count_contradictions`` agree with the byte-key reference."""
+    """Group ids, ``deduplicate`` and ``count_contradictions`` match the byte-key reference."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    for target in (None, y):
+        # ids are equal exactly where the reference keys are: the same partition
+        _, reference = np.unique(reference_row_keys(X, target), return_inverse=True)
+        group = labels._row_groups(X, target)
+        pairs = len(set(zip(group.tolist(), reference.tolist())))
+        assert pairs == len(set(group.tolist())) == len(set(reference.tolist()))
     n = len(y)
     ds = FeatureDataset("cp", ("f",) * X.shape[1], np.arange(n), np.full(n, "S"), X, y)
     kept = ds.deduplicate()
@@ -315,30 +324,6 @@ def test_row_grouping_tells_signed_zeros_and_nan_payloads_apart():
 @given(_planted_rows())
 def test_row_grouping_matches_the_byte_key_reference(rows):
     _check_grouping(*rows)
-
-
-@pytest.mark.parametrize(
-    "fake_hash",
-    [
-        lambda columns, n: np.zeros(n, dtype=np.uint64),
-        lambda columns, n: columns[0] & np.uint64(1),
-    ],
-    ids=["constant", "low-bit-of-first-word"],
-)
-@given(_planted_rows())
-def test_row_grouping_stays_exact_when_hashes_collide(fake_hash, rows):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(labels, "_word_hash", fake_hash)
-        # a constant hash leaves the rows in order, so the repeat of row 0 sits after row 1
-        group = labels._row_groups(np.array([[1.0], [2.0], [1.0]]))
-        assert group[0] == group[2] != group[1]
-        _check_grouping(*rows)
-        # ids are equal exactly where the reference keys are: the same partition
-        X, y = rows
-        _, reference = np.unique(reference_row_keys(X, y), return_inverse=True)
-        group = labels._row_groups(X, y)
-        pairs = len(set(zip(group.tolist(), reference.tolist())))
-        assert pairs == len(set(group.tolist())) == len(set(reference.tolist()))
 
 
 def test_count_contradictions_holds_less_than_the_matrix():

@@ -301,6 +301,18 @@ def test_merge_rejects_defect_file_on_quote_conflict(tmp_path):
         merge_label_files([a, b])
 
 
+def test_merge_rejects_a_file_with_two_different_quotes_for_one_date(tmp_path):
+    row = "2010-01-05,ACME,1,Trend,D,10.0,12.0,9.0,{close},1000\n"
+    twice = write(tmp_path / "twice.csv", LABEL_Q_HEADER + 2 * row.format(close=11.0))
+    assert len(merge_label_files([twice])[("ACME", "D")]) == 1
+    unlike = write(
+        tmp_path / "unlike.csv",
+        LABEL_Q_HEADER + row.format(close=11.0) + row.format(close=11.5),
+    )
+    with pytest.raises(DefectFileError, match=f"{unlike}: quotes for 2010-01-05/ACME differ"):
+        merge_label_files([unlike])
+
+
 def test_merge_checks_against_preloaded_quotes(tmp_path):
     series = make_series([11.0, 12.0], stockname="ACME", start=Date(2010, 1, 5))
     conflicting = write(
