@@ -37,6 +37,8 @@ from datetime import date as Date
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from . import evaluation, gbdt, pipeline, synth
 from .errors import ConfigError, ModelFormatError, TrendlabError, ZeroVolumeError
 from .features import (
@@ -273,7 +275,7 @@ def _split_date(args: argparse.Namespace, quotes: dict[str, QuoteSeries]) -> Dat
         if args.split_frac is not None:
             args.parser.error("--split-date and --split-frac exclude each other")
         return args.split_date
-    days = sorted({d for s in quotes.values() for d in s.days.tolist()})
+    days = np.unique(np.concatenate([s.days for s in quotes.values()]))
     frac = DEFAULT_SPLIT_FRAC if args.split_frac is None else args.split_frac
     return _date(days[min(len(days) - 1, int(len(days) * frac))])
 
@@ -373,12 +375,12 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         window_streams = list(by_expert.values())
         if averaging:
             window_streams = [voted_windows(window_streams, series)]
-        for windows in window_streams:
-            if correction:
-                windows = trigger_correction(windows, series)
-            with _naming_quotes_file(quote_paths):
-                cp_parts.append(build_cp_dataset(series, windows, log_mode=log_mode))
-                tof_parts.append(build_tof_dataset(windows, series, log_mode=log_mode))
+        if correction:
+            window_streams = [trigger_correction(w, series) for w in window_streams]
+        with _naming_quotes_file(quote_paths):
+            # one cp row per (day, target) of the stock: the experts share its features
+            cp_parts.append(build_cp_dataset(series, *window_streams, log_mode=log_mode))
+            tof_parts += [build_tof_dataset(w, series, log_mode=log_mode) for w in window_streams]
 
     cp_ds, tof_ds = FeatureDataset.concat(cp_parts), FeatureDataset.concat(tof_parts)
     del cp_parts, tof_parts  # the concatenated copies hold every row

@@ -41,32 +41,35 @@ TOF_FEATURE_NAMES: tuple[str, ...] = ("reg_close", "close_r2", "reg_vol", "vol_r
 FRACTIONS: tuple[int, ...] = (5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 
-def cp_feature_matrix(series: QuoteSeries, log_mode: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The 22 ratio features of every row with +/-5 rows of context.
+def cp_feature_matrix(
+    series: QuoteSeries, log_mode: bool, ts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 22 ratio features of every row with +/-5 rows of context, or of the rows ``ts``.
 
     Returns ``(ts, X)`` where ``ts`` are row indices into the series and ``X``
-    has one 22-feature row per entry of ``ts``. Raw mode needs a positive
-    volume on every row of ``ts``, log mode on every row of the series.
+    has one 22-feature row per entry of ``ts``; a given ``ts`` must hold rows
+    with full context. Raw mode needs a positive volume on every row with
+    context, log mode on every row of the series. Each column is written
+    into ``X`` in place, so no more than ``X`` and one column are held.
     """
     n = len(series)
     if n < CP_MIN_BARS:
         return np.empty(0, dtype=np.int64), np.empty((0, len(CP_FEATURE_NAMES)))
-    closes = series.closes
-    volumes = series.volumes
-    highs = series.column("high")
-    lows = series.column("low")
-    ts = np.arange(CP_CONTEXT, n - CP_CONTEXT, dtype=np.int64)
+    if ts is None:
+        ts = np.arange(CP_CONTEXT, n - CP_CONTEXT, dtype=np.int64)
     _check_volumes(series, 0 if log_mode else CP_CONTEXT)
 
-    cols = [
-        bars[ts + side * k] / bars[ts]
-        for bars in (closes, volumes)
-        for side in (-1, 1)
-        for k in range(1, CP_CONTEXT + 1)
-    ]  # in CP_FEATURE_NAMES order
-    X = np.column_stack([*cols, highs[ts] / closes[ts], lows[ts] / closes[ts]])
+    X = np.empty((len(ts), len(CP_FEATURE_NAMES)))
+    columns = iter(X.T)  # in CP_FEATURE_NAMES order
+    closes = series.closes[ts]
+    for bars, here in ((series.closes, closes), (series.volumes, series.volumes[ts])):
+        for side in (-1, 1):
+            for k in range(1, CP_CONTEXT + 1):
+                np.divide(bars[ts + side * k], here, out=next(columns))
+    np.divide(series.column("high")[ts], closes, out=next(columns))
+    np.divide(series.column("low")[ts], closes, out=next(columns))
     if log_mode:
-        X = np.log(X)
+        np.log(X, out=X)
     return ts, X
 
 
@@ -176,10 +179,10 @@ class FeatureDataset:
 
         Rows are grouped by one stable sort of their exact bytes and target
         (``labels._row_groups``), so ``-0.0`` and ``0.0`` differ; it keeps
-        each first row.
+        each first row. A dataset without a repeat is returned itself.
         """
         _, first = np.unique(_row_groups(self.X, self.y), return_index=True)
-        return self.take(np.sort(first))
+        return self if len(first) == len(self) else self.take(np.sort(first))
 
     @classmethod
     def concat(cls, parts: Sequence["FeatureDataset"]) -> "FeatureDataset":
@@ -198,26 +201,41 @@ class FeatureDataset:
 
 
 def build_cp_dataset(
-    series: QuoteSeries, windows: Sequence[ExpertWindow], log_mode: bool
+    series: QuoteSeries, *streams: Sequence[ExpertWindow], log_mode: bool
 ) -> FeatureDataset:
-    """Changepoint rows for every labeled date with full +/-5-row context.
+    """Changepoint rows for every labeled date with full +/-5-row context, stream by stream.
 
-    The labeled span runs from the first window's start to the last window's
-    end; the target is 1 on the start of every window but the first.
+    A stream's labeled span runs from its first window's start to its last
+    window's end; its target is 1 on the start of every window but the
+    first. Each stream of windows adds its rows in date order, less those
+    whose (day, target) an earlier stream gave: a day's features do not
+    depend on the stream, so such a row would repeat one already given. The
+    features are computed once, for the rows kept.
     """
-    if not windows:
+    if not streams or not all(streams):
         raise EmptyInputError("no windows")
-    ts, X = cp_feature_matrix(series, log_mode=log_mode)
-    days = series.days[ts]
-    keep = (days >= _day(windows[0].start_date)) & (days <= _day(windows[-1].end_date))
-    days = days[keep]
+    context = np.arange(CP_CONTEXT, len(series) - CP_CONTEXT, dtype=np.int64)
+    days = series.days[context]
+    given = np.zeros((len(context), 2), dtype=bool)  # (row, target) pairs a stream gave
+    picks, targets = [], []
+    for windows in streams:
+        span = np.flatnonzero(
+            (days >= _day(windows[0].start_date)) & (days <= _day(windows[-1].end_date))
+        )
+        y = np.isin(days[span], _days([w.start_date for w in windows[1:]])).astype(np.int64)
+        new = ~given[span, y]
+        given[span, y] = True
+        picks.append(span[new])
+        targets.append(y[new])
+    rows = np.concatenate(picks)
+    _, X = cp_feature_matrix(series, log_mode=log_mode, ts=context[rows])
     return FeatureDataset(
         kind="cp",
         feature_names=CP_FEATURE_NAMES,
-        days=days,
-        stocknames=np.full(len(days), series.stockname),
-        X=X[keep],
-        y=np.isin(days, _days([w.start_date for w in windows[1:]])).astype(np.int64),
+        days=days[rows],
+        stocknames=np.full(len(rows), series.stockname),
+        X=X,
+        y=np.concatenate(targets),
     )
 
 

@@ -21,11 +21,13 @@ Trees grow level by level. Each feature keeps its row ids, and their
 values, ordered by (node, value); one pass per level and feature scores
 every node of the level, and a stable sort on each row's child id then
 splits the ids and the values into the children without comparing or
-gathering values again. Each row's gradient and hessian are one complex
-number, gathered as one pair; gradient sums run as one sequential cumsum
-per node in value order, and leaf sums over the node's rows in ascending
-row order, exactly as a per-node sort would have them, so the models are
-those of a recursive per-node search.
+gathering values again. The split writes into flat buffers made once per
+fit, one id and one value buffer per block and one scratch pair they
+share, so a level allocates no block-sized arrays. Each row's gradient
+and hessian are one complex number, gathered as one pair; gradient sums
+run as one sequential cumsum per node in value order, and leaf sums over
+the node's rows in ascending row order, exactly as a per-node sort would
+have them, so the models are those of a recursive per-node search.
 
 Determinism: ties between equal-gain splits resolve to the lowest feature
 index, then the lowest threshold; the per-tree row subsample is drawn from a
@@ -269,9 +271,29 @@ def _leaf(g: np.ndarray, h: np.ndarray, rows: np.ndarray, params: GbdtParams) ->
     return _leaf_value(float(g[rows].sum()), float(h[rows].sum()), params)
 
 
+def _take_into(
+    src: np.ndarray, order: np.ndarray, buf: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """``src.take(order)``, written into the front of the flat ``buf``.
+
+    A take may not write over its own source, so rows that already live in
+    ``buf`` go through ``scratch`` and are copied back. The take clips, as
+    every position is in range: one that may raise would buffer its output.
+    """
+    out = buf[: order.size].reshape(order.shape)
+    if np.may_share_memory(src, buf):
+        taken = scratch[: order.size].reshape(order.shape)
+        np.copyto(out, np.take(src, order, out=taken, mode="clip"))
+    else:
+        np.take(src, order, out=out, mode="clip")
+    return out
+
+
 def _grow_tree(
     Xt: np.ndarray,
     presorted: list[tuple[np.ndarray, np.ndarray]],
+    buffers: list[tuple[np.ndarray, np.ndarray]],
+    scratch: tuple[np.ndarray, np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
     sample: np.ndarray,
@@ -284,7 +306,8 @@ def _grow_tree(
     that order. Each level scores every node on every feature, turns the
     nodes without a split into leaves, and stably partitions the rows of the
     others, with their values, in each feature's value order and in
-    ascending order, into their children.
+    ascending order, into their children. The partition writes into each
+    block's flat id and value ``buffers``, through the shared ``scratch``.
     """
     n = len(g)
     if sample.size < 2:
@@ -348,12 +371,14 @@ def _grow_tree(
             break
 
         for i, (o, v) in enumerate(work):
-            # replaced block by block, so one level's orders are alive at a
-            # time; a flat take with row offsets gathers faster than
-            # take_along_axis
+            # a flat take with row offsets gathers faster than take_along_axis
             order = np.argsort(child[o], axis=1, kind="stable")[:, :size]
             order += np.arange(len(o))[:, None] * o.shape[1]
-            work[i] = (o.take(order), v.take(order))
+            ids, vals = buffers[i]
+            work[i] = (
+                _take_into(o, order, ids, scratch[0]),
+                _take_into(v, order, vals, scratch[1]),
+            )
         starts = child_starts
         nodes = children
     return root
@@ -436,6 +461,10 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
     for s in _feature_blocks(Xa.shape[1], sample_size):
         o = np.argsort(Xt[s], axis=1, kind="stable")
         presorted.append((o, np.take_along_axis(Xt[s], o, axis=1)))
+    # the partition buffers of each block, and one scratch pair for them all
+    buffers = [(np.empty(o.size, o.dtype), np.empty(v.size)) for o, v in presorted]
+    widest = max((o.size for o, _ in presorted), default=0)
+    scratch = (np.empty(widest, np.intp), np.empty(widest))
     apply_tree = _tree_evaluator(params)
     trees: list[TreeNode] = []
     for m in range(params.n_estimators):
@@ -447,7 +476,7 @@ def fit(X: object, y: object, params: GbdtParams | None = None) -> GbdtModel:
             sample = np.sort(rng.choice(n, size=sample_size, replace=False))
         else:
             sample = np.arange(n)
-        root = _grow_tree(Xt, presorted, g, h, sample, params)
+        root = _grow_tree(Xt, presorted, buffers, scratch, g, h, sample, params)
         margins += apply_tree(root, Xt)
         trees.append(root)
     return GbdtModel(params=params, n_features=Xa.shape[1], trees=trees)

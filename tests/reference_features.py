@@ -11,6 +11,13 @@ of each window on its own, builds one ``WindowSums`` per window and reads
 each kept fraction with ``tof_features``; the dataset stacks the windows'
 rows. The differential tests hold the one feature path to these rows bit
 for bit.
+
+``reference_cp_dataset`` is how ``build_cp_dataset`` built changepoint rows
+before it took several window streams: the whole series' feature matrix,
+stacked from its columns, for each stream on its own, masked to the
+stream's span. ``reference_cp_streams`` stacks the streams' datasets as
+``prepare`` did, so the global ``deduplicate`` alone drops the rows that
+repeat across streams.
 """
 
 from __future__ import annotations
@@ -23,15 +30,19 @@ import numpy as np
 
 from trendlab.errors import EmptyInputError, TooShortError
 from trendlab.features import (
+    CP_CONTEXT,
+    CP_FEATURE_NAMES,
+    CP_MIN_BARS,
     FRACTIONS,
     MIN_LEN_TREND,
     TOF_FEATURE_NAMES,
     FeatureDataset,
     TofRow,
+    _check_volumes,
     _log_bars,
 )
 from trendlab.labels import ExpertWindow, _prefix_fits
-from trendlab.market_data import TREND, QuoteSeries, _days
+from trendlab.market_data import TREND, QuoteSeries, _day, _days
 
 
 def reference_write_feature_csv(
@@ -121,4 +132,52 @@ def reference_tof_dataset(
         X=np.concatenate(X),
         y=np.repeat(np.array([w.tendency == TREND for w in windows], dtype=np.int64), counts),
         fractions=np.concatenate(fractions),
+    )
+
+
+def reference_cp_matrix(series: QuoteSeries, log_mode: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every row with full context and its 22 ratios, stacked from whole columns."""
+    n = len(series)
+    if n < CP_MIN_BARS:
+        return np.empty(0, dtype=np.int64), np.empty((0, len(CP_FEATURE_NAMES)))
+    closes, volumes = series.closes, series.volumes
+    highs, lows = series.column("high"), series.column("low")
+    ts = np.arange(CP_CONTEXT, n - CP_CONTEXT, dtype=np.int64)
+    _check_volumes(series, 0 if log_mode else CP_CONTEXT)
+    cols = [
+        bars[ts + side * k] / bars[ts]
+        for bars in (closes, volumes)
+        for side in (-1, 1)
+        for k in range(1, CP_CONTEXT + 1)
+    ]
+    X = np.column_stack([*cols, highs[ts] / closes[ts], lows[ts] / closes[ts]])
+    return ts, np.log(X) if log_mode else X
+
+
+def reference_cp_dataset(
+    series: QuoteSeries, windows: Sequence[ExpertWindow], log_mode: bool
+) -> FeatureDataset:
+    """One stream's changepoint rows: the whole matrix, masked to the stream's span."""
+    if not windows:
+        raise EmptyInputError("no windows")
+    ts, X = reference_cp_matrix(series, log_mode)
+    days = series.days[ts]
+    keep = (days >= _day(windows[0].start_date)) & (days <= _day(windows[-1].end_date))
+    days = days[keep]
+    return FeatureDataset(
+        kind="cp",
+        feature_names=CP_FEATURE_NAMES,
+        days=days,
+        stocknames=np.full(len(days), series.stockname),
+        X=X[keep],
+        y=np.isin(days, _days([w.start_date for w in windows[1:]])).astype(np.int64),
+    )
+
+
+def reference_cp_streams(
+    series: QuoteSeries, *streams: Sequence[ExpertWindow], log_mode: bool
+) -> FeatureDataset:
+    """Every stream's rows, one ``reference_cp_dataset`` each, concatenated in order."""
+    return FeatureDataset.concat(
+        [reference_cp_dataset(series, windows, log_mode) for windows in streams]
     )

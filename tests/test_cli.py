@@ -794,6 +794,40 @@ def test_backtest_oracle_profit_matches_ledger(tmp_path):
     assert doc["Profit"] == pytest.approx(expected, abs=1e-9)
 
 
+def _drop_dates(path: Path, keep) -> set[str]:
+    """Rewrite a CSV file without the rows whose first field ``keep`` rejects; the dates kept."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    rows = [r for r in rows if keep(r.split(",", 1)[0])]
+    path.write_text(header + "".join(rows))
+    return {r.split(",", 1)[0] for r in rows}
+
+
+@pytest.mark.parametrize("frac", [None, "0.35", "0.6"])
+def test_the_split_fraction_counts_the_dates_of_every_calendar(tmp_path, frac):
+    data = tmp_path / "data"
+    assert main(SYNTH_ARGS + ["-o", str(data)]) == 0
+    (data / "truth.json").unlink()  # the true windows run over days a calendar drops
+    # SYN00 trades only three days in four from row 100 on; SYN01 starts 50 days late
+    lines = (data / "quotes_SYN00.csv").read_text().splitlines()[1:]
+    all_dates = [line.split(",", 1)[0] for line in lines]
+    gaps = set(all_dates[100::4])
+    late = set(all_dates[:50])
+    calendars = set()
+    for stock, dropped in (("SYN00", gaps), ("SYN01", late)):
+        keep = lambda d, dropped=dropped: d not in dropped  # noqa: E731
+        calendars |= _drop_dates(data / f"quotes_{stock}.csv", keep)
+        for labels in data.glob(f"labels_{stock}_*.csv"):
+            _drop_dates(labels, keep)
+    # the date the fraction picked before the calendar became one int64 column
+    dates = sorted(calendars)
+    want = dates[min(len(dates) - 1, int(len(dates) * float(frac or cli.DEFAULT_SPLIT_FRAC)))]
+    split = [] if frac is None else ["--split-frac", frac]
+    assert main(["prepare", "--data", str(data), "-o", str(tmp_path / "prep"), *split]) == 0
+    assert main(["baseline", "--data", str(data), "-o", str(tmp_path / "base"), *split]) == 0
+    for report in ("prep/prep_report.json", "base/baseline_report.json"):
+        assert json.loads((tmp_path / report).read_text())["split_date"] == want
+
+
 def test_baseline_command(workdir, tmp_path):
     data = workdir / "data"
     out = tmp_path / "base"

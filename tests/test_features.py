@@ -14,6 +14,8 @@ from conftest import half_repeated, make_series, segment_labels, traced_peak
 from reference_features import (
     WindowSums,
     augment_fractions,
+    reference_cp_dataset,
+    reference_cp_streams,
     reference_tof_dataset,
     reference_write_feature_csv,
 )
@@ -696,6 +698,85 @@ def test_fraction_accuracy_groups_hits_by_fraction(tmp_path):
     assert path.read_text().splitlines() == [
         "fraction,n,accuracy", "5,1,0.0", f"50,3,{2 / 3!r}"
     ]
+
+
+def three_streams(n_days: int = 600, seed: int = 5):
+    """A series and three disagreeing experts' windows on it."""
+    cfg = SamplerConfig(n_days=n_days, trend_length=(40, 80), flat_length=(20, 40))
+    series, truth = gen_series(cfg, seed=seed)
+    profile = ExpertProfile(jitter_days=2, disagree_prob=0.2, split_merge_prob=0.1)
+    streams = [
+        extract_windows(gen_expert_labels(truth, profile, [seed, j], series, name), series)
+        for j, name in enumerate("DGK")
+    ]
+    return series, streams
+
+
+def _same_rows(got: FeatureDataset, want: FeatureDataset) -> None:
+    assert got.days.tolist() == want.days.tolist()
+    assert got.stocknames.tolist() == want.stocknames.tolist()
+    assert got.X.tobytes() == want.X.tobytes()
+    assert got.y.tolist() == want.y.tolist()
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+@pytest.mark.parametrize("log_mode", [True, False])
+def test_several_streams_deduplicate_to_the_rows_of_the_stacked_streams(seed, log_mode):
+    series, streams = three_streams(seed=seed)
+    got = build_cp_dataset(series, *streams, log_mode=log_mode)
+    stacked = reference_cp_streams(series, *streams, log_mode=log_mode)
+    assert len(got) < len(stacked)
+    _same_rows(got.deduplicate(), stacked.deduplicate())
+
+
+@pytest.mark.parametrize("log_mode", [True, False])
+def test_one_stream_gives_the_rows_of_the_per_stream_path(log_mode):
+    series, streams = three_streams()
+    for windows in streams:
+        got = build_cp_dataset(series, windows, log_mode=log_mode)
+        _same_rows(got, reference_cp_dataset(series, windows, log_mode))
+
+
+def test_a_later_stream_adds_only_the_days_and_targets_it_does_not_share():
+    series, (first, second, _) = three_streams()
+    a = build_cp_dataset(series, first, log_mode=False)
+    b = build_cp_dataset(series, second, log_mode=False)
+    both = build_cp_dataset(series, first, second, log_mode=False)
+    _same_rows(both.take(np.arange(len(a))), a)
+    added = both.take(np.arange(len(a), len(both)))
+    shared = set(zip(a.days.tolist(), a.y.tolist()))
+    want = [i for i, key in enumerate(zip(b.days.tolist(), b.y.tolist())) if key not in shared]
+    _same_rows(added, b.take(np.array(want, dtype=np.int64)))
+
+
+def test_build_cp_dataset_rejects_no_stream_and_an_empty_one():
+    series, (first, _, _) = three_streams()
+    with pytest.raises(EmptyInputError):
+        build_cp_dataset(series, log_mode=True)
+    with pytest.raises(EmptyInputError):
+        build_cp_dataset(series, first, [], log_mode=True)
+
+
+def test_three_streams_hold_less_than_two_streams_rows():
+    series, streams = three_streams(n_days=6000)
+    one = max(build_cp_dataset(series, w, log_mode=True).X.nbytes for w in streams)
+    peak = traced_peak(lambda: build_cp_dataset(series, *streams, log_mode=True))
+    assert peak < 2.0 * one, f"{peak / one:.2f} x one stream's rows"
+    least = min(build_cp_dataset(series, w, log_mode=True).X.nbytes for w in streams)
+    stacked = traced_peak(lambda: reference_cp_streams(series, *streams, log_mode=True))
+    assert stacked >= 6.0 * least, f"{stacked / least:.2f} x one stream's rows"
+
+
+def test_deduplicate_without_a_repeat_returns_the_dataset_and_copies_nothing():
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(20_000, len(CP_FEATURE_NAMES)))
+    ds = FeatureDataset(
+        "cp", CP_FEATURE_NAMES, np.arange(len(X)), np.full(len(X), "S"), X,
+        rng.integers(0, 2, len(X)),
+    )
+    assert ds.deduplicate() is ds
+    peak = traced_peak(ds.deduplicate)
+    assert peak < 1.0 * X.nbytes, f"{peak / X.nbytes:.2f} x the matrix"
 
 
 def test_concat_keeps_row_order_and_skips_empty_parts():

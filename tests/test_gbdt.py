@@ -588,7 +588,7 @@ BLOCK_CELLS = pytest.mark.parametrize(
 
 
 @BLOCK_CELLS
-@pytest.mark.parametrize("depth", range(1, 8))
+@pytest.mark.parametrize("depth", range(1, 9))
 def test_presorted_search_matches_reference_at_every_depth(depth, block_cells):
     X, y = awkward_matrix()
     assert 0.02 < y.mean() < 0.2
@@ -624,6 +624,40 @@ def test_presorted_search_matches_reference_over_several_blocks():
     X, y = awkward_matrix(seed=19)
     params = GbdtParams(n_estimators=6, max_depth=5, subsample=0.8)
     assert_same_model(X, y, params, block_cells=600)
+
+
+# --- the level buffers a fit partitions into ---
+
+# Blocks of two features and a last one of one, so the shared scratch is
+# wider than the last block's buffers.
+UNEVEN_BLOCKS = 2 * 460
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, UNEVEN_BLOCKS], ids=["default", "one", "uneven"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
+def test_subsampled_blocks_narrower_than_their_buffers_give_the_reference_model(
+    depth, block_cells
+):
+    X, y = awkward_matrix(seed=23)
+    params = GbdtParams(n_estimators=5, max_depth=depth, subsample=0.6, seed=3)
+    assert_same_model(X, y, params, block_cells)
+
+
+@pytest.mark.parametrize("depth", [3, 6])
+def test_uneven_blocks_give_the_reference_model(depth):
+    X, y = awkward_matrix(seed=29)
+    assert len(X) == 460
+    assert_same_model(X, y, GbdtParams(n_estimators=5, max_depth=depth), UNEVEN_BLOCKS)
+
+
+def test_consecutive_fits_of_other_shapes_each_give_the_reference_model():
+    wide, y_wide = awkward_matrix(seed=31, n=700)
+    wide = np.column_stack([wide, wide[:, ::-1] * 0.5])
+    narrow, y_narrow = awkward_matrix(seed=37, n=150)
+    narrow = narrow[:, :2]
+    for X, y, depth in ((wide, y_wide, 6), (narrow, y_narrow, 4), (wide, y_wide, 5)):
+        for block_cells in (None, 1):
+            assert_same_model(X, y, GbdtParams(n_estimators=4, max_depth=depth), block_cells)
 
 
 @given(
